@@ -23,6 +23,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <sstream>
 
 #include "common/rng.hh"
 #include "prefetch/engine_registry.hh"
@@ -230,6 +232,93 @@ TEST(Checkpoint, MismatchedEngineOrStructureFailsCleanly)
     auto other = makeEngine("stems");
     PrefetchSimulator wrong_timing(functional, other.get());
     EXPECT_FALSE(decodeCheckpoint(blob, wrong_timing));
+}
+
+TEST(Checkpoint, EncodedBytesArePinnedForEveryLane)
+{
+    // FNV-1a digests of encodeCheckpoint's bytes (header included),
+    // recorded before the hot-path containers were rewritten in
+    // place. A store warmed by an earlier build keeps resuming only
+    // while they hold, so container layout work must keep every
+    // checkpoint byte. Each lane steps two traces to two fixed
+    // indices, with timing off and on: digest[trace][timing][index].
+    struct Pin
+    {
+        const char *engine; ///< "" = the engineless baseline lane
+        std::uint64_t digest[2][2][2];
+    };
+    static const Pin kPins[] = {
+        {"",
+         {{{0x9c7ce45dfa4a757ull, 0xb7dcf03645e2c4ddull},
+           {0x65cdf517c442d0cdull, 0xdb8f750dc2a0f99dull}},
+          {{0x6c9023f6fee8a391ull, 0x4673ce93ed9f89f1ull},
+           {0x3e583fc1af8b0869ull, 0xd477e16c8406d775ull}}}},
+        {"stride",
+         {{{0xe059241830ea84c5ull, 0xeb971d76efa80f84ull},
+           {0x9f99c03b2aee130bull, 0x28e13a8302c1a137ull}},
+          {{0xce782002723a8d4aull, 0xe3fe477df7608058ull},
+           {0x60dcfba0f8e7472dull, 0x1b3ca8db3d9a884ull}}}},
+        {"tms",
+         {{{0xf3417c1e8bb33ae1ull, 0xa902d7bd64d974fdull},
+           {0x18f6a4670abeae22ull, 0x21a06cfbdae1c763ull}},
+          {{0x3b13fb4e2e38cb5bull, 0xde2985e9463ba7f6ull},
+           {0x87e35ac31e51575full, 0x45c25021727603bbull}}}},
+        {"sms",
+         {{{0x1773ee2b46a4b615ull, 0x89d200b784b2495cull},
+           {0x5e8693febbbc1168ull, 0x4a6df57b4830fcc7ull}},
+          {{0xdcc810964a22121aull, 0x9278368ad24af7f1ull},
+           {0x9b8331d650cdd860ull, 0x18fffc2e8f6c338cull}}}},
+        {"stems",
+         {{{0x774cf097f83ffc5eull, 0x51f822f19dbd9623ull},
+           {0xc8e2874a3c47ab6bull, 0x845ea1077eb99c0eull}},
+          {{0x4baac05fe9a1faf3ull, 0xc48c5836a40379f6ull},
+           {0xe85568d124898d38ull, 0x4834ae2d183692d1ull}}}},
+        {"tms+sms",
+         {{{0x17f70005a7a15fadull, 0xaae950bb624dce86ull},
+           {0xd27b0bbea78a3a80ull, 0x8898dfe48d4cc843ull}},
+          {{0x9f20cfc6cd7b427dull, 0xd4e22ccdf7661589ull},
+           {0x41a344a0bf6ece6dull, 0xb4659fd100d0e23dull}}}},
+    };
+    const Trace traces[2] = {test::sampleTrace(), propertyTrace()};
+    const std::size_t indices[2][2] = {{256, 535}, {4096, 16384}};
+
+    std::set<std::string> pinned;
+    std::ostringstream now;
+    bool same = true;
+    for (const Pin &pin : kPins) {
+        pinned.insert(pin.engine);
+        now << "        {\"" << pin.engine << "\", {";
+        for (int t = 0; t < 2; ++t) {
+            now << (t ? ", {" : "{");
+            for (int timing = 0; timing < 2; ++timing) {
+                now << (timing ? ", {" : "{");
+                for (int k = 0; k < 2; ++k) {
+                    SimParams params = timedParams();
+                    params.enableTiming = timing == 1;
+                    std::unique_ptr<Prefetcher> engine;
+                    if (*pin.engine)
+                        engine = makeEngine(pin.engine);
+                    PrefetchSimulator sim(params, engine.get());
+                    stepSpan(sim, traces[t], 0, indices[t][k], 0);
+                    const std::vector<std::uint8_t> blob =
+                        encodeCheckpoint(sim, indices[t][k]);
+                    const std::uint64_t got = storeDigest(
+                        std::string(blob.begin(), blob.end()));
+                    same = same && got == pin.digest[t][timing][k];
+                    now << (k ? ", " : "") << "0x" << std::hex << got
+                        << std::dec << "ull";
+                }
+                now << "}";
+            }
+            now << "}";
+        }
+        now << "}},\n";
+    }
+    EXPECT_TRUE(same) << "checkpoint bytes changed; digests now:\n"
+                      << now.str();
+    for (const std::string &name : EngineRegistry::instance().names())
+        EXPECT_EQ(pinned.count(name), 1u)
+            << "engine " << name << " has no pinned digests";
 }
 
 // ---- driver-level segmented execution ----

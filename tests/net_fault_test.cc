@@ -111,7 +111,9 @@ class NetFaultTest : public test::TempDirTest
         std::vector<std::thread> threads;
         out.reports.resize(workers.size());
         std::vector<std::string> worker_errors(workers.size());
-        std::vector<bool> worker_ok(workers.size(), false);
+        // char, not bool: std::vector<bool> packs entries into shared
+        // words, so concurrent writes to neighbouring workers race.
+        std::vector<char> worker_ok(workers.size(), 0);
         for (std::size_t i = 0; i < workers.size(); ++i) {
             workers[i].storeDir = store_dir;
             workers[i].port = coord.port();

@@ -471,7 +471,9 @@ class NetSweepTest : public test::TempDirTest
         std::vector<std::thread> threads;
         std::vector<WorkerReport> reports(workers.size());
         std::vector<std::string> worker_errors(workers.size());
-        std::vector<bool> worker_ok(workers.size(), false);
+        // char, not bool: std::vector<bool> packs entries into shared
+        // words, so concurrent writes to neighbouring workers race.
+        std::vector<char> worker_ok(workers.size(), 0);
         for (std::size_t i = 0; i < workers.size(); ++i) {
             workers[i].port = coord.port();
             threads.emplace_back([&, i] {
