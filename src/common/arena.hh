@@ -34,10 +34,62 @@
 
 #include <cassert>
 #include <cstddef>
+#include <new>
 #include <utility>
 #include <vector>
 
 namespace stems {
+
+/**
+ * std::allocator stand-in returning storage aligned to `Align` bytes,
+ * for arrays of fixed-size blocks that must not straddle host cache
+ * lines (the cache model's 128 B set blocks).
+ */
+template <typename T, std::size_t Align>
+struct AlignedAllocator
+{
+    using value_type = T;
+
+    template <typename U>
+    struct rebind
+    {
+        using other = AlignedAllocator<U, Align>;
+    };
+
+    AlignedAllocator() = default;
+
+    template <typename U>
+    AlignedAllocator(const AlignedAllocator<U, Align> &)
+    {
+    }
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(
+            ::operator new(n * sizeof(T), std::align_val_t(Align)));
+    }
+
+    void
+    deallocate(T *p, std::size_t)
+    {
+        ::operator delete(p, std::align_val_t(Align));
+    }
+
+    template <typename U>
+    bool
+    operator==(const AlignedAllocator<U, Align> &) const
+    {
+        return true;
+    }
+
+    template <typename U>
+    bool
+    operator!=(const AlignedAllocator<U, Align> &) const
+    {
+        return false;
+    }
+};
 
 /**
  * Fixed-capacity vector with inline storage and no heap use.

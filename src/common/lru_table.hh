@@ -119,6 +119,16 @@ class LruTable
         return findOrInsert(key, [](std::uint64_t, V &) {});
     }
 
+    /** Ask the host to start loading the set `key` maps to (its key
+     *  and stamp lanes); no table state changes. */
+    void
+    prefetch(std::uint64_t key) const
+    {
+        std::size_t base = setIndex(key) * ways_;
+        __builtin_prefetch(&keys_[base]);
+        __builtin_prefetch(&lru_[base]);
+    }
+
     /** Remove an entry if present. @return true when removed. */
     bool
     erase(std::uint64_t key)
@@ -205,6 +215,11 @@ class LruTable
                 keys_[i] = r.u64();
                 lru_[i] = r.u64();
                 load_value(r, values_[i]);
+                // Stamp 0 marks a free slot: a slot flagged valid
+                // with stamp 0 would decode as free and re-encode
+                // differently, so reject it.
+                if (lru_[i] == 0)
+                    r.fail();
             }
             if (!r.ok())
                 return;

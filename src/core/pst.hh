@@ -107,6 +107,10 @@ class PatternSequenceTable
      */
     std::uint32_t predictedMask(std::uint64_t index) const;
 
+    /** Ask the host to start loading the set an index maps to, ahead
+     *  of a batch of lookups; no table state changes. */
+    void prefetch(std::uint64_t index) const { table_.prefetch(index); }
+
     /** Number of trained patterns (diagnostics). */
     std::size_t trainedPatterns() const { return table_.occupancy(); }
 

@@ -1,5 +1,7 @@
 #include "core/reconstruction.hh"
 
+#include <algorithm>
+
 #include "common/state_codec.hh"
 
 namespace stems {
@@ -8,27 +10,11 @@ namespace {
 
 constexpr std::uint32_t kReconTag = stateTag('R', 'C', 'O', 'N');
 
-void
-saveHistogram(StateWriter &w, const Histogram &h)
+/** PST index of an RMOB entry's spatial sequence. */
+std::uint64_t
+patternIndexOf(const RmobEntry &e)
 {
-    const auto &buckets = h.buckets();
-    w.u64(buckets.size());
-    for (const auto &kv : buckets) { // std::map: stable key order
-        w.i64(kv.first);
-        w.u64(kv.second);
-    }
-}
-
-void
-loadHistogram(StateReader &r, Histogram &h)
-{
-    h = Histogram();
-    std::uint64_t buckets = r.u64();
-    for (std::uint64_t i = 0; i < buckets && r.ok(); ++i) {
-        std::int64_t bucket = r.i64();
-        std::uint64_t count = r.u64();
-        h.add(bucket, count);
-    }
+    return stemsPatternIndex(e.pc16, regionOffset(e.addr));
 }
 
 } // namespace
@@ -36,8 +22,18 @@ loadHistogram(StateReader &r, Histogram &h)
 Reconstructor::Reconstructor(const RegionMissOrderBuffer &rmob,
                              const PatternSequenceTable &pst,
                              ReconstructionParams params)
-    : rmob_(rmob), pst_(pst), params_(params)
+    : rmob_(rmob), pst_(pst), params_(params),
+      reach_(std::min<std::size_t>(params.displacementWindow,
+                                   params.bufferSlots)),
+      displacementCounts_(2 * reach_ + 1, 0)
 {
+}
+
+std::int64_t
+Reconstructor::bucketOf(std::size_t i) const
+{
+    return static_cast<std::int64_t>(i) -
+           static_cast<std::int64_t>(reach_);
 }
 
 bool
@@ -48,20 +44,21 @@ Reconstructor::place(std::vector<Addr> &slots, std::size_t slot,
         return false;
     if (slots[slot] == 0) {
         slots[slot] = a;
-        displacements_.add(0);
+        ++displacementCounts_[reach_];
         return true;
     }
     // Occupied: search adjacent slots, nearest first, forward before
-    // backward (paper Section 4.3).
+    // backward (paper Section 4.3). A placement stays inside the
+    // buffer, so |d| never exceeds reach_.
     for (unsigned d = 1; d <= params_.displacementWindow; ++d) {
         if (slot + d < slots.size() && slots[slot + d] == 0) {
             slots[slot + d] = a;
-            displacements_.add(static_cast<std::int64_t>(d));
+            ++displacementCounts_[reach_ + d];
             return true;
         }
         if (slot >= d && slots[slot - d] == 0) {
             slots[slot - d] = a;
-            displacements_.add(-static_cast<std::int64_t>(d));
+            ++displacementCounts_[reach_ - d];
             return true;
         }
     }
@@ -70,20 +67,14 @@ Reconstructor::place(std::vector<Addr> &slots, std::size_t slot,
 }
 
 void
-Reconstructor::expandSpatial(
-    std::vector<Addr> &slots, std::size_t trigger_slot,
-    const RmobEntry &entry,
-    const std::function<void(Addr, std::uint64_t)> &note_region)
+Reconstructor::expandSpatial(std::vector<Addr> &slots, const Placed &p)
 {
-    std::uint64_t index =
-        stemsPatternIndex(entry.pc16, regionOffset(entry.addr));
-    if (!pst_.lookup(index, lookupScratch_))
+    if (!pst_.lookup(p.index, lookupScratch_))
         return;
-    Addr region = regionBase(entry.addr);
-    if (note_region)
-        note_region(region, index);
+    Addr region = regionBase(p.entry.addr);
+    expanded_.push_back({region, p.index});
 
-    std::size_t cursor = trigger_slot;
+    std::size_t cursor = p.slot;
     for (const SpatialElement &el : lookupScratch_) {
         cursor += el.delta + 1;
         if (cursor >= slots.size() + params_.displacementWindow)
@@ -94,10 +85,9 @@ Reconstructor::expandSpatial(
 }
 
 Reconstructor::Window
-Reconstructor::reconstruct(
-    RegionMissOrderBuffer::Position start_pos,
-    const std::function<void(Addr, std::uint64_t)> &note_region)
+Reconstructor::reconstruct(RegionMissOrderBuffer::Position start_pos)
 {
+    expanded_.clear();
     Window w;
     auto head = rmob_.at(start_pos);
     if (!head.has_value()) {
@@ -118,7 +108,7 @@ Reconstructor::reconstruct(
     // miss order itself.
     std::vector<Placed> &backbone = backboneScratch_;
     backbone.clear();
-    backbone.push_back({*head, 0});
+    backbone.push_back({*head, 0, patternIndexOf(*head)});
 
     std::size_t cursor = 0;
     RegionMissOrderBuffer::Position pos = start_pos + 1;
@@ -131,15 +121,21 @@ Reconstructor::reconstruct(
             break; // window full; resume here next time
         cursor = next_cursor;
         place(slots, cursor, e->addr);
-        backbone.push_back({*e, cursor});
+        backbone.push_back({*e, cursor, patternIndexOf(*e)});
         ++pos;
     }
     w.nextPos = pos;
 
+    // Every expansion starts with a PST lookup, and the PST is far
+    // larger than the host caches. Lookups are const, so loading all
+    // the sets first is order-safe and overlaps their misses.
+    for (const Placed &p : backbone)
+        pst_.prefetch(p.index);
+
     // Phase two (Figure 5, step three): expand each backbone entry's
     // spatial sequence around its trigger slot.
     for (const Placed &p : backbone)
-        expandSpatial(slots, p.slot, p.entry, note_region);
+        expandSpatial(slots, p);
 
     w.sequence.reserve(params_.bufferSlots / 4);
     for (Addr a : slots)
@@ -148,11 +144,32 @@ Reconstructor::reconstruct(
     return w;
 }
 
+Histogram
+Reconstructor::displacements() const
+{
+    Histogram h;
+    for (std::size_t i = 0; i < displacementCounts_.size(); ++i)
+        if (displacementCounts_[i] != 0)
+            h.add(bucketOf(i), displacementCounts_[i]);
+    return h;
+}
+
 void
 Reconstructor::saveState(StateWriter &w) const
 {
     w.tag(kReconTag);
-    saveHistogram(w, displacements_);
+    // The historical std::map encoding: the nonzero buckets, in
+    // ascending order.
+    std::uint64_t buckets = 0;
+    for (std::uint64_t count : displacementCounts_)
+        buckets += count != 0;
+    w.u64(buckets);
+    for (std::size_t i = 0; i < displacementCounts_.size(); ++i) {
+        if (displacementCounts_[i] == 0)
+            continue;
+        w.i64(bucketOf(i));
+        w.u64(displacementCounts_[i]);
+    }
     w.u64(dropped_);
     w.u64(windows_);
 }
@@ -161,7 +178,21 @@ void
 Reconstructor::loadState(StateReader &r)
 {
     r.tag(kReconTag);
-    loadHistogram(r, displacements_);
+    std::fill(displacementCounts_.begin(), displacementCounts_.end(), 0);
+    const auto reach = static_cast<std::int64_t>(reach_);
+    std::uint64_t buckets = r.u64();
+    for (std::uint64_t i = 0; i < buckets && r.ok(); ++i) {
+        std::int64_t bucket = r.i64();
+        std::uint64_t count = r.u64();
+        // Placement never displaces past the reach and never records
+        // an empty bucket; the dense counts can hold neither.
+        if (bucket < -reach || bucket > reach || count == 0) {
+            r.fail();
+            return;
+        }
+        displacementCounts_[static_cast<std::size_t>(bucket + reach)] +=
+            count;
+    }
     dropped_ = r.u64();
     windows_ = r.u64();
 }

@@ -17,7 +17,6 @@
 #ifndef STEMS_CORE_RECONSTRUCTION_HH
 #define STEMS_CORE_RECONSTRUCTION_HH
 
-#include <functional>
 #include <vector>
 
 #include "common/stats.hh"
@@ -63,22 +62,34 @@ class Reconstructor
         bool valid = false;
     };
 
+    /** A region whose spatial sequence a window expanded. */
+    struct ExpandedRegion
+    {
+        Addr region = 0;         ///< region base address
+        std::uint64_t index = 0; ///< PST index of the sequence
+    };
+
     /**
-     * Reconstruct a window starting at an RMOB position.
+     * Reconstruct a window starting at an RMOB position. Before the
+     * expansion pass it prefetches every backbone entry's PST set.
      *
-     * @param start_pos    RMOB position of the stream head.
-     * @param note_region  optional: invoked with (region base, PST
-     *                     index) for every region whose spatial
-     *                     sequence was used — feeds the spatial-only
-     *                     stream check of Section 4.2.
+     * @param start_pos  RMOB position of the stream head.
      */
-    Window reconstruct(
-        RegionMissOrderBuffer::Position start_pos,
-        const std::function<void(Addr, std::uint64_t)> &note_region =
-            nullptr);
+    Window reconstruct(RegionMissOrderBuffer::Position start_pos);
+
+    /**
+     * Every region whose spatial sequence the last reconstruct()
+     * expanded, in expansion order — feeds the spatial-only stream
+     * check of Section 4.2. Valid until the next call.
+     */
+    const std::vector<ExpandedRegion> &
+    expandedRegions() const
+    {
+        return expanded_;
+    }
 
     /** Displacement histogram (0 = original slot). */
-    const Histogram &displacements() const { return displacements_; }
+    Histogram displacements() const;
 
     /** Addresses dropped because no free slot was within reach. */
     std::uint64_t dropped() const { return dropped_; }
@@ -98,23 +109,28 @@ class Reconstructor
     /** Place an address near a slot; updates displacement stats. */
     bool place(std::vector<Addr> &slots, std::size_t slot, Addr a);
 
-    /** Expand one RMOB entry's spatial sequence into the buffer. */
-    void expandSpatial(
-        std::vector<Addr> &slots, std::size_t trigger_slot,
-        const RmobEntry &entry,
-        const std::function<void(Addr, std::uint64_t)> &note_region);
-
     /** A backbone entry laid down in phase one (see reconstruct). */
     struct Placed
     {
         RmobEntry entry;
         std::size_t slot;
+        std::uint64_t index; ///< PST index of its spatial sequence
     };
+
+    /** Expand one backbone entry's spatial sequence into the buffer. */
+    void expandSpatial(std::vector<Addr> &slots, const Placed &p);
+
+    /** Displacement of dense count i. */
+    std::int64_t bucketOf(std::size_t i) const;
 
     const RegionMissOrderBuffer &rmob_;
     const PatternSequenceTable &pst_;
     ReconstructionParams params_;
-    Histogram displacements_;
+    /// Largest displacement a placement can record: the window,
+    /// capped by the buffer (a displaced slot must exist).
+    std::size_t reach_;
+    /// Placements by displacement d, at index reach_ + d.
+    std::vector<std::uint64_t> displacementCounts_;
     std::uint64_t dropped_ = 0;
     std::uint64_t windows_ = 0;
     /// Per-call scratch held as members so repeated reconstructions
@@ -123,6 +139,7 @@ class Reconstructor
     std::vector<SpatialElement> lookupScratch_;
     std::vector<Addr> slotScratch_;
     std::vector<Placed> backboneScratch_;
+    std::vector<ExpandedRegion> expanded_;
 };
 
 } // namespace stems

@@ -2,19 +2,14 @@
 
 #include "common/state_codec.hh"
 
-#include <algorithm>
-#include <utility>
-#include <vector>
-
 namespace stems {
 
 RegionMissOrderBuffer::RegionMissOrderBuffer(std::size_t entries)
-    : buffer_(entries)
+    : buffer_(entries),
+      // Sized for one key per buffer slot: no growth while the
+      // buffer first fills (128K appends with paper defaults).
+      index_(entries)
 {
-    // One index entry per live buffer slot in steady state; reserve
-    // up front so the fill phase never rehashes (128K inserts with
-    // paper defaults).
-    index_.reserve(entries);
 }
 
 RegionMissOrderBuffer::Position
@@ -26,7 +21,7 @@ RegionMissOrderBuffer::append(Addr block_addr, std::uint16_t pc16,
     e.pc16 = pc16;
     e.delta = static_cast<std::uint8_t>(delta > 255 ? 255 : delta);
     Position pos = buffer_.append(e);
-    index_[e.addr] = pos;
+    index_.findOrInsert(e.addr) = pos;
     return pos;
 }
 
@@ -39,13 +34,14 @@ RegionMissOrderBuffer::at(Position pos) const
 std::optional<RegionMissOrderBuffer::Position>
 RegionMissOrderBuffer::lookup(Addr block_addr) const
 {
-    auto it = index_.find(blockAlign(block_addr));
-    if (it == index_.end())
+    const Addr block = blockAlign(block_addr);
+    const Position *pos = index_.find(block);
+    if (pos == nullptr)
         return std::nullopt;
-    auto entry = buffer_.at(it->second);
-    if (!entry.has_value() || entry->addr != blockAlign(block_addr))
+    auto entry = buffer_.at(*pos);
+    if (!entry.has_value() || entry->addr != block)
         return std::nullopt; // overwritten: stale index entry
-    return it->second;
+    return *pos;
 }
 
 namespace {
@@ -61,17 +57,8 @@ RegionMissOrderBuffer::saveState(StateWriter &w) const
         sw.u32(e.pc16);
         sw.u8(e.delta);
     });
-    // Key-sorted: blob bytes must depend only on logical state so
-    // speculative boundary validation can byte-compare checkpoints.
-    std::vector<std::pair<Addr, Position>> entries(index_.begin(),
-                                                   index_.end());
-    std::sort(entries.begin(), entries.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    w.u64(entries.size());
-    for (const auto &kv : entries) {
-        w.u64(kv.first);
-        w.u64(kv.second);
-    }
+    // Key-sorted: blob bytes must depend only on logical state.
+    index_.saveState(w);
 }
 
 void
@@ -83,13 +70,7 @@ RegionMissOrderBuffer::loadState(StateReader &r)
         e.pc16 = static_cast<std::uint16_t>(sr.u32());
         e.delta = sr.u8();
     });
-    std::uint64_t entries = r.u64();
-    index_.clear();
-    for (std::uint64_t i = 0; i < entries && r.ok(); ++i) {
-        Addr a = r.u64();
-        Position p = r.u64();
-        index_[a] = p;
-    }
+    index_.loadState(r);
 }
 
 } // namespace stems

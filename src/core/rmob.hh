@@ -20,9 +20,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 
 #include "common/circular_buffer.hh"
+#include "common/flat_index.hh"
 #include "common/types.hh"
 
 namespace stems {
@@ -83,7 +83,7 @@ class RegionMissOrderBuffer
 
   private:
     CircularBuffer<RmobEntry> buffer_;
-    std::unordered_map<Addr, Position> index_;
+    FlatIndex index_; ///< block address -> newest position
 };
 
 } // namespace stems

@@ -49,10 +49,16 @@ StemsPrefetcher::onL1Access(Addr a, Pc pc, bool l1_hit)
 }
 
 void
-StemsPrefetcher::noteReconstructedRegion(Addr region,
-                                         std::uint64_t index)
+StemsPrefetcher::noteExpandedRegions()
 {
-    reconIndex_.findOrInsert(regionNumber(region)) = index;
+    // The same table updates in the same order as noting each region
+    // during reconstruction, which never reads reconIndex_; a prefetch
+    // pass first overlaps their host misses.
+    const auto &regions = recon_.expandedRegions();
+    for (const Reconstructor::ExpandedRegion &r : regions)
+        reconIndex_.prefetch(regionNumber(r.region));
+    for (const Reconstructor::ExpandedRegion &r : regions)
+        reconIndex_.findOrInsert(regionNumber(r.region)) = r.index;
 }
 
 StreamQueueSet::RefillFn
@@ -63,10 +69,8 @@ StemsPrefetcher::temporalRefill()
     // serialize it and reattach this (stateless) closure on restore.
     return [this](RingQueue<Addr> &pending,
                   std::uint64_t &resume_pos) {
-        Reconstructor::Window more = recon_.reconstruct(
-            resume_pos, [this](Addr region, std::uint64_t index) {
-                noteReconstructedRegion(region, index);
-            });
+        Reconstructor::Window more = recon_.reconstruct(resume_pos);
+        noteExpandedRegions();
         if (!more.valid)
             return;
         resume_pos = more.nextPos;
@@ -79,11 +83,8 @@ void
 StemsPrefetcher::startTemporalStream(
     RegionMissOrderBuffer::Position pos)
 {
-    auto note = [this](Addr region, std::uint64_t index) {
-        noteReconstructedRegion(region, index);
-    };
-
-    Reconstructor::Window w = recon_.reconstruct(pos, note);
+    Reconstructor::Window w = recon_.reconstruct(pos);
+    noteExpandedRegions();
     if (!w.valid || w.sequence.size() <= 1)
         return; // nothing predicted beyond the initiating miss
 

@@ -103,7 +103,8 @@ class StemsPrefetcher : public Prefetcher
     void startTemporalStream(RegionMissOrderBuffer::Position pos);
     void maybeStartSpatialOnlyStream(const StemsGeneration &gen,
                                      bool trigger_covered);
-    void noteReconstructedRegion(Addr region, std::uint64_t index);
+    /** Record the last reconstruction's expanded regions. */
+    void noteExpandedRegions();
 
     StemsParams params_;
     StemsAgt agt_;

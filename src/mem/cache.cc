@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "common/state_codec.hh"
 
@@ -8,122 +10,135 @@ namespace stems {
 Cache::Cache(std::string name, std::size_t size_bytes, std::size_t ways)
     : name_(std::move(name)), ways_(ways)
 {
-    if (ways == 0 || size_bytes == 0)
-        fatal("cache " + name_ + ": zero size or associativity");
     std::size_t blocks = size_bytes / kBlockBytes;
+    if (ways == 0 || blocks == 0)
+        fatal("cache " + name_ + ": zero size or associativity");
     if (blocks % ways != 0)
         fatal("cache " + name_ + ": size not divisible by ways");
     sets_ = blocks / ways;
-    lines_.resize(blocks);
+    setsPow2_ = (sets_ & (sets_ - 1)) == 0;
+    blocks_.assign(2 * blocks, 0);
+    for (std::size_t s = 0; s < sets_; ++s)
+        std::fill_n(blocks_.data() + s * 2 * ways_, ways_, kEmptyTag);
 }
 
-Cache::Line *
-Cache::findLine(Addr a)
+std::size_t
+Cache::findWay(const Addr *tags, Addr tag) const
 {
-    Addr tag = blockNumber(a);
-    std::size_t base = setIndex(a) * ways_;
-    for (std::size_t w = 0; w < ways_; ++w) {
-        Line &l = lines_[base + w];
-        if (l.valid && l.tag == tag)
-            return &l;
-    }
-    return nullptr;
+    // Branch-free; backwards, so the lowest matching way wins (the
+    // historical first-match scan).
+    std::size_t way = ways_;
+    for (std::size_t w = ways_; w-- > 0;)
+        way = tags[w] == tag ? w : way;
+    return way;
 }
 
-const Cache::Line *
-Cache::findLine(Addr a) const
+std::size_t
+Cache::victimWay(const std::uint64_t *meta) const
 {
-    Addr tag = blockNumber(a);
-    std::size_t base = setIndex(a) * ways_;
-    for (std::size_t w = 0; w < ways_; ++w) {
-        const Line &l = lines_[base + w];
-        if (l.valid && l.tag == tag)
-            return &l;
+    // Empty ways carry stamp 0 and valid ways stamp >= 1, so one
+    // strict-< scan finds the first empty way, else the first LRU way.
+    std::size_t victim = 0;
+    std::uint64_t oldest = meta[0] >> kStampShift;
+    for (std::size_t w = 1; w < ways_; ++w) {
+        std::uint64_t stamp = meta[w] >> kStampShift;
+        bool older = stamp < oldest;
+        victim = older ? w : victim;
+        oldest = older ? stamp : oldest;
     }
-    return nullptr;
+    return victim;
 }
 
-bool
-Cache::access(Addr a)
+Cache::Lookup
+Cache::demand(Addr a)
 {
     ++accesses_;
-    Line *l = findLine(a);
-    if (!l) {
+    Addr *tags = setBlock(a);
+    std::size_t way = findWay(tags, blockNumber(a));
+    if (way == ways_) {
         ++misses_;
-        return false;
+        return {};
     }
-    l->lru = ++clock_;
-    l->referenced = true;
-    return true;
+    std::uint64_t &meta = tags[ways_ + way];
+    Lookup r;
+    r.hit = true;
+    r.coveredByPrefetch = (meta & kFlags) == kPrefetched;
+    meta = (++clock_ << kStampShift) | (meta & kPrefetched) | kReferenced;
+    return r;
 }
 
 bool
 Cache::contains(Addr a) const
 {
-    return findLine(a) != nullptr;
+    return findWay(setBlock(a), blockNumber(a)) != ways_;
 }
 
 std::optional<Cache::Victim>
 Cache::insert(Addr a, bool prefetched)
 {
-    Line *l = findLine(a);
-    if (l) {
+    Addr *tags = setBlock(a);
+    std::uint64_t *meta = tags + ways_;
+    Addr tag = blockNumber(a);
+    std::size_t way = findWay(tags, tag);
+    if (way != ways_) {
         // Refill of a resident block: refresh recency only.
-        l->lru = ++clock_;
+        meta[way] = (++clock_ << kStampShift) | (meta[way] & kFlags);
         return std::nullopt;
     }
 
-    std::size_t base = setIndex(a) * ways_;
-    Line *victim = &lines_[base];
-    for (std::size_t w = 0; w < ways_; ++w) {
-        Line &cand = lines_[base + w];
-        if (!cand.valid) {
-            victim = &cand;
-            break;
-        }
-        if (cand.lru < victim->lru)
-            victim = &cand;
-    }
-
+    way = victimWay(meta);
     std::optional<Victim> displaced;
-    if (victim->valid) {
-        displaced = Victim{victim->tag << kBlockShift,
-                           victim->prefetched, victim->referenced};
+    if (meta[way] != 0) {
+        displaced = Victim{tags[way] << kBlockShift,
+                           (meta[way] & kPrefetched) != 0,
+                           (meta[way] & kReferenced) != 0};
     }
-    victim->valid = true;
-    victim->tag = blockNumber(a);
-    victim->lru = ++clock_;
-    victim->prefetched = prefetched;
-    victim->referenced = false;
+    tags[way] = tag;
+    meta[way] = (++clock_ << kStampShift) | (prefetched ? kPrefetched : 0);
     return displaced;
 }
 
 std::optional<Cache::Victim>
 Cache::invalidate(Addr a)
 {
-    Line *l = findLine(a);
-    if (!l)
+    Addr *tags = setBlock(a);
+    std::size_t way = findWay(tags, blockNumber(a));
+    if (way == ways_)
         return std::nullopt;
-    Victim v{l->tag << kBlockShift, l->prefetched, l->referenced};
-    l->valid = false;
+    std::uint64_t &meta = tags[ways_ + way];
+    Victim v{tags[way] << kBlockShift, (meta & kPrefetched) != 0,
+             (meta & kReferenced) != 0};
+    tags[way] = kEmptyTag;
+    meta = 0;
     return v;
 }
 
 bool
 Cache::isPrefetchedUnreferenced(Addr a) const
 {
-    const Line *l = findLine(a);
-    return l && l->prefetched && !l->referenced;
+    const Addr *tags = setBlock(a);
+    std::size_t way = findWay(tags, blockNumber(a));
+    return way != ways_ && (tags[ways_ + way] & kFlags) == kPrefetched;
 }
 
 std::size_t
 Cache::unreferencedPrefetches() const
 {
     std::size_t n = 0;
-    for (const Line &l : lines_)
-        if (l.valid && l.prefetched && !l.referenced)
-            ++n;
+    for (std::size_t s = 0; s < sets_; ++s) {
+        const std::uint64_t *meta = blocks_.data() + (2 * s + 1) * ways_;
+        for (std::size_t w = 0; w < ways_; ++w)
+            n += (meta[w] & kFlags) == kPrefetched;
+    }
     return n;
+}
+
+void
+Cache::prefetchSet(Addr a) const
+{
+    const Addr *block = setBlock(a);
+    __builtin_prefetch(block);
+    __builtin_prefetch(block + 2 * ways_ - 1);
 }
 
 namespace {
@@ -139,16 +154,20 @@ Cache::saveState(StateWriter &w) const
     w.u64(clock_);
     w.u64(accesses_);
     w.u64(misses_);
-    // Line positions within a set decide future victim scans, so
-    // every line is written positionally, invalid ones included.
-    for (const Line &l : lines_) {
-        w.boolean(l.valid);
-        if (!l.valid)
-            continue;
-        w.u64(l.tag);
-        w.u64(l.lru);
-        w.boolean(l.prefetched);
-        w.boolean(l.referenced);
+    // Way positions within a set decide future victim scans, so every
+    // way is written positionally, empty ones included.
+    for (std::size_t s = 0; s < sets_; ++s) {
+        const Addr *tags = blocks_.data() + 2 * s * ways_;
+        const std::uint64_t *meta = tags + ways_;
+        for (std::size_t way = 0; way < ways_; ++way) {
+            w.boolean(meta[way] != 0);
+            if (meta[way] == 0)
+                continue;
+            w.u64(tags[way]);
+            w.u64(meta[way] >> kStampShift);
+            w.boolean((meta[way] & kPrefetched) != 0);
+            w.boolean((meta[way] & kReferenced) != 0);
+        }
     }
 }
 
@@ -163,17 +182,35 @@ Cache::loadState(StateReader &r)
     clock_ = r.u64();
     accesses_ = r.u64();
     misses_ = r.u64();
-    for (Line &l : lines_) {
-        l = Line{};
-        l.valid = r.boolean();
-        if (!l.valid)
-            continue;
-        l.tag = r.u64();
-        l.lru = r.u64();
-        l.prefetched = r.boolean();
-        l.referenced = r.boolean();
-        if (!r.ok())
-            return;
+    if (clock_ > kMaxStamp) {
+        r.fail();
+        return;
+    }
+    for (std::size_t s = 0; s < sets_; ++s) {
+        Addr *tags = blocks_.data() + 2 * s * ways_;
+        std::uint64_t *meta = tags + ways_;
+        for (std::size_t way = 0; way < ways_; ++way) {
+            tags[way] = kEmptyTag;
+            meta[way] = 0;
+            if (!r.boolean())
+                continue;
+            Addr tag = r.u64();
+            std::uint64_t stamp = r.u64();
+            bool prefetched = r.boolean();
+            bool referenced = r.boolean();
+            // A valid way with stamp 0 or the sentinel tag would
+            // decode as empty, and a stamp past kMaxStamp would lose
+            // its top bits: reject rather than re-encode differently.
+            if (!r.ok() || stamp == 0 || stamp > kMaxStamp ||
+                tag == kEmptyTag) {
+                r.fail();
+                return;
+            }
+            tags[way] = tag;
+            meta[way] = (stamp << kStampShift) |
+                        (prefetched ? kPrefetched : 0) |
+                        (referenced ? kReferenced : 0);
+        }
     }
 }
 

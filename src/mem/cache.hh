@@ -5,17 +5,30 @@
  *
  * This is a functional (hit/miss) model: it tracks tags and metadata,
  * not data. Timing is layered on separately by src/sim/timing.
+ *
+ * Layout: set-blocked. Set s owns 2 x ways consecutive words of one
+ * 128 B-aligned array: its tags, then its metadata words. For the
+ * 8-way L2 that is one 64 B line of tags beside one line of metadata,
+ * so a probe or a fill touches one aligned 128 B block (separate
+ * global tag/stamp/flag arrays measured worse: a fill then touches
+ * three distant lines). A metadata word packs the LRU stamp above the
+ * prefetched and referenced bits. Stamp 0 marks an empty way, whose
+ * tag holds the all-ones sentinel: no block number reaches it, so the
+ * tag compare needs no validity test, and the victim scan is one
+ * strict-< running minimum over the stamps that picks the first empty
+ * way, else the first-index LRU way — the historical semantics
+ * (tests/reference_cache.hh).
  */
 
 #ifndef STEMS_MEM_CACHE_HH
 #define STEMS_MEM_CACHE_HH
 
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/arena.hh"
 #include "common/types.hh"
 
 namespace stems {
@@ -37,6 +50,15 @@ class Cache
         bool referenced = false; ///< block was demand-referenced
     };
 
+    /** Outcome of a demand lookup. */
+    struct Lookup
+    {
+        bool hit = false;
+        /** Hit on a block a prefetcher filled that was never demand
+         *  referenced before — i.e. the prefetch covered this miss. */
+        bool coveredByPrefetch = false;
+    };
+
     /**
      * Construct a cache.
      *
@@ -48,12 +70,14 @@ class Cache
     Cache(std::string name, std::size_t size_bytes, std::size_t ways);
 
     /**
-     * Demand lookup. Promotes the block to MRU and marks it referenced
-     * on hit. Does not allocate.
-     *
-     * @return true on hit.
+     * Demand lookup in one set probe: reports the hit and whether it
+     * is the first demand use of a prefetched block, then promotes
+     * the block to MRU and marks it referenced. Does not allocate.
      */
-    bool access(Addr a);
+    Lookup demand(Addr a);
+
+    /** Demand lookup without the prefetch report. @return true on hit. */
+    bool access(Addr a) { return demand(a).hit; }
 
     /** Non-destructive presence check (no LRU update). */
     bool contains(Addr a) const;
@@ -86,6 +110,10 @@ class Cache
      */
     std::size_t unreferencedPrefetches() const;
 
+    /** Ask the host to start loading the set block a lookup of `a`
+     *  probes; no model state changes. */
+    void prefetchSet(Addr a) const;
+
     /** Number of sets. */
     std::size_t numSets() const { return sets_; }
 
@@ -105,34 +133,53 @@ class Cache
     void saveState(StateWriter &w) const;
 
     /** Restore state saved from an identically-shaped cache; fails
-     *  the reader on a geometry mismatch. */
+     *  the reader on a geometry mismatch and on a way the set block
+     *  cannot hold (valid with stamp 0, the sentinel tag, or a stamp
+     *  or clock past 62 bits). */
     void loadState(StateReader &r);
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        Addr tag = 0; ///< block number
-        std::uint64_t lru = 0;
-        bool prefetched = false;
-        bool referenced = false;
-    };
+    static constexpr Addr kEmptyTag = ~Addr{0};
+    static constexpr std::uint64_t kReferenced = 1;
+    static constexpr std::uint64_t kPrefetched = 2;
+    static constexpr std::uint64_t kFlags = kReferenced | kPrefetched;
+    static constexpr unsigned kStampShift = 2;
+    /// Largest stamp a metadata word holds; at one tick per access no
+    /// run reaches it.
+    static constexpr std::uint64_t kMaxStamp =
+        ~std::uint64_t{0} >> kStampShift;
 
-    std::size_t setIndex(Addr a) const
+    std::size_t
+    setIndex(Addr a) const
     {
-        return static_cast<std::size_t>(blockNumber(a)) % sets_;
+        Addr block = blockNumber(a);
+        return static_cast<std::size_t>(
+            setsPow2_ ? block & (sets_ - 1) : block % sets_);
     }
 
-    Line *findLine(Addr a);
-    const Line *findLine(Addr a) const;
+    /** A set's block: `ways_` tags, then `ways_` metadata words. */
+    Addr *setBlock(Addr a) { return blocks_.data() + setIndex(a) * 2 * ways_; }
+    const Addr *
+    setBlock(Addr a) const
+    {
+        return blocks_.data() + setIndex(a) * 2 * ways_;
+    }
+
+    /** Way holding `tag` in a set's tag lane; ways_ when absent. */
+    std::size_t findWay(const Addr *tags, Addr tag) const;
+
+    /** First empty way, else the first-index LRU way. */
+    std::size_t victimWay(const std::uint64_t *meta) const;
 
     std::string name_;
     std::size_t ways_;
     std::size_t sets_;
+    bool setsPow2_ = false;
     std::uint64_t clock_ = 0;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
-    std::vector<Line> lines_;
+    /// Set blocks back to back (see the file comment).
+    std::vector<Addr, AlignedAllocator<Addr, 128>> blocks_;
 };
 
 } // namespace stems

@@ -14,17 +14,6 @@ Hierarchy::accessL1(Addr a)
     return l1_.access(a);
 }
 
-Hierarchy::L2Result
-Hierarchy::accessL2(Addr a)
-{
-    L2Result r;
-    r.coveredByPrefetch = l2_.isPrefetchedUnreferenced(a);
-    r.hit = l2_.access(a);
-    if (!r.hit)
-        r.coveredByPrefetch = false;
-    return r;
-}
-
 void
 Hierarchy::handleL1Victim(const std::optional<Cache::Victim> &v)
 {

@@ -63,17 +63,16 @@ class Hierarchy
     /** L1 demand lookup (promote/reference on hit). @return hit? */
     bool accessL1(Addr a);
 
-    /** Result of an L2 demand lookup. */
-    struct L2Result
-    {
-        bool hit = false;
-        /** Hit on a block a prefetcher filled that was never demand
-         *  referenced before — i.e. the prefetch covered this miss. */
-        bool coveredByPrefetch = false;
-    };
+    /** Result of an L2 demand lookup: hit, and whether a prefetch
+     *  covered it. */
+    using L2Result = Cache::Lookup;
 
-    /** L2 demand lookup (promote/reference on hit). */
-    L2Result accessL2(Addr a);
+    /** L2 demand lookup (promote/reference on hit); one set probe. */
+    L2Result accessL2(Addr a) { return l2_.demand(a); }
+
+    /** Start loading the L2 set a lookup of `a` probes (a host
+     *  prefetch; no model state changes). */
+    void prefetchL2(Addr a) const { l2_.prefetchSet(a); }
 
     /** Fill the L1 only (used after an L2 hit). */
     void fillL1(Addr a);

@@ -9,12 +9,11 @@ namespace stems {
 TmsPrefetcher::TmsPrefetcher(TmsParams params)
     : params_(params),
       buffer_(params.bufferEntries),
+      // Sized for one key per buffer slot: no growth while the
+      // buffer first fills (384K appends with paper defaults).
+      index_(params.bufferEntries),
       streams_(params.numStreams)
 {
-    // In steady state the index holds one entry per live buffer slot;
-    // reserving up front avoids the rehash cascade while the buffer
-    // first fills (384K inserts with paper defaults).
-    index_.reserve(params.bufferEntries);
 }
 
 void
@@ -126,19 +125,20 @@ TmsPrefetcher::onOffChipRead(const OffChipRead &ev)
 {
     Addr block = blockAlign(ev.addr);
 
-    // Locate the previous occurrence before recording this one.
+    // Locate the previous occurrence and record this one in a single
+    // index probe.
     Position prev_pos = 0;
     bool have_prev = false;
-    if (auto it = index_.find(block); it != index_.end()) {
-        auto prev = buffer_.at(it->second);
+    bool fresh = false;
+    std::uint64_t &last = index_.findOrInsert(block, &fresh);
+    if (!fresh) {
+        auto prev = buffer_.at(last);
         if (prev.has_value() && blockAlign(*prev) == block) {
-            prev_pos = it->second;
+            prev_pos = last;
             have_prev = true;
         }
     }
-
-    // Record the miss and update the index.
-    index_[block] = buffer_.append(block);
+    last = buffer_.append(block);
 
     if (ev.covered)
         return; // the owning stream advances via onPrefetchHit
@@ -219,17 +219,8 @@ TmsPrefetcher::saveState(StateWriter &w) const
     w.u64(streamsStarted_);
     buffer_.saveState(
         w, [](StateWriter &sw, const Addr &a) { sw.u64(a); });
-    // Key-sorted: blob bytes must depend only on logical state so
-    // speculative boundary validation can byte-compare checkpoints.
-    std::vector<std::pair<Addr, Position>> entries(index_.begin(),
-                                                   index_.end());
-    std::sort(entries.begin(), entries.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    w.u64(entries.size());
-    for (const auto &kv : entries) {
-        w.u64(kv.first);
-        w.u64(kv.second);
-    }
+    // Key-sorted: blob bytes must depend only on logical state.
+    index_.saveState(w);
     w.u64(streams_.size());
     for (const Stream &s : streams_) {
         w.boolean(s.active);
@@ -254,13 +245,7 @@ TmsPrefetcher::loadState(StateReader &r)
     streamsStarted_ = r.u64();
     buffer_.loadState(
         r, [](StateReader &sr, Addr &a) { a = sr.u64(); });
-    std::uint64_t entries = r.u64();
-    index_.clear();
-    for (std::uint64_t i = 0; i < entries && r.ok(); ++i) {
-        Addr a = r.u64();
-        Position p = r.u64();
-        index_[a] = p;
-    }
+    index_.loadState(r);
     if (r.u64() != streams_.size()) {
         r.fail();
         return;

@@ -15,9 +15,8 @@
 #ifndef STEMS_PREFETCH_TMS_HH
 #define STEMS_PREFETCH_TMS_HH
 
-#include <unordered_map>
-
 #include "common/circular_buffer.hh"
+#include "common/flat_index.hh"
 #include "prefetch/prefetcher.hh"
 
 namespace stems {
@@ -139,7 +138,7 @@ class TmsPrefetcher : public Prefetcher
      * the paper's main-memory hash table [25]; entries referring to
      * overwritten positions are detected and ignored on lookup.
      */
-    std::unordered_map<Addr, Position> index_;
+    FlatIndex index_;
     std::vector<Stream> streams_;
     std::uint64_t clock_ = 0;
     std::uint64_t streamsStarted_ = 0;

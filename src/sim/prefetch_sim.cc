@@ -179,6 +179,10 @@ PrefetchSimulator::drainAndIssue()
         return;
     reqScratch_.clear();
     engine_->drainRequests(reqScratch_);
+    // Start loading every request's L2 set before the first filter
+    // probe, so the probes' host misses overlap.
+    for (const PrefetchRequest &req : reqScratch_)
+        hier_.prefetchL2(req.addr);
     for (const PrefetchRequest &req : reqScratch_) {
         Addr addr = blockAlign(req.addr);
         if (req.sink == PrefetchSink::kBuffer) {
@@ -199,7 +203,7 @@ PrefetchSimulator::drainAndIssue()
             e.readyTime = static_cast<Cycles>(ready);
             if (measuring_)
                 ++stats_.prefetchesIssued;
-            if (auto victim = svb_->insert(e))
+            if (auto victim = svb_->insertAbsent(e))
                 handleSvbVictim(*victim);
         } else {
             if (hier_.l2().contains(addr))

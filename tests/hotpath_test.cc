@@ -11,17 +11,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <random>
+#include <unordered_map>
 #include <vector>
 
 #include "common/arena.hh"
 #include "common/circular_buffer.hh"
+#include "common/flat_index.hh"
 #include "common/lru_table.hh"
 #include "common/state_codec.hh"
+#include "core/reconstruction.hh"
 #include "core/stream.hh"
+#include "mem/cache.hh"
+#include "mem/svb.hh"
+#include "reference_cache.hh"
 #include "reference_lru_table.hh"
+#include "reference_svb.hh"
 
 using namespace stems;
 
@@ -394,6 +403,372 @@ TEST(HotpathStreamQueues, StateRoundTripPreservesPending)
     a.saveState(wa);
     b.saveState(wb);
     ASSERT_EQ(wa.bytes(), wb.bytes());
+}
+
+// ---- Cache, SVB and FlatIndex vs the frozen layouts ------------
+
+template <typename C>
+std::vector<std::uint8_t>
+stateBytes(const C &c)
+{
+    StateWriter w;
+    c.saveState(w);
+    return w.take();
+}
+
+template <typename A, typename B>
+bool
+sameVictim(const std::optional<A> &a, const std::optional<B> &b)
+{
+    if (a.has_value() != b.has_value())
+        return false;
+    return !a || (a->addr == b->addr && a->prefetched == b->prefetched &&
+                  a->referenced == b->referenced);
+}
+
+/**
+ * One seeded stream of demand lookups, demand and prefetch fills,
+ * invalidations and probes over three times the capacity in blocks,
+ * applied to the set-blocked Cache and the frozen reference: every
+ * result and the serialized state must agree.
+ */
+void
+cacheEquivalenceRun(std::uint64_t seed, std::size_t bytes,
+                    std::size_t ways, std::size_t ops)
+{
+    std::mt19937_64 rng(seed);
+    Cache cache("dut", bytes, ways);
+    ReferenceCache oracle("ref", bytes, ways);
+    const std::uint64_t span = 3 * bytes / kBlockBytes;
+    for (std::size_t i = 0; i < ops; ++i) {
+        const Addr a = (rng() % span) * kBlockBytes + rng() % kBlockBytes;
+        switch (rng() % 8) {
+        case 0:
+        case 1:
+        case 2: {
+            const bool covered = oracle.isPrefetchedUnreferenced(a);
+            const bool hit = oracle.access(a);
+            const Cache::Lookup got = cache.demand(a);
+            ASSERT_EQ(got.hit, hit) << "op " << i;
+            ASSERT_EQ(got.coveredByPrefetch, hit && covered) << "op " << i;
+            break;
+        }
+        case 3:
+        case 4:
+            ASSERT_TRUE(sameVictim(cache.insert(a), oracle.insert(a)))
+                << "op " << i;
+            break;
+        case 5:
+            ASSERT_TRUE(sameVictim(cache.insert(a, true),
+                                   oracle.insert(a, true)))
+                << "op " << i;
+            break;
+        case 6:
+            ASSERT_TRUE(sameVictim(cache.invalidate(a),
+                                   oracle.invalidate(a)))
+                << "op " << i;
+            break;
+        default:
+            ASSERT_EQ(cache.contains(a), oracle.contains(a)) << "op " << i;
+            ASSERT_EQ(cache.isPrefetchedUnreferenced(a),
+                      oracle.isPrefetchedUnreferenced(a))
+                << "op " << i;
+            break;
+        }
+        if ((i + 1) % (ops / 4) == 0) {
+            ASSERT_EQ(cache.unreferencedPrefetches(),
+                      oracle.unreferencedPrefetches());
+            ASSERT_EQ(stateBytes(cache), stateBytes(oracle)) << "op " << i;
+        }
+    }
+    ASSERT_EQ(cache.accesses(), oracle.accesses());
+    ASSERT_EQ(cache.misses(), oracle.misses());
+}
+
+TEST(HotpathCache, MatchesReferenceTwoWayL1)
+{
+    cacheEquivalenceRun(1, 64 * 1024, 2, 200000);
+}
+
+TEST(HotpathCache, MatchesReferenceEightWayL2)
+{
+    cacheEquivalenceRun(2, 8 * 1024 * 1024, 8, 1000000);
+}
+
+TEST(HotpathCache, MatchesReferenceOddSetCount)
+{
+    // Three sets: the modulo set index, not the power-of-two mask.
+    cacheEquivalenceRun(3, 12 * kBlockBytes, 4, 20000);
+}
+
+template <typename A, typename B>
+bool
+sameEntry(const std::optional<A> &a, const std::optional<B> &b)
+{
+    if (a.has_value() != b.has_value())
+        return false;
+    return !a || (a->addr == b->addr && a->streamId == b->streamId &&
+                  a->readyTime == b->readyTime);
+}
+
+void
+svbEquivalenceRun(std::uint64_t seed, std::size_t capacity,
+                  std::size_t ops)
+{
+    std::mt19937_64 rng(seed);
+    StreamedValueBuffer svb(capacity);
+    ReferenceStreamedValueBuffer oracle(capacity);
+    const std::uint64_t span = 3 * capacity;
+    for (std::size_t i = 0; i < ops; ++i) {
+        const Addr a =
+            0x100000 + (rng() % span) * kBlockBytes + rng() % kBlockBytes;
+        const int stream = static_cast<int>(rng() % 6) - 1;
+        const Cycles ready = rng() % 1000;
+        switch (rng() % 10) {
+        case 0:
+        case 1:
+        case 2:
+            ASSERT_TRUE(sameEntry(svb.insert({a, stream, ready}),
+                                  oracle.insert({a, stream, ready})))
+                << "op " << i;
+            break;
+        case 3:
+        case 4: { // the simulator's issue path: filter, then insert
+            const bool present = oracle.contains(a);
+            ASSERT_EQ(svb.contains(a), present) << "op " << i;
+            if (!present) {
+                ASSERT_TRUE(
+                    sameEntry(svb.insertAbsent({a, stream, ready}),
+                              oracle.insert({a, stream, ready})))
+                    << "op " << i;
+            }
+            break;
+        }
+        case 5:
+        case 6:
+            ASSERT_TRUE(sameEntry(svb.consume(a), oracle.consume(a)))
+                << "op " << i;
+            break;
+        case 7:
+            ASSERT_TRUE(sameEntry(svb.invalidate(a), oracle.invalidate(a)))
+                << "op " << i;
+            break;
+        case 8:
+            ASSERT_EQ(svb.occupancy(), oracle.occupancy()) << "op " << i;
+            ASSERT_EQ(svb.occupancyForStream(stream),
+                      oracle.occupancyForStream(stream))
+                << "op " << i;
+            break;
+        default:
+            if (rng() % 8 == 0) {
+                ASSERT_TRUE(sameEntry(svb.consumeAny(),
+                                      oracle.consumeAny()))
+                    << "op " << i;
+            }
+            break;
+        }
+    }
+    ASSERT_EQ(stateBytes(svb), stateBytes(oracle));
+    // The end-of-run drain order must match too.
+    for (;;) {
+        auto got = svb.consumeAny();
+        ASSERT_TRUE(sameEntry(got, oracle.consumeAny()));
+        if (!got)
+            break;
+    }
+}
+
+TEST(HotpathSvb, MatchesReference64Slots)
+{
+    svbEquivalenceRun(1, 64, 200000);
+}
+
+TEST(HotpathSvb, MatchesReference32Slots)
+{
+    svbEquivalenceRun(2, 32, 200000);
+}
+
+TEST(HotpathFlatIndex, MatchesUnorderedMapAndItsSortedBytes)
+{
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        std::mt19937_64 rng(seed);
+        FlatIndex index(8); // tiny: the run crosses many growths
+        std::unordered_map<std::uint64_t, std::uint64_t> oracle;
+        for (std::uint64_t i = 0; i < 100000; ++i) {
+            // Mostly block addresses (the RMOB/TMS keys), some words.
+            const std::uint64_t key =
+                rng() % 4 ? (rng() % 30000) << kBlockShift : rng() >> 1;
+            if (rng() % 3 == 0) {
+                const std::uint64_t *got = index.find(key);
+                auto want = oracle.find(key);
+                ASSERT_EQ(got != nullptr, want != oracle.end());
+                if (got)
+                    ASSERT_EQ(*got, want->second);
+            } else {
+                bool fresh = false;
+                index.findOrInsert(key, &fresh) = i;
+                ASSERT_EQ(fresh, oracle.count(key) == 0);
+                oracle[key] = i;
+            }
+        }
+        ASSERT_EQ(index.size(), oracle.size());
+
+        // The historical encoding: count, then key-sorted pairs.
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted(
+            oracle.begin(), oracle.end());
+        std::sort(sorted.begin(), sorted.end());
+        StateWriter want;
+        want.u64(sorted.size());
+        for (const auto &kv : sorted) {
+            want.u64(kv.first);
+            want.u64(kv.second);
+        }
+        ASSERT_EQ(stateBytes(index), want.bytes());
+
+        FlatIndex restored(8);
+        StateReader r(want.bytes().data(), want.bytes().size());
+        restored.loadState(r);
+        ASSERT_TRUE(r.atEnd());
+        ASSERT_EQ(stateBytes(restored), want.bytes());
+    }
+}
+
+// ---- reject, never misdecode -----------------------------------
+
+/** Load a hand-built payload. @return the re-encoded state when the
+ *  reader accepted all of it, nullopt when it failed. */
+template <typename T>
+std::optional<std::vector<std::uint8_t>>
+reload(T &target, const StateWriter &payload)
+{
+    StateReader r(payload.bytes().data(), payload.bytes().size());
+    target.loadState(r);
+    if (!r.atEnd())
+        return std::nullopt;
+    return stateBytes(target);
+}
+
+TEST(HotpathReject, LruTableValidSlotWithStampZero)
+{
+    auto payload = [](std::uint64_t stamp) {
+        StateWriter w;
+        w.u64(2); // ways
+        w.u64(1); // sets
+        w.u64(9); // clock
+        w.boolean(true);
+        w.u64(42); // key
+        w.u64(stamp);
+        w.u64(7); // value
+        w.boolean(false);
+        return w;
+    };
+    auto loads = [](const StateWriter &w) {
+        LruTable<std::uint64_t> t(2, 2);
+        StateReader r(w.bytes().data(), w.bytes().size());
+        t.loadState(r, [](StateReader &rd, std::uint64_t &v) {
+            v = rd.u64();
+        });
+        return r.atEnd();
+    };
+    EXPECT_TRUE(loads(payload(3)));
+    EXPECT_FALSE(loads(payload(0)));
+}
+
+TEST(HotpathReject, CacheWayTheSetBlockCannotHold)
+{
+    // 2 sets x 2 ways; way 0 of set 0 carries the varied fields.
+    auto payload = [](Addr tag, std::uint64_t stamp, std::uint64_t clock) {
+        StateWriter w;
+        w.tag(stateTag('C', 'A', 'C', 'H'));
+        w.u64(2);
+        w.u64(2);
+        w.u64(clock);
+        w.u64(0);
+        w.u64(0);
+        w.boolean(true);
+        w.u64(tag);
+        w.u64(stamp);
+        w.boolean(true);
+        w.boolean(false);
+        for (int i = 0; i < 3; ++i)
+            w.boolean(false);
+        return w;
+    };
+    Cache cache("t", 4 * kBlockBytes, 2);
+    const StateWriter good = payload(2, 3, 9);
+    auto again = reload(cache, good);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(*again, good.bytes());
+    EXPECT_FALSE(reload(cache, payload(2, 0, 9)).has_value());
+    EXPECT_FALSE(reload(cache, payload(~Addr{0}, 3, 9)).has_value());
+    EXPECT_FALSE(reload(cache, payload(2, Addr{1} << 62, 9)).has_value());
+    EXPECT_FALSE(reload(cache, payload(2, 3, Addr{1} << 62)).has_value());
+}
+
+TEST(HotpathReject, SvbSlotTheLanesCannotHold)
+{
+    auto payload = [](Addr addr, std::uint64_t stamp) {
+        StateWriter w;
+        w.tag(stateTag('S', 'V', 'B', '1'));
+        w.u64(2);
+        w.u64(5);
+        w.boolean(true);
+        w.u64(stamp);
+        w.u64(addr);
+        w.i64(1);
+        w.u64(0);
+        w.boolean(false);
+        return w;
+    };
+    StreamedValueBuffer svb(2);
+    const StateWriter good = payload(0x40, 3);
+    auto again = reload(svb, good);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(*again, good.bytes());
+    EXPECT_FALSE(reload(svb, payload(0x40, 0)).has_value());
+    EXPECT_FALSE(reload(svb, payload(~Addr{0}, 3)).has_value());
+}
+
+TEST(HotpathReject, ReconstructorBucketOutsideWindow)
+{
+    auto payload = [](std::int64_t bucket, std::uint64_t count) {
+        StateWriter w;
+        w.tag(stateTag('R', 'C', 'O', 'N'));
+        w.u64(1);
+        w.i64(bucket);
+        w.u64(count);
+        w.u64(0); // dropped
+        w.u64(0); // windows
+        return w;
+    };
+    RegionMissOrderBuffer rmob(4);
+    PatternSequenceTable pst;
+    Reconstructor recon(rmob, pst); // displacement window 2
+    const StateWriter good = payload(-2, 5);
+    auto again = reload(recon, good);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(*again, good.bytes());
+    EXPECT_EQ(recon.displacements().count(-2), 5u);
+    EXPECT_FALSE(reload(recon, payload(3, 5)).has_value());
+    EXPECT_FALSE(reload(recon, payload(-3, 5)).has_value());
+    EXPECT_FALSE(reload(recon, payload(0, 0)).has_value());
+}
+
+TEST(HotpathReject, FlatIndexEmptyKey)
+{
+    auto payload = [](std::uint64_t key) {
+        StateWriter w;
+        w.u64(1);
+        w.u64(key);
+        w.u64(7);
+        return w;
+    };
+    FlatIndex index(4);
+    const StateWriter good = payload(0x40);
+    auto again = reload(index, good);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(*again, good.bytes());
+    EXPECT_FALSE(reload(index, payload(FlatIndex::kEmptyKey)).has_value());
 }
 
 } // namespace
