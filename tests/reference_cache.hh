@@ -2,8 +2,9 @@
  * @file
  * Reference oracle for Cache property tests.
  *
- * Verbatim copy of the historical array-of-structs Cache (before the
- * set-blocked rewrite in mem/cache.hh), renamed and made header-only.
+ * The historical array-of-structs Cache (before the set-blocked
+ * rewrite in mem/cache.hh), renamed and made header-only; only the
+ * constructor's argument checks were dropped.
  * hotpath_test.cc drives both with identical seeded operation streams
  * and requires the same hits, victims and coverage flags plus
  * byte-identical serialized state. Do not "improve" this file — its

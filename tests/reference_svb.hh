@@ -2,8 +2,9 @@
  * @file
  * Reference oracle for StreamedValueBuffer property tests.
  *
- * Verbatim copy of the historical array-of-structs SVB (before the
- * key-lane rewrite in mem/svb.hh), renamed and made header-only.
+ * The historical array-of-structs SVB (before the key-lane rewrite in
+ * mem/svb.hh), renamed and made header-only; only the constructor's
+ * capacity check was dropped.
  * hotpath_test.cc drives both with identical seeded operation streams
  * and requires the same hits, victims and consumeAny() order plus
  * byte-identical serialized state. Do not "improve" this file — its
