@@ -602,8 +602,9 @@ TEST(HotpathFlatIndex, MatchesUnorderedMapAndItsSortedBytes)
                 const std::uint64_t *got = index.find(key);
                 auto want = oracle.find(key);
                 ASSERT_EQ(got != nullptr, want != oracle.end());
-                if (got)
+                if (got) {
                     ASSERT_EQ(*got, want->second);
+                }
             } else {
                 bool fresh = false;
                 index.findOrInsert(key, &fresh) = i;
