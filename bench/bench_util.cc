@@ -66,18 +66,12 @@ usage(const char *argv0, int status)
         "                     (default)\n"
         "  --no-batch         one task per cell, re-iterating the\n"
         "                     trace (same results, bitwise)\n"
-        "  --segments K       segmented execution: checkpoint each\n"
-        "                     cell at K segment boundaries and\n"
-        "                     resume warm prefixes (needs --store;\n"
-        "                     same results, bitwise)\n"
         "  --checkpoint-every N\n"
-        "                     checkpoint every N records instead of\n"
-        "                     at relative segment cuts (stable\n"
-        "                     boundaries across --records values)\n"
-        "  --speculate        speculative segment-parallel cold\n"
-        "                     execution from stored checkpoints,\n"
-        "                     validated at every boundary (needs\n"
-        "                     --store; same results, bitwise)\n"
+        "                     checkpoint each cell every N records\n"
+        "                     and resume warm prefixes (needs\n"
+        "                     --store; stable boundaries across\n"
+        "                     --records values; same results,\n"
+        "                     bitwise)\n"
         "  --warmup-records N warm up exactly N records instead of\n"
         "                     50%% of the trace (keeps prefixes\n"
         "                     comparable across --records values)\n"
@@ -179,16 +173,9 @@ parseBenchOptions(int argc, char **argv, std::size_t default_records)
             options.batch = true;
         } else if (arg == "--no-batch") {
             options.batch = false;
-        } else if (arg == "--segments") {
-            std::uint64_t v =
-                numberArg(argv[0], "--segments", value());
-            options.segments =
-                v > 0 ? static_cast<unsigned>(v) : 1;
         } else if (arg == "--checkpoint-every") {
             options.checkpointEvery = static_cast<std::size_t>(
                 numberArg(argv[0], "--checkpoint-every", value()));
-        } else if (arg == "--speculate") {
-            options.speculate = true;
         } else if (arg == "--warmup-records") {
             options.warmupRecords = static_cast<std::size_t>(
                 numberArg(argv[0], "--warmup-records", value()));
@@ -242,12 +229,10 @@ parseBenchOptions(int argc, char **argv, std::size_t default_records)
             options.storeDir = env;
     }
 
-    if ((options.segments > 1 || options.checkpointEvery > 0 ||
-         options.speculate) &&
-        options.storeDir.empty()) {
+    if (options.checkpointEvery > 0 && options.storeDir.empty()) {
         std::fprintf(stderr,
-                     "%s: --segments/--checkpoint-every/--speculate "
-                     "need a --store to keep checkpoints in\n",
+                     "%s: --checkpoint-every needs a --store to keep "
+                     "checkpoints in\n",
                      argv[0]);
         std::exit(1);
     }
@@ -289,9 +274,7 @@ benchPlan(const BenchOptions &options, bool enable_timing,
     plan.timing = enable_timing;
     plan.jobs = options.jobs;
     plan.batch = options.batch;
-    plan.segments = options.segments;
     plan.checkpointEvery = options.checkpointEvery;
-    plan.speculate = options.speculate;
     plan.heartbeatSeconds = options.progressSeconds;
     plan.unitGranularity = options.unitGranularity;
     if (!options.planOutPath.empty()) {
@@ -488,9 +471,7 @@ storeStatsLine(const MetricsSnapshot &snap)
         "baselineSims=%llu baselineHits=%llu "
         "engineSims=%llu resultHits=%llu resultMisses=%llu "
         "batchedSims=%llu resumedSims=%llu "
-        "skippedRecords=%llu checkpointsWritten=%llu "
-        "speculativeSims=%llu specCommits=%llu "
-        "specMispredicts=%llu",
+        "skippedRecords=%llu checkpointsWritten=%llu",
         counter("driver.trace.generated"),
         counter("store.trace.hit"),
         counter("driver.cell.baseline"),
@@ -501,10 +482,7 @@ storeStatsLine(const MetricsSnapshot &snap)
         counter("driver.cell.batched"),
         counter("driver.cell.resumed"),
         counter("ckpt.resume.skipped_records"),
-        counter("ckpt.written"),
-        counter("driver.cell.speculative"),
-        counter("ckpt.speculate.commit"),
-        counter("ckpt.speculate.mispredict"));
+        counter("ckpt.written"));
     return line;
 }
 
@@ -598,10 +576,8 @@ BenchObsSession::finish()
         add("store", options_.storeDir.empty() ? "(none)"
                                                : options_.storeDir);
         add("batch", options_.batch ? "1" : "0");
-        add("segments", std::to_string(options_.segments));
         add("checkpoint_every",
             std::to_string(options_.checkpointEvery));
-        add("speculate", options_.speculate ? "1" : "0");
         add("warmup_records",
             std::to_string(options_.warmupRecords));
         add("unit_granularity",

@@ -9,8 +9,7 @@
  *   bench [records] [--records N] [--jobs N] [--seed N]
  *         [--workloads a,b,c] [--engines x,y]
  *         [--store DIR] [--no-store] [--json FILE]
- *         [--batch] [--no-batch]
- *         [--segments K] [--checkpoint-every N] [--speculate]
+ *         [--batch] [--no-batch] [--checkpoint-every N]
  *         [--warmup-records N] [--plan-out FILE] [--list] [--help]
  *
  * The bare positional `records` argument is the historical interface
@@ -27,23 +26,14 @@
  * one-task-per-cell dispatch; results are bitwise identical either
  * way.
  *
- * `--segments K` / `--checkpoint-every N` enable segmented execution
- * (requires a store): every cell persists simulator checkpoints at
- * segment boundaries and resumes from the newest matching one, so a
- * re-run — including one extended to more --records — simulates only
- * the unseen suffix. `--warmup-records N` pins the warmup boundary
- * absolutely (instead of the 50% fraction), which keeps the prefix
- * identical across record counts; results stay bitwise identical to
- * an unsegmented run either way.
- *
- * `--speculate` (requires a store) turns stored checkpoints — even
- * stale ones from shorter, different-seed or cross-warmup runs —
- * into speculative segment-parallel execution: cold cells split at
- * stored boundaries, run every segment concurrently, validate each
- * boundary by byte-comparing re-executed state against the stored
- * blob, and roll back to sequential re-execution on mismatch.
- * Results stay bitwise identical to a continuous run either way;
- * speculation trades CPU for wall-clock on multi-core hosts.
+ * `--checkpoint-every N` enables checkpointed execution (requires a
+ * store): every cell persists simulator checkpoints every N records
+ * and at the trace end, and resumes from the newest matching one, so
+ * a re-run — including one extended to more --records — simulates
+ * only the unseen suffix. `--warmup-records N` pins the warmup
+ * boundary absolutely (instead of the 50% fraction), which keeps the
+ * prefix identical across record counts; results stay bitwise
+ * identical to an uncheckpointed run either way.
  */
 
 #ifndef STEMS_BENCH_BENCH_UTIL_HH
@@ -84,14 +74,8 @@ struct BenchOptions
     /// Batched execution (one trace pass per workload); --no-batch
     /// restores the per-cell dispatch.
     bool batch = true;
-    /// Segmented execution: segment count (1 = off).
-    unsigned segments = 1;
-    /// Segmented execution: absolute checkpoint interval (0 = off;
-    /// wins over `segments` when both are set).
+    /// Checkpoint interval in records (--checkpoint-every; 0 = off).
     std::size_t checkpointEvery = 0;
-    /// Speculative segment-parallel cold execution from stored
-    /// checkpoints (--speculate; requires a store).
-    bool speculate = false;
     /// Absolute warmup-record override (0 = 50% fraction).
     std::size_t warmupRecords = 0;
     /// Distributed work-unit granularity (--unit-granularity;
@@ -126,8 +110,8 @@ BenchOptions parseBenchOptions(int argc, char **argv,
 /**
  * THE one place that maps the bench CLI onto a declarative
  * SweepPlan: trace knobs (records/seed/warmup), timing mode, and
- * the whole execution policy (jobs/batch/segments/checkpoint/
- * speculate/heartbeat) come from `options`; the workload and engine
+ * the whole execution policy (jobs/batch/checkpoint/heartbeat)
+ * come from `options`; the workload and engine
  * columns are the bench's resolved selections. When --plan-out was
  * given, the canonical plan JSON is written as a side effect (note
  * on stderr), so every bench invocation can dump the exact plan it

@@ -60,8 +60,10 @@ namespace stems {
 
 /** Bumped on any wire-visible change; kHello carries it.
  *  v2: session ids, Resume/ResumeAck, tagged multi-granularity
- *  units with a prefetch hint. */
-inline constexpr std::uint32_t kNetProtocolVersion = 2;
+ *  units with a prefetch hint.
+ *  v3: the plan payload lost two execution-policy fields
+ *  (SweepPlan schema v2, binary plan version 3). */
+inline constexpr std::uint32_t kNetProtocolVersion = 3;
 
 /** Frame types (net/frame.hh `type` field). */
 enum NetMsg : std::uint32_t

@@ -22,33 +22,26 @@ setError(std::string *error, const std::string &text)
 }
 
 /**
- * Checkpoint spec digests of one cell's lanes — the same identities
- * driver.cc's cell_ckpt_spec writes checkpoints under: the baseline
- * column is the no-prefetch lane plus, under timing, the stride
- * reference lane; an engine column is the engine spec without
- * labels or probes (a probe reads state post-run; it cannot change
- * the simulation a checkpoint captures).
+ * Checkpoint spec digests of one cell's lanes (store/keys.hh
+ * laneCheckpointSpecDigest): the baseline column is the no-prefetch
+ * lane plus, under timing, the stride reference lane; an engine
+ * column is that engine's lane.
  */
 std::vector<std::uint64_t>
 columnCkptSpecs(const SweepPlan &plan, bool scientific,
                 std::int32_t column)
 {
-    std::vector<std::uint64_t> specs;
     if (column < 0) {
-        specs.push_back(storeDigest("cell:baseline:v1"));
-        if (plan.timing) {
-            EngineOptions options;
-            options.scientific = scientific;
-            specs.push_back(engineSpecDigest("stride", options));
-        }
+        std::vector<std::uint64_t> specs{
+            laneCheckpointSpecDigest("", {}, scientific)};
+        if (plan.timing)
+            specs.push_back(
+                laneCheckpointSpecDigest("stride", {}, scientific));
         return specs;
     }
     const PlanEngine &e =
         plan.engines[static_cast<std::size_t>(column)];
-    EngineOptions options = e.options;
-    options.scientific = options.scientific || scientific;
-    specs.push_back(engineSpecDigest(e.engine, options));
-    return specs;
+    return {laneCheckpointSpecDigest(e.engine, e.options, scientific)};
 }
 
 /** Stored-checkpoint directory of every lane spec, listed once. */
@@ -124,8 +117,6 @@ decomposeSweepPlan(const SweepPlan &plan, TraceStore *store,
 
     const ExperimentConfig config = planExperimentConfig(plan);
     const std::uint64_t ckpt_config = checkpointConfigDigest(config);
-    const bool have_schedule =
-        plan.checkpointEvery > 0 || plan.segments > 1;
 
     for (const std::string &name : plan.workloads) {
         if (!registry.contains(name)) {
@@ -175,13 +166,9 @@ decomposeSweepPlan(const SweepPlan &plan, TraceStore *store,
             }
         }
 
-        std::vector<std::size_t> bounds =
-            have_schedule
-                ? checkpointBounds(
-                      trace.size(),
-                      static_cast<std::size_t>(plan.checkpointEvery),
-                      plan.segments)
-                : std::vector<std::size_t>{trace.size()};
+        std::vector<std::size_t> bounds = checkpointBounds(
+            trace.size(),
+            static_cast<std::size_t>(plan.checkpointEvery));
         if (bounds.empty())
             bounds.push_back(0); // empty trace: one no-op segment
         const std::size_t warmup =

@@ -82,9 +82,9 @@ struct WorkUnit
  *
  * Segment granularity requires a usable store (the seeding pass
  * writes traces into it); without one this fails with *error set.
- * When the plan's checkpoint policy is off (checkpointEvery == 0
- * and segments <= 1) there is no boundary schedule, and segment
- * granularity decomposes each cell as its single final segment.
+ * When the plan's checkpoint policy is off (checkpointEvery == 0)
+ * the schedule is the trace end alone, and segment granularity
+ * decomposes each cell as its single final segment.
  *
  * @return the units, in deterministic schedule order; empty with
  *         *error set on failure (an empty plan yields empty units

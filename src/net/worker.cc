@@ -284,6 +284,12 @@ runWorker(const WorkerOptions &options, WorkerReport *report,
                                 error) ||
                 !conn.recvFrame(frame, error))
                 return Outcome::kLost;
+            // The sweep can finish between the Plan handshake and
+            // this Resume (the held unit was requeued after the
+            // grace window and completed elsewhere); the
+            // coordinator then says Bye instead of answering.
+            if (frame.type == kMsgBye)
+                return Outcome::kFinished;
             ResumeAckMsg verdict;
             if (frame.type != kMsgResumeAck ||
                 !decodeResumeAck(frame.payload, verdict)) {

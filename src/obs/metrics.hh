@@ -4,7 +4,7 @@
  *
  * Every execution layer (driver, batch simulator, trace store,
  * checkpointing) records into one registry under hierarchical
- * dot-separated names — `store.result.hit`, `driver.cell.engine_ns`,
+ * dot-separated names — `store.result.hit`, `driver.pass_ns`,
  * `batch.chunk_ns`, `ckpt.resume.skipped_records` — so a sweep's
  * runtime behaviour has a single source of truth instead of counters
  * hand-threaded through each subsystem. Three instrument kinds:

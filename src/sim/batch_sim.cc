@@ -68,13 +68,6 @@ BatchSimulator::rebuildLane(std::size_t lane_index,
 }
 
 void
-BatchSimulator::setLaneStart(std::size_t lane_index,
-                             std::size_t start_index)
-{
-    lanes_.at(lane_index).start = start_index;
-}
-
-void
 BatchSimulator::setLaneRange(std::size_t lane_index,
                              std::size_t start_index,
                              std::size_t end_index)
@@ -197,16 +190,18 @@ BatchSimulator::finishAll(std::size_t total_records)
 {
     for (std::size_t li = 0; li < lanes_.size(); ++li) {
         Lane &lane = lanes_[li];
-        // An end-of-trace boundary captures the pre-finish state, so
-        // a resumed run re-executes finish() exactly once, like the
-        // continuous run it mirrors.
+        // A boundary at the lane's last index captures the
+        // pre-finish state, so a resumed run re-executes finish()
+        // exactly once, like the continuous run it mirrors. A lane
+        // whose range ends before the trace fires at its end the
+        // same way: after its last record, before the warmup-flip
+        // check of record `end`.
+        const std::size_t end = std::min(lane.end, total_records);
         while (lane.nextBoundary < lane.boundaries.size() &&
-               lane.boundaries[lane.nextBoundary] <= total_records) {
-            if (lane.boundaries[lane.nextBoundary] ==
-                    total_records &&
-                boundary_) {
-                boundary_(li, total_records, *lane.sim);
-            }
+               lane.boundaries[lane.nextBoundary] <= end) {
+            if (lane.boundaries[lane.nextBoundary] == end &&
+                boundary_)
+                boundary_(li, end, *lane.sim);
             ++lane.nextBoundary;
         }
         lane.sim->finish();
@@ -214,76 +209,25 @@ BatchSimulator::finishAll(std::size_t total_records)
 }
 
 void
-BatchSimulator::runLaneRange(std::size_t lane_index,
-                             const Trace &trace)
-{
-    Lane &lane = lanes_[lane_index];
-    std::size_t end = std::min(lane.end, trace.size());
-    ScopedSpan span("batch.segment", "batch");
-    if (span.active()) {
-        span.arg("lane", static_cast<std::uint64_t>(lane_index));
-        span.arg("first", static_cast<std::uint64_t>(lane.start));
-        span.arg("end", static_cast<std::uint64_t>(end));
-    }
-    for (std::size_t pos = lane.start; pos < end;
-         pos += kChunkRecords) {
-        std::size_t count = std::min(end - pos, kChunkRecords);
-        runLaneChunk(lane_index, trace.data() + pos, pos, count);
-    }
-    if (laneEnd_)
-        laneEnd_(lane_index, end, *lane.sim);
-}
-
-void
-BatchSimulator::runSegments(const Trace &trace, unsigned jobs)
-{
-    // Lane-at-a-time, lanes in parallel: with disjoint per-lane
-    // ranges the run() chunk traversal would leave every thread but
-    // one idle per chunk, so here each worker owns whole lanes.
-    std::size_t workers = std::min<std::size_t>(
-        std::max(1u, jobs), lanes_.size());
-    if (workers <= 1) {
-        for (std::size_t li = 0; li < lanes_.size(); ++li)
-            runLaneRange(li, trace);
-        return;
-    }
-    std::atomic<std::size_t> next{0};
-    std::mutex error_mutex;
-    std::exception_ptr error;
-    auto body = [&] {
-        for (;;) {
-            std::size_t li =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (li >= lanes_.size())
-                break;
-            try {
-                runLaneRange(li, trace);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!error)
-                    error = std::current_exception();
-            }
-        }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (std::size_t t = 0; t + 1 < workers; ++t)
-        pool.emplace_back(body);
-    body();
-    for (std::thread &t : pool)
-        t.join();
-    if (error)
-        std::rethrow_exception(error);
-}
-
-void
 BatchSimulator::run(const Trace &trace, unsigned jobs)
 {
-    for (std::size_t start = 0; start < trace.size();
-         start += kChunkRecords) {
-        std::size_t count =
-            std::min(trace.size() - start, kChunkRecords);
-        runChunk(trace.data() + start, start, count, jobs);
+    // Visit only the chunks some lane's range reaches: resumed lanes
+    // skip their prefix and range-limited lanes stop at their end.
+    // Chunks stay aligned to kChunkRecords, so every visited chunk
+    // is the one a whole-trace pass would step.
+    std::size_t first = trace.size();
+    std::size_t last = 0;
+    for (const Lane &lane : lanes_) {
+        first = std::min(first, lane.start);
+        last = std::max(last, std::min(lane.end, trace.size()));
+    }
+    if (first < last) {
+        for (std::size_t start = first - first % kChunkRecords;
+             start < last; start += kChunkRecords) {
+            std::size_t count =
+                std::min(trace.size() - start, kChunkRecords);
+            runChunk(trace.data() + start, start, count, jobs);
+        }
     }
     finishAll(trace.size());
 }

@@ -18,7 +18,8 @@
  * This is the single-pass, multi-consumer structure trace-driven
  * simulators use to evaluate many configurations per trace read; the
  * ExperimentDriver uses it to run a workload's baseline, stride and
- * engine cells in one traversal (see sim/driver.hh `setBatching`).
+ * engine cells in one traversal (SweepPlan::batch), and to advance
+ * a distributed segment unit's lanes over their record range.
  */
 
 #ifndef STEMS_SIM_BATCH_SIM_HH
@@ -58,8 +59,9 @@ class BatchSimulator
 
     /**
      * One pass over an in-memory trace: each record is stepped
-     * through every lane, honoring per-lane warmup, then every lane
-     * is finalized. Call at most once per BatchSimulator.
+     * through every lane whose range covers it, honoring per-lane
+     * warmup, then every lane is finalized. Chunks no lane's range
+     * reaches are skipped. Call at most once per BatchSimulator.
      *
      * @param jobs  worker threads advancing lanes within each chunk
      *              (lanes are mutually independent, so lane-level
@@ -98,58 +100,27 @@ class BatchSimulator
     void rebuildLane(std::size_t lane, Prefetcher *engine);
 
     /**
-     * Start a lane at a trace position instead of record 0: records
-     * before `start_index` are skipped entirely. The lane's
+     * Restrict a lane to the record range [start_index, end_index).
+     * Records before the start are skipped entirely: the lane's
      * simulator must hold the matching checkpointed state
      * (sim/checkpoint.hh), which bakes in any warmup flip at or
-     * before the start — the skipped records' flip checks are
-     * skipped with them.
-     */
-    void setLaneStart(std::size_t lane, std::size_t start_index);
-
-    /**
-     * Restrict a lane to the record range [start_index, end_index):
-     * records before the start are skipped (the simulator must hold
-     * the matching checkpointed state, as with setLaneStart) and
-     * records at or past the end are never stepped. Ranges are the
-     * substrate of speculative segment execution: each segment is a
-     * lane over one slice of the trace, advanced by runSegments().
-     * An end past the trace length is clamped to it.
+     * before the start, so the skipped records' flip checks are
+     * skipped with them. Records at or past the end are never
+     * stepped; an end past the trace length is clamped to it.
+     * Lanes default to the whole trace.
      */
     void setLaneRange(std::size_t lane, std::size_t start_index,
                       std::size_t end_index);
-
-    /**
-     * Advance every lane over its own [start, end) range, lanes in
-     * parallel on up to `jobs` threads (each lane runs entirely on
-     * one thread; threads claim lanes dynamically). Unlike run(),
-     * lanes_ ranges may be disjoint trace slices — the per-chunk
-     * lane-major traversal of run() would serialize those — and NO
-     * lane is finish()ed: the caller owns segment finalization,
-     * because a speculative segment's end state must be captured
-     * pre-finish and may be discarded. The lane-end callback fires
-     * for each lane when it reaches its end index (after stepping
-     * records [start, end), before the warmup-flip check of record
-     * `end` — the checkpoint convention). Call at most once.
-     */
-    void runSegments(const Trace &trace, unsigned jobs = 1);
-
-    /** Lane-end observer for runSegments: (lane, end index, lane
-     *  simulator). Invoked concurrently from lane worker threads;
-     *  must only touch per-lane or thread-safe state. */
-    using LaneEndFn = std::function<void(std::size_t, std::size_t,
-                                         PrefetchSimulator &)>;
-
-    /** Register the lane-end observer (one per batch). */
-    void setLaneEndCallback(LaneEndFn fn) { laneEnd_ = std::move(fn); }
 
     /**
      * Checkpoint boundaries for a lane, ascending and strictly
      * greater than its start index. At each boundary index i the
      * boundary callback fires after records [0, i) were stepped and
      * before the warmup-flip check of record i (the checkpoint
-     * convention of sim/checkpoint.hh); a boundary equal to the
-     * trace length fires after the last record, before finish().
+     * convention of sim/checkpoint.hh). A boundary at the lane's
+     * range end (or the trace length, whichever is smaller) fires
+     * after the lane's last record, before finish(); boundaries
+     * past it never fire.
      */
     void setLaneBoundaries(std::size_t lane,
                            std::vector<std::size_t> boundaries);
@@ -199,15 +170,12 @@ class BatchSimulator
                       const MemRecord *records, std::size_t first,
                       std::size_t count);
 
-    /** One lane's whole [start, end) range (runSegments body). */
-    void runLaneRange(std::size_t lane_index, const Trace &trace);
-
-    /** Fire end-of-trace boundaries, then finish every lane. */
+    /** Fire each lane's range-end boundary, then finish every
+     *  lane. */
     void finishAll(std::size_t total_records);
 
     std::vector<Lane> lanes_;
     BoundaryFn boundary_;
-    LaneEndFn laneEnd_;
 };
 
 } // namespace stems

@@ -35,8 +35,7 @@ getScalar(const std::vector<std::uint8_t> &buf, std::size_t offset)
 } // namespace
 
 std::vector<std::size_t>
-checkpointBounds(std::size_t trace_size,
-                 std::size_t checkpoint_every, unsigned segments)
+checkpointBounds(std::size_t trace_size, std::size_t checkpoint_every)
 {
     std::vector<std::size_t> bounds;
     if (trace_size == 0)
@@ -45,13 +44,6 @@ checkpointBounds(std::size_t trace_size,
         for (std::size_t b = checkpoint_every; b < trace_size;
              b += checkpoint_every)
             bounds.push_back(b);
-    } else {
-        for (unsigned k = 1; k < segments; ++k) {
-            std::size_t b = trace_size * k / segments;
-            if (b > 0 && b < trace_size &&
-                (bounds.empty() || bounds.back() != b))
-                bounds.push_back(b);
-        }
     }
     bounds.push_back(trace_size);
     return bounds;
@@ -122,31 +114,6 @@ decodeCheckpoint(const std::vector<std::uint8_t> &blob,
     if (index_out)
         *index_out = getScalar<std::uint64_t>(blob, kIndexOffset);
     return true;
-}
-
-std::uint64_t
-checkpointStateDigest(const std::vector<std::uint8_t> &blob)
-{
-    if (!checkpointValid(blob))
-        return 0;
-    std::uint64_t h = 1469598103934665603ull; // FNV-1a offset basis
-    for (std::size_t i = kHeaderBytes; i < blob.size(); ++i) {
-        h ^= blob[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-bool
-checkpointStateEquals(const std::vector<std::uint8_t> &a,
-                      const std::vector<std::uint8_t> &b)
-{
-    if (!checkpointValid(a) || !checkpointValid(b))
-        return false;
-    if (a.size() != b.size())
-        return false;
-    return std::memcmp(a.data() + kHeaderBytes, b.data() + kHeaderBytes,
-                       a.size() - kHeaderBytes) == 0;
 }
 
 } // namespace stems

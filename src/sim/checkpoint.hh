@@ -44,32 +44,33 @@
 namespace stems {
 
 /**
- * Checkpoint boundaries over a trace of `trace_size` records under
- * the segments/checkpoint-every policy: ascending multiples of
- * `checkpoint_every` below the trace end (absolute indices, stable
- * across record counts, which is what lets an extended re-run find a
- * shorter run's checkpoints), or — when `checkpoint_every` is 0 —
- * `segments` equal cuts; plus the trace end itself so a follow-up
- * run can extend from the full prefix. Empty for an empty trace.
+ * Checkpoint boundaries over a trace of `trace_size` records:
+ * ascending multiples of `checkpoint_every` below the trace end,
+ * plus the trace end itself so a follow-up run can extend from the
+ * full prefix. The multiples are absolute indices, stable across
+ * record counts, which is what lets an extended re-run find a
+ * shorter run's checkpoints. `checkpoint_every` 0 yields the trace
+ * end alone; an empty trace yields no boundary.
  *
- * THE boundary schedule: the driver's segmented execution and the
+ * THE boundary schedule: the driver's checkpoint writer and the
  * distributed coordinator's segment-unit decomposition
  * (net/units.hh) both call this, so a segment unit's endpoints
  * provably sit on the indices workers checkpoint at.
  */
 std::vector<std::size_t> checkpointBounds(std::size_t trace_size,
-                                          std::size_t checkpoint_every,
-                                          unsigned segments);
+                                          std::size_t checkpoint_every);
 
 /**
  * Current checkpoint blob format version.
  *
  * v2: container serialization is key-canonical (unordered_map state
  * is emitted key-sorted), making the payload a pure function of
- * logical simulator state. Speculative segment execution depends on
- * this: boundary validation byte-compares a live re-executed state
- * against a stored blob, so two simulators in the same logical state
- * must always serialize to identical bytes.
+ * logical simulator state. Two things rely on that: trusted resume
+ * serves a blob written by one run (or one distributed worker) to
+ * another, so a lane's bytes at a boundary must not depend on how
+ * the run got there; and the pinned per-lane digests
+ * (tests/checkpoint_test.cc) can only hold while equal states
+ * encode to equal bytes.
  */
 inline constexpr std::uint32_t kCheckpointVersion = 2;
 
@@ -112,24 +113,6 @@ bool checkpointRecordIndex(const std::vector<std::uint8_t> &blob,
 bool decodeCheckpoint(const std::vector<std::uint8_t> &blob,
                       PrefetchSimulator &sim,
                       std::uint64_t *index_out = nullptr);
-
-/**
- * FNV-1a digest of a valid blob's payload (the serialized simulator
- * state, excluding the frame header). Two blobs taken at the same
- * boundary digest equal iff the captured states serialize
- * identically. @return 0 when the framing is invalid.
- */
-std::uint64_t checkpointStateDigest(const std::vector<std::uint8_t> &blob);
-
-/**
- * Byte equality of two valid blobs' payloads — the speculative
- * boundary-validation predicate. Compares state only (the frame
- * record index is not part of the comparison, though callers always
- * compare blobs taken at the same boundary). @return false when
- * either framing is invalid.
- */
-bool checkpointStateEquals(const std::vector<std::uint8_t> &a,
-                           const std::vector<std::uint8_t> &b);
 
 } // namespace stems
 

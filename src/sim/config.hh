@@ -49,7 +49,7 @@ struct ExperimentConfig
     /// Absolute warmup override: when nonzero, exactly this many
     /// leading records train unmeasured (clamped to the trace
     /// length) and warmupFraction is ignored. Incremental sweeps
-    /// (sim/driver.hh segmented execution) use this so extending
+    /// (sim/driver.hh checkpointed execution) use this so extending
     /// --records keeps the warmup boundary — and therefore the
     /// simulated prefix — identical.
     std::size_t warmupRecords = 0;

@@ -17,7 +17,6 @@
 #include "prefetch/engine_registry.hh"
 #include "sim/batch_sim.hh"
 #include "sim/checkpoint.hh"
-#include "sim/speculate.hh"
 #include "store/keys.hh"
 #include "store/trace_store.hh"
 #include "trace/trace_io.hh"
@@ -38,8 +37,9 @@ struct DriverMetrics
     Counter &traceGenerated;
     Counter &cellBaseline, &cellEngine, &cellBatched, &cellResumed;
     Counter &ckptSkippedRecords, &ckptWritten;
-    Counter &cellSpeculative, &speculateCommit, &speculateMispredict;
-    LatencyHistogram &engineNs, &baselineNs;
+    /// One sample per BatchSimulator pass: a whole workload's lanes
+    /// batched, a single cell unbatched, a segment unit's lanes.
+    LatencyHistogram &passNs;
 
     DriverMetrics()
         : traceGenerated(
@@ -51,14 +51,7 @@ struct DriverMetrics
           ckptSkippedRecords(
               registry().counter("ckpt.resume.skipped_records")),
           ckptWritten(registry().counter("ckpt.written")),
-          cellSpeculative(
-              registry().counter("driver.cell.speculative")),
-          speculateCommit(
-              registry().counter("ckpt.speculate.commit")),
-          speculateMispredict(
-              registry().counter("ckpt.speculate.mispredict")),
-          engineNs(registry().histogram("driver.cell.engine_ns")),
-          baselineNs(registry().histogram("driver.cell.baseline_ns"))
+          passNs(registry().histogram("driver.pass_ns"))
     {
     }
 
@@ -76,17 +69,141 @@ driverMetrics()
     return metrics;
 }
 
+/** A spec that carries an anonymous probe cannot be result-cached:
+ *  the probe's output is part of the result but its code has no
+ *  stable identity. Naming the probe (probeId) opts back in. */
+bool
+specResultCacheable(const EngineSpec &spec)
+{
+    return !spec.probe || !spec.probeId.empty();
+}
+
+/** Digest of everything (besides trace + system config) that
+ *  determines an engine cell's result. */
+std::uint64_t
+specResultDigest(const EngineSpec &spec, bool scientific)
+{
+    EngineOptions effective = spec.options;
+    effective.scientific = effective.scientific || scientific;
+    return engineSpecDigest(spec.engine, effective, spec.probeId);
+}
+
+} // namespace
+
+/**
+ * One trace as the lane routine sees it: the records, the warmup
+ * boundary, the checkpoint boundary schedule and the trace-prefix
+ * digest memo. Shared by every lane over the trace, batched or not.
+ */
+struct ExperimentDriver::TraceContext
+{
+    /// Workload name, recorded in checkpoint metadata.
+    std::string workload;
+    Trace trace;
+    std::size_t warmup = 0;
+    /// Checkpoint boundaries (sim/checkpoint.hh checkpointBounds),
+    /// ending at trace.size(); empty when checkpointing is off.
+    std::vector<std::size_t> bounds;
+
+    /**
+     * Trace-prefix digests at `indices` (ascending). Computed once
+     * per trace: every boundary is hashed when the context opens,
+     * and an off-schedule resume candidate is hashed by whichever
+     * lane asks first, in one pass with the rest of its misses.
+     * Thread-safe (unbatched cells of one trace resume
+     * concurrently, and lane threads write checkpoints).
+     */
+    std::vector<std::uint64_t>
+    prefixDigests(const std::vector<std::size_t> &indices)
+    {
+        std::lock_guard<std::mutex> lock(prefixMutex);
+        std::vector<std::size_t> missing;
+        for (std::size_t i : indices)
+            if (prefixes.find(i) == prefixes.end())
+                missing.push_back(i);
+        if (!missing.empty()) {
+            const std::vector<std::uint64_t> computed =
+                tracePrefixDigests(trace, missing);
+            for (std::size_t m = 0; m < missing.size(); ++m)
+                prefixes[missing[m]] = computed[m];
+        }
+        std::vector<std::uint64_t> out;
+        out.reserve(indices.size());
+        for (std::size_t i : indices)
+            out.push_back(prefixes.at(i));
+        return out;
+    }
+
+    std::mutex prefixMutex;
+    std::map<std::size_t, std::uint64_t> prefixes;
+};
+
+/**
+ * One simulation lane, resolved once at schedule time: the label
+ * its checkpoints are filed under, the engine it builds, and its
+ * checkpoint identity (store/keys.hh laneCheckpointSpecDigest).
+ */
+struct ExperimentDriver::LaneSpec
+{
+    LaneSpec(std::string lane_label, std::string engine_name,
+             EngineOptions engine_options, bool scientific)
+        : label(std::move(lane_label)),
+          engine(std::move(engine_name)),
+          options(std::move(engine_options))
+    {
+        options.scientific = options.scientific || scientific;
+        ckptSpec = laneCheckpointSpecDigest(engine, options, scientific);
+    }
+
+    /** The no-prefetch baseline lane. */
+    static LaneSpec
+    baseline(bool scientific)
+    {
+        return LaneSpec("baseline", "", {}, scientific);
+    }
+
+    /** The stride reference lane of timing runs. */
+    static LaneSpec
+    stride(bool scientific)
+    {
+        return LaneSpec("stride", "stride", {}, scientific);
+    }
+
+    /** An engine column's lane. */
+    static LaneSpec
+    column(const EngineSpec &spec, bool scientific)
+    {
+        return LaneSpec(spec.resultLabel(), spec.engine, spec.options,
+                        scientific);
+    }
+
+    std::string label;
+    /// Registered engine name; empty = no engine (the baseline).
+    std::string engine;
+    /// Effective engine options (workload class folded in).
+    EngineOptions options;
+    std::uint64_t ckptSpec = 0;
+};
+
+/** A finished lane pass: per-lane statistics live in `sim`, and the
+ *  engines stay alive for post-run probes. */
+struct ExperimentDriver::LanePass
+{
+    BatchSimulator sim;
+    std::vector<std::unique_ptr<Prefetcher>> engines;
+};
+
 /** Per-workload shard state shared by that workload's cells. */
-struct WorkloadShard
+struct ExperimentDriver::WorkloadShard
 {
     const Workload *workload = nullptr;
     bool scientific = false;
 
-    /// Trace generated once (first cell to touch it) and shared
-    /// read-only; released when the last cell finishes.
+    /// Trace opened once (first cell to touch it) and shared
+    /// read-only; its records are released when the last cell
+    /// finishes.
     std::once_flag traceOnce;
-    Trace trace;
-    std::size_t warmup = 0;
+    TraceContext ctx;
     /// Record count of the materialized trace (outlives the early
     /// trace release; informational, for result sidecars).
     std::size_t traceSize = 0;
@@ -108,12 +225,6 @@ struct WorkloadShard
     std::uint64_t traceDigest = 0;
     bool digestValid = false;
 
-    /// Segmented execution: checkpoint boundaries over this trace
-    /// (ascending, ending at trace.size()) and the trace-prefix
-    /// digest at each boundary. Empty when checkpointing is off.
-    std::vector<std::size_t> ckptBounds;
-    std::vector<std::uint64_t> ckptBoundPrefixes;
-
     std::vector<SimStats> engineStats;
     std::vector<std::map<std::string, double>> engineExtra;
     /// Per engine: cell served from the store's result cache, so it
@@ -121,27 +232,9 @@ struct WorkloadShard
     std::vector<std::uint8_t> engineFromCache;
 };
 
-/** A spec that carries an anonymous probe cannot be result-cached:
- *  the probe's output is part of the result but its code has no
- *  stable identity. Naming the probe (probeId) opts back in. */
-bool
-specResultCacheable(const EngineSpec &spec)
-{
-    return !spec.probe || !spec.probeId.empty();
-}
-
-/** Digest of everything (besides trace + system config) that
- *  determines an engine cell's result. */
-std::uint64_t
-specResultDigest(const EngineSpec &spec, bool scientific)
-{
-    EngineOptions effective = spec.options;
-    effective.scientific = effective.scientific || scientific;
-    return engineSpecDigest(spec.engine, effective, spec.probeId);
-}
-
-/** One unit of work: a single simulation over one shard's trace. */
-struct Cell
+/** One unit of work: a single simulation lane over one shard's
+ *  trace. */
+struct ExperimentDriver::Cell
 {
     enum Kind
     {
@@ -153,9 +246,8 @@ struct Cell
     std::size_t shard = 0;
     Kind kind = kEngine;
     std::size_t spec = 0; ///< engine index (kEngine only)
+    LaneSpec lane;
 };
-
-} // namespace
 
 std::vector<EngineSpec>
 engineSpecs(const std::vector<std::string> &names)
@@ -230,10 +322,8 @@ ExperimentDriver::applyPlan(const SweepPlan &plan)
         clearBaselineCache();
     jobs_ = resolveJobs(plan.jobs);
     batching_ = plan.batch;
-    segments_ = plan.segments == 0 ? 1 : plan.segments;
     checkpointEvery_ =
         static_cast<std::size_t>(plan.checkpointEvery);
-    speculate_ = plan.speculate;
     heartbeatSeconds_ =
         plan.heartbeatSeconds < 0 ? 0.0 : plan.heartbeatSeconds;
     // Refresh the store-context digests for the new configuration.
@@ -342,6 +432,7 @@ ExperimentDriver::runCells(
     for (const Workload *w : workloads) {
         auto shard = std::make_unique<WorkloadShard>();
         shard->workload = w;
+        shard->ctx.workload = w->name();
         shard->scientific =
             w->workloadClass() == WorkloadClass::kScientific;
         shard->engineStats.resize(engines.size());
@@ -449,19 +540,23 @@ ExperimentDriver::runCells(
         std::size_t shard_index = shards.size();
         std::size_t count = 0;
         if (shard->needBaseline) {
-            cells.push_back({shard_index, Cell::kBaseline, 0});
+            cells.push_back({shard_index, Cell::kBaseline, 0,
+                             LaneSpec::baseline(shard->scientific)});
             ++count;
             ++baseline_cells;
         }
         if (shard->needStride) {
-            cells.push_back({shard_index, Cell::kStride, 0});
+            cells.push_back({shard_index, Cell::kStride, 0,
+                             LaneSpec::stride(shard->scientific)});
             ++count;
             ++baseline_cells;
         }
         for (std::size_t j = 0; j < engines.size(); ++j) {
             if (!spec_known[j] || shard->engineFromCache[j])
                 continue;
-            cells.push_back({shard_index, Cell::kEngine, j});
+            cells.push_back(
+                {shard_index, Cell::kEngine, j,
+                 LaneSpec::column(engines[j], shard->scientific)});
             ++count;
             ++engine_cells;
         }
@@ -478,115 +573,34 @@ ExperimentDriver::runCells(
     schedule_span.reset();
 
     // ---- execute ----
-    SimParams sim_params;
-    sim_params.hierarchy = config_.system.hierarchy;
-    sim_params.enableTiming = config_.enableTiming;
-    sim_params.timing = config_.system.timing;
-
-    // Segmented execution needs a store to put checkpoints in; with
-    // neither granularity knob set it is off entirely.
-    const bool ckpt_enabled =
-        store_ != nullptr && store_->usable() &&
-        (checkpointEvery_ > 0 || segments_ > 1);
-
-    // The shared boundary schedule (sim/checkpoint.hh): the same
-    // formula the distributed coordinator decomposes segment units
-    // with, so unit endpoints land exactly on checkpoint indices.
-    auto ckpt_bounds_for = [&](std::size_t size) {
-        return checkpointBounds(size, checkpointEvery_, segments_);
-    };
+    // Checkpointing needs a store to put checkpoints in and an
+    // interval to cut them at.
+    const bool checkpointing = store_ != nullptr && store_->usable() &&
+                               checkpointEvery_ > 0;
 
     auto materialize_shard = [&](WorkloadShard &shard) {
         std::call_once(shard.traceOnce, [&] {
             ScopedSpan span("trace.materialize", "driver");
             if (span.active())
                 span.arg("workload", shard.workload->name());
+            Trace trace;
             if (shard.storeEligible) {
                 std::optional<std::uint64_t> digest;
-                shard.trace =
-                    materializeTrace(*shard.workload, &digest);
+                trace = materializeTrace(*shard.workload, &digest);
                 if (digest) {
                     shard.traceDigest = *digest;
                     shard.digestValid = true;
                 }
             } else {
-                shard.trace = shard.workload->generate(
-                    config_.seed, config_.traceRecords);
+                trace = shard.workload->generate(config_.seed,
+                                                 config_.traceRecords);
                 traceGenerations_.fetch_add(1);
                 driverMetrics().traceGenerated.add();
             }
-            shard.traceSize = shard.trace.size();
-            shard.warmup = effectiveWarmupRecords(
-                config_, shard.trace.size());
-            if (ckpt_enabled) {
-                shard.ckptBounds =
-                    ckpt_bounds_for(shard.trace.size());
-                shard.ckptBoundPrefixes = tracePrefixDigests(
-                    shard.trace, shard.ckptBounds);
-            }
+            shard.traceSize = trace.size();
+            openTraceContext(shard.ctx, std::move(trace),
+                             checkpointing);
         });
-    };
-
-    // The state digest of a checkpoint (store/keys.hh): trace-prefix
-    // content plus the warmup boundary's effect on that prefix.
-    auto ckpt_state_digest = [](std::uint64_t prefix_digest,
-                                std::size_t index,
-                                std::size_t warmup) {
-        return checkpointStateDigest(prefix_digest, index, warmup);
-    };
-
-    /** Checkpoint identity of a cell's simulator: the engine spec
-     *  without labels or probe ids (a probe reads state post-run; it
-     *  cannot change the simulation a checkpoint captures). */
-    auto cell_ckpt_spec = [&](const Cell &cell,
-                              const WorkloadShard &shard)
-        -> std::uint64_t {
-        switch (cell.kind) {
-        case Cell::kBaseline:
-            return storeDigest("cell:baseline:v1");
-        case Cell::kStride: {
-            EngineOptions options;
-            options.scientific = shard.scientific;
-            return engineSpecDigest("stride", options);
-        }
-        case Cell::kEngine:
-        default: {
-            const EngineSpec &spec = engines[cell.spec];
-            EngineOptions options = spec.options;
-            options.scientific =
-                options.scientific || shard.scientific;
-            return engineSpecDigest(spec.engine, options);
-        }
-        }
-    };
-
-    auto cell_label = [&](const Cell &cell) -> std::string {
-        switch (cell.kind) {
-        case Cell::kBaseline:
-            return "baseline";
-        case Cell::kStride:
-            return "stride";
-        case Cell::kEngine:
-        default:
-            return engines[cell.spec].resultLabel();
-        }
-    };
-
-    /** Build the cell's engine (null for the baseline cell). */
-    auto make_cell_engine =
-        [&](const Cell &cell,
-            const WorkloadShard &shard) -> std::unique_ptr<Prefetcher> {
-        if (cell.kind == Cell::kBaseline)
-            return nullptr;
-        if (cell.kind == Cell::kStride) {
-            EngineOptions options;
-            options.scientific = shard.scientific;
-            return registry.make("stride", config_.system, options);
-        }
-        const EngineSpec &spec = engines[cell.spec];
-        EngineOptions options = spec.options;
-        options.scientific = options.scientific || shard.scientific;
-        return registry.make(spec.engine, config_.system, options);
     };
 
     /** Record one finished cell's statistics into its shard. */
@@ -619,160 +633,14 @@ ExperimentDriver::runCells(
     };
 
     /**
-     * Speculative path for one cold cell (sim/speculate.hh): stored
-     * checkpoints at interior indices — on-key or not; a stale,
-     * cross-seed or cross-warmup state is a usable *prediction*, not
-     * a trusted prefix — split the trace into segments that run as
-     * parallel lanes with byte-compare validation at every boundary.
-     * Only validated states are written back, under the on-key state
-     * digest for this trace, so a committed stale entry becomes a
-     * trusted one for future runs. @return true when the cell was
-     * fully handled (stats collected); false falls back to the
-     * normal cold path below.
-     */
-    auto speculate_cell =
-        [&](const Cell &cell, WorkloadShard &shard,
-            std::map<std::size_t, std::uint64_t> &prefix_memo,
-            unsigned lane_jobs) -> bool {
-        if (shard.trace.size() < 2)
-            return false;
-        const std::uint64_t spec = cell_ckpt_spec(cell, shard);
-        const auto stored =
-            store_->listCheckpoints(spec, ckptConfigDigest_);
-        std::vector<std::size_t> indices;
-        for (const StoredCheckpointKey &key : stored) {
-            if (key.index == 0 || key.index >= shard.trace.size())
-                continue; // can't seed a runnable segment
-            std::size_t idx = static_cast<std::size_t>(key.index);
-            if (indices.empty() || indices.back() != idx)
-                indices.push_back(idx);
-        }
-        if (indices.empty())
-            return false;
-        std::vector<std::size_t> missing;
-        for (std::size_t idx : indices)
-            if (prefix_memo.find(idx) == prefix_memo.end())
-                missing.push_back(idx);
-        if (!missing.empty()) {
-            auto computed =
-                tracePrefixDigests(shard.trace, missing);
-            for (std::size_t m = 0; m < missing.size(); ++m)
-                prefix_memo[missing[m]] = computed[m];
-        }
-        // One seed per index: prefer the on-key state (it predicts
-        // this exact run and will commit), else the smallest digest
-        // so candidate choice is deterministic across runs.
-        std::vector<SpeculationSeed> seeds;
-        for (std::size_t idx : indices) {
-            const std::uint64_t on_key = ckpt_state_digest(
-                prefix_memo[idx], idx, shard.warmup);
-            std::uint64_t chosen = 0;
-            bool have = false;
-            for (const StoredCheckpointKey &key : stored) {
-                if (key.index != idx)
-                    continue;
-                if (key.stateDigest == on_key) {
-                    chosen = on_key;
-                    have = true;
-                    break;
-                }
-                if (!have) {
-                    chosen = key.stateDigest;
-                    have = true;
-                }
-            }
-            auto blob = store_->loadCheckpoint(
-                spec, ckptConfigDigest_, idx, chosen);
-            if (!blob)
-                continue;
-            seeds.push_back(
-                SpeculationSeed{idx, std::move(*blob)});
-        }
-        if (seeds.empty())
-            return false;
-
-        ScopedSpan spec_span("driver.speculate", "ckpt");
-        if (spec_span.active()) {
-            spec_span.arg("workload", shard.workload->name());
-            spec_span.arg("cell", cell_label(cell));
-        }
-        const auto start = std::chrono::steady_clock::now();
-        auto outcome = runSpeculativeCell(
-            sim_params, shard.warmup, shard.trace,
-            [&] { return make_cell_engine(cell, shard); },
-            std::move(seeds), lane_jobs);
-        if (!outcome)
-            return false; // no seed decoded; run cold as usual
-        const auto ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count());
-        (cell.kind == Cell::kEngine ? driverMetrics().engineNs
-                                    : driverMetrics().baselineNs)
-            .record(ns);
-        if (spec_span.active()) {
-            spec_span.arg("segments", static_cast<std::uint64_t>(
-                                          outcome->segments));
-            spec_span.arg("commits", static_cast<std::uint64_t>(
-                                         outcome->commits));
-            spec_span.arg("mispredicts",
-                          static_cast<std::uint64_t>(
-                              outcome->mispredicts));
-            spec_span.arg("replayed_records",
-                          static_cast<std::uint64_t>(
-                              outcome->replayedRecords));
-        }
-        speculativeCells_.fetch_add(1);
-        speculativeCommits_.fetch_add(outcome->commits);
-        speculativeMispredicts_.fetch_add(outcome->mispredicts);
-        driverMetrics().cellSpeculative.add();
-        driverMetrics().speculateCommit.add(outcome->commits);
-        driverMetrics().speculateMispredict.add(
-            outcome->mispredicts);
-
-        for (auto &validated : outcome->validated) {
-            auto it = prefix_memo.find(validated.first);
-            if (it == prefix_memo.end()) {
-                auto computed = tracePrefixDigests(
-                    shard.trace,
-                    std::vector<std::size_t>{validated.first});
-                it = prefix_memo
-                         .emplace(validated.first, computed[0])
-                         .first;
-            }
-            StoredCheckpointMeta meta;
-            meta.workload = shard.workload->name();
-            meta.engine = cell_label(cell);
-            meta.index = validated.first;
-            meta.warmup = shard.warmup;
-            if (store_->putCheckpoint(
-                    spec, ckptConfigDigest_, validated.first,
-                    ckpt_state_digest(it->second, validated.first,
-                                      shard.warmup),
-                    validated.second, meta)) {
-                checkpointsWritten_.fetch_add(1);
-                driverMetrics().ckptWritten.add();
-            }
-        }
-        collect_cell(cell, shard, outcome->stats,
-                     outcome->engine.get());
-        return true;
-    };
-
-    /**
-     * Run a group of one workload's cells as lanes of one
-     * BatchSimulator pass (the whole shard when batching, a single
-     * cell otherwise — a 1-lane pass is bitwise identical to a
-     * standalone PrefetchSimulator::run, which sim_test pins). When
-     * speculation is on, each cell with stored boundary candidates
-     * is peeled off into the segment-parallel path first. When
-     * segmented execution is on, each remaining lane resumes from
-     * the newest stored checkpoint whose trace prefix, warmup
-     * boundary and engine spec match, and writes a checkpoint at
-     * every boundary it crosses.
+     * Run a group of one workload's cells as lanes of one pass over
+     * the whole trace (the whole shard when batching, a single cell
+     * otherwise — a 1-lane pass is bitwise identical to a standalone
+     * PrefetchSimulator::run, which sim_test pins), then collect
+     * every lane's statistics.
      */
     auto execute_cells = [&](WorkloadShard &shard,
-                             std::vector<Cell> group,
+                             const std::vector<Cell> &group,
                              unsigned lane_jobs) {
         ScopedSpan span("cells.execute", "driver");
         if (span.active()) {
@@ -782,175 +650,15 @@ ExperimentDriver::runCells(
             span.arg("lane_jobs",
                      static_cast<std::uint64_t>(lane_jobs));
         }
-        // Trace-prefix digests are a property of the trace, not a
-        // lane: one memo serves the speculative and trusted-resume
-        // paths alike (on-schedule indices are pre-seeded from
-        // materialize_shard's boundary pass).
-        std::map<std::size_t, std::uint64_t> prefix_memo;
-        for (std::size_t b = 0; b < shard.ckptBounds.size(); ++b)
-            prefix_memo[shard.ckptBounds[b]] =
-                shard.ckptBoundPrefixes[b];
-
-        if (speculate_ && store_ && store_->usable()) {
-            std::vector<Cell> rest;
-            rest.reserve(group.size());
-            for (const Cell &cell : group)
-                if (!speculate_cell(cell, shard, prefix_memo,
-                                    lane_jobs))
-                    rest.push_back(cell);
-            group = std::move(rest);
-            if (group.empty())
-                return;
-        }
-        BatchSimulator sim;
-        std::vector<std::unique_ptr<Prefetcher>> lane_engines;
-        std::vector<std::uint64_t> lane_spec(group.size(), 0);
-        lane_engines.reserve(group.size());
-        for (const Cell &cell : group) {
-            lane_engines.push_back(make_cell_engine(cell, shard));
-            sim.addLane(sim_params, lane_engines.back().get(),
-                        shard.warmup);
-        }
-
-        if (ckpt_enabled && !shard.ckptBounds.empty()) {
-            for (std::size_t k = 0; k < group.size(); ++k) {
-                ScopedSpan resume_span("ckpt.resume", "ckpt");
-                lane_spec[k] = cell_ckpt_spec(group[k], shard);
-
-                // Resume: candidate indices come from the store's
-                // directory (they may include other workloads' or
-                // record-schedules' checkpoints); each candidate is
-                // verified against this trace by recomputing the
-                // prefix digest, newest first. Candidates that sit
-                // on this run's own boundary schedule — the common
-                // case — reuse the digests materialize_shard already
-                // computed; only off-schedule indices cost a hash
-                // pass.
-                auto candidates = store_->listCheckpointIndices(
-                    lane_spec[k], ckptConfigDigest_);
-                std::vector<std::size_t> usable;
-                for (std::uint64_t c : candidates)
-                    if (c > 0 && c <= shard.trace.size())
-                        usable.push_back(
-                            static_cast<std::size_t>(c));
-                std::vector<std::size_t> missing;
-                for (std::size_t c : usable)
-                    if (prefix_memo.find(c) == prefix_memo.end())
-                        missing.push_back(c);
-                if (!missing.empty()) {
-                    auto computed =
-                        tracePrefixDigests(shard.trace, missing);
-                    for (std::size_t m = 0; m < missing.size(); ++m)
-                        prefix_memo[missing[m]] = computed[m];
-                }
-                std::vector<std::uint64_t> prefixes(usable.size());
-                for (std::size_t c = 0; c < usable.size(); ++c)
-                    prefixes[c] = prefix_memo[usable[c]];
-                std::size_t resume = 0;
-                for (std::size_t c = usable.size(); c-- > 0;) {
-                    std::uint64_t state = ckpt_state_digest(
-                        prefixes[c], usable[c], shard.warmup);
-                    auto blob = store_->loadCheckpoint(
-                        lane_spec[k], ckptConfigDigest_, usable[c],
-                        state);
-                    if (!blob)
-                        continue;
-                    std::uint64_t decoded = 0;
-                    if (decodeCheckpoint(*blob, sim.simulator(k),
-                                         &decoded) &&
-                        decoded == usable[c]) {
-                        resume = usable[c];
-                        break;
-                    }
-                    // Structurally unrestorable despite a CRC pass
-                    // (key collision / code skew): drop the stale
-                    // entry so a fresh one replaces it, rebuild the
-                    // possibly part-mutated lane, and keep trying
-                    // older candidates against the clean state.
-                    store_->dropCheckpoint(lane_spec[k],
-                                           ckptConfigDigest_,
-                                           usable[c], state);
-                    lane_engines[k] =
-                        make_cell_engine(group[k], shard);
-                    sim.rebuildLane(k, lane_engines[k].get());
-                }
-                if (resume_span.active()) {
-                    resume_span.arg("engine",
-                                    cell_label(group[k]));
-                    resume_span.arg(
-                        "resume_index",
-                        static_cast<std::uint64_t>(resume));
-                }
-                if (resume > 0) {
-                    sim.setLaneStart(k, resume);
-                    resumedRuns_.fetch_add(1);
-                    resumedRecordsSkipped_.fetch_add(resume);
-                    driverMetrics().cellResumed.add();
-                    driverMetrics().ckptSkippedRecords.add(resume);
-                }
-                std::vector<std::size_t> lane_bounds;
-                for (std::size_t b : shard.ckptBounds)
-                    if (b > resume)
-                        lane_bounds.push_back(b);
-                sim.setLaneBoundaries(k, std::move(lane_bounds));
-            }
-
-            sim.setBoundaryCallback(
-                [&](std::size_t lane, std::size_t index,
-                    PrefetchSimulator &lane_sim) {
-                    // May run concurrently from lane worker
-                    // threads: only the thread-safe store and
-                    // atomics below.
-                    ScopedSpan write_span("ckpt.write", "ckpt");
-                    if (write_span.active()) {
-                        write_span.arg(
-                            "lane",
-                            static_cast<std::uint64_t>(lane));
-                        write_span.arg(
-                            "index",
-                            static_cast<std::uint64_t>(index));
-                    }
-                    auto pos =
-                        std::lower_bound(shard.ckptBounds.begin(),
-                                         shard.ckptBounds.end(),
-                                         index) -
-                        shard.ckptBounds.begin();
-                    StoredCheckpointMeta meta;
-                    meta.workload = shard.workload->name();
-                    meta.engine = cell_label(group[lane]);
-                    meta.index = index;
-                    meta.warmup = shard.warmup;
-                    store_->putCheckpoint(
-                        lane_spec[lane], ckptConfigDigest_, index,
-                        ckpt_state_digest(
-                            shard.ckptBoundPrefixes
-                                [static_cast<std::size_t>(pos)],
-                            index, shard.warmup),
-                        encodeCheckpoint(lane_sim, index), meta);
-                    checkpointsWritten_.fetch_add(1);
-                    driverMetrics().ckptWritten.add();
-                });
-        }
-
-        bool has_engine_cell = false;
+        std::vector<LaneSpec> lanes;
+        lanes.reserve(group.size());
         for (const Cell &cell : group)
-            if (cell.kind == Cell::kEngine)
-                has_engine_cell = true;
-        const auto pass_start = std::chrono::steady_clock::now();
-        sim.run(shard.trace, lane_jobs);
-        // One sample per executed pass: a single cell unbatched, a
-        // whole workload's lanes batched. Engine passes and pure
-        // baseline/stride passes land in separate histograms.
-        const auto pass_ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - pass_start)
-                .count());
-        (has_engine_cell ? driverMetrics().engineNs
-                         : driverMetrics().baselineNs)
-            .record(pass_ns);
+            lanes.push_back(cell.lane);
+        LanePass pass = runLanes(shard.ctx, lanes,
+                                 shard.ctx.trace.size(), lane_jobs);
         for (std::size_t k = 0; k < group.size(); ++k)
-            collect_cell(group[k], shard, sim.stats(k),
-                         lane_engines[k].get());
+            collect_cell(group[k], shard, pass.sim.stats(k),
+                         pass.engines[k].get());
     };
 
     // Progress accounting for the heartbeat: scheduled cells that
@@ -964,7 +672,7 @@ ExperimentDriver::runCells(
         ScopedSpan span("driver.cell", "driver");
         if (span.active()) {
             span.arg("workload", shard.workload->name());
-            span.arg("cell", cell_label(cell));
+            span.arg("cell", cell.lane.label);
         }
         materialize_shard(shard);
 
@@ -974,7 +682,7 @@ ExperimentDriver::runCells(
         if (shard.remainingCells.fetch_sub(1) == 1) {
             // Last cell of this workload: release the trace early so
             // peak memory tracks in-flight workloads, not the suite.
-            Trace().swap(shard.trace);
+            Trace().swap(shard.ctx.trace);
         }
     };
 
@@ -1070,7 +778,7 @@ ExperimentDriver::runCells(
                                  std::memory_order_relaxed);
             // The task owns all of this workload's cells: release
             // the trace as soon as its single pass completes.
-            Trace().swap(shard.trace);
+            Trace().swap(shard.ctx.trace);
         };
         try {
             dispatch(batch_shards.size(), run_batch);
@@ -1219,6 +927,163 @@ ExperimentDriver::run(const std::vector<std::string> &workloads,
     return runCells(ptrs, engines, /*cacheable=*/true);
 }
 
+void
+ExperimentDriver::openTraceContext(TraceContext &ctx, Trace trace,
+                                   bool checkpointing) const
+{
+    ctx.trace = std::move(trace);
+    ctx.warmup = effectiveWarmupRecords(config_, ctx.trace.size());
+    if (!checkpointing)
+        return;
+    // The shared boundary schedule (sim/checkpoint.hh): the same
+    // formula the distributed coordinator decomposes segment units
+    // with, so unit endpoints land exactly on checkpoint indices.
+    ctx.bounds = checkpointBounds(ctx.trace.size(), checkpointEvery_);
+    const std::vector<std::uint64_t> digests =
+        tracePrefixDigests(ctx.trace, ctx.bounds);
+    for (std::size_t b = 0; b < ctx.bounds.size(); ++b)
+        ctx.prefixes[ctx.bounds[b]] = digests[b];
+}
+
+/**
+ * Every lane pass goes through here: run()'s cells (to the trace
+ * end, statistics collected by the caller) and runCellSegment's
+ * units (to the segment end, checkpoints only). When the context
+ * has a boundary schedule, each lane first resumes from the newest
+ * trusted stored checkpoint at or before `end` — one whose trace
+ * prefix, warmup boundary and lane identity all match — and then
+ * writes a checkpoint at every boundary in (resume, end], `end`
+ * included.
+ */
+ExperimentDriver::LanePass
+ExperimentDriver::runLanes(TraceContext &ctx,
+                           const std::vector<LaneSpec> &lanes,
+                           std::size_t end, unsigned jobs)
+{
+    const EngineRegistry &registry = EngineRegistry::instance();
+    auto make_engine =
+        [&](const LaneSpec &lane) -> std::unique_ptr<Prefetcher> {
+        if (lane.engine.empty())
+            return nullptr;
+        return registry.make(lane.engine, config_.system,
+                             lane.options);
+    };
+    SimParams params;
+    params.hierarchy = config_.system.hierarchy;
+    params.enableTiming = config_.enableTiming;
+    params.timing = config_.system.timing;
+
+    LanePass pass;
+    pass.engines.reserve(lanes.size());
+    for (const LaneSpec &lane : lanes) {
+        pass.engines.push_back(make_engine(lane));
+        pass.sim.addLane(params, pass.engines.back().get(),
+                         ctx.warmup);
+    }
+
+    const bool checkpointing = !ctx.bounds.empty();
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+        if (!checkpointing) {
+            pass.sim.setLaneRange(k, 0, end);
+            continue;
+        }
+        const LaneSpec &lane = lanes[k];
+        ScopedSpan resume_span("ckpt.resume", "ckpt");
+
+        // Resume: candidate indices come from the store's directory
+        // (they may include other workloads' or record-schedules'
+        // checkpoints); each is verified against this trace by its
+        // prefix digest, newest first.
+        std::vector<std::size_t> candidates;
+        for (std::uint64_t c : store_->listCheckpointIndices(
+                 lane.ckptSpec, ckptConfigDigest_))
+            if (c > 0 && c <= end)
+                candidates.push_back(static_cast<std::size_t>(c));
+        const std::vector<std::uint64_t> prefixes =
+            ctx.prefixDigests(candidates);
+        std::size_t resume = 0;
+        for (std::size_t c = candidates.size(); c-- > 0;) {
+            const std::uint64_t state = checkpointStateDigest(
+                prefixes[c], candidates[c], ctx.warmup);
+            auto blob = store_->loadCheckpoint(
+                lane.ckptSpec, ckptConfigDigest_, candidates[c], state);
+            if (!blob)
+                continue;
+            std::uint64_t decoded = 0;
+            if (decodeCheckpoint(*blob, pass.sim.simulator(k),
+                                 &decoded) &&
+                decoded == candidates[c]) {
+                resume = candidates[c];
+                break;
+            }
+            // Structurally unrestorable despite a CRC pass (key
+            // collision / code skew): drop the stale entry so a
+            // fresh one replaces it, rebuild the possibly
+            // part-mutated lane, and keep trying older candidates
+            // against the clean state.
+            store_->dropCheckpoint(lane.ckptSpec, ckptConfigDigest_,
+                                   candidates[c], state);
+            pass.engines[k] = make_engine(lane);
+            pass.sim.rebuildLane(k, pass.engines[k].get());
+        }
+        if (resume_span.active()) {
+            resume_span.arg("engine", lane.label);
+            resume_span.arg("resume_index",
+                            static_cast<std::uint64_t>(resume));
+        }
+        if (resume > 0) {
+            resumedRuns_.fetch_add(1);
+            resumedRecordsSkipped_.fetch_add(resume);
+            driverMetrics().cellResumed.add();
+            driverMetrics().ckptSkippedRecords.add(resume);
+        }
+        pass.sim.setLaneRange(k, resume, end);
+        std::vector<std::size_t> armed;
+        for (std::size_t b : ctx.bounds)
+            if (b > resume && b < end)
+                armed.push_back(b);
+        if (end > resume)
+            armed.push_back(end);
+        pass.sim.setLaneBoundaries(k, std::move(armed));
+    }
+
+    if (checkpointing) {
+        pass.sim.setBoundaryCallback([&](std::size_t lane,
+                                         std::size_t index,
+                                         PrefetchSimulator &lane_sim) {
+            // May run concurrently from lane worker threads: only
+            // the thread-safe store, prefix memo and atomics below.
+            ScopedSpan write_span("ckpt.write", "ckpt");
+            if (write_span.active()) {
+                write_span.arg("lane",
+                               static_cast<std::uint64_t>(lane));
+                write_span.arg("index",
+                               static_cast<std::uint64_t>(index));
+            }
+            StoredCheckpointMeta meta;
+            meta.workload = ctx.workload;
+            meta.engine = lanes[lane].label;
+            meta.index = index;
+            meta.warmup = ctx.warmup;
+            store_->putCheckpoint(
+                lanes[lane].ckptSpec, ckptConfigDigest_, index,
+                checkpointStateDigest(ctx.prefixDigests({index})[0],
+                                      index, ctx.warmup),
+                encodeCheckpoint(lane_sim, index), meta);
+            checkpointsWritten_.fetch_add(1);
+            driverMetrics().ckptWritten.add();
+        });
+    }
+
+    const auto pass_start = std::chrono::steady_clock::now();
+    pass.sim.run(ctx.trace, jobs);
+    driverMetrics().passNs.record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - pass_start)
+            .count()));
+    return pass;
+}
+
 bool
 ExperimentDriver::runCellSegment(const std::string &workload_name,
                                  const EngineSpec *engine,
@@ -1237,8 +1102,7 @@ ExperimentDriver::runCellSegment(const std::string &workload_name,
         WorkloadRegistry::instance().make(workload_name);
     if (!workload)
         return fail("unknown workload '" + workload_name + "'");
-    const EngineRegistry &registry = EngineRegistry::instance();
-    if (engine && !registry.contains(engine->engine))
+    if (engine && !EngineRegistry::instance().contains(engine->engine))
         return fail("unknown engine '" + engine->engine + "'");
 
     ScopedSpan span("cells.segment", "driver");
@@ -1248,170 +1112,28 @@ ExperimentDriver::runCellSegment(const std::string &workload_name,
         span.arg("end", static_cast<std::uint64_t>(seg_end));
     }
 
-    Trace trace = materializeTrace(*workload, nullptr);
-    const std::size_t size = trace.size();
-    if (seg_end > size)
-        seg_end = size;
+    TraceContext ctx;
+    ctx.workload = workload_name;
+    openTraceContext(ctx, materializeTrace(*workload, nullptr),
+                     /*checkpointing=*/true);
+    seg_end = std::min(seg_end, ctx.trace.size());
     if (seg_begin >= seg_end)
         return true; // nothing to advance
-    const std::size_t warmup =
-        effectiveWarmupRecords(config_, size);
+
+    // The column's lanes, under the same identities run() gives
+    // them: resuming here finds a continuous run's checkpoints and
+    // vice versa.
     const bool scientific =
         workload->workloadClass() == WorkloadClass::kScientific;
-
-    SimParams sim_params;
-    sim_params.hierarchy = config_.system.hierarchy;
-    sim_params.enableTiming = config_.enableTiming;
-    sim_params.timing = config_.system.timing;
-
-    // The column's lanes, under the same checkpoint identities
-    // runCells uses (cell_ckpt_spec / cell_label there): resuming
-    // here finds a continuous run's checkpoints and vice versa.
-    std::vector<std::string> labels;
-    std::vector<std::uint64_t> lane_spec;
-    std::vector<std::function<std::unique_ptr<Prefetcher>()>>
-        factories;
-    if (!engine) {
-        labels.push_back("baseline");
-        lane_spec.push_back(storeDigest("cell:baseline:v1"));
-        factories.push_back(
-            [] { return std::unique_ptr<Prefetcher>(); });
-        if (config_.enableTiming) {
-            EngineOptions options;
-            options.scientific = scientific;
-            labels.push_back("stride");
-            lane_spec.push_back(
-                engineSpecDigest("stride", options));
-            factories.push_back([this, &registry, options] {
-                return registry.make("stride", config_.system,
-                                     options);
-            });
-        }
+    std::vector<LaneSpec> lanes;
+    if (engine) {
+        lanes.push_back(LaneSpec::column(*engine, scientific));
     } else {
-        EngineOptions options = engine->options;
-        options.scientific = options.scientific || scientific;
-        labels.push_back(engine->resultLabel());
-        lane_spec.push_back(
-            engineSpecDigest(engine->engine, options));
-        const std::string name = engine->engine;
-        factories.push_back([this, &registry, name, options] {
-            return registry.make(name, config_.system, options);
-        });
+        lanes.push_back(LaneSpec::baseline(scientific));
+        if (config_.enableTiming)
+            lanes.push_back(LaneSpec::stride(scientific));
     }
-
-    // The shared boundary schedule plus any off-schedule resume
-    // candidates; all read-only by the time callbacks fire.
-    std::map<std::size_t, std::uint64_t> prefix_memo;
-    std::vector<std::size_t> bounds =
-        checkpointBounds(size, checkpointEvery_, segments_);
-    {
-        std::vector<std::uint64_t> digests =
-            tracePrefixDigests(trace, bounds);
-        for (std::size_t b = 0; b < bounds.size(); ++b)
-            prefix_memo[bounds[b]] = digests[b];
-        if (prefix_memo.find(seg_end) == prefix_memo.end())
-            prefix_memo[seg_end] =
-                tracePrefixDigests(trace, {seg_end})[0];
-    }
-
-    BatchSimulator sim;
-    std::vector<std::unique_ptr<Prefetcher>> lane_engines;
-    for (std::size_t k = 0; k < factories.size(); ++k) {
-        lane_engines.push_back(factories[k]());
-        sim.addLane(sim_params, lane_engines.back().get(), warmup);
-    }
-
-    // Per-lane trusted resume, capped at seg_end: the common case
-    // restores the predecessor segment's seg_begin checkpoint; a
-    // lane whose seg_end checkpoint already exists has nothing
-    // left to step.
-    std::size_t lanes_finished = 0;
-    for (std::size_t k = 0; k < lane_engines.size(); ++k) {
-        auto candidates = store_->listCheckpointIndices(
-            lane_spec[k], ckptConfigDigest_);
-        std::vector<std::size_t> usable;
-        for (std::uint64_t c : candidates)
-            if (c > 0 && c <= seg_end)
-                usable.push_back(static_cast<std::size_t>(c));
-        std::vector<std::size_t> missing;
-        for (std::size_t c : usable)
-            if (prefix_memo.find(c) == prefix_memo.end())
-                missing.push_back(c);
-        if (!missing.empty()) {
-            auto computed = tracePrefixDigests(trace, missing);
-            for (std::size_t m = 0; m < missing.size(); ++m)
-                prefix_memo[missing[m]] = computed[m];
-        }
-        std::size_t resume = 0;
-        std::sort(usable.begin(), usable.end());
-        for (std::size_t c = usable.size(); c-- > 0;) {
-            std::uint64_t state = checkpointStateDigest(
-                prefix_memo[usable[c]], usable[c], warmup);
-            auto blob = store_->loadCheckpoint(
-                lane_spec[k], ckptConfigDigest_, usable[c], state);
-            if (!blob)
-                continue;
-            std::uint64_t decoded = 0;
-            if (decodeCheckpoint(*blob, sim.simulator(k),
-                                 &decoded) &&
-                decoded == usable[c]) {
-                resume = usable[c];
-                break;
-            }
-            store_->dropCheckpoint(lane_spec[k], ckptConfigDigest_,
-                                   usable[c], state);
-            lane_engines[k] = factories[k]();
-            sim.rebuildLane(k, lane_engines[k].get());
-        }
-        if (resume > 0) {
-            resumedRuns_.fetch_add(1);
-            resumedRecordsSkipped_.fetch_add(resume);
-            driverMetrics().cellResumed.add();
-            driverMetrics().ckptSkippedRecords.add(resume);
-        }
-        if (resume == seg_end)
-            lanes_finished++;
-        sim.setLaneRange(k, resume, seg_end);
-        std::vector<std::size_t> lane_bounds;
-        for (std::size_t b : bounds)
-            if (b > resume && b < seg_end)
-                lane_bounds.push_back(b);
-        sim.setLaneBoundaries(k, std::move(lane_bounds));
-    }
-    if (lanes_finished == lane_engines.size())
-        return true; // the whole segment is already committed
-
-    // Interior boundaries fire through the boundary callback; the
-    // lane's own end index never does (runSegments convention), so
-    // the segment's deliverable — the seg_end checkpoint the
-    // successor unit resumes from — comes from the lane-end
-    // observer. Both run concurrently from lane worker threads.
-    auto write_ckpt = [&](std::size_t lane, std::size_t index,
-                          PrefetchSimulator &lane_sim) {
-        ScopedSpan write_span("ckpt.write", "ckpt");
-        if (write_span.active()) {
-            write_span.arg("lane",
-                           static_cast<std::uint64_t>(lane));
-            write_span.arg("index",
-                           static_cast<std::uint64_t>(index));
-        }
-        StoredCheckpointMeta meta;
-        meta.workload = workload->name();
-        meta.engine = labels[lane];
-        meta.index = index;
-        meta.warmup = warmup;
-        store_->putCheckpoint(
-            lane_spec[lane], ckptConfigDigest_, index,
-            checkpointStateDigest(prefix_memo.at(index), index,
-                                  warmup),
-            encodeCheckpoint(lane_sim, index), meta);
-        checkpointsWritten_.fetch_add(1);
-        driverMetrics().ckptWritten.add();
-    };
-    sim.setBoundaryCallback(write_ckpt);
-    sim.setLaneEndCallback(write_ckpt);
-
-    sim.runSegments(trace, jobs_);
+    runLanes(ctx, lanes, seg_end, jobs_);
     return true;
 }
 

@@ -9,9 +9,9 @@
  *  - by default *batches* each workload's cold cells: one
  *    BatchSimulator pass traverses the trace once and advances the
  *    baseline, stride and every engine cell together instead of
- *    re-iterating the trace per cell (setBatching(false) restores
- *    the one-task-per-cell dispatch; results are bitwise identical
- *    either way),
+ *    re-iterating the trace per cell (SweepPlan::batch = false
+ *    restores the one-task-per-cell dispatch; results are bitwise
+ *    identical either way),
  *  - caches the no-prefetch and stride baselines per workload across
  *    run() calls instead of recomputing them per call,
  *  - releases each trace as soon as its last cell completes, bounding
@@ -132,7 +132,7 @@ class ExperimentDriver
      * knobs — and return results merged in the plan's (workload,
      * engine) order. Equivalent to applyPlan(plan) followed by
      * run(plan.workloads, planEngineSpecs(plan)); bitwise identical
-     * for any jobs/batch/segments/speculate policy.
+     * for any jobs/batch/checkpoint policy.
      */
     std::vector<WorkloadResult> run(const SweepPlan &plan);
 
@@ -166,14 +166,15 @@ class ExperimentDriver
 
     /**
      * Distributed-segment entry point (net/units.hh): advance one
-     * cell column of `workload` across trace records
-     * [seg_begin, seg_end) only, producing no results — its sole
-     * deliverable is the checkpoints it persists, one at every
-     * schedule boundary it crosses and one at seg_end, under
-     * exactly the keys a continuous run writes. `engine` selects
+     * cell column of `workload` up to trace record seg_end only,
+     * producing no results — its sole deliverable is the
+     * checkpoints it persists, one at every schedule boundary it
+     * crosses and one at seg_end, under exactly the keys (and with
+     * exactly the bytes) a continuous run writes. `engine` selects
      * the column: null is the baseline column (the no-prefetch
      * lane plus, under timing, the stride reference lane), non-null
-     * a single engine lane. Each lane first resumes from the
+     * a single engine lane. The lanes go through the same
+     * resume-and-checkpoint routine as run(): each resumes from the
      * newest trusted stored checkpoint at or before seg_end — a
      * segment whose predecessor committed starts at seg_begin;
      * with a cold store it recomputes from record 0 (slower, never
@@ -242,102 +243,6 @@ class ExperimentDriver
         return store_;
     }
 
-    // ------------------------------------------------------------
-    // Execution-policy setters. DEPRECATED shims: new code should
-    // describe the whole sweep as a SweepPlan and call run(plan) /
-    // applyPlan(plan) instead of mutating the driver field by
-    // field — a plan can be serialized, diffed, digested and
-    // shipped to a worker; a setter chain cannot. Each setter
-    // remains exactly equivalent to the matching plan field.
-    // ------------------------------------------------------------
-
-    /**
-     * Enable/disable batched execution (default: enabled). Batched,
-     * each workload's schedulable cells run as one task that
-     * traverses the trace once through a BatchSimulator; unbatched,
-     * every cell is its own task re-iterating the shared trace.
-     * Purely an execution-strategy knob: results are bitwise
-     * identical either way (tests/driver_test.cc pins this), so it
-     * does not participate in any cache key.
-     */
-    void setBatching(bool on) { batching_ = on; }
-
-    /** Whether batched execution is enabled. */
-    bool batching() const { return batching_; }
-
-    /**
-     * Segmented execution: cut every cell's trace into `k` segments
-     * and persist a simulator checkpoint at each segment boundary
-     * (and at the trace end). Requires an attached store; 1 (the
-     * default) disables segmentation. Each cold cell first resumes
-     * from the newest stored checkpoint its trace prefix matches, so
-     * re-runs — including runs extended to more --records over the
-     * same workload/seed — only simulate the unseen suffix. Like the
-     * batch toggle this is pure execution strategy: results are
-     * bitwise identical to a continuous run (tests/checkpoint_test.cc
-     * pins this per engine across {jobs} x {batching}), so it does
-     * not participate in any result-cache key.
-     */
-    void setSegments(unsigned k) { segments_ = k == 0 ? 1 : k; }
-
-    /** Configured segment count (1 = off). */
-    unsigned segments() const { return segments_; }
-
-    /**
-     * Alternative checkpoint granularity: a boundary every `records`
-     * records (plus the trace end), independent of the trace length.
-     * Takes precedence over setSegments when nonzero. Stable
-     * absolute boundaries are what let an extended-records re-run
-     * find the shorter run's checkpoints.
-     */
-    void setCheckpointEvery(std::size_t records)
-    {
-        checkpointEvery_ = records;
-    }
-
-    /** Configured checkpoint interval (0 = off). */
-    std::size_t checkpointEvery() const { return checkpointEvery_; }
-
-    /**
-     * Progress heartbeats for long sweeps: while a sweep's dispatch
-     * is in flight, a monitor thread logs one line every `seconds` —
-     * cells done/total and the record-step rate since the previous
-     * beat — to stderr (via logInfo). 0 (the default) disables.
-     * Purely observational: heartbeats never touch stdout, and
-     * results are bitwise identical with them on or off.
-     */
-    void setHeartbeatSeconds(double seconds)
-    {
-        heartbeatSeconds_ = seconds < 0 ? 0.0 : seconds;
-    }
-
-    /** Configured heartbeat interval (0 = off). */
-    double heartbeatSeconds() const { return heartbeatSeconds_; }
-
-    /**
-     * Speculative segment-parallel cold execution (requires an
-     * attached store). A cold cell with stored interior checkpoints
-     * — from a shorter, stale, different-seed, or cross-warmup run —
-     * splits its trace at those boundaries and runs every segment as
-     * a parallel lane: segment k+1 starts from the stored blob while
-     * segment k re-executes, and each boundary is validated by
-     * byte-comparing the live re-encoded state against the seed
-     * (sim/speculate.hh). Stored state is *distrusted* by design:
-     * unlike the trusted prefix-digest resume of segmented runs,
-     * speculation re-executes every record, trading CPU for
-     * wall-clock (all segments advance concurrently; a mispredicted
-     * boundary rolls back to sequential re-execution of the
-     * suffix). Results are bitwise identical to a continuous run in
-     * both the all-commit and mispredict paths
-     * (tests/speculation_test.cc pins this), so like batching it
-     * joins no cache key. Only boundary states proven correct are
-     * ever written back to the store.
-     */
-    void setSpeculate(bool on) { speculate_ = on; }
-
-    /** Whether speculative execution is enabled. */
-    bool speculate() const { return speculate_; }
-
     /** Baseline simulations actually executed (cache diagnostics). */
     std::uint64_t baselineRuns() const { return baselineRuns_; }
 
@@ -362,7 +267,7 @@ class ExperimentDriver
     }
 
     /** Cell simulations that resumed from a stored checkpoint
-     *  instead of starting at record 0 (segmented execution). */
+     *  instead of starting at record 0 (checkpointed execution). */
     std::uint64_t resumedRuns() const { return resumedRuns_.load(); }
 
     /** Record-steps skipped by checkpoint resumes, summed over all
@@ -382,35 +287,17 @@ class ExperimentDriver
         return checkpointsWritten_.load();
     }
 
-    /** Cells executed speculatively (segment-parallel with boundary
-     *  validation) instead of through the normal cold path. */
-    std::uint64_t
-    speculativeCells() const
-    {
-        return speculativeCells_.load();
-    }
-
-    /** Speculative segment boundaries that validated (live state
-     *  byte-matched the stored seed) and committed. */
-    std::uint64_t
-    speculativeCommits() const
-    {
-        return speculativeCommits_.load();
-    }
-
-    /** Speculative boundary mismatches: each one rolled back every
-     *  later segment and re-executed the suffix sequentially from
-     *  validated state (output identity preserved). */
-    std::uint64_t
-    speculativeMispredicts() const
-    {
-        return speculativeMispredicts_.load();
-    }
-
     /** Drop the per-workload baseline cache. */
     void clearBaselineCache();
 
   private:
+    // Execution internals, defined in driver.cc.
+    struct TraceContext;
+    struct LaneSpec;
+    struct LanePass;
+    struct WorkloadShard;
+    struct Cell;
+
     struct Baseline
     {
         std::uint64_t misses = 0;
@@ -441,6 +328,18 @@ class ExperimentDriver
     Trace materializeTrace(const Workload &workload,
                            std::optional<std::uint64_t> *digest_out);
 
+    /** Adopt a materialized trace into `ctx`: its warmup and, when
+     *  `checkpointing`, its boundary schedule with the prefix
+     *  digest at every boundary. */
+    void openTraceContext(TraceContext &ctx, Trace trace,
+                          bool checkpointing) const;
+
+    /** THE resume-and-checkpoint routine: advance `lanes` over
+     *  ctx's trace up to record `end` (see driver.cc). */
+    LanePass runLanes(TraceContext &ctx,
+                      const std::vector<LaneSpec> &lanes,
+                      std::size_t end, unsigned jobs);
+
     ExperimentConfig config_;
     unsigned jobs_;
 
@@ -463,18 +362,14 @@ class ExperimentDriver
     std::uint64_t ckptConfigDigest_ = 0;
     std::uint64_t engineRuns_ = 0;
     std::uint64_t batchedRuns_ = 0;
+    // Execution policy, adopted from the plan by applyPlan().
     bool batching_ = true;
-    bool speculate_ = false;
-    unsigned segments_ = 1;
     std::size_t checkpointEvery_ = 0;
     double heartbeatSeconds_ = 0.0;
     std::atomic<std::uint64_t> traceGenerations_{0};
     std::atomic<std::uint64_t> resumedRuns_{0};
     std::atomic<std::uint64_t> resumedRecordsSkipped_{0};
     std::atomic<std::uint64_t> checkpointsWritten_{0};
-    std::atomic<std::uint64_t> speculativeCells_{0};
-    std::atomic<std::uint64_t> speculativeCommits_{0};
-    std::atomic<std::uint64_t> speculativeMispredicts_{0};
 };
 
 } // namespace stems

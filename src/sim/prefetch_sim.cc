@@ -288,9 +288,9 @@ PrefetchSimulator::saveState(StateWriter &w) const
     if (svb_)
         svb_->saveState(w);
     timing_.saveState(w);
-    // Serialized state must be a pure function of logical state:
-    // speculative execution validates boundaries by byte-comparing
-    // blobs, and unordered_map iteration order is history-dependent.
+    // Serialized state must be a pure function of logical state
+    // (sim/checkpoint.hh kCheckpointVersion), and unordered_map
+    // iteration order is history-dependent.
     std::vector<std::pair<Addr, double>> ready(l2PrefetchReady_.begin(),
                                                l2PrefetchReady_.end());
     std::sort(ready.begin(), ready.end(),

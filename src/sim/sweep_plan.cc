@@ -11,10 +11,12 @@ namespace {
 
 constexpr std::uint32_t kPlanTag = stateTag('S', 'W', 'P', 'L');
 constexpr std::uint32_t kPlanEndTag = stateTag('S', 'W', 'P', 'E');
-// v2 added unit_granularity; v1 streams are rejected (the service
-// already rejects cross-version peers at the Hello stage, so a
-// version skew here means something worse than an old binary).
-constexpr std::uint32_t kPlanVersion = 2;
+// v2 added unit_granularity; v3 removed two execution-policy
+// fields (schema v2).
+// Older streams are rejected (the service already rejects
+// cross-version peers at the Hello stage, so a version skew here
+// means something worse than an old binary).
+constexpr std::uint32_t kPlanVersion = 3;
 
 std::string
 u64Token(std::uint64_t v)
@@ -286,9 +288,6 @@ sweepPlanJson(const SweepPlan &plan)
     out += kSweepPlanSchema;
     out += "\"";
     out += ",\n  \"seed\": " + u64Token(plan.seed);
-    out += ",\n  \"segments\": " + u64Token(plan.segments);
-    out += ",\n  \"speculate\": ";
-    out += boolToken(plan.speculate);
     out += ",\n  \"timing\": ";
     out += boolToken(plan.timing);
     out += ",\n  \"unit_granularity\": \"";
@@ -321,17 +320,23 @@ parseSweepPlanJson(const std::string &text, SweepPlan &plan,
     if (root.kind != JsonValue::Kind::kObject)
         return parseFail(error, "plan must be a JSON object");
 
+    // The schema tag is checked before any field, so a document of
+    // another schema version is refused as such rather than by
+    // whichever of its fields happens to come first.
+    const JsonValue *schema = root.get("schema");
+    if (!schema)
+        return parseFail(error, "plan is missing the schema tag");
+    if (schema->kind != JsonValue::Kind::kString ||
+        schema->text != kSweepPlanSchema)
+        return parseFail(error, "unsupported plan schema");
+
     SweepPlan out;
-    bool have_schema = false;
     for (const auto &kv : root.members) {
         const std::string &key = kv.first;
         const JsonValue &val = kv.second;
         std::uint64_t u = 0;
         if (key == "schema") {
-            if (val.kind != JsonValue::Kind::kString ||
-                val.text != kSweepPlanSchema)
-                return parseFail(error, "unsupported plan schema");
-            have_schema = true;
+            continue;
         } else if (key == "batch") {
             if (!asBool(val, out.batch))
                 return parseFail(error, "bad batch");
@@ -360,13 +365,6 @@ parseSweepPlanJson(const std::string &text, SweepPlan &plan,
         } else if (key == "seed") {
             if (!asU64(val, out.seed))
                 return parseFail(error, "bad seed");
-        } else if (key == "segments") {
-            if (!asU64(val, u))
-                return parseFail(error, "bad segments");
-            out.segments = static_cast<unsigned>(u);
-        } else if (key == "speculate") {
-            if (!asBool(val, out.speculate))
-                return parseFail(error, "bad speculate");
         } else if (key == "timing") {
             if (!asBool(val, out.timing))
                 return parseFail(error, "bad timing");
@@ -395,8 +393,6 @@ parseSweepPlanJson(const std::string &text, SweepPlan &plan,
                              "unknown plan field '" + key + "'");
         }
     }
-    if (!have_schema)
-        return parseFail(error, "plan is missing the schema tag");
     plan = std::move(out);
     return true;
 }
@@ -428,9 +424,7 @@ encodeSweepPlan(const SweepPlan &plan)
     w.boolean(plan.timing);
     w.u32(plan.jobs);
     w.boolean(plan.batch);
-    w.u32(plan.segments);
     w.u64(plan.checkpointEvery);
-    w.boolean(plan.speculate);
     w.f64(plan.heartbeatSeconds);
     w.u8(static_cast<std::uint8_t>(plan.unitGranularity));
     w.tag(kPlanEndTag);
@@ -494,9 +488,7 @@ decodeSweepPlan(const std::vector<std::uint8_t> &bytes,
     out.timing = r.boolean();
     out.jobs = r.u32();
     out.batch = r.boolean();
-    out.segments = r.u32();
     out.checkpointEvery = r.u64();
-    out.speculate = r.boolean();
     out.heartbeatSeconds = r.f64();
     const std::uint8_t granularity = r.u8();
     if (granularity >

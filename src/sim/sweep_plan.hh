@@ -3,11 +3,9 @@
  * Declarative sweep description: the one value type that configures
  * an ExperimentDriver run.
  *
- * A SweepPlan captures everything the driver's former setter chain
- * (setBatching/setSegments/setCheckpointEvery/setSpeculate/
- * setHeartbeatSeconds, plus the ExperimentConfig knobs) expressed —
+ * A SweepPlan is the driver's only configuration surface:
  * workloads x engine columns, records/seed/warmup, and the execution
- * policy — as plain data. Unlike a mutated driver, a plan can be
+ * policy, as plain data. Unlike a mutated driver, a plan can be
  * serialized, diffed, digested and handed to a remote worker: the
  * distributed sweep service (net/coord.hh, net/worker.hh) ships the
  * binary form over the wire, and `--plan-out` dumps the canonical
@@ -16,7 +14,7 @@
  * Two codecs, both canonical:
  *  - JSON (sweepPlanJson / parseSweepPlanJson): key-sorted,
  *    mini_json conventions (`%.17g` doubles, exact u64 integers),
- *    schema-tagged "stems-sweep-plan-v1". Every field is always
+ *    schema-tagged "stems-sweep-plan-v2". Every field is always
  *    emitted (unset optional engine knobs as `null`), so two plans
  *    are equal iff their JSON bytes are equal, and the parser
  *    rejects unknown fields instead of guessing.
@@ -47,7 +45,9 @@
 namespace stems {
 
 /// Canonical JSON schema tag (also the digest domain prefix).
-inline constexpr const char *kSweepPlanSchema = "stems-sweep-plan-v1";
+/// v2 removed two execution-policy fields (`segments` among them);
+/// a v1 document is refused, never read with those keys ignored.
+inline constexpr const char *kSweepPlanSchema = "stems-sweep-plan-v2";
 
 /**
  * One engine column of a plan: a registered engine name, the label
@@ -73,7 +73,7 @@ enum class UnitGranularity : std::uint8_t
     kWorkload = 0, ///< one unit = one workload row (the default)
     kCell = 1,     ///< one unit = one (workload, engine column) cell
     kSegment = 2,  ///< one unit = one checkpoint-delimited slice of
-                   ///< a cell, per the segments/checkpointEvery policy
+                   ///< a cell, cut every checkpointEvery records
 };
 
 /** Canonical lower-case name ("workload" | "cell" | "segment"). */
@@ -109,12 +109,10 @@ struct SweepPlan
     unsigned jobs = 0;
     /// Batched execution (one trace pass per workload).
     bool batch = true;
-    /// Segmented execution: segment count (1 = off).
-    unsigned segments = 1;
-    /// Absolute checkpoint interval (0 = off; wins over segments).
+    /// Checkpoint a cell every this many records, plus at the trace
+    /// end (0 = off). Absolute, so a run extended to more records
+    /// finds a shorter run's checkpoints.
     std::uint64_t checkpointEvery = 0;
-    /// Speculative segment-parallel cold execution.
-    bool speculate = false;
     /// Progress-heartbeat interval in seconds (0 = off).
     double heartbeatSeconds = 0.0;
     /// Distributed work-unit decomposition (net/units.hh).

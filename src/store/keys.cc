@@ -36,6 +36,16 @@ engineSpecDigest(const std::string &name,
 }
 
 std::uint64_t
+laneCheckpointSpecDigest(const std::string &engine,
+                         EngineOptions options, bool scientific)
+{
+    if (engine.empty())
+        return storeDigest("cell:baseline:v1");
+    options.scientific = options.scientific || scientific;
+    return engineSpecDigest(engine, options);
+}
+
+std::uint64_t
 baselineConfigDigest(const ExperimentConfig &config)
 {
     return storeDigest(describeBaselineConfig(config));

@@ -10,7 +10,10 @@
  * wire protocol:
  *
  *  - engineSpecDigest      what engine ran (name + effective options
- *                          [+ probe id]); keys results/checkpoints.
+ *                          [+ probe id]); keys results.
+ *  - laneCheckpointSpecDigest what a simulation lane is (baseline,
+ *                          stride reference or engine); keys
+ *                          checkpoints.
  *  - baselineConfigDigest  what system + warmup produced a baseline.
  *  - resultConfigDigest    baselineConfigDigest inputs + timing mode
  *                          + result-format version; keys results.
@@ -52,6 +55,20 @@ namespace stems {
 std::uint64_t engineSpecDigest(const std::string &name,
                                const EngineOptions &options,
                                const std::string &probe_id = {});
+
+/**
+ * Checkpoint identity of one simulation lane: `engine` empty is the
+ * engineless no-prefetch baseline lane; any other name (the stride
+ * reference lane is plain "stride") is that engine under `options`
+ * with the workload's `scientific` flag folded in. Labels and probe
+ * ids never join it: a probe reads state after the run and cannot
+ * change the simulation a checkpoint captures. The driver's lanes,
+ * its distributed segment units and the segment-unit decomposer
+ * (net/units.hh) all key checkpoints through this one function.
+ */
+std::uint64_t laneCheckpointSpecDigest(const std::string &engine,
+                                       EngineOptions options,
+                                       bool scientific);
 
 /** Key of the (system, warmup) context a stored baseline belongs
  *  to. Trace length and seed are part of the trace identity, not

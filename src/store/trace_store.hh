@@ -42,7 +42,7 @@
  * re-generation of the same workload therefore still matches the
  * shorter run's checkpoints over their common prefix — which is what
  * makes extending a sweep's --records simulate only the new suffix
- * (sim/driver.hh segmented execution).
+ * (sim/driver.hh checkpointed execution).
  *
  * Writes are atomic (temp file + rename), so concurrent processes
  * sharing a store directory at worst duplicate work, never corrupt
@@ -307,9 +307,9 @@ class TraceStore
      * Every stored (record index, state digest) checkpoint key for a
      * (spec, config) pair, sorted by (index, stateDigest). Unlike
      * listCheckpointIndices this exposes the state digests, letting
-     * speculative execution enumerate off-key candidates (stale or
-     * foreign-run states) it will validate at segment boundaries
-     * instead of trusting. Malformed filenames are skipped; blob
+     * the segment-unit decomposer (net/units.hh) tell a trusted
+     * on-key checkpoint from a stale or foreign-run one without
+     * loading any blob. Malformed filenames are skipped; blob
      * integrity is still only checked by loadCheckpoint.
      */
     std::vector<StoredCheckpointKey>

@@ -10,19 +10,22 @@
  * across warmup boundaries, stream states and generation lifetimes
  * rather than at one hand-picked index.
  *
- * On top of that sit the driver-level guarantees: segmented
+ * On top of that sit the driver-level guarantees: checkpointed
  * execution (checkpoint at every boundary, resume from the newest
- * match) is bitwise identical to a continuous run across
- * {jobs 1, 8} x {batched, unbatched} for every registered engine,
- * and re-running a sweep with more records over a warm store
+ * trusted match) is bitwise identical to a continuous run across
+ * {jobs 1, 8} x {batched, unbatched} for every registered engine;
+ * re-running a sweep with more records over a warm store
  * re-simulates only the new suffix (resumedRuns()/
- * resumedRecordsSkipped() diagnostics).
+ * resumedRecordsSkipped() diagnostics); and checkpoints from a
+ * different seed or an older engine state version are never
+ * restored.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
 
@@ -321,7 +324,41 @@ TEST(Checkpoint, EncodedBytesArePinnedForEveryLane)
             << "engine " << name << " has no pinned digests";
 }
 
-// ---- driver-level segmented execution ----
+TEST(Checkpoint, ReencodeRoundTripIsByteIdenticalForEveryEngine)
+{
+    // Checkpoint payloads are a pure function of logical state:
+    // decoding a blob into a fresh simulator and re-encoding it must
+    // reproduce the blob exactly. Trusted resume hands one run's
+    // bytes to another, so any hidden iteration-order or history
+    // dependence in a serializer would show up here first.
+    Trace trace = propertyTrace();
+    const std::size_t warmup = trace.size() / 3;
+    SimParams params = timedParams();
+
+    for (const std::string &name :
+         EngineRegistry::instance().names()) {
+        SCOPED_TRACE("engine " + name);
+        Rng rng(0x5EED ^ std::hash<std::string>{}(name));
+        for (int trial = 0; trial < 3; ++trial) {
+            std::size_t split =
+                1 + rng.below(static_cast<std::uint32_t>(
+                        trace.size() - 1));
+            SCOPED_TRACE("split " + std::to_string(split));
+            auto original = makeEngine(name);
+            PrefetchSimulator sim(params, original.get());
+            sim.setMeasuring(false);
+            stepSpan(sim, trace, 0, split, warmup);
+            const auto blob = encodeCheckpoint(sim, split);
+
+            auto fresh = makeEngine(name);
+            PrefetchSimulator resumed(params, fresh.get());
+            ASSERT_TRUE(decodeCheckpoint(blob, resumed));
+            EXPECT_EQ(blob, encodeCheckpoint(resumed, split));
+        }
+    }
+}
+
+// ---- driver-level checkpointed execution ----
 
 class SegmentedDriverTest : public test::TempDirTest
 {
@@ -330,10 +367,10 @@ class SegmentedDriverTest : public test::TempDirTest
 TEST_F(SegmentedDriverTest,
        SegmentedMatchesContinuousAcrossJobsAndBatchForEveryEngine)
 {
-    // The acceptance bar: for every registered engine, a segmented
-    // run (checkpoints written and, across combos, resumed) is
-    // bitwise identical to a continuous storeless run, whatever the
-    // jobs count and batching mode.
+    // The acceptance bar: for every registered engine, a
+    // checkpointed run (checkpoints written and, across combos,
+    // resumed) is bitwise identical to a continuous storeless run,
+    // whatever the jobs count and batching mode.
     std::vector<EngineSpec> engines;
     for (const std::string &name :
          EngineRegistry::instance().names())
@@ -349,15 +386,17 @@ TEST_F(SegmentedDriverTest,
             SCOPED_TRACE("jobs " + std::to_string(jobs) +
                          (batch ? " batched" : " unbatched"));
             // A fresh store per combo keeps every cell cold, so the
-            // segmented execution path itself runs each time.
+            // checkpointed execution path itself runs each time.
             std::string dir =
                 dir_ + "_combo" + std::to_string(combo++);
-            ExperimentDriver segmented(cfg, jobs);
-            segmented.setBatching(batch);
-            segmented.setSegments(4);
-            segmented.setStore(
-                std::make_shared<TraceStore>(dir));
-            auto results = segmented.run({"dss-qry17"}, engines);
+            SweepPlan plan =
+                test::configPlan(cfg, {"dss-qry17"}, jobs);
+            plan.batch = batch;
+            // Three interior boundaries over the 30022-record trace.
+            plan.checkpointEvery = 8000;
+            ExperimentDriver segmented;
+            segmented.setStore(std::make_shared<TraceStore>(dir));
+            auto results = segmented.run(plan, engines);
             EXPECT_GT(segmented.checkpointsWritten(), 0u);
             // Even within one cold sweep a resume can legitimately
             // happen: the stride *baseline* cell and the stride
@@ -379,22 +418,23 @@ TEST_F(SegmentedDriverTest, SecondSegmentedRunResumesFromCheckpoints)
     // its cell by resuming from the first run's final checkpoint
     // instead of re-simulating the whole trace.
     ExperimentConfig cfg = smallConfig(false, 20000);
+    SweepPlan plan = test::configPlan(cfg, {"dss-qry17"}, 2);
+    // Two interior boundaries over the 20006-record trace.
+    plan.checkpointEvery = 7000;
     EngineSpec probed("stems");
     probed.probe = [](const Prefetcher &, EngineResult &er) {
         er.extra["probe"] = 1.0;
     };
 
-    ExperimentDriver first(cfg, 2);
-    first.setSegments(3);
+    ExperimentDriver first;
     first.setStore(std::make_shared<TraceStore>(dir_));
-    auto a = first.run({"dss-qry17"}, {probed});
+    auto a = first.run(plan, {probed});
     EXPECT_GT(first.checkpointsWritten(), 0u);
     EXPECT_EQ(first.resumedRuns(), 0u);
 
-    ExperimentDriver second(cfg, 2);
-    second.setSegments(3);
+    ExperimentDriver second;
     second.setStore(std::make_shared<TraceStore>(dir_));
-    auto b = second.run({"dss-qry17"}, {probed});
+    auto b = second.run(plan, {probed});
     // The probed cell re-executed (engineRuns counts it) but
     // resumed at the end-of-trace checkpoint: zero records
     // re-stepped. The baseline cell stayed warm via the baseline
@@ -417,11 +457,13 @@ TEST_F(SegmentedDriverTest, ExtendedRecordsSimulateOnlyTheSuffix)
     const std::vector<std::string> engines = {"sms", "stems"};
     ExperimentConfig short_cfg = smallConfig(false, 20000);
     short_cfg.warmupRecords = 8000;
+    SweepPlan short_plan =
+        test::configPlan(short_cfg, {"dss-qry17"}, 2);
+    short_plan.checkpointEvery = 6000;
 
-    ExperimentDriver first(short_cfg, 2);
-    first.setCheckpointEvery(6000);
+    ExperimentDriver first;
     first.setStore(std::make_shared<TraceStore>(dir_));
-    first.run({"dss-qry17"}, engineSpecs(engines));
+    first.run(short_plan, engineSpecs(engines));
     EXPECT_GT(first.checkpointsWritten(), 0u);
     std::size_t short_size =
         makeWorkload("dss-qry17")->generate(short_cfg.seed, 20000)
@@ -429,11 +471,11 @@ TEST_F(SegmentedDriverTest, ExtendedRecordsSimulateOnlyTheSuffix)
 
     ExperimentConfig long_cfg = smallConfig(false, 40000);
     long_cfg.warmupRecords = 8000;
-    ExperimentDriver extended(long_cfg, 2);
-    extended.setCheckpointEvery(6000);
+    SweepPlan long_plan = test::configPlan(long_cfg, {"dss-qry17"}, 2);
+    long_plan.checkpointEvery = 6000;
+    ExperimentDriver extended;
     extended.setStore(std::make_shared<TraceStore>(dir_));
-    auto results =
-        extended.run({"dss-qry17"}, engineSpecs(engines));
+    auto results = extended.run(long_plan, engineSpecs(engines));
 
     // Every cell (baseline + both engines) resumed exactly at the
     // short run's end-of-trace checkpoint: the warm prefix cost 0
@@ -454,15 +496,17 @@ TEST_F(SegmentedDriverTest, ExtendedRecordsSimulateOnlyTheSuffix)
 TEST_F(SegmentedDriverTest, CorruptCheckpointFallsBackToColdRun)
 {
     ExperimentConfig cfg = smallConfig(false, 20000);
+    SweepPlan plan = test::configPlan(cfg, {"dss-qry17"}, 2);
+    // One interior boundary over the 20006-record trace.
+    plan.checkpointEvery = 12000;
     EngineSpec probed("stems"); // probe defeats the result cache
     probed.probe = [](const Prefetcher &, EngineResult &er) {
         er.extra["probe"] = 1.0;
     };
 
-    ExperimentDriver first(cfg, 2);
-    first.setSegments(2);
+    ExperimentDriver first;
     first.setStore(std::make_shared<TraceStore>(dir_));
-    auto a = first.run({"dss-qry17"}, {probed});
+    auto a = first.run(plan, {probed});
 
     // Flip a byte in every stored checkpoint payload.
     for (const auto &de :
@@ -475,29 +519,130 @@ TEST_F(SegmentedDriverTest, CorruptCheckpointFallsBackToColdRun)
         f.put('\x7f');
     }
 
-    ExperimentDriver second(cfg, 2);
-    second.setSegments(2);
+    ExperimentDriver second;
     second.setStore(std::make_shared<TraceStore>(dir_));
-    auto b = second.run({"dss-qry17"}, {probed});
+    auto b = second.run(plan, {probed});
     EXPECT_EQ(second.resumedRuns(), 0u); // every blob rejected
     expectSameResults(a, b);
 }
 
 TEST_F(SegmentedDriverTest, CheckpointsNeedAStore)
 {
-    // Without a store, segment settings are inert: the run stays
-    // continuous and bitwise identical.
+    // Without a store, a checkpoint interval is inert: the run
+    // stays continuous and bitwise identical.
     std::vector<EngineSpec> engines = engineSpecs({"sms"});
     ExperimentConfig cfg = smallConfig(false, 20000);
     ExperimentDriver plain(cfg, 2);
     auto expected = plain.run({"dss-qry17"}, engines);
 
-    ExperimentDriver segmented(cfg, 2);
-    segmented.setSegments(4);
-    auto results = segmented.run({"dss-qry17"}, engines);
+    SweepPlan plan = test::configPlan(cfg, {"dss-qry17"}, 2);
+    // Three interior boundaries over the 20006-record trace.
+    plan.checkpointEvery = 6000;
+    ExperimentDriver segmented;
+    auto results = segmented.run(plan, engines);
     EXPECT_EQ(segmented.checkpointsWritten(), 0u);
     EXPECT_EQ(segmented.resumedRuns(), 0u);
     expectSameResults(expected, results);
+}
+
+TEST_F(SegmentedDriverTest, CrossSeedCheckpointsAreNeverRestored)
+{
+    // Trace identity is not part of the checkpoint key, so a
+    // different-seed sweep's checkpoints are listed under the same
+    // lane spec. Their state digests fold in the trace prefix, so
+    // trusted resume must pass over every one of them and run the
+    // cells cold, with results identical to a storeless run.
+    std::vector<EngineSpec> engines = engineSpecs({"sms"});
+    ExperimentConfig store_cfg = smallConfig(false, 20000);
+    store_cfg.warmupRecords = 8000;
+    store_cfg.seed = 42;
+    ExperimentConfig run_cfg = store_cfg;
+    run_cfg.seed = 777; // different trace, same checkpoint spec
+
+    SweepPlan seed_plan = test::configPlan(store_cfg, {"dss-qry17"}, 2);
+    seed_plan.checkpointEvery = 6000;
+    ExperimentDriver seeder;
+    seeder.setStore(std::make_shared<TraceStore>(dir_));
+    seeder.run(seed_plan, engines);
+    EXPECT_GT(seeder.checkpointsWritten(), 0u);
+
+    SweepPlan run_plan = test::configPlan(run_cfg, {"dss-qry17"}, 2);
+    run_plan.checkpointEvery = 6000;
+    ExperimentDriver resumer;
+    resumer.setStore(std::make_shared<TraceStore>(dir_));
+    auto results = resumer.run(run_plan, engines);
+    EXPECT_EQ(resumer.resumedRuns(), 0u);
+    EXPECT_GT(resumer.checkpointsWritten(), 0u);
+
+    ExperimentDriver reference(run_cfg, 2);
+    expectSameResults(reference.run({"dss-qry17"}, engines),
+                      results);
+}
+
+/** RAII guard: bump an engine's state version for one test and
+ *  restore it afterwards — the registry is process-global. */
+class ScopedStateVersion
+{
+  public:
+    ScopedStateVersion(const std::string &name, std::uint32_t v)
+        : name_(name),
+          previous_(
+              EngineRegistry::instance().setStateVersion(name, v))
+    {
+    }
+    ~ScopedStateVersion()
+    {
+        EngineRegistry::instance().setStateVersion(name_, previous_);
+    }
+
+  private:
+    std::string name_;
+    std::uint32_t previous_;
+};
+
+TEST_F(SegmentedDriverTest,
+       EngineStateVersionBumpOrphansStoredCheckpoints)
+{
+    // kEngineStateVersion is folded into every engine's checkpoint
+    // spec digest, so bumping it (a code change that alters the
+    // serialized state) must fence off every stored checkpoint of
+    // that engine — yet leave the results identical via the cold
+    // path.
+    std::vector<EngineSpec> engines = engineSpecs({"stems"});
+    ExperimentConfig cfg = smallConfig(false, 20000);
+    cfg.warmupRecords = 8000;
+    SweepPlan short_plan = test::configPlan(cfg, {"dss-qry17"}, 2);
+    short_plan.checkpointEvery = 6000;
+
+    ExperimentDriver seeder;
+    seeder.setStore(std::make_shared<TraceStore>(dir_));
+    seeder.run(short_plan, engines);
+    EXPECT_GT(seeder.checkpointsWritten(), 0u);
+
+    ScopedStateVersion bump(
+        "stems",
+        EngineRegistry::instance().stateVersion("stems") + 1);
+
+    ExperimentConfig long_cfg = smallConfig(false, 30000);
+    long_cfg.warmupRecords = 8000;
+    SweepPlan long_plan = test::configPlan(long_cfg, {"dss-qry17"}, 2);
+    long_plan.checkpointEvery = 6000;
+    ExperimentDriver extended;
+    extended.setStore(std::make_shared<TraceStore>(dir_));
+    auto results = extended.run(long_plan, engines);
+    // The fence is per engine: the engineless baseline lane (no
+    // state version in its spec) still resumes from the short run's
+    // end-of-trace checkpoint, while the stems lane finds nothing
+    // under its bumped digest and runs cold.
+    EXPECT_EQ(extended.resumedRuns(), 1u);
+    EXPECT_EQ(extended.resumedRecordsSkipped(),
+              makeWorkload("dss-qry17")
+                  ->generate(cfg.seed, 20000)
+                  .size());
+
+    ExperimentDriver reference(long_cfg, 2);
+    expectSameResults(reference.run({"dss-qry17"}, engines),
+                      results);
 }
 
 } // namespace

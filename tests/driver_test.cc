@@ -67,10 +67,10 @@ TEST(Driver, BatchedMatchesUnbatchedAcrossJobs)
     std::vector<std::vector<WorkloadResult>> runs;
     for (unsigned jobs : {1u, 8u}) {
         for (bool batch : {true, false}) {
-            ExperimentDriver driver(cfg, jobs);
-            driver.setBatching(batch);
-            runs.push_back(
-                driver.run(kWorkloads, engineSpecs(kEngines)));
+            SweepPlan plan = test::configPlan(cfg, kWorkloads, jobs);
+            plan.batch = batch;
+            ExperimentDriver driver;
+            runs.push_back(driver.run(plan, engineSpecs(kEngines)));
             if (batch)
                 EXPECT_GT(driver.batchedRuns(), 0u);
             else

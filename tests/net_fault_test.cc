@@ -31,6 +31,7 @@
 #include "obs/metrics.hh"
 #include "sim/checkpoint.hh"
 #include "sim/driver.hh"
+#include "store/keys.hh"
 #include "store/trace_store.hh"
 #include "test_util.hh"
 
@@ -248,8 +249,7 @@ TEST_F(NetFaultTest, SegmentDecompositionTilesEveryCellOnSchedule)
             TraceKey{name, plan.records, plan.seed}, trace));
         const auto bounds = checkpointBounds(
             trace.size(),
-            static_cast<std::size_t>(plan.checkpointEvery),
-            plan.segments);
+            static_cast<std::size_t>(plan.checkpointEvery));
         ASSERT_GE(bounds.size(), 2u); // interior cuts exist
 
         for (std::int32_t c = -1;
@@ -356,6 +356,74 @@ TEST_F(NetFaultTest, ResumeBookkeepingTracksCommittedCheckpoints)
               chain[1]->segBegin);
     EXPECT_EQ(unitLastCheckpointIndex(plan, *chain[2], *store),
               chain[0]->segEnd);
+}
+
+TEST_F(NetFaultTest, SegmentUnitEndBlobMatchesContinuousRun)
+{
+    // Segment units and whole-trace runs share one lane routine, so
+    // the checkpoint a segment unit leaves at its end is the very
+    // blob a continuous checkpointed run writes under that key.
+    // Warmup is pinned to the segment end, so the blob is also
+    // taken exactly before record seg_end's warmup flip.
+    SweepPlan plan = planFor(UnitGranularity::kSegment, {"oltp-db2"});
+    plan.warmupRecords = 10'000;
+    const std::string seg_dir = dir_ + "/segment";
+    const std::string cont_dir = dir_ + "/continuous";
+    std::filesystem::create_directories(seg_dir);
+    std::filesystem::create_directories(cont_dir);
+    auto seg_store = std::make_shared<TraceStore>(seg_dir);
+    auto cont_store = std::make_shared<TraceStore>(cont_dir);
+
+    // The stems column's first two units, in order: the second
+    // resumes from the first's end and stops at 10'000.
+    std::string error;
+    auto units = decomposeSweepPlan(plan, seg_store.get(), &error);
+    ASSERT_FALSE(units.empty()) << error;
+    std::vector<const WorkUnit *> chain;
+    for (const WorkUnit &u : units)
+        if (u.column == 1)
+            chain.push_back(&u);
+    ASSERT_GE(chain.size(), 3u);
+    ASSERT_EQ(chain[1]->segEnd, 10'000u);
+    ExperimentDriver segmented;
+    segmented.applyPlan(plan);
+    segmented.setStore(seg_store);
+    const std::vector<EngineSpec> specs = planEngineSpecs(plan);
+    for (std::size_t s = 0; s < 2; ++s)
+        ASSERT_TRUE(segmented.runCellSegment(
+            "oltp-db2", &specs[1],
+            static_cast<std::size_t>(chain[s]->segBegin),
+            static_cast<std::size_t>(chain[s]->segEnd), &error))
+            << error;
+    EXPECT_EQ(segmented.resumedRuns(), 1u);
+
+    ExperimentDriver continuous;
+    continuous.setStore(cont_store);
+    continuous.run(plan);
+
+    const std::uint64_t spec =
+        laneCheckpointSpecDigest("stems", {}, false);
+    const std::uint64_t config =
+        checkpointConfigDigest(planExperimentConfig(plan));
+    auto key_at = [&](TraceStore &store) {
+        StoredCheckpointKey found;
+        for (const StoredCheckpointKey &k :
+             store.listCheckpoints(spec, config))
+            if (k.index == 10'000)
+                found = k;
+        return found;
+    };
+    const StoredCheckpointKey seg_key = key_at(*seg_store);
+    const StoredCheckpointKey cont_key = key_at(*cont_store);
+    ASSERT_EQ(seg_key.index, 10'000u);
+    EXPECT_EQ(seg_key.stateDigest, cont_key.stateDigest);
+    auto seg_blob = seg_store->loadCheckpoint(spec, config, 10'000,
+                                              seg_key.stateDigest);
+    auto cont_blob = cont_store->loadCheckpoint(
+        spec, config, 10'000, cont_key.stateDigest);
+    ASSERT_TRUE(seg_blob.has_value());
+    ASSERT_TRUE(cont_blob.has_value());
+    EXPECT_EQ(*seg_blob, *cont_blob);
 }
 
 // ---- fault matrix, one granularity per test ----------------------

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "net/worker.hh"
 #include "obs/metrics.hh"
 #include "sim/driver.hh"
+#include "store/keys.hh"
 #include "store/trace_store.hh"
 #include "test_util.hh"
 
@@ -574,7 +576,7 @@ TEST_F(NetSweepTest, WorkerRefusesMissingStore)
 
 TEST_F(NetSweepTest, OldWorkerHelloIsRefusedWithCleanBye)
 {
-    // A v1 peer greets with the short Hello form. The v2
+    // A v1 peer greets with the short Hello form. The current
     // coordinator must read it, answer kMsgBye, and close — a clean
     // refusal the old peer can report, never a hang or a
     // mid-handshake reset.
@@ -666,6 +668,87 @@ TEST_F(NetSweepTest, OldCoordinatorClosingOnHelloFailsCleanlyNoHang)
     EXPECT_FALSE(runWorker(worker, nullptr, &worker_error));
     EXPECT_FALSE(worker_error.empty());
     old_coord.join();
+}
+
+TEST_F(NetSweepTest, ByeInReplyToResumeEndsTheWorkerCleanly)
+{
+    // A worker that dropped while holding a unit reconnects and asks
+    // to resume it. If the sweep finished in the meantime (the unit
+    // was requeued after the grace window and completed elsewhere),
+    // the coordinator answers the Resume with Bye: a clean end of
+    // the sweep, not a protocol error. A scripted coordinator makes
+    // that interleaving deterministic.
+    std::filesystem::create_directories(dir_);
+    TraceStore seed(dir_); // materialize a usable store directory
+    const SweepPlan plan = smallPlan({"oltp-db2"});
+    PlanMsg plan_msg;
+    plan_msg.planDigest = sweepPlanDigest(plan);
+    plan_msg.planJson = sweepPlanJson(plan);
+    plan_msg.sessionId = 7;
+
+    TcpListener listener;
+    std::string error;
+    ASSERT_TRUE(listener.open(0, &error)) << error;
+    std::vector<std::uint32_t> received;
+    std::thread coord([&] {
+        auto accept = [&] {
+            const auto deadline = std::chrono::steady_clock::now() +
+                                  std::chrono::seconds(30);
+            int fd = -1;
+            while (fd < 0 && std::chrono::steady_clock::now() < deadline)
+                fd = listener.accept();
+            return fd;
+        };
+        auto next = [&](FramedConn &conn) {
+            Frame frame;
+            received.push_back(conn.recvFrame(frame) ? frame.type : 0);
+        };
+        int fd = accept();
+        if (fd < 0)
+            return;
+        FramedConn first(fd);
+        next(first); // Hello
+        first.sendFrame(kMsgPlan, encodePlanMsg(plan_msg));
+        next(first); // PlanAck
+        UnitMsg unit;
+        unit.workload = "oltp-db2";
+        for (std::uint64_t i = 0; i < 2; ++i) {
+            next(first); // RequestUnit
+            unit.unitIndex = i;
+            first.sendFrame(kMsgUnit, encodeUnit(unit));
+            if (i == 0)
+                next(first); // UnitDone
+        }
+        // The worker drops holding unit 1 and comes back for it.
+        fd = accept();
+        if (fd < 0)
+            return;
+        FramedConn second(fd);
+        next(second); // Hello
+        second.sendFrame(kMsgPlan, encodePlanMsg(plan_msg));
+        next(second); // PlanAck
+        next(second); // Resume
+        second.sendFrame(kMsgBye, {});
+        second.close();
+    });
+
+    WorkerOptions worker;
+    worker.storeDir = dir_;
+    worker.port = listener.port();
+    worker.connectTimeoutSeconds = 5.0;
+    worker.dropAfterUnits = 1;
+    WorkerReport report;
+    std::string worker_error;
+    EXPECT_TRUE(runWorker(worker, &report, &worker_error))
+        << worker_error;
+    coord.join();
+    EXPECT_EQ(report.unitsCompleted, 1u);
+    EXPECT_EQ(report.reconnects, 1u);
+    EXPECT_EQ(received,
+              (std::vector<std::uint32_t>{
+                  kMsgHello, kMsgPlanAck, kMsgRequestUnit,
+                  kMsgUnitDone, kMsgRequestUnit, kMsgHello,
+                  kMsgPlanAck, kMsgResume}));
 }
 
 } // namespace

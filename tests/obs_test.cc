@@ -19,7 +19,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace_span.hh"
 #include "sim/driver.hh"
-#include "store/trace_store.hh"
 #include "test_util.hh"
 
 namespace stems {
@@ -329,105 +328,17 @@ TEST(ObsIdentity, ResultsBitwiseIdenticalUnderObservation)
     setLogThreshold(LogLevel::kWarn);
     SpanCollector collector;
     collector.attach();
-    ExperimentDriver observed(smallConfig(true, 30000), 2);
-    observed.setHeartbeatSeconds(0.05);
-    const auto actual = observed.run(workloads, engines);
+    SweepPlan plan =
+        test::configPlan(smallConfig(true, 30000), workloads, 2);
+    plan.heartbeatSeconds = 0.05;
+    ExperimentDriver observed;
+    const auto actual = observed.run(plan, engines);
     collector.detach();
     setLogThreshold(saved);
 
     test::expectSameResults(expected, actual);
     EXPECT_GT(collector.eventCount(), 0u)
         << "driver instrumentation should have recorded spans";
-}
-
-// ---- speculation counters and spans ----
-
-class SpeculationObsTest : public test::TempDirTest
-{
-};
-
-TEST_F(SpeculationObsTest, MispredictRunPinsCountersAndSpans)
-{
-    // A forced mixed commit/mispredict run with known counts: the
-    // store is seeded with warmup 7000 over checkpoint boundaries
-    // every 3000 records, then the speculative run uses warmup 9500
-    // on the *same* trace. Boundaries 3000 and 6000 precede both
-    // warmups (the state there is unmeasured either way) so they
-    // commit; boundary 9000 carries measurement history from 7000
-    // the live run doesn't have, so it mispredicts and everything
-    // after it rolls back. Per speculative cell: 2 commits, 1
-    // mispredict — and the sweep has exactly two cells (baseline +
-    // sms).
-    const auto engines = engineSpecs({"sms"});
-    ExperimentConfig store_cfg = smallConfig(false, 20000);
-    store_cfg.warmupRecords = 7000;
-
-    LogLevel saved = logThreshold();
-    setLogThreshold(LogLevel::kWarn); // silence store info notes
-
-    ExperimentDriver seeder(store_cfg, 2);
-    seeder.setCheckpointEvery(3000);
-    seeder.setStore(std::make_shared<TraceStore>(dir_));
-    seeder.run({"dss-qry17"}, engines);
-    ASSERT_GT(seeder.checkpointsWritten(), 0u);
-
-    // Counters are process-global: pin the *delta* across the run.
-    MetricsSnapshot before = MetricsRegistry::instance().snapshot();
-    auto counter = [](const MetricsSnapshot &snap, const char *name) {
-        auto it = snap.counters.find(name);
-        return it == snap.counters.end() ? 0ull : it->second;
-    };
-
-    ExperimentConfig run_cfg = store_cfg;
-    run_cfg.warmupRecords = 9500;
-    SpanCollector collector;
-    collector.attach();
-    ExperimentDriver speculative(run_cfg, 2);
-    speculative.setSpeculate(true);
-    speculative.setStore(std::make_shared<TraceStore>(dir_));
-    speculative.run({"dss-qry17"}, engines);
-    collector.detach();
-    setLogThreshold(saved);
-
-    MetricsSnapshot after = MetricsRegistry::instance().snapshot();
-    EXPECT_EQ(counter(after, "driver.cell.speculative") -
-                  counter(before, "driver.cell.speculative"),
-              2u);
-    EXPECT_EQ(counter(after, "ckpt.speculate.commit") -
-                  counter(before, "ckpt.speculate.commit"),
-              4u);
-    EXPECT_EQ(counter(after, "ckpt.speculate.mispredict") -
-                  counter(before, "ckpt.speculate.mispredict"),
-              2u);
-    EXPECT_EQ(speculative.speculativeCells(), 2u);
-    EXPECT_EQ(speculative.speculativeCommits(), 4u);
-    EXPECT_EQ(speculative.speculativeMispredicts(), 2u);
-
-    // The trace carries one driver.speculate span per speculative
-    // cell, category "ckpt", with the validation tallies as args.
-    std::string doc = collector.chromeJson();
-    JsonParser parser(doc);
-    JsonValue root;
-    ASSERT_TRUE(parser.parseValue(root)) << parser.error;
-    const JsonValue *events = root.get("traceEvents");
-    ASSERT_NE(events, nullptr);
-    std::size_t speculate_spans = 0;
-    for (const JsonValue &event : events->items) {
-        if (event.str("name") != "driver.speculate")
-            continue;
-        ++speculate_spans;
-        EXPECT_EQ(event.str("cat"), "ckpt");
-        const JsonValue *args = event.get("args");
-        ASSERT_NE(args, nullptr);
-        EXPECT_EQ(args->str("workload"), "dss-qry17");
-        // 3000..18000 boundaries plus whatever end-of-trace index
-        // the generator produced — at least 4 segments either way.
-        EXPECT_GE(args->uint("segments"), 4u);
-        EXPECT_EQ(args->uint("commits"), 2u);
-        EXPECT_EQ(args->uint("mispredicts"), 1u);
-        EXPECT_GT(args->uint("replayed_records"), 0u);
-    }
-    EXPECT_EQ(speculate_spans, 2u);
 }
 
 } // namespace

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hh"
 #include "prefetch/engine_registry.hh"
 #include "sim/batch_sim.hh"
+#include "sim/checkpoint.hh"
 #include "sim/config.hh"
 #include "sim/experiment.hh"
 #include "sim/prefetch_sim.hh"
@@ -411,6 +413,76 @@ TEST(BatchSim, PerLaneWarmupIsHonored)
     batch.run(t);
     EXPECT_EQ(batch.stats(0).records, 200u);
     EXPECT_EQ(batch.stats(1).records, 80u);
+}
+
+TEST(BatchSim, RangeLaneFiresAtItsEndBesideAFullTraceLane)
+{
+    // One pass, two lanes: a full-trace lane and a lane over
+    // [s, e) — a distributed segment unit — restored from a
+    // checkpoint at s. The range lane steps exactly e - s records
+    // and fires its boundary at e with the bytes a standalone
+    // simulator holds after records [0, e), taken before record e's
+    // warmup flip; the full-trace lane stays bitwise a standalone
+    // run. The range spans a chunk edge (64Ki records).
+    auto w = makeWorkload("web-apache");
+    Trace t = w->generate(5, 100000);
+    const std::size_t s = 20001;
+    const std::size_t e = 70003;
+    const std::size_t warmup = 45000; // flips inside the range
+    ASSERT_GT(t.size(), e);
+
+    SystemConfig system = defaultSystemConfig();
+    SimParams params;
+    params.hierarchy = system.hierarchy;
+    params.enableTiming = true;
+    params.timing = system.timing;
+    const EngineRegistry &registry = EngineRegistry::instance();
+
+    // Standalone reference for the range lane, checkpointed at s
+    // and at e under the checkpoint convention.
+    auto solo_engine = registry.make("stems", system, {});
+    PrefetchSimulator solo(params, solo_engine.get());
+    solo.setMeasuring(false);
+    std::vector<std::uint8_t> at_start;
+    for (std::size_t i = 0; i < e; ++i) {
+        if (i == s)
+            at_start = encodeCheckpoint(solo, s);
+        if (i == warmup)
+            solo.setMeasuring(true);
+        solo.step(t[i]);
+    }
+    const std::vector<std::uint8_t> at_end = encodeCheckpoint(solo, e);
+
+    BatchSimulator batch;
+    auto full_engine = registry.make("sms", system, {});
+    auto range_engine = registry.make("stems", system, {});
+    batch.addLane(params, full_engine.get(), warmup);
+    batch.addLane(params, range_engine.get(), warmup);
+    ASSERT_TRUE(decodeCheckpoint(at_start, batch.simulator(1)));
+    batch.setLaneRange(1, s, e);
+    batch.setLaneBoundaries(1, {e});
+    std::vector<std::size_t> fired_at;
+    std::vector<std::uint8_t> fired;
+    batch.setBoundaryCallback([&](std::size_t lane, std::size_t index,
+                                  PrefetchSimulator &sim) {
+        EXPECT_EQ(lane, 1u);
+        fired_at.push_back(index);
+        fired = encodeCheckpoint(sim, index);
+    });
+
+    Counter &steps =
+        MetricsRegistry::instance().counter("batch.record_steps");
+    const std::uint64_t steps_before = steps.value();
+    batch.run(t, 2);
+    EXPECT_EQ(steps.value() - steps_before, t.size() + (e - s));
+
+    ASSERT_EQ(fired_at, std::vector<std::size_t>{e});
+    EXPECT_EQ(fired, at_end);
+
+    auto ref_engine = registry.make("sms", system, {});
+    PrefetchSimulator ref(params, ref_engine.get());
+    ref.run(t, warmup);
+    expectBitwiseEqualStats(ref.stats(), batch.stats(0));
 }
 
 // ---- experiment runner ----

@@ -862,7 +862,8 @@ TEST_F(TraceStoreTest, ConcurrentCheckpointWritesAllLand)
 
 TEST_F(TraceStoreTest, ListCheckpointsOnMixedStore)
 {
-    // listCheckpoints() is the speculation candidate source: it must
+    // listCheckpoints() is how the segment-unit decomposer finds
+    // trusted boundary checkpoints without loading a blob: it must
     // enumerate every well-formed key of the requested identity —
     // including multiple state digests per index and entries whose
     // blob is corrupt (integrity is loadCheckpoint's job) — while

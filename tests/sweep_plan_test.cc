@@ -3,9 +3,10 @@
  * SweepPlan contract tests: the canonical JSON form round-trips
  * byte-identically (the property the wire digest check and the
  * plan-file workflow rest on), the binary form round-trips without
- * mis-decoding, unknown fields and schema drift are rejected, the
- * plan digest is pinned, and ExperimentDriver::run(plan) reproduces
- * the legacy setter-driven path bitwise.
+ * mis-decoding, unknown fields and schema drift are rejected (a v1
+ * document included), the plan digest is pinned, and
+ * ExperimentDriver::run(plan) reproduces run(workloads, engines)
+ * bitwise.
  */
 
 #include <gtest/gtest.h>
@@ -40,9 +41,7 @@ fullPlan()
     plan.timing = true;
     plan.jobs = 3;
     plan.batch = false;
-    plan.segments = 4;
     plan.checkpointEvery = 5'000;
-    plan.speculate = true;
     plan.heartbeatSeconds = 1.5;
     plan.unitGranularity = UnitGranularity::kSegment;
     return plan;
@@ -72,14 +71,15 @@ TEST(SweepPlanJson, DigestIsPinned)
 {
     // Pinned across releases: a digest change means the canonical
     // JSON changed, which invalidates every wire/plan-file digest
-    // comparison in flight. Bump deliberately or not at all.
+    // comparison in flight. Bump deliberately or not at all (last
+    // re-pinned for schema v2).
     SweepPlan plan;
     plan.workloads = {"oltp-db2"};
     plan.engines = {PlanEngine{"stems", "", {}}};
     plan.records = 100'000;
     const std::uint64_t digest = sweepPlanDigest(plan);
     EXPECT_EQ(digest, sweepPlanDigest(plan)) << "digest unstable";
-    EXPECT_EQ(digest, UINT64_C(0x9f13b28ff370d1a0));
+    EXPECT_EQ(digest, UINT64_C(0x62be20d12ebb72cd));
 }
 
 TEST(SweepPlanJson, RejectsUnknownFields)
@@ -121,6 +121,38 @@ TEST(SweepPlanJson, RejectsSchemaDriftAndTrailingContent)
     EXPECT_FALSE(parseSweepPlanJson(base + "x", out));
     EXPECT_FALSE(parseSweepPlanJson("", out));
     EXPECT_FALSE(parseSweepPlanJson("[]", out));
+}
+
+TEST(SweepPlanJson, RefusesVersionOnePlans)
+{
+    // A schema-v1 document (as v1 builds emitted it, with the
+    // retired `segments` field) must be refused for its schema —
+    // never parsed with the retired fields dropped, which would run
+    // a different policy than the one its author wrote down.
+    const std::string v1 = R"({
+  "batch": true,
+  "checkpoint_every": 0,
+  "engines": [],
+  "heartbeat_seconds": 0,
+  "jobs": 1,
+  "records": 2000,
+  "schema": "stems-sweep-plan-v1",
+  "seed": 42,
+  "segments": 4,
+  "speculate": false,
+  "timing": false,
+  "unit_granularity": "workload",
+  "warmup_fraction": 0.5,
+  "warmup_records": 0,
+  "workloads": [
+    "oltp-db2"
+  ]
+}
+)";
+    SweepPlan out;
+    std::string error;
+    EXPECT_FALSE(parseSweepPlanJson(v1, out, &error));
+    EXPECT_NE(error.find("schema"), std::string::npos) << error;
 }
 
 TEST(SweepPlanJson, GranularityRoundTripsAndRejectsUnknownNames)
@@ -182,8 +214,10 @@ TEST(SweepPlanBinary, RejectsTruncationAnywhere)
     EXPECT_FALSE(decodeSweepPlan(extended, decoded));
 }
 
-TEST(SweepPlanDriver, RunPlanMatchesLegacySetterPath)
+TEST(SweepPlanDriver, RunPlanMatchesWorkloadEngineRun)
 {
+    // run(plan) is run(workloads, engines) under the plan's config:
+    // a plain driver built from the same config reproduces it.
     SweepPlan plan;
     plan.workloads = {"oltp-db2"};
     plan.engines = {PlanEngine{"tms", "", {}},
@@ -196,15 +230,11 @@ TEST(SweepPlanDriver, RunPlanMatchesLegacySetterPath)
     ExperimentDriver planned;
     const auto via_plan = planned.run(plan);
 
-    ExperimentConfig cfg;
-    cfg.traceRecords = 20'000;
-    cfg.enableTiming = true;
-    ExperimentDriver legacy(cfg, 2);
-    legacy.setBatching(false);
-    const auto via_setters =
-        legacy.run({"oltp-db2"}, engineSpecs({"tms", "stems"}));
+    ExperimentDriver direct(planExperimentConfig(plan), 2);
+    const auto via_names =
+        direct.run({"oltp-db2"}, engineSpecs({"tms", "stems"}));
 
-    test::expectSameResults(via_plan, via_setters);
+    test::expectSameResults(via_plan, via_names);
 }
 
 TEST(SweepPlanDriver, PlanEngineSpecsCarryOptionsAndLabels)

@@ -61,6 +61,21 @@ smallConfig(bool timing, std::size_t records)
     return cfg;
 }
 
+SweepPlan
+configPlan(const ExperimentConfig &config,
+           std::vector<std::string> workloads, unsigned jobs)
+{
+    SweepPlan plan;
+    plan.workloads = std::move(workloads);
+    plan.records = config.traceRecords;
+    plan.seed = config.seed;
+    plan.warmupFraction = config.warmupFraction;
+    plan.warmupRecords = config.warmupRecords;
+    plan.timing = config.enableTiming;
+    plan.jobs = jobs;
+    return plan;
+}
+
 void
 expectSameTrace(const Trace &a, const Trace &b)
 {

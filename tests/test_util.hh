@@ -18,6 +18,7 @@
 
 #include "sim/config.hh"
 #include "sim/experiment.hh"
+#include "sim/sweep_plan.hh"
 #include "trace/trace.hh"
 
 namespace stems {
@@ -52,6 +53,14 @@ Trace sampleTrace(std::uint64_t salt = 0);
 /** The shared small sweep configuration of the driver/store suites. */
 ExperimentConfig smallConfig(bool timing,
                              std::size_t records = 60000);
+
+/** The SweepPlan form of `config` over `workloads` on `jobs`
+ *  threads: the config's trace, warmup and timing knobs with the
+ *  default execution policy, which tests then adjust (batch,
+ *  checkpointEvery, ...) before run(plan, specs) or applyPlan. */
+SweepPlan configPlan(const ExperimentConfig &config,
+                     std::vector<std::string> workloads,
+                     unsigned jobs);
 
 /** Record-for-record equality (every MemRecord field). */
 void expectSameTrace(const Trace &a, const Trace &b);

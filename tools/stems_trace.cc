@@ -109,7 +109,7 @@ usage()
         "  stems_trace analyze <trace.trc>\n"
         "  stems_trace run <trace.trc> <engine[,engine...]> "
         "[--jobs N] [--timing] [--store DIR] [--batch|--no-batch]\n"
-        "              [--speculate] [--metrics-out F] "
+        "              [--metrics-out F] "
         "[--trace-out F] [--manifest-out F]\n"
         "  stems_trace import <in.txt> <out.trc> [--store DIR] "
         "[--name NAME]\n"
@@ -141,7 +141,6 @@ struct ArgScanner
     unsigned jobs = 1;
     bool timing = false;
     bool batch = true;
-    bool speculate = false;
     bool ok = true;
 
     ArgScanner(int argc, char **argv, int first)
@@ -178,8 +177,6 @@ struct ArgScanner
                 batch = true;
             } else if (arg == "--no-batch") {
                 batch = false;
-            } else if (arg == "--speculate") {
-                speculate = true;
             } else if (!arg.empty() && arg[0] == '-') {
                 std::fprintf(stderr, "unknown option '%s'\n",
                              arg.c_str());
@@ -378,15 +375,8 @@ cmdRun(int argc, char **argv)
     plan.timing = args.timing;
     plan.jobs = args.jobs;
     plan.batch = args.batch;
-    plan.speculate = args.speculate;
     ExperimentDriver driver;
     driver.applyPlan(plan);
-    if (args.speculate && args.storeDir.empty()) {
-        std::fprintf(stderr,
-                     "--speculate needs a store (pass --store DIR "
-                     "or set STEMS_STORE)\n");
-        return 1;
-    }
     if (!args.storeDir.empty()) {
         auto store = std::make_shared<TraceStore>(args.storeDir);
         if (store->usable()) {
@@ -445,7 +435,6 @@ cmdRun(int argc, char **argv)
                 {"jobs", std::to_string(args.jobs)},
                 {"timing", args.timing ? "true" : "false"},
                 {"batch", args.batch ? "true" : "false"},
-                {"speculate", args.speculate ? "true" : "false"},
                 {"store", args.storeDir.empty() ? "(none)"
                                                 : args.storeDir},
             };
