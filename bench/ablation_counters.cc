@@ -19,7 +19,6 @@ main(int argc, char **argv)
 {
     BenchOptions opts = parseBenchOptions(argc, argv, 1'000'000);
     BenchObsSession obs(opts, "ablation_counters");
-    requireNoPerf(opts, "ablation sweeps are not the pinned perf sweep");
     requireNoEngineSelection(opts, "fixed SMS counters-vs-bitvector sweep");
     std::cout << banner(
         "Ablation: 2-bit counters vs bit vectors (SMS history)",

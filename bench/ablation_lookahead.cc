@@ -20,7 +20,6 @@ main(int argc, char **argv)
 {
     BenchOptions opts = parseBenchOptions(argc, argv, 1'000'000);
     BenchObsSession obs(opts, "ablation_lookahead");
-    requireNoPerf(opts, "ablation sweeps are not the pinned perf sweep");
     requireNoEngineSelection(opts, "fixed STeMS lookahead sweep");
     std::cout << banner("Ablation: STeMS stream lookahead", opts);
 

@@ -20,7 +20,6 @@ main(int argc, char **argv)
 {
     BenchOptions opts = parseBenchOptions(argc, argv, 1'200'000);
     BenchObsSession obs(opts, "ablation_naive_hybrid");
-    requireNoPerf(opts, "ablation sweeps are not the pinned perf sweep");
     requireNoEngineSelection(opts, "fixed tms+sms vs stems comparison");
     std::cout << banner(
         "Ablation: naive TMS+SMS hybrid vs unified STeMS", opts);

@@ -41,7 +41,6 @@ main(int argc, char **argv)
 {
     BenchOptions opts = parseBenchOptions(argc, argv, 1'000'000);
     BenchObsSession obs(opts, "ablation_reconstruction");
-    requireNoPerf(opts, "ablation sweeps are not the pinned perf sweep");
     requireNoEngineSelection(opts, "fixed STeMS displacement sweep");
     std::cout << banner(
         "Ablation: reconstruction displacement distribution", opts);

@@ -21,7 +21,6 @@ main(int argc, char **argv)
 {
     BenchOptions opts = parseBenchOptions(argc, argv, 1'000'000);
     BenchObsSession obs(opts, "ablation_rmob");
-    requireNoPerf(opts, "ablation sweeps are not the pinned perf sweep");
     requireNoEngineSelection(opts, "fixed STeMS/TMS buffer-size sweep");
     std::cout << banner("Ablation: temporal buffer sizing", opts);
 

@@ -19,7 +19,6 @@ main(int argc, char **argv)
 {
     BenchOptions opts = parseBenchOptions(argc, argv, 1'000'000);
     BenchObsSession obs(opts, "ablation_stream_queues");
-    requireNoPerf(opts, "ablation sweeps are not the pinned perf sweep");
     requireNoEngineSelection(opts, "fixed STeMS queue-count sweep");
     std::cout << banner("Ablation: stream-queue count", opts);
 

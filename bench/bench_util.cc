@@ -1,8 +1,10 @@
 #include "bench/bench_util.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -59,8 +61,6 @@ usage(const char *argv0, int status)
         "  --no-store         disable the store even if STEMS_STORE\n"
         "                     is set\n"
         "  --json FILE        also write results as JSON\n"
-        "  --perf FILE        also write a records/sec snapshot\n"
-        "                     (stems-perf-v1; sweep benches only)\n"
         "  --batch            batched execution: one trace pass\n"
         "                     advances all of a workload's cells\n"
         "                     (default)\n"
@@ -110,15 +110,22 @@ listRegistries()
 }
 
 std::uint64_t
-numberArg(const char *argv0, const char *flag, const char *value)
+numberArg(const char *argv0, const char *flag, const char *value,
+          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     char *end = nullptr;
+    errno = 0;
     unsigned long long v = std::strtoull(value, &end, 10);
-    // strtoull wraps a leading minus into a huge value: reject it.
-    if (end == value || *end != '\0' || value[0] == '-') {
-        std::fprintf(stderr, "%s: %s wants a non-negative number, "
+    // strtoull wraps a leading minus into a huge value and saturates
+    // on overflow: reject both, and anything the field cannot hold,
+    // rather than run a different number than the one asked for.
+    if (end == value || *end != '\0' || value[0] == '-' ||
+        errno == ERANGE || v > max) {
+        std::fprintf(stderr,
+                     "%s: %s wants a number from 0 to %llu, "
                      "got '%s'\n",
-                     argv0, flag, value);
+                     argv0, flag, static_cast<unsigned long long>(max),
+                     value);
         usage(argv0, 1);
     }
     return v;
@@ -154,7 +161,8 @@ parseBenchOptions(int argc, char **argv, std::size_t default_records)
             options.records = v > 0 ? v : default_records;
         } else if (arg == "--jobs" || arg == "-j") {
             options.jobs = static_cast<unsigned>(
-                numberArg(argv[0], "--jobs", value()));
+                numberArg(argv[0], "--jobs", value(),
+                          std::numeric_limits<unsigned>::max()));
         } else if (arg == "--seed") {
             options.seed = numberArg(argv[0], "--seed", value());
         } else if (arg == "--workloads") {
@@ -167,8 +175,6 @@ parseBenchOptions(int argc, char **argv, std::size_t default_records)
             no_store = true;
         } else if (arg == "--json") {
             options.jsonPath = value();
-        } else if (arg == "--perf") {
-            options.perfPath = value();
         } else if (arg == "--batch") {
             options.batch = true;
         } else if (arg == "--no-batch") {
@@ -367,52 +373,6 @@ requireNoJson(const BenchOptions &options, const char *reason)
                  "--json is not supported by this bench: %s\n",
                  reason);
     std::exit(1);
-}
-
-void
-requireNoPerf(const BenchOptions &options, const char *reason)
-{
-    if (options.perfPath.empty())
-        return;
-    std::fprintf(stderr,
-                 "--perf is not supported by this bench: %s\n",
-                 reason);
-    std::exit(1);
-}
-
-void
-maybeWritePerf(const BenchOptions &options,
-               const std::vector<std::string> &workloads,
-               const std::vector<std::string> &engines,
-               double wall_seconds)
-{
-    if (options.perfPath.empty())
-        return;
-    BenchSnapshot snap;
-    snap.schema = "stems-perf-v1";
-    snap.records = options.records;
-    snap.seed = options.seed;
-    snap.workloads = workloads;
-    snap.engines = engines;
-    snap.wallSeconds = wall_seconds;
-    if (const char *c = std::getenv("STEMS_BENCH_COMMENT"))
-        snap.comment = c;
-    BenchComponentRow row;
-    row.name = "sweep";
-    row.ops = options.records * workloads.size() * engines.size();
-    if (wall_seconds > 0) {
-        row.opsPerSec = static_cast<double>(row.ops) / wall_seconds;
-        row.nsPerOp = wall_seconds * 1e9 /
-                      static_cast<double>(row.ops ? row.ops : 1);
-    }
-    snap.components.push_back(row);
-    std::string error;
-    if (!writeBenchSnapshotJson(options.perfPath, snap, &error)) {
-        logError(error);
-        std::exit(1);
-    }
-    // stderr: bench stdout stays bitwise stable across runs.
-    logInfo("[perf] wrote " + options.perfPath);
 }
 
 void

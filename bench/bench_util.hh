@@ -20,7 +20,8 @@
  * persistent TraceStore, so re-runs replay traces and baselines from
  * disk instead of regenerating/resimulating them; `--no-store` forces
  * the store off even when STEMS_STORE is set. `--json FILE` writes
- * the sweep results machine-readably for perf-trajectory tracking.
+ * the sweep results machine-readably, in the format
+ * `stems_report compare` reads.
  * `--no-batch` disables the driver's batched execution (one trace
  * pass advancing all of a workload's cells) in favor of the
  * one-task-per-cell dispatch; results are bitwise identical either
@@ -66,11 +67,6 @@ struct BenchOptions
     std::string storeDir;
     /// Machine-readable results output path; empty = none.
     std::string jsonPath;
-    /// Performance-snapshot output path (--perf; empty = none).
-    /// Separate from --json on purpose: sweep results must stay
-    /// bitwise identical between runs (the CI cold/warm compare),
-    /// while wall-clock throughput never is.
-    std::string perfPath;
     /// Batched execution (one trace pass per workload); --no-batch
     /// restores the per-cell dispatch.
     bool batch = true;
@@ -164,26 +160,6 @@ void requireNoWorkloadSelection(const BenchOptions &options,
  * ignored.
  */
 void requireNoJson(const BenchOptions &options, const char *reason);
-
-/**
- * Exit with an error when --perf was given: only benches that time
- * a full sweep (fig9) emit perf snapshots; elsewhere the flag would
- * be silently ignored.
- */
-void requireNoPerf(const BenchOptions &options, const char *reason);
-
-/**
- * When --perf was given, write a "stems-perf-v1" snapshot (see
- * analysis/report.hh) with the sweep's records/sec as its single
- * component. The throughput metric is records x engine lanes /
- * wall seconds — total simulation work per second, stable across
- * engine-set changes only when the lane count is pinned (CI pins
- * both). STEMS_BENCH_COMMENT lands in the comment field.
- */
-void maybeWritePerf(const BenchOptions &options,
-                    const std::vector<std::string> &workloads,
-                    const std::vector<std::string> &engines,
-                    double wall_seconds);
 
 /**
  * Attach the persistent TraceStore selected by --store/STEMS_STORE

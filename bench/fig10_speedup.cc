@@ -24,7 +24,6 @@ main(int argc, char **argv)
 {
     BenchOptions opts = parseBenchOptions(argc, argv, 1'500'000);
     BenchObsSession obs(opts, "fig10_speedup");
-    requireNoPerf(opts, "the perf trajectory pins fig9, not the timing sweep");
     requireNoEngineSelection(opts, "fixed TMS/SMS/STeMS table columns");
     std::cout << banner("Figure 10: speedup over the stride baseline",
                         opts);

@@ -24,7 +24,6 @@ main(int argc, char **argv)
 {
     BenchOptions opts = parseBenchOptions(argc, argv, 1'500'000);
     BenchObsSession obs(opts, "fig6_joint_coverage");
-    requireNoPerf(opts, "oracle analysis is not the pinned perf sweep");
     requireNoEngineSelection(opts, "oracle analysis runs no engines");
     requireNoJson(opts, "oracle analysis produces no sweep results");
     std::cout << banner("Figure 6: joint TMS/SMS predictability",

@@ -54,7 +54,6 @@ main(int argc, char **argv)
 {
     BenchOptions opts = parseBenchOptions(argc, argv, 1'200'000);
     BenchObsSession obs(opts, "fig7_sequitur");
-    requireNoPerf(opts, "Sequitur analysis is not the pinned perf sweep");
     requireNoEngineSelection(opts, "Sequitur analysis runs no engines");
     requireNoJson(opts, "Sequitur analysis produces no sweep results");
     // Sequitur grammars keep every symbol live: cap the analyzed

@@ -24,7 +24,6 @@ main(int argc, char **argv)
 {
     BenchOptions opts = parseBenchOptions(argc, argv, 1'200'000);
     BenchObsSession obs(opts, "fig8_correlation_distance");
-    requireNoPerf(opts, "correlation analysis is not the pinned perf sweep");
     requireNoEngineSelection(opts, "correlation analysis runs no engines");
     requireNoJson(opts,
                   "correlation analysis produces no sweep results");

@@ -11,7 +11,6 @@
  * and overpredicts 29%.
  */
 
-#include <chrono>
 #include <iostream>
 
 #include "bench/bench_util.hh"
@@ -43,14 +42,9 @@ main(int argc, char **argv)
     std::vector<double> over_sum(engines.size(), 0.0);
     int n = 0;
     obs.phase("sweep");
-    auto t0 = std::chrono::steady_clock::now();
     const auto results = driver.run(plan);
-    double wall_s = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
     obs.phase("report");
     maybeWriteJson(opts, results);
-    maybeWritePerf(opts, workloads, engines, wall_s);
     for (const WorkloadResult &r : results) {
         bool first = true;
         for (std::size_t i = 0; i < engines.size(); ++i) {

@@ -19,7 +19,6 @@ main(int argc, char **argv)
 {
     BenchOptions opts = parseBenchOptions(argc, argv, 200'000);
     BenchObsSession obs(opts, "table1_config");
-    requireNoPerf(opts, "the perf trajectory pins fig9, not the config table");
     requireNoEngineSelection(opts, "configuration report runs no engines");
     requireNoJson(opts,
                   "configuration report produces no sweep results");

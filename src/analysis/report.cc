@@ -480,240 +480,4 @@ renderHistoryCsv(const std::vector<StoredResultInfo> &entries)
     return os.str();
 }
 
-// ---- performance snapshots (BENCH_*.json) ----------------------
-
-const BenchComponentRow *
-BenchSnapshot::find(const std::string &name) const
-{
-    for (const BenchComponentRow &c : components)
-        if (c.name == name)
-            return &c;
-    return nullptr;
-}
-
-bool
-writeBenchSnapshotJson(const std::string &path,
-                       const BenchSnapshot &snap, std::string *error)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        if (error)
-            *error = "cannot write " + path;
-        return false;
-    }
-    std::fprintf(f,
-                 "{\n  \"schema\": \"%s\",\n"
-                 "  \"records\": %llu,\n  \"seed\": %llu,\n"
-                 "  \"repeat\": %llu,\n  \"comment\": \"%s\",\n",
-                 jsonEscape(snap.schema).c_str(),
-                 static_cast<unsigned long long>(snap.records),
-                 static_cast<unsigned long long>(snap.seed),
-                 static_cast<unsigned long long>(snap.repeat),
-                 jsonEscape(snap.comment).c_str());
-    auto string_list = [&](const char *key,
-                           const std::vector<std::string> &v) {
-        std::fprintf(f, "  \"%s\": [", key);
-        for (std::size_t i = 0; i < v.size(); ++i)
-            std::fprintf(f, "%s\"%s\"", i ? ", " : "",
-                         jsonEscape(v[i]).c_str());
-        std::fprintf(f, "],\n");
-    };
-    string_list("workloads", snap.workloads);
-    string_list("engines", snap.engines);
-    std::fprintf(f, "  \"wallSeconds\": %s,\n  \"components\": [\n",
-                 jsonDouble(snap.wallSeconds).c_str());
-    for (std::size_t i = 0; i < snap.components.size(); ++i) {
-        const BenchComponentRow &c = snap.components[i];
-        std::fprintf(f,
-                     "    {\"name\": \"%s\", \"ops\": %llu, "
-                     "\"nsPerOp\": %s, \"opsPerSec\": %s}%s\n",
-                     jsonEscape(c.name).c_str(),
-                     static_cast<unsigned long long>(c.ops),
-                     jsonDouble(c.nsPerOp).c_str(),
-                     jsonDouble(c.opsPerSec).c_str(),
-                     i + 1 < snap.components.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    return true;
-}
-
-bool
-loadBenchSnapshotJson(const std::string &path, BenchSnapshot &out,
-                      std::string *error)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        if (error)
-            *error = "cannot read " + path;
-        return false;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    std::string text = ss.str();
-
-    JsonParser parser(text);
-    JsonValue root;
-    if (!parser.parseValue(root) ||
-        root.kind != JsonValue::Kind::kObject) {
-        if (error)
-            *error = path + ": " +
-                     (parser.error.empty() ? "not a JSON object"
-                                           : parser.error);
-        return false;
-    }
-    out = BenchSnapshot();
-    out.source = path;
-    out.schema = root.str("schema");
-    if (out.schema != "stems-micro-v1" &&
-        out.schema != "stems-perf-v1") {
-        if (error)
-            *error = path + ": not a performance snapshot (schema '" +
-                     out.schema + "')";
-        return false;
-    }
-    out.records = root.uint("records");
-    out.seed = root.uint("seed");
-    out.repeat = root.uint("repeat");
-    out.comment = root.str("comment");
-    out.wallSeconds = root.num("wallSeconds");
-    auto read_strings = [&](const char *key,
-                            std::vector<std::string> &v) {
-        const JsonValue *arr = root.get(key);
-        if (!arr || arr->kind != JsonValue::Kind::kArray)
-            return;
-        for (const JsonValue &item : arr->items)
-            if (item.kind == JsonValue::Kind::kString)
-                v.push_back(item.text);
-    };
-    read_strings("workloads", out.workloads);
-    read_strings("engines", out.engines);
-    const JsonValue *components = root.get("components");
-    if (!components ||
-        components->kind != JsonValue::Kind::kArray) {
-        if (error)
-            *error = path + ": missing components array";
-        return false;
-    }
-    for (const JsonValue &c : components->items) {
-        if (c.kind != JsonValue::Kind::kObject)
-            continue;
-        BenchComponentRow row;
-        row.name = c.str("name");
-        row.ops = c.uint("ops");
-        row.nsPerOp = c.num("nsPerOp");
-        row.opsPerSec = c.num("opsPerSec");
-        out.components.push_back(std::move(row));
-    }
-    return true;
-}
-
-BenchComparison
-compareBenchSnapshots(const BenchSnapshot &old_snap,
-                      const BenchSnapshot &new_snap,
-                      double tolerance)
-{
-    BenchComparison cmp;
-    cmp.configMismatch = old_snap.schema != new_snap.schema ||
-                         old_snap.records != new_snap.records ||
-                         old_snap.seed != new_snap.seed;
-
-    auto add_row = [&](const std::string &name) {
-        for (const BenchDeltaRow &r : cmp.rows)
-            if (r.name == name)
-                return;
-        BenchDeltaRow row;
-        row.name = name;
-        const BenchComponentRow *o = old_snap.find(name);
-        const BenchComponentRow *n = new_snap.find(name);
-        row.inOld = o != nullptr;
-        row.inNew = n != nullptr;
-        if (o && n) {
-            row.opsPerSecOld = o->opsPerSec;
-            row.opsPerSecNew = n->opsPerSec;
-            if (o->opsPerSec > 0)
-                row.speedup = n->opsPerSec / o->opsPerSec;
-            row.regression =
-                n->opsPerSec < o->opsPerSec * (1.0 - tolerance);
-        } else {
-            // A component that appeared or vanished is a harness
-            // change the baseline does not cover: flag it.
-            row.regression = true;
-        }
-        if (row.regression)
-            ++cmp.regressions;
-        cmp.rows.push_back(std::move(row));
-    };
-    for (const BenchComponentRow &c : old_snap.components)
-        add_row(c.name);
-    for (const BenchComponentRow &c : new_snap.components)
-        add_row(c.name);
-    return cmp;
-}
-
-std::string
-renderBenchComparisonMarkdown(const BenchComparison &cmp,
-                              const BenchSnapshot &old_snap,
-                              const BenchSnapshot &new_snap,
-                              double tolerance)
-{
-    std::ostringstream os;
-    os << "# Performance comparison\n\n"
-       << "- old: `" << old_snap.source << "`"
-       << (old_snap.comment.empty() ? ""
-                                    : " — " + old_snap.comment)
-       << "\n- new: `" << new_snap.source << "`"
-       << (new_snap.comment.empty() ? ""
-                                    : " — " + new_snap.comment)
-       << "\n- tolerance: throughput may drop at most "
-       << static_cast<int>(tolerance * 100 + 0.5) << "%\n";
-    if (cmp.configMismatch) {
-        os << "\n**warning: schema/records/seed differ — "
-              "throughputs compare different experiments**\n";
-    }
-    os << "\n| component | old ops/s | new ops/s | speedup | |\n"
-       << "|---|---:|---:|---:|---|\n";
-    char buf[64];
-    auto fmt = [&](double v) {
-        std::snprintf(buf, sizeof(buf), "%.3g", v);
-        return std::string(buf);
-    };
-    for (const BenchDeltaRow &r : cmp.rows) {
-        os << "| " << r.name << " | "
-           << (r.inOld ? fmt(r.opsPerSecOld) : std::string("-"))
-           << " | "
-           << (r.inNew ? fmt(r.opsPerSecNew) : std::string("-"))
-           << " | ";
-        std::snprintf(buf, sizeof(buf), "%.2fx", r.speedup);
-        os << (r.inOld && r.inNew ? buf : "-") << " | "
-           << (r.regression ? "**REGRESSION**" : "") << " |\n";
-    }
-    os << "\n" << cmp.regressions << " regression(s)\n";
-    return os.str();
-}
-
-std::string
-renderBenchHistoryMarkdown(const std::vector<BenchSnapshot> &snaps)
-{
-    std::ostringstream os;
-    os << "# Committed performance trajectory\n\n"
-       << "| snapshot | schema | records | seed | component | "
-          "ops/s | note |\n"
-       << "|---|---|---:|---:|---|---:|---|\n";
-    char buf[64];
-    for (const BenchSnapshot &s : snaps) {
-        std::string file = s.source;
-        std::size_t slash = file.find_last_of('/');
-        if (slash != std::string::npos)
-            file = file.substr(slash + 1);
-        for (const BenchComponentRow &c : s.components) {
-            std::snprintf(buf, sizeof(buf), "%.3g", c.opsPerSec);
-            os << "| " << file << " | " << s.schema << " | "
-               << s.records << " | " << s.seed << " | " << c.name
-               << " | " << buf << " | " << s.comment << " |\n";
-        }
-    }
-    return os.str();
-}
-
 } // namespace stems

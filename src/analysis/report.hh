@@ -138,97 +138,6 @@ renderHistoryMarkdown(const std::vector<StoredResultInfo> &entries,
 std::string
 renderHistoryCsv(const std::vector<StoredResultInfo> &entries);
 
-// ---- performance snapshots (BENCH_*.json) ----------------------
-
-/** One measured throughput row of a performance snapshot: a
- *  micro-suite component, or the whole pinned sweep. */
-struct BenchComponentRow
-{
-    std::string name;
-    std::uint64_t ops = 0;    ///< operations timed
-    double nsPerOp = 0.0;     ///< wall nanoseconds per operation
-    double opsPerSec = 0.0;   ///< throughput (the gated metric)
-};
-
-/**
- * A performance snapshot — the committed records/sec trajectory.
- *
- * Two schemas share this shape: "stems-micro-v1" (per-component
- * micro-costs from bench/micro_engines) and "stems-perf-v1" (whole
- * pinned-sweep records/sec, written by a driver bench's --perf
- * flag). Both carry their rows in `components`, so one comparison
- * path gates both.
- */
-struct BenchSnapshot
-{
-    std::string source; ///< path the snapshot was loaded from
-    std::string schema;
-    std::uint64_t records = 0;
-    std::uint64_t seed = 0;
-    std::uint64_t repeat = 0; ///< best-of repetitions (micro)
-    /// Free-form provenance: hardware, compiler, pin note.
-    std::string comment;
-    /// Sweep shape (perf schema; empty for micro).
-    std::vector<std::string> workloads;
-    std::vector<std::string> engines;
-    double wallSeconds = 0.0; ///< sweep wall time (perf schema)
-    std::vector<BenchComponentRow> components;
-
-    /** Row by component name; null when absent. */
-    const BenchComponentRow *find(const std::string &name) const;
-};
-
-/** Write a snapshot (stable key order, %.17g doubles). */
-bool writeBenchSnapshotJson(const std::string &path,
-                            const BenchSnapshot &snap,
-                            std::string *error = nullptr);
-
-/** Parse a file written by writeBenchSnapshotJson. */
-bool loadBenchSnapshotJson(const std::string &path,
-                           BenchSnapshot &out,
-                           std::string *error = nullptr);
-
-/** One component line of a snapshot comparison. */
-struct BenchDeltaRow
-{
-    std::string name;
-    bool inOld = false;
-    bool inNew = false;
-    double opsPerSecOld = 0.0;
-    double opsPerSecNew = 0.0;
-    /// new/old throughput (1.0 when either side is missing).
-    double speedup = 1.0;
-    /// Throughput dropped by more than the tolerance fraction (or
-    /// the row exists in only one snapshot).
-    bool regression = false;
-};
-
-/** Comparison of two snapshots over the union of components. */
-struct BenchComparison
-{
-    std::vector<BenchDeltaRow> rows;
-    std::size_t regressions = 0;
-    /// Schema/records/seed differ: throughputs are not comparable.
-    bool configMismatch = false;
-};
-
-/**
- * Compare two snapshots. A component regresses when its throughput
- * fell below old * (1 - tolerance); tolerance 0.15 is the CI gate.
- */
-BenchComparison compareBenchSnapshots(const BenchSnapshot &old_snap,
-                                      const BenchSnapshot &new_snap,
-                                      double tolerance);
-
-std::string renderBenchComparisonMarkdown(
-    const BenchComparison &cmp, const BenchSnapshot &old_snap,
-    const BenchSnapshot &new_snap, double tolerance);
-
-/** Trajectory table over committed snapshots, in the given order
- *  (`stems_report history --bench DIR` sorts by file name). */
-std::string
-renderBenchHistoryMarkdown(const std::vector<BenchSnapshot> &snaps);
-
 } // namespace stems
 
 #endif // STEMS_ANALYSIS_REPORT_HH

@@ -2,7 +2,7 @@
  * @file
  * Allocation-avoidance primitives for the engine hot paths.
  *
- * Profiling (bench/micro_engines) showed the per-record cost of the
+ * Per-component profiling showed the per-record cost of the
  * STeMS engines is dominated not by hashing or arithmetic but by heap
  * churn: every AGT generation carried a std::vector for its spatial
  * sequence, and every stream start built fresh scratch vectors. Two

@@ -1,9 +1,10 @@
 /**
  * @file
  * Minimal JSON reader/writer helpers shared by every machine-readable
- * artifact this repo emits: bench `--json` results and performance
- * snapshots (analysis/report), metrics snapshots and run manifests
- * (obs/), and the tests that parse those files back.
+ * artifact this repo emits: bench `--json` results (analysis/report),
+ * metrics snapshots and run manifests (obs/), the canonical SweepPlan
+ * (sim/sweep_plan, also the distributed service's plan payload), and
+ * the tests that parse those files back.
  *
  * One parser and one set of emit conventions (stable key order
  * decided by the callers, `%.17g` doubles that round-trip exactly,
@@ -11,12 +12,18 @@
  * drifting apart. The parser handles just the JSON subset those
  * writers produce — objects, arrays, strings with the common escapes,
  * numbers, booleans, null — and reports the first error instead of
- * guessing.
+ * guessing. Because plan JSON arrives over the wire, it is strict
+ * where a lenient reading would decode a different value: number
+ * tokens must follow the JSON grammar, an integer token must fit a
+ * u64 and a fractional one a finite double, an object may not repeat
+ * a key, and nesting is capped at kMaxDepth levels.
  */
 
 #ifndef STEMS_COMMON_MINI_JSON_HH
 #define STEMS_COMMON_MINI_JSON_HH
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -116,9 +123,14 @@ struct JsonValue
 
 struct JsonParser
 {
+    /// Deepest nesting of objects and arrays accepted; every writer
+    /// here stays far below it, and it bounds the recursion.
+    static constexpr int kMaxDepth = 64;
+
     const char *p;
     const char *end;
     std::string error;
+    int depth = 0;
 
     explicit JsonParser(const std::string &text)
         : p(text.data()), end(text.data() + text.size())
@@ -217,12 +229,75 @@ struct JsonParser
         return true;
     }
 
+    /** Skip a run of decimal digits; returns how many there were. */
+    std::size_t
+    skipDigits()
+    {
+        const char *start = p;
+        while (p < end && *p >= '0' && *p <= '9')
+            ++p;
+        return static_cast<std::size_t>(p - start);
+    }
+
+    /**
+     * One number token, by the JSON grammar
+     * `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. A token
+     * without fraction or exponent that is not negative is an
+     * integer and keeps its exact u64 value; one that overflows u64
+     * is rejected rather than saturated.
+     */
+    bool
+    parseNumber(JsonValue &out)
+    {
+        const char *start = p;
+        if (p < end && *p == '-')
+            ++p;
+        const char *int_start = p;
+        const std::size_t int_digits = skipDigits();
+        if (int_digits == 0)
+            return fail("unexpected character");
+        if (*int_start == '0' && int_digits > 1)
+            return fail("number with a leading zero");
+        bool integral = true;
+        if (p < end && *p == '.') {
+            ++p;
+            integral = false;
+            if (skipDigits() == 0)
+                return fail("number without fraction digits");
+        }
+        if (p < end && (*p == 'e' || *p == 'E')) {
+            ++p;
+            integral = false;
+            if (p < end && (*p == '+' || *p == '-'))
+                ++p;
+            if (skipDigits() == 0)
+                return fail("number without exponent digits");
+        }
+        const std::string token(start, p);
+        out.kind = JsonValue::Kind::kNumber;
+        out.number = std::strtod(token.c_str(), nullptr);
+        if (!std::isfinite(out.number))
+            return fail("number out of range");
+        if (integral && *start != '-') {
+            // Keep integer tokens exact: counts can exceed a
+            // double's 53-bit mantissa.
+            errno = 0;
+            out.integer = std::strtoull(token.c_str(), nullptr, 10);
+            if (errno == ERANGE)
+                return fail("integer does not fit 64 bits");
+            out.isInteger = true;
+        }
+        return true;
+    }
+
     bool
     parseValue(JsonValue &out)
     {
         skipWs();
         if (p >= end)
             return fail("unexpected end of input");
+        if ((*p == '{' || *p == '[') && depth >= kMaxDepth)
+            return fail("nesting too deep");
         switch (*p) {
         case '{': {
             out.kind = JsonValue::Kind::kObject;
@@ -232,11 +307,15 @@ struct JsonParser
                 ++p;
                 return true;
             }
+            ++depth;
             while (true) {
                 skipWs();
                 std::string key;
                 if (!parseString(key))
                     return false;
+                for (const auto &kv : out.members)
+                    if (kv.first == key)
+                        return fail("duplicate key '" + key + "'");
                 skipWs();
                 if (p >= end || *p != ':')
                     return fail("expected ':'");
@@ -253,6 +332,7 @@ struct JsonParser
                 }
                 if (p < end && *p == '}') {
                     ++p;
+                    --depth;
                     return true;
                 }
                 return fail("expected ',' or '}'");
@@ -266,6 +346,7 @@ struct JsonParser
                 ++p;
                 return true;
             }
+            ++depth;
             while (true) {
                 JsonValue item;
                 if (!parseValue(item))
@@ -278,6 +359,7 @@ struct JsonParser
                 }
                 if (p < end && *p == ']') {
                     ++p;
+                    --depth;
                     return true;
                 }
                 return fail("expected ',' or ']'");
@@ -297,33 +379,8 @@ struct JsonParser
         case 'n':
             out.kind = JsonValue::Kind::kNull;
             return literal("null");
-        default: {
-            const char *start = p;
-            if (p < end && (*p == '-' || *p == '+'))
-                ++p;
-            bool integral = true;
-            while (p < end &&
-                   ((*p >= '0' && *p <= '9') || *p == '.' ||
-                    *p == 'e' || *p == 'E' || *p == '+' ||
-                    *p == '-')) {
-                if (*p == '.' || *p == 'e' || *p == 'E')
-                    integral = false;
-                ++p;
-            }
-            if (p == start)
-                return fail("unexpected character");
-            std::string token(start, p);
-            out.kind = JsonValue::Kind::kNumber;
-            out.number = std::strtod(token.c_str(), nullptr);
-            if (integral && token[0] != '-') {
-                // Keep integer tokens exact: counts can exceed a
-                // double's 53-bit mantissa.
-                out.integer =
-                    std::strtoull(token.c_str(), nullptr, 10);
-                out.isInteger = true;
-            }
-            return true;
-        }
+        default:
+            return parseNumber(out);
         }
     }
 };

@@ -62,7 +62,7 @@ namespace stems {
  *  v2: session ids, Resume/ResumeAck, tagged multi-granularity
  *  units with a prefetch hint.
  *  v3: the plan payload lost two execution-policy fields
- *  (SweepPlan schema v2, binary plan version 3). */
+ *  (SweepPlan schema v2). */
 inline constexpr std::uint32_t kNetProtocolVersion = 3;
 
 /** Frame types (net/frame.hh `type` field). */

@@ -1,22 +1,13 @@
 #include "sim/sweep_plan.hh"
 
 #include <cstdio>
+#include <limits>
 
 #include "common/mini_json.hh"
-#include "common/state_codec.hh"
 
 namespace stems {
 
 namespace {
-
-constexpr std::uint32_t kPlanTag = stateTag('S', 'W', 'P', 'L');
-constexpr std::uint32_t kPlanEndTag = stateTag('S', 'W', 'P', 'E');
-// v2 added unit_granularity; v3 removed two execution-policy
-// fields (schema v2).
-// Older streams are rejected (the service already rejects
-// cross-version peers at the Hello stage, so a version skew here
-// means something worse than an old binary).
-constexpr std::uint32_t kPlanVersion = 3;
 
 std::string
 u64Token(std::uint64_t v)
@@ -69,6 +60,18 @@ asU64(const JsonValue &v, std::uint64_t &out)
     return true;
 }
 
+/** asU64 for a narrower unsigned field: a value that does not fit
+ *  is rejected, never truncated into a different plan. */
+bool
+asUnsigned(const JsonValue &v, unsigned &out)
+{
+    std::uint64_t u = 0;
+    if (!asU64(v, u) || u > std::numeric_limits<unsigned>::max())
+        return false;
+    out = static_cast<unsigned>(u);
+    return true;
+}
+
 bool
 asBool(const JsonValue &v, bool &out)
 {
@@ -98,6 +101,7 @@ parseOptions(const JsonValue &v, EngineOptions &options,
         const JsonValue &val = kv.second;
         const bool is_null = val.kind == JsonValue::Kind::kNull;
         std::uint64_t u = 0;
+        unsigned narrow = 0;
         bool b = false;
         if (key == "buffer_entries") {
             if (is_null)
@@ -108,15 +112,15 @@ parseOptions(const JsonValue &v, EngineOptions &options,
         } else if (key == "displacement_window") {
             if (is_null)
                 continue;
-            if (!asU64(val, u))
+            if (!asUnsigned(val, narrow))
                 return parseFail(error, "bad displacement_window");
-            options.displacementWindow = static_cast<unsigned>(u);
+            options.displacementWindow = narrow;
         } else if (key == "lookahead") {
             if (is_null)
                 continue;
-            if (!asU64(val, u))
+            if (!asUnsigned(val, narrow))
                 return parseFail(error, "bad lookahead");
-            options.lookahead = static_cast<unsigned>(u);
+            options.lookahead = narrow;
         } else if (key == "scientific") {
             if (!asBool(val, b))
                 return parseFail(error, "bad scientific");
@@ -171,49 +175,6 @@ parseEngine(const JsonValue &v, PlanEngine &engine,
     if (!have_name || engine.engine.empty())
         return parseFail(error, "engine entry missing a name");
     return true;
-}
-
-// ---- binary string helpers ----------------------------------------
-
-void
-writeString(StateWriter &w, const std::string &s)
-{
-    w.u64(s.size());
-    for (char c : s)
-        w.u8(static_cast<std::uint8_t>(c));
-}
-
-std::string
-readString(StateReader &r)
-{
-    // Strings here are short names/labels; cap the announced length
-    // so a corrupt stream cannot force a huge allocation.
-    constexpr std::uint64_t kMaxLen = 1 << 16;
-    std::uint64_t len = r.u64();
-    if (len > kMaxLen) {
-        r.fail();
-        return {};
-    }
-    std::string s;
-    s.reserve(static_cast<std::size_t>(len));
-    for (std::uint64_t i = 0; i < len && r.ok(); ++i)
-        s += static_cast<char>(r.u8());
-    return s;
-}
-
-template <typename T>
-void
-writeOptU64(StateWriter &w, const std::optional<T> &v)
-{
-    w.boolean(v.has_value());
-    w.u64(v ? static_cast<std::uint64_t>(*v) : 0);
-}
-
-void
-writeOptBool(StateWriter &w, const std::optional<bool> &v)
-{
-    w.boolean(v.has_value());
-    w.boolean(v.value_or(false));
 }
 
 } // namespace
@@ -334,7 +295,6 @@ parseSweepPlanJson(const std::string &text, SweepPlan &plan,
     for (const auto &kv : root.members) {
         const std::string &key = kv.first;
         const JsonValue &val = kv.second;
-        std::uint64_t u = 0;
         if (key == "schema") {
             continue;
         } else if (key == "batch") {
@@ -356,9 +316,8 @@ parseSweepPlanJson(const std::string &text, SweepPlan &plan,
             if (!asDouble(val, out.heartbeatSeconds))
                 return parseFail(error, "bad heartbeat_seconds");
         } else if (key == "jobs") {
-            if (!asU64(val, u))
+            if (!asUnsigned(val, out.jobs))
                 return parseFail(error, "bad jobs");
-            out.jobs = static_cast<unsigned>(u);
         } else if (key == "records") {
             if (!asU64(val, out.records))
                 return parseFail(error, "bad records");
@@ -393,111 +352,6 @@ parseSweepPlanJson(const std::string &text, SweepPlan &plan,
                              "unknown plan field '" + key + "'");
         }
     }
-    plan = std::move(out);
-    return true;
-}
-
-std::vector<std::uint8_t>
-encodeSweepPlan(const SweepPlan &plan)
-{
-    StateWriter w;
-    w.tag(kPlanTag);
-    w.u32(kPlanVersion);
-    w.u64(plan.workloads.size());
-    for (const std::string &name : plan.workloads)
-        writeString(w, name);
-    w.u64(plan.engines.size());
-    for (const PlanEngine &e : plan.engines) {
-        writeString(w, e.engine);
-        writeString(w, e.label);
-        w.boolean(e.options.scientific);
-        writeOptU64(w, e.options.lookahead);
-        writeOptU64(w, e.options.bufferEntries);
-        writeOptU64(w, e.options.streamQueues);
-        writeOptBool(w, e.options.smsUseCounters);
-        writeOptU64(w, e.options.displacementWindow);
-    }
-    w.u64(plan.records);
-    w.u64(plan.seed);
-    w.f64(plan.warmupFraction);
-    w.u64(plan.warmupRecords);
-    w.boolean(plan.timing);
-    w.u32(plan.jobs);
-    w.boolean(plan.batch);
-    w.u64(plan.checkpointEvery);
-    w.f64(plan.heartbeatSeconds);
-    w.u8(static_cast<std::uint8_t>(plan.unitGranularity));
-    w.tag(kPlanEndTag);
-    return w.take();
-}
-
-bool
-decodeSweepPlan(const std::vector<std::uint8_t> &bytes,
-                SweepPlan &plan)
-{
-    StateReader r(bytes.data(), bytes.size());
-    r.tag(kPlanTag);
-    if (r.u32() != kPlanVersion)
-        return false;
-    SweepPlan out;
-    // Corrupt counts fail via the per-element bounds checks (every
-    // element is at least one byte, so a huge count cannot pass),
-    // but bail out early on an obviously impossible one.
-    std::uint64_t n = r.u64();
-    if (n > bytes.size())
-        return false;
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-        out.workloads.push_back(readString(r));
-    n = r.u64();
-    if (n > bytes.size())
-        return false;
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-        PlanEngine e;
-        e.engine = readString(r);
-        e.label = readString(r);
-        e.options.scientific = r.boolean();
-        if (r.boolean())
-            e.options.lookahead = static_cast<unsigned>(r.u64());
-        else
-            r.u64();
-        if (r.boolean())
-            e.options.bufferEntries =
-                static_cast<std::size_t>(r.u64());
-        else
-            r.u64();
-        if (r.boolean())
-            e.options.streamQueues =
-                static_cast<std::size_t>(r.u64());
-        else
-            r.u64();
-        if (r.boolean())
-            e.options.smsUseCounters = r.boolean();
-        else
-            r.boolean();
-        if (r.boolean())
-            e.options.displacementWindow =
-                static_cast<unsigned>(r.u64());
-        else
-            r.u64();
-        out.engines.push_back(std::move(e));
-    }
-    out.records = r.u64();
-    out.seed = r.u64();
-    out.warmupFraction = r.f64();
-    out.warmupRecords = r.u64();
-    out.timing = r.boolean();
-    out.jobs = r.u32();
-    out.batch = r.boolean();
-    out.checkpointEvery = r.u64();
-    out.heartbeatSeconds = r.f64();
-    const std::uint8_t granularity = r.u8();
-    if (granularity >
-        static_cast<std::uint8_t>(UnitGranularity::kSegment))
-        return false;
-    out.unitGranularity = static_cast<UnitGranularity>(granularity);
-    r.tag(kPlanEndTag);
-    if (!r.atEnd())
-        return false;
     plan = std::move(out);
     return true;
 }

@@ -8,19 +8,17 @@
  * policy, as plain data. Unlike a mutated driver, a plan can be
  * serialized, diffed, digested and handed to a remote worker: the
  * distributed sweep service (net/coord.hh, net/worker.hh) ships the
- * binary form over the wire, and `--plan-out` dumps the canonical
- * JSON form for any bench invocation.
+ * canonical JSON form over the wire (PlanMsg::planJson), and
+ * `--plan-out` dumps the same form for any bench invocation.
  *
- * Two codecs, both canonical:
- *  - JSON (sweepPlanJson / parseSweepPlanJson): key-sorted,
- *    mini_json conventions (`%.17g` doubles, exact u64 integers),
- *    schema-tagged "stems-sweep-plan-v2". Every field is always
- *    emitted (unset optional engine knobs as `null`), so two plans
- *    are equal iff their JSON bytes are equal, and the parser
- *    rejects unknown fields instead of guessing.
- *  - binary (encodeSweepPlan / decodeSweepPlan): a state_codec
- *    field stream framed by 'SWPL'/'SWPE' tags, used as wire
- *    payload. Reject-never-misdecode like every other codec here.
+ * The one codec is canonical JSON (sweepPlanJson /
+ * parseSweepPlanJson): key-sorted, mini_json conventions (`%.17g`
+ * doubles, exact u64 integers), schema-tagged "stems-sweep-plan-v2".
+ * Every field is always emitted (unset optional engine knobs as
+ * `null`), so two plans are equal iff their JSON bytes are equal.
+ * The parser is reject-never-misdecode: it refuses unknown fields,
+ * duplicate keys, malformed numbers and values that do not fit
+ * their field instead of guessing.
  *
  * The plan's identity in the store's key vocabulary is
  * sweepPlanDigest() (store/keys.hh): a digest of the canonical JSON,
@@ -128,21 +126,15 @@ std::string sweepPlanJson(const SweepPlan &plan);
 
 /**
  * Parse the canonical JSON form. Strict: the schema tag must match,
- * unknown or type-mismatched fields at any level (plan, engine,
- * options) are rejected, and trailing garbage is an error.
+ * unknown, duplicated or type-mismatched fields at any level (plan,
+ * engine, options) are rejected, as are integers too large for
+ * their field, and trailing garbage is an error.
  *
  * @param error  optional; receives a one-line reason on failure.
  * @return false (plan unspecified) on any error.
  */
 bool parseSweepPlanJson(const std::string &text, SweepPlan &plan,
                         std::string *error = nullptr);
-
-/** Binary wire form ('SWPL' state_codec stream). */
-std::vector<std::uint8_t> encodeSweepPlan(const SweepPlan &plan);
-
-/** Decode the binary wire form; false on any structural mismatch. */
-bool decodeSweepPlan(const std::vector<std::uint8_t> &bytes,
-                     SweepPlan &plan);
 
 /**
  * The ExperimentConfig a plan describes: Table 1 system plus the

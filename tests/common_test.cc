@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common infrastructure: address geometry, RNG,
- * saturating counters, circular buffer, LRU table, histogram, table.
+ * saturating counters, circular buffer, LRU table, histogram, table,
+ * and the mini-JSON parser's nesting cap.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 
 #include "common/circular_buffer.hh"
 #include "common/lru_table.hh"
+#include "common/mini_json.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
 #include "common/stats.hh"
@@ -286,6 +288,22 @@ TEST(Table, RendersAllCells)
     EXPECT_NE(s.find("workload"), std::string::npos);
     EXPECT_NE(s.find("oltp-db2"), std::string::npos);
     EXPECT_NE(s.find("62.0%"), std::string::npos);
+}
+
+TEST(MiniJson, CapsNestingDepth)
+{
+    auto parses = [](int levels) {
+        const std::string text =
+            std::string(levels, '[') + std::string(levels, ']');
+        JsonParser parser(text);
+        JsonValue value;
+        return parser.parseValue(value);
+    };
+    EXPECT_TRUE(parses(JsonParser::kMaxDepth));
+    EXPECT_FALSE(parses(JsonParser::kMaxDepth + 1));
+    // Deep enough to exhaust the stack if the recursion were
+    // unbounded.
+    EXPECT_FALSE(parses(1 << 20));
 }
 
 TEST(TableDeathTest, ArityMismatchPanics)

@@ -2,15 +2,20 @@
  * @file
  * SweepPlan contract tests: the canonical JSON form round-trips
  * byte-identically (the property the wire digest check and the
- * plan-file workflow rest on), the binary form round-trips without
- * mis-decoding, unknown fields and schema drift are rejected (a v1
- * document included), the plan digest is pinned, and
- * ExperimentDriver::run(plan) reproduces run(workloads, engines)
+ * plan-file workflow rest on), unknown fields, schema drift (a v1
+ * document included), malformed numbers, out-of-range values and
+ * duplicate keys are rejected, seeded mutants of a full plan are
+ * rejected or decode to a canonical plan, the plan digest is pinned,
+ * and ExperimentDriver::run(plan) reproduces run(workloads, engines)
  * bitwise.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.hh"
 #include "sim/driver.hh"
 #include "sim/sweep_plan.hh"
 #include "store/keys.hh"
@@ -186,32 +191,171 @@ TEST(SweepPlanJson, GranularityRoundTripsAndRejectsUnknownNames)
     EXPECT_FALSE(parseUnitGranularity("per-epoch", parsed));
 }
 
-TEST(SweepPlanBinary, RoundTripsExactly)
+/** `base` with the first occurrence of `from` replaced by `to`. */
+std::string
+replaced(std::string base, const std::string &from,
+         const std::string &to)
 {
-    const SweepPlan plan = fullPlan();
-    const std::vector<std::uint8_t> bytes = encodeSweepPlan(plan);
-    SweepPlan decoded;
-    ASSERT_TRUE(decodeSweepPlan(bytes, decoded));
-    // The canonical JSON covers every field, so byte-equal JSON is
-    // field-equal plans.
-    EXPECT_EQ(sweepPlanJson(plan), sweepPlanJson(decoded));
+    const std::size_t at = base.find(from);
+    EXPECT_NE(at, std::string::npos) << "no '" << from << "' in plan";
+    if (at != std::string::npos)
+        base.replace(at, from.size(), to);
+    return base;
 }
 
-TEST(SweepPlanBinary, RejectsTruncationAnywhere)
+TEST(SweepPlanJson, RejectsMalformedNumbersAndDuplicateKeys)
 {
-    const std::vector<std::uint8_t> bytes =
-        encodeSweepPlan(fullPlan());
-    SweepPlan decoded;
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-        std::vector<std::uint8_t> truncated(bytes.begin(),
-                                            bytes.begin() + cut);
-        EXPECT_FALSE(decodeSweepPlan(truncated, decoded))
-            << "accepted truncation at " << cut;
+    const std::string base = sweepPlanJson(fullPlan());
+    const std::string records = "\"records\": 123456";
+    const std::string jobs = "\"jobs\": 3";
+
+    struct Probe
+    {
+        const char *what;
+        std::string text;
+    };
+    const std::vector<Probe> rejected = {
+        // Number tokens outside the JSON grammar, which a lenient
+        // reader cuts short or reads as another number.
+        {"arithmetic tail", replaced(base, records, "\"records\": 3000-2")},
+        {"leading plus", replaced(base, records, "\"records\": +3000")},
+        {"leading zero", replaced(base, records, "\"records\": 03000")},
+        {"bare fraction", replaced(base, records, "\"records\": 3000.")},
+        {"bare exponent", replaced(base, records, "\"records\": 3e")},
+        {"lone minus", replaced(base, records, "\"records\": -")},
+        // Integers past u64, which strtoull saturates to 2^64 - 1.
+        {"u64 overflow",
+         replaced(base, records, "\"records\": 18446744073709551617")},
+        {"double overflow",
+         replaced(base, "\"warmup_fraction\": 0.25",
+                  "\"warmup_fraction\": 1e999")},
+        // Values past a 32-bit field, which a narrowing cast wraps
+        // (jobs 2^32 + 1 would run, and digest, as jobs 1).
+        {"jobs past 32 bits", replaced(base, jobs, "\"jobs\": 4294967297")},
+        {"lookahead past 32 bits",
+         replaced(base, "\"lookahead\": 24",
+                  "\"lookahead\": 4294967320")},
+        {"displacement_window past 32 bits",
+         replaced(base, "\"displacement_window\": 1",
+                  "\"displacement_window\": 4294967297")},
+        // A repeated key, which a member-by-member reader takes as
+        // last-wins (records) or appends to (workloads).
+        {"repeated records",
+         replaced(base, records, "\"records\": 1,\n  " + records)},
+        {"repeated workloads",
+         replaced(base, "\"workloads\": [",
+                  "\"workloads\": [\"em3d\"],\n  \"workloads\": [")},
+        {"repeated engine option",
+         replaced(base, "\"lookahead\": 24",
+                  "\"lookahead\": 8,\n        \"lookahead\": 24")},
+    };
+    for (const Probe &probe : rejected) {
+        SweepPlan out;
+        std::string error;
+        EXPECT_FALSE(parseSweepPlanJson(probe.text, out, &error))
+            << probe.what << " was accepted";
+        EXPECT_FALSE(error.empty()) << probe.what;
     }
-    // Trailing garbage is rejected too (atEnd contract).
-    std::vector<std::uint8_t> extended = bytes;
-    extended.push_back(0);
-    EXPECT_FALSE(decodeSweepPlan(extended, decoded));
+
+    // The largest values each field holds are still accepted.
+    SweepPlan out;
+    std::string error;
+    ASSERT_TRUE(parseSweepPlanJson(
+        replaced(base, records, "\"records\": 18446744073709551615"),
+        out, &error))
+        << error;
+    EXPECT_EQ(out.records, UINT64_MAX);
+    ASSERT_TRUE(parseSweepPlanJson(
+        replaced(base, jobs, "\"jobs\": 4294967295"), out, &error))
+        << error;
+    EXPECT_EQ(out.jobs, 4294967295u);
+}
+
+/**
+ * The reject-never-misdecode property for one input: it is either
+ * rejected, or it decodes to a plan whose canonical bytes parse back
+ * to the same canonical bytes. Returns whether it was accepted.
+ */
+bool
+expectRejectedOrCanonical(const std::string &mutant,
+                          const std::string &what)
+{
+    SweepPlan plan;
+    if (!parseSweepPlanJson(mutant, plan))
+        return false;
+    const std::string canonical = sweepPlanJson(plan);
+    SweepPlan again;
+    std::string error;
+    EXPECT_TRUE(parseSweepPlanJson(canonical, again, &error))
+        << what << ": canonical form rejected: " << error;
+    EXPECT_EQ(canonical, sweepPlanJson(again))
+        << what << ": canonical form is not a fixed point";
+    return true;
+}
+
+TEST(SweepPlanJson, MutantsAreRejectedOrCanonical)
+{
+    const std::string base = sweepPlanJson(fullPlan());
+    std::size_t accepted = 0, total = 0;
+    auto check = [&](const std::string &mutant,
+                     const std::string &what) {
+        ++total;
+        if (expectRejectedOrCanonical(mutant, what))
+            ++accepted;
+    };
+
+    // Every single-bit flip.
+    for (std::size_t byte = 0; byte < base.size(); ++byte) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string mutant = base;
+            mutant[byte] = static_cast<char>(
+                static_cast<unsigned char>(mutant[byte]) ^ (1u << bit));
+            check(mutant, "flip byte " + std::to_string(byte) +
+                              " bit " + std::to_string(bit));
+        }
+    }
+
+    // Every truncation.
+    for (std::size_t cut = 0; cut < base.size(); ++cut)
+        check(base.substr(0, cut), "cut at " + std::to_string(cut));
+
+    // Seeded multi-byte flips and insertions. Inserted bytes are
+    // drawn half from JSON's own alphabet, so mutants get past the
+    // tokenizer often enough to reach the plan-level checks.
+    const std::string alphabet = "0123456789-+.eE\" ,:[]{}nul\\tf";
+    const auto size32 = [](const std::string &s) {
+        return static_cast<std::uint32_t>(s.size());
+    };
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        Rng rng(seed);
+        for (int trial = 0; trial < 1000; ++trial) {
+            std::string mutant = base;
+            const std::uint32_t flips = 2 + rng.below(6);
+            for (std::uint32_t f = 0; f < flips; ++f)
+                mutant[rng.below(size32(mutant))] ^=
+                    static_cast<char>(1 + rng.below(255));
+            check(mutant, "seed " + std::to_string(seed) + " flips " +
+                              std::to_string(trial));
+        }
+        for (int trial = 0; trial < 1000; ++trial) {
+            std::string mutant = base;
+            const std::uint32_t inserts = 1 + rng.below(4);
+            for (std::uint32_t k = 0; k < inserts; ++k) {
+                const char c =
+                    rng.below(2) == 0
+                        ? alphabet[rng.below(size32(alphabet))]
+                        : static_cast<char>(rng.below(256));
+                mutant.insert(rng.below(size32(mutant) + 1), 1, c);
+            }
+            check(mutant, "seed " + std::to_string(seed) +
+                              " inserts " + std::to_string(trial));
+        }
+    }
+
+    // Both sides of the property are exercised: digit flips decode
+    // to other plans, most damage is refused.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_LT(accepted, total);
 }
 
 TEST(SweepPlanDriver, RunPlanMatchesWorkloadEngineRun)

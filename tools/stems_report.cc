@@ -13,22 +13,9 @@
  *     threshold 0 to pin warm == cold); --fail-on-regression exits
  *     2 only when a metric got *worse* beyond the threshold.
  *
- *   stems_report history [--store DIR] [--bench DIR]
- *       [--format md|csv] [-o FILE]
+ *   stems_report history [--store DIR] [--format md|csv] [-o FILE]
  *     Orders the engine results cached in a store (--store or
  *     $STEMS_STORE) by save timestamp into a trajectory table.
- *     --bench DIR additionally renders the committed BENCH_*.json
- *     performance snapshots (sorted by file name) below it; with
- *     --bench alone, only the snapshot trajectory is shown.
- *
- *   stems_report bench <old.json> <new.json>
- *       [--tolerance F] [-o FILE] [--fail-on-regression]
- *     Compares two performance snapshots (stems-micro-v1 or
- *     stems-perf-v1, as written by micro_engines --json and the
- *     fig9 --perf flag): per-component throughput deltas.
- *     --fail-on-regression exits 2 when any component's ops/sec
- *     fell below old * (1 - tolerance); the CI perf gates use
- *     tolerance 0.15.
  *
  *   stems_report metrics <metrics.json> [<old-metrics.json>]
  *       [-o FILE]
@@ -39,7 +26,6 @@
  *     snapshot and a delta column is added.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,10 +50,8 @@ usage()
         "  stems_report compare <old.json> <new.json>\n"
         "      [--format md|csv] [--threshold F] [-o FILE]\n"
         "      [--fail-on-delta] [--fail-on-regression]\n"
-        "  stems_report history [--store DIR] [--bench DIR]\n"
-        "      [--format md|csv] [-o FILE]\n"
-        "  stems_report bench <old.json> <new.json>\n"
-        "      [--tolerance F] [-o FILE] [--fail-on-regression]\n"
+        "  stems_report history [--store DIR] [--format md|csv] "
+        "[-o FILE]\n"
         "  stems_report metrics <metrics.json> "
         "[<old-metrics.json>] [-o FILE]\n"
         "\n"
@@ -79,11 +63,7 @@ usage()
         "  --fail-on-delta      exit 2 when any cell changed\n"
         "  --fail-on-regression exit 2 when any cell regressed\n"
         "  --store DIR          store directory (default:\n"
-        "                       $STEMS_STORE when set)\n"
-        "  --bench DIR          directory of committed BENCH_*.json\n"
-        "                       performance snapshots\n"
-        "  --tolerance F        allowed fractional throughput drop\n"
-        "                       for `bench` (default: 0.15)\n");
+        "                       $STEMS_STORE when set)\n");
     return 1;
 }
 
@@ -93,9 +73,7 @@ struct Args
     std::string format = "md";
     std::string outPath;
     std::string storeDir;
-    std::string benchDir;
     double threshold = 0.0;
-    double tolerance = 0.15;
     bool failOnDelta = false;
     bool failOnRegression = false;
     bool ok = true;
@@ -133,23 +111,10 @@ struct Args
                                  v);
                     ok = false;
                 }
-            } else if (arg == "--tolerance") {
-                const char *v = value();
-                char *end = nullptr;
-                tolerance = std::strtod(v, &end);
-                if (end == v || *end != '\0' || tolerance < 0) {
-                    std::fprintf(stderr,
-                                 "--tolerance wants a non-negative "
-                                 "number, got '%s'\n",
-                                 v);
-                    ok = false;
-                }
             } else if (arg == "-o" || arg == "--output") {
                 outPath = value();
             } else if (arg == "--store") {
                 storeDir = value();
-            } else if (arg == "--bench") {
-                benchDir = value();
             } else if (arg == "--fail-on-delta") {
                 failOnDelta = true;
             } else if (arg == "--fail-on-regression") {
@@ -222,82 +187,6 @@ cmdCompare(const Args &args)
     return 0;
 }
 
-/**
- * Load the committed BENCH_*.json snapshots under `dir`, sorted by
- * file name (the naming convention orders the trajectory).
- */
-bool
-loadBenchDir(const std::string &dir,
-             std::vector<BenchSnapshot> &out)
-{
-    std::error_code ec;
-    if (!std::filesystem::is_directory(dir, ec)) {
-        std::fprintf(stderr, "no snapshot directory at '%s'\n",
-                     dir.c_str());
-        return false;
-    }
-    std::vector<std::string> paths;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir, ec)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("BENCH_", 0) == 0 &&
-            entry.path().extension() == ".json") {
-            paths.push_back(entry.path().string());
-        }
-    }
-    std::sort(paths.begin(), paths.end());
-    for (const std::string &path : paths) {
-        BenchSnapshot snap;
-        std::string error;
-        if (!loadBenchSnapshotJson(path, snap, &error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            return false;
-        }
-        out.push_back(std::move(snap));
-    }
-    if (out.empty()) {
-        std::fprintf(stderr, "no BENCH_*.json snapshots in '%s'\n",
-                     dir.c_str());
-        return false;
-    }
-    return true;
-}
-
-int
-cmdBench(const Args &args)
-{
-    if (args.positional.size() != 2)
-        return usage();
-    BenchSnapshot old_snap, new_snap;
-    std::string error;
-    if (!loadBenchSnapshotJson(args.positional[0], old_snap,
-                               &error) ||
-        !loadBenchSnapshotJson(args.positional[1], new_snap,
-                               &error)) {
-        std::fprintf(stderr, "%s\n", error.c_str());
-        return 1;
-    }
-    BenchComparison cmp =
-        compareBenchSnapshots(old_snap, new_snap, args.tolerance);
-    std::string report = renderBenchComparisonMarkdown(
-        cmp, old_snap, new_snap, args.tolerance);
-    int rc = emit(report, args.outPath);
-    if (rc != 0)
-        return rc;
-    if (cmp.configMismatch) {
-        std::fprintf(stderr,
-                     "snapshots are not comparable (schema, records "
-                     "or seed differ)\n");
-        return 2;
-    }
-    if (args.failOnRegression && cmp.regressions > 0) {
-        std::fprintf(stderr, "%zu components regressed\n",
-                     cmp.regressions);
-        return 2;
-    }
-    return 0;
-}
-
 int
 cmdMetrics(const Args &args)
 {
@@ -326,14 +215,6 @@ cmdHistory(const Args &args)
 {
     if (!args.positional.empty())
         return usage();
-    // --bench alone: just the committed snapshot trajectory.
-    if (args.storeDir.empty() && !args.benchDir.empty()) {
-        std::vector<BenchSnapshot> snaps;
-        if (!loadBenchDir(args.benchDir, snaps))
-            return 1;
-        return emit(renderBenchHistoryMarkdown(snaps),
-                    args.outPath);
-    }
     if (args.storeDir.empty()) {
         std::fprintf(stderr,
                      "no store directory (pass --store DIR or set "
@@ -360,21 +241,6 @@ cmdHistory(const Args &args)
         args.format == "csv"
             ? renderHistoryCsv(entries)
             : renderHistoryMarkdown(entries, store.dir());
-    // Store + snapshots: the perf trajectory rides below the result
-    // history (markdown only; the csv schema is per-result-cell).
-    if (!args.benchDir.empty()) {
-        if (args.format == "csv") {
-            std::fprintf(stderr,
-                         "--bench is markdown-only (the csv schema "
-                         "has no snapshot rows)\n");
-            return 1;
-        }
-        std::vector<BenchSnapshot> snaps;
-        if (!loadBenchDir(args.benchDir, snaps))
-            return 1;
-        report += "\n";
-        report += renderBenchHistoryMarkdown(snaps);
-    }
     return emit(report, args.outPath);
 }
 
@@ -392,8 +258,6 @@ main(int argc, char **argv)
         return cmdCompare(args);
     if (std::strcmp(argv[1], "history") == 0)
         return cmdHistory(args);
-    if (std::strcmp(argv[1], "bench") == 0)
-        return cmdBench(args);
     if (std::strcmp(argv[1], "metrics") == 0)
         return cmdMetrics(args);
     return usage();
