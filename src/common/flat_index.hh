@@ -88,6 +88,14 @@ class FlatIndex
         return slots_[i].value;
     }
 
+    /** Ask the host to start loading the slot a probe for `key`
+     *  starts at; no index state changes. */
+    void
+    prefetch(std::uint64_t key) const
+    {
+        __builtin_prefetch(&slots_[home(key)]);
+    }
+
     /** Keys held. */
     std::size_t size() const { return size_; }
 
@@ -144,17 +152,24 @@ class FlatIndex
     static constexpr std::size_t kLoadNum = 3;
     static constexpr std::size_t kLoadDen = 4;
 
-    /** The slot holding `key`, else the empty slot ending its run. */
+    /** The slot a probe for `key` starts at. */
     std::size_t
-    probe(std::uint64_t key) const
+    home(std::uint64_t key) const
     {
         // Fibonacci hashing: the multiply folds every key bit into the
         // top bits, which pick the slot. Block addresses share their
         // low bits, so indexing by the key's own low bits would
         // cluster them.
-        const std::size_t mask = slots_.size() - 1;
-        std::size_t i = static_cast<std::size_t>(
+        return static_cast<std::size_t>(
             (key * 0x9e3779b97f4a7c15ULL) >> shift_);
+    }
+
+    /** The slot holding `key`, else the empty slot ending its run. */
+    std::size_t
+    probe(std::uint64_t key) const
+    {
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t i = home(key);
         while (slots_[i].key != key && slots_[i].key != kEmptyKey)
             i = (i + 1) & mask;
         return i;

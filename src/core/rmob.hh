@@ -66,6 +66,14 @@ class RegionMissOrderBuffer
      */
     std::optional<Position> lookup(Addr block_addr) const;
 
+    /** Ask the host to start loading the index slot lookup() of
+     *  this block probes first; no state changes. */
+    void
+    prefetch(Addr block_addr) const
+    {
+        index_.prefetch(blockAlign(block_addr));
+    }
+
     /** Next position that will be assigned. */
     Position frontier() const { return buffer_.size(); }
 

@@ -234,6 +234,17 @@ StemsPrefetcher::onPrefetchFiltered(Addr a, int stream_id)
 }
 
 void
+StemsPrefetcher::hostPrefetch(Addr block, Pc pc) const
+{
+    // What onOffChipRead probes for this block: its RMOB index slot,
+    // the PST set a trigger's predictedMask reads, and the reconIndex_
+    // set of the spatial-only stream check.
+    rmob_.prefetch(block);
+    pst_.prefetch(stemsPatternIndex(pc16Of(pc), regionOffset(block)));
+    reconIndex_.prefetch(regionNumber(regionBase(block)));
+}
+
+void
 StemsPrefetcher::drainRequests(std::vector<PrefetchRequest> &out)
 {
     streams_.drainRequests(out);

@@ -70,6 +70,10 @@ class Hierarchy
     /** L2 demand lookup (promote/reference on hit); one set probe. */
     L2Result accessL2(Addr a) { return l2_.demand(a); }
 
+    /** Start loading the L1 set a lookup of `a` probes (a host
+     *  prefetch; no model state changes). */
+    void prefetchL1(Addr a) const { l1_.prefetchSet(a); }
+
     /** Start loading the L2 set a lookup of `a` probes (a host
      *  prefetch; no model state changes). */
     void prefetchL2(Addr a) const { l2_.prefetchSet(a); }

@@ -63,6 +63,13 @@ NaiveHybridPrefetcher::onInvalidate(Addr a)
 }
 
 void
+NaiveHybridPrefetcher::hostPrefetch(Addr block, Pc pc) const
+{
+    tms_.hostPrefetch(block, pc);
+    sms_.hostPrefetch(block, pc);
+}
+
+void
 NaiveHybridPrefetcher::drainRequests(std::vector<PrefetchRequest> &out)
 {
     tms_.drainRequests(out);

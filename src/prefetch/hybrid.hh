@@ -34,6 +34,7 @@ class NaiveHybridPrefetcher : public Prefetcher
     void onPrefetchDrop(Addr a, int stream_id) override;
     void onPrefetchFiltered(Addr a, int stream_id) override;
     void onInvalidate(Addr a) override;
+    void hostPrefetch(Addr block, Pc pc) const override;
 
     void drainRequests(std::vector<PrefetchRequest> &out) override;
 

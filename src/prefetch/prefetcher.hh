@@ -116,6 +116,19 @@ class Prefetcher
     virtual void onInvalidate(Addr a) { (void)a; }
 
     /**
+     * A record for `block` (block-aligned), issued by `pc`, reaches
+     * the hooks a few records from now: ask the host to start loading
+     * the table lines those hooks will probe for it. A hint only — it
+     * changes no engine state — so the default does nothing.
+     */
+    virtual void
+    hostPrefetch(Addr block, Pc pc) const
+    {
+        (void)block;
+        (void)pc;
+    }
+
+    /**
      * Move this engine's pending prefetch requests into out.
      * Called by the simulator after each record's notifications.
      */

@@ -108,6 +108,13 @@ SmsPrefetcher::onInvalidate(Addr a)
 }
 
 void
+SmsPrefetcher::hostPrefetch(Addr block, Pc pc) const
+{
+    // The PHT set a trigger access of this block predicts from.
+    pht_.prefetch(spatialPatternIndex(pc, regionOffset(block)));
+}
+
+void
 SmsPrefetcher::drainRequests(std::vector<PrefetchRequest> &out)
 {
     out.insert(out.end(), pending_.begin(), pending_.end());

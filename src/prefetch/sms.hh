@@ -50,6 +50,7 @@ class SmsPrefetcher : public Prefetcher
     void onL1Access(Addr a, Pc pc, bool l1_hit) override;
     void onL1BlockRemoved(Addr a) override;
     void onInvalidate(Addr a) override;
+    void hostPrefetch(Addr block, Pc pc) const override;
 
     void drainRequests(std::vector<PrefetchRequest> &out) override;
 

@@ -200,6 +200,14 @@ TmsPrefetcher::onPrefetchFiltered(Addr a, int stream_id)
 }
 
 void
+TmsPrefetcher::hostPrefetch(Addr block, Pc pc) const
+{
+    (void)pc;
+    // The index slot onOffChipRead probes for this block.
+    index_.prefetch(block);
+}
+
+void
 TmsPrefetcher::drainRequests(std::vector<PrefetchRequest> &out)
 {
     out.insert(out.end(), pending_.begin(), pending_.end());

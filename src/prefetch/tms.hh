@@ -76,6 +76,7 @@ class TmsPrefetcher : public Prefetcher
     void onPrefetchHit(Addr a, int stream_id) override;
     void onPrefetchDrop(Addr a, int stream_id) override;
     void onPrefetchFiltered(Addr a, int stream_id) override;
+    void hostPrefetch(Addr block, Pc pc) const override;
 
     void drainRequests(std::vector<PrefetchRequest> &out) override;
 

@@ -107,6 +107,10 @@ BatchSimulator::runLaneChunk(std::size_t lane_index,
         count = lane.end - first;
     batchMetrics().recordSteps.add(count - skip);
     for (std::size_t i = skip; i < count; ++i) {
+        // Loads only: the step of record i + kLookaheadRecords then
+        // finds its sets and table lines on their way in.
+        if (i + kLookaheadRecords < count)
+            sim.hostPrefetch(records[i + kLookaheadRecords]);
         std::size_t global = first + i;
         if (lane.nextBoundary < lane.boundaries.size() &&
             lane.boundaries[lane.nextBoundary] == global) {

@@ -160,6 +160,15 @@ class BatchSimulator
     /// of records) stays cache-resident for the next lane.
     static constexpr std::size_t kChunkRecords = 65536;
 
+    /// How far ahead of its step a lane asks the host to load a
+    /// record's cache sets and engine tables
+    /// (PrefetchSimulator::hostPrefetch): far enough for a DRAM miss
+    /// to land, near enough that the lines are still cached when the
+    /// step probes them. On the fig9-cold sweep (4-vCPU x86 VM,
+    /// alternating pairs) 8 beat 4 in 4 of 6; 16 and 32 were not
+    /// reliably better than 8.
+    static constexpr std::size_t kLookaheadRecords = 8;
+
     /** Step `count` records (trace positions [first, first+count))
      *  through every lane, lane-major, on up to `jobs` threads. */
     void runChunk(const MemRecord *records, std::size_t first,

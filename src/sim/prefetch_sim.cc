@@ -173,6 +173,15 @@ PrefetchSimulator::step(const MemRecord &r)
 }
 
 void
+PrefetchSimulator::hostPrefetch(const MemRecord &r) const
+{
+    hier_.prefetchL1(r.vaddr);
+    hier_.prefetchL2(r.vaddr);
+    if (engine_)
+        engine_->hostPrefetch(blockAlign(r.vaddr), r.pc);
+}
+
+void
 PrefetchSimulator::drainAndIssue()
 {
     if (!engine_)

@@ -97,6 +97,13 @@ class PrefetchSimulator
     void step(const MemRecord &r);
 
     /**
+     * Ask the host to start loading what a later step(r) will probe:
+     * the record's L1 and L2 sets and the engine's tables
+     * (Prefetcher::hostPrefetch). Changes no simulator state.
+     */
+    void hostPrefetch(const MemRecord &r) const;
+
+    /**
      * Process a whole trace and finalize accounting.
      *
      * @param warmup_records  leading records that train state without
