@@ -5,7 +5,8 @@
  *
  * The RMOB and TMS each map a recorded block address to its newest
  * buffer position; a stale entry is detected on lookup (its position
- * was overwritten), never erased. That makes a flat table the fit:
+ * left the buffer's window), never erased. That makes a flat table
+ * the fit:
  *
  *  - One power-of-two array of (key, value) slots, linear probing
  *    from a multiplicative hash: a lookup is one hashed load plus a
@@ -122,22 +123,31 @@ class FlatIndex
     }
 
     /** Restore state written by saveState. Fails the reader on
-     *  kEmptyKey, which no slot can hold as a key. */
-    template <typename Reader>
+     *  kEmptyKey, which no slot can hold as a key, and on any entry
+     *  `accept(key, value)` refuses (the owner's invariants). */
+    template <typename Reader, typename Accept>
     void
-    loadState(Reader &r)
+    loadState(Reader &r, Accept &&accept)
     {
         reset(slots_.size());
         const std::uint64_t n = r.u64();
         for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
             const std::uint64_t key = r.u64();
             const std::uint64_t value = r.u64();
-            if (!r.ok() || key == kEmptyKey) {
+            if (!r.ok() || key == kEmptyKey || !accept(key, value)) {
                 r.fail();
                 return;
             }
             findOrInsert(key) = value;
         }
+    }
+
+    /** loadState accepting every entry. */
+    template <typename Reader>
+    void
+    loadState(Reader &r)
+    {
+        loadState(r, [](std::uint64_t, std::uint64_t) { return true; });
     }
 
   private:

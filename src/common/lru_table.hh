@@ -10,7 +10,7 @@
  * three parallel arrays indexed by slot (set * ways + way). A lookup
  * probes the set's key lane — one contiguous cache line of keys for
  * typical associativities — and touches the value lane just on a
- * hit; the hot miss path never drags value bytes (40-byte PST
+ * hit; the hot miss path never drags value bytes (168-byte PST
  * entries, AGT generations) through the cache. There is no validity
  * lane: a slot is invalid exactly when its stamp is 0, because
  * touch() stamps from 1 and erase() zeroes the stamp. That makes the
@@ -18,6 +18,14 @@
  * stamp lane (conditional moves, no data-dependent branches to
  * mispredict on random recency order) which picks the first free way
  * or the first-index LRU way in one pass.
+ *
+ * A fully associative table (one set, such as the 64-entry SMS and
+ * STeMS AGTs) also keeps a key -> slot index: open addressing with
+ * linear probing over twice as many cells as slots, holding exactly
+ * the valid slots. Lookups probe it instead of scanning every key;
+ * insertion, eviction and erase keep it current, loadState rebuilds
+ * it, and it is never serialized. Set-associative tables scan their
+ * set's key lane, one line for typical associativities.
  *
  * Replacement semantics are identical to the historical
  * array-of-structs implementation (kept as the property-test oracle
@@ -29,6 +37,7 @@
 #ifndef STEMS_COMMON_LRU_TABLE_HH
 #define STEMS_COMMON_LRU_TABLE_HH
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -62,6 +71,14 @@ class LruTable
         keys_.assign(slots, 0);
         lru_.assign(slots, 0);
         values_.resize(slots);
+        if (sets_ == 1) {
+            std::size_t cells = 2;
+            while (cells < 2 * slots)
+                cells *= 2;
+            slotIndex_.assign(cells, kFreeCell);
+            indexShift_ =
+                64 - static_cast<unsigned>(__builtin_ctzll(cells));
+        }
     }
 
     /**
@@ -104,11 +121,14 @@ class LruTable
         if (V *v = find(key))
             return *v;
         std::size_t i = victimIndex(key);
-        if (lru_[i])
+        if (lru_[i]) {
             on_evict(keys_[i], values_[i]);
+            unindex(i);
+        }
         keys_[i] = key;
         values_[i] = V();
         touch(i);
+        index(i);
         return values_[i];
     }
 
@@ -136,6 +156,7 @@ class LruTable
         std::size_t i = findIndex(key);
         if (i == kNone)
             return false;
+        unindex(i);
         lru_[i] = 0;
         return true;
     }
@@ -193,7 +214,9 @@ class LruTable
 
     /**
      * Restore state written by saveState into a table of identical
-     * geometry (fails the reader otherwise).
+     * geometry (fails the reader otherwise, and on a slot no run can
+     * produce). A failed load leaves a consistent table holding the
+     * slots decoded before the failure.
      *
      * @param load_value  (Reader &, V &) deserializer for values.
      */
@@ -206,20 +229,26 @@ class LruTable
             return;
         }
         clock_ = r.u64();
+        std::fill(keys_.begin(), keys_.end(), 0);
+        std::fill(lru_.begin(), lru_.end(), 0);
+        std::fill(values_.begin(), values_.end(), V());
+        std::fill(slotIndex_.begin(), slotIndex_.end(), kFreeCell);
         for (std::size_t i = 0; i < lru_.size(); ++i) {
-            bool valid = r.boolean();
-            keys_[i] = 0;
-            lru_[i] = 0;
-            values_[i] = V();
-            if (valid) {
-                keys_[i] = r.u64();
-                lru_[i] = r.u64();
+            if (r.boolean()) {
+                const std::uint64_t key = r.u64();
+                const std::uint64_t stamp = r.u64();
                 load_value(r, values_[i]);
                 // Stamp 0 marks a free slot: a slot flagged valid
                 // with stamp 0 would decode as free and re-encode
-                // differently, so reject it.
-                if (lru_[i] == 0)
+                // differently. A key already valid in another slot
+                // would be found in only one of the two. Reject both.
+                if (stamp == 0 || findIndex(key) != kNone) {
                     r.fail();
+                    return;
+                }
+                keys_[i] = key;
+                lru_[i] = stamp;
+                index(i);
             }
             if (!r.ok())
                 return;
@@ -240,6 +269,16 @@ class LruTable
     std::size_t
     findIndex(std::uint64_t key) const
     {
+        if (!slotIndex_.empty()) {
+            const std::size_t mask = slotIndex_.size() - 1;
+            for (std::size_t c = home(key);; c = (c + 1) & mask) {
+                const std::uint32_t slot = slotIndex_[c];
+                if (slot == kFreeCell)
+                    return kNone;
+                if (keys_[slot] == key)
+                    return slot;
+            }
+        }
         std::size_t base = setIndex(key) * ways_;
         for (std::size_t w = 0; w < ways_; ++w) {
             std::size_t i = base + w;
@@ -273,6 +312,54 @@ class LruTable
 
     void touch(std::size_t i) { lru_[i] = ++clock_; }
 
+    /** The slot-index cell a probe for `key` starts at. */
+    std::size_t
+    home(std::uint64_t key) const
+    {
+        return static_cast<std::size_t>(
+            (key * 0x9e3779b97f4a7c15ULL) >> indexShift_);
+    }
+
+    /** Enter valid slot i, whose key is absent, in the slot index. */
+    void
+    index(std::size_t i)
+    {
+        if (slotIndex_.empty())
+            return;
+        const std::size_t mask = slotIndex_.size() - 1;
+        std::size_t c = home(keys_[i]);
+        while (slotIndex_[c] != kFreeCell)
+            c = (c + 1) & mask;
+        slotIndex_[c] = static_cast<std::uint32_t>(i);
+    }
+
+    /** Remove valid slot i (key still in keys_[i]) from the slot
+     *  index. */
+    void
+    unindex(std::size_t i)
+    {
+        if (slotIndex_.empty())
+            return;
+        const std::size_t mask = slotIndex_.size() - 1;
+        std::size_t hole = home(keys_[i]);
+        while (slotIndex_[hole] != i)
+            hole = (hole + 1) & mask;
+        // Backward-shift deletion, so no tombstones: a later cell of
+        // the probe run moves into the hole when its probe passes the
+        // hole (its home is no nearer to it than the hole is).
+        for (std::size_t c = (hole + 1) & mask;
+             slotIndex_[c] != kFreeCell; c = (c + 1) & mask) {
+            const std::size_t from = home(keys_[slotIndex_[c]]);
+            if (((c - from) & mask) >= ((c - hole) & mask)) {
+                slotIndex_[hole] = slotIndex_[c];
+                hole = c;
+            }
+        }
+        slotIndex_[hole] = kFreeCell;
+    }
+
+    static constexpr std::uint32_t kFreeCell = ~std::uint32_t{0};
+
     std::size_t ways_;
     std::size_t sets_ = 0;
     std::uint64_t clock_ = 0;
@@ -282,6 +369,11 @@ class LruTable
     std::vector<std::uint64_t> keys_;
     std::vector<std::uint64_t> lru_;
     std::vector<V> values_;
+    /// Fully associative tables only (empty otherwise): the valid
+    /// slots, by key hash (see the file comment). kFreeCell marks an
+    /// empty cell.
+    std::vector<std::uint32_t> slotIndex_;
+    unsigned indexShift_ = 0;
 };
 
 } // namespace stems

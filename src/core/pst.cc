@@ -36,16 +36,12 @@ PatternSequenceTable::train(
             --e.counter[off];
         }
     }
+    repredict(e);
 }
 
-bool
-PatternSequenceTable::lookup(std::uint64_t index,
-                             std::vector<SpatialElement> &out) const
+void
+PatternSequenceTable::repredict(Entry &e) const
 {
-    const Entry *e = table_.peek(index);
-    if (e == nullptr)
-        return false;
-
     struct Item
     {
         std::uint8_t order;
@@ -53,11 +49,13 @@ PatternSequenceTable::lookup(std::uint64_t index,
     };
     Item items[kBlocksPerRegion];
     unsigned n = 0;
+    std::uint32_t mask = 0;
     for (unsigned off = 0; off < kBlocksPerRegion; ++off) {
-        if (e->counter[off] >= params_.predictThreshold) {
-            items[n].order = e->order[off];
+        if (e.counter[off] >= params_.predictThreshold) {
+            items[n].order = e.order[off];
             items[n].element.offset = static_cast<std::uint8_t>(off);
-            items[n].element.delta = e->delta[off];
+            items[n].element.delta = e.delta[off];
+            mask |= 1u << off;
             ++n;
         }
     }
@@ -66,23 +64,22 @@ PatternSequenceTable::lookup(std::uint64_t index,
             return a.order < b.order;
         return a.element.offset < b.element.offset;
     });
-    out.clear();
+    SpatialPrediction &p = e.predicted;
     for (unsigned i = 0; i < n; ++i)
-        out.push_back(items[i].element);
-    return true;
+        p.elements[i] = items[i].element;
+    p.size = static_cast<std::uint8_t>(n);
+    p.mask = mask;
 }
 
-std::uint32_t
-PatternSequenceTable::predictedMask(std::uint64_t index) const
+bool
+PatternSequenceTable::lookup(std::uint64_t index,
+                             std::vector<SpatialElement> &out) const
 {
-    const Entry *e = table_.peek(index);
-    if (e == nullptr)
-        return 0;
-    std::uint32_t mask = 0;
-    for (unsigned off = 0; off < kBlocksPerRegion; ++off)
-        if (e->counter[off] >= params_.predictThreshold)
-            mask |= 1u << off;
-    return mask;
+    const SpatialPrediction *p = prediction(index);
+    if (p == nullptr)
+        return false;
+    out.assign(p->begin(), p->end());
+    return true;
 }
 
 namespace {
@@ -106,12 +103,13 @@ void
 PatternSequenceTable::loadState(StateReader &r)
 {
     r.tag(kPstTag);
-    table_.loadState(r, [](StateReader &sr, Entry &e) {
+    table_.loadState(r, [this](StateReader &sr, Entry &e) {
         for (unsigned off = 0; off < kBlocksPerRegion; ++off) {
             e.counter[off] = sr.u8();
             e.delta[off] = sr.u8();
             e.order[off] = sr.u8();
         }
+        repredict(e);
     });
 }
 

@@ -51,6 +51,22 @@ struct SpatialElement
     std::uint8_t delta = 0;
 };
 
+/**
+ * What a PST entry predicts: the elements whose counters meet the
+ * threshold, ordered by stored access order (ties by offset), and
+ * their offsets as a mask. Iterable as a sequence of elements.
+ */
+struct SpatialPrediction
+{
+    std::uint32_t mask = 0; ///< offsets of the predicted elements
+    std::uint8_t size = 0;  ///< predicted elements
+    SpatialElement elements[kBlocksPerRegion];
+
+    const SpatialElement *begin() const { return elements; }
+    const SpatialElement *end() const { return elements + size; }
+    bool empty() const { return size == 0; }
+};
+
 /** PST configuration (paper defaults). */
 struct PstParams
 {
@@ -92,8 +108,22 @@ class PatternSequenceTable
     }
 
     /**
-     * Predicted sequence for an index: elements whose counters meet
-     * the threshold, in stored access order.
+     * The prediction kept for an index (no recency update). Valid
+     * until the next train() or loadState().
+     *
+     * @return nullptr when the index has no entry; an entry whose
+     *         elements all fall below the threshold predicts empty.
+     */
+    const SpatialPrediction *
+    prediction(std::uint64_t index) const
+    {
+        const Entry *e = table_.peek(index);
+        return e == nullptr ? nullptr : &e->predicted;
+    }
+
+    /**
+     * Predicted sequence for an index, copied out: elements whose
+     * counters meet the threshold, in stored access order.
      *
      * @return true when the index had an entry (even if no element
      *         currently predicts).
@@ -105,7 +135,12 @@ class PatternSequenceTable
      * Bitmask of offsets currently predicted for an index (used to
      * filter spatially-predictable misses out of the RMOB).
      */
-    std::uint32_t predictedMask(std::uint64_t index) const;
+    std::uint32_t
+    predictedMask(std::uint64_t index) const
+    {
+        const SpatialPrediction *p = prediction(index);
+        return p == nullptr ? 0 : p->mask;
+    }
 
     /** Ask the host to start loading the set an index maps to, ahead
      *  of a batch of lookups; no table state changes. */
@@ -121,13 +156,23 @@ class PatternSequenceTable
     void loadState(StateReader &r);
 
   private:
-    /** Per-index storage: 2-bit counter, delta, order per block. */
+    /** Per-index storage: 2-bit counter, delta, order per block, and
+     *  the prediction they make. */
     struct Entry
     {
+        /// Derived from the three arrays below: rebuilt by train()
+        /// and loadState(), never serialized. Lookups outnumber
+        /// training about 12 to 1, so each is a read of this, not a
+        /// scan and sort of the counters.
+        SpatialPrediction predicted;
         std::uint8_t counter[kBlocksPerRegion] = {};
         std::uint8_t delta[kBlocksPerRegion] = {};
         std::uint8_t order[kBlocksPerRegion] = {};
     };
+
+    /** Rebuild an entry's prediction from its counters, deltas and
+     *  orders. */
+    void repredict(Entry &e) const;
 
     PstParams params_;
     LruTable<Entry> table_;

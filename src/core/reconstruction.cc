@@ -69,13 +69,14 @@ Reconstructor::place(std::vector<Addr> &slots, std::size_t slot,
 void
 Reconstructor::expandSpatial(std::vector<Addr> &slots, const Placed &p)
 {
-    if (!pst_.lookup(p.index, lookupScratch_))
+    const SpatialPrediction *predicted = pst_.prediction(p.index);
+    if (predicted == nullptr)
         return;
     Addr region = regionBase(p.entry.addr);
     expanded_.push_back({region, p.index});
 
     std::size_t cursor = p.slot;
-    for (const SpatialElement &el : lookupScratch_) {
+    for (const SpatialElement &el : *predicted) {
         cursor += el.delta + 1;
         if (cursor >= slots.size() + params_.displacementWindow)
             break;

@@ -136,7 +136,6 @@ class Reconstructor
     /// Per-call scratch held as members so repeated reconstructions
     /// reuse capacity instead of reallocating (reconstruct() is on
     /// the per-miss hot path). Contents are dead between calls.
-    std::vector<SpatialElement> lookupScratch_;
     std::vector<Addr> slotScratch_;
     std::vector<Placed> backboneScratch_;
     std::vector<ExpandedRegion> expanded_;

@@ -34,13 +34,14 @@ RegionMissOrderBuffer::at(Position pos) const
 std::optional<RegionMissOrderBuffer::Position>
 RegionMissOrderBuffer::lookup(Addr block_addr) const
 {
-    const Addr block = blockAlign(block_addr);
-    const Position *pos = index_.find(block);
-    if (pos == nullptr)
-        return std::nullopt;
-    auto entry = buffer_.at(*pos);
-    if (!entry.has_value() || entry->addr != block)
-        return std::nullopt; // overwritten: stale index entry
+    // append() writes a block's slot and its index entry together,
+    // and the index keeps each block's newest position, so a position
+    // the buffer still holds is that block's entry (loadState rejects
+    // an index that breaks this): no load of the entry to re-check
+    // its address.
+    const Position *pos = index_.find(blockAlign(block_addr));
+    if (pos == nullptr || !buffer_.contains(*pos))
+        return std::nullopt; // never recorded, or overwritten
     return *pos;
 }
 
@@ -70,7 +71,14 @@ RegionMissOrderBuffer::loadState(StateReader &r)
         e.pc16 = static_cast<std::uint16_t>(sr.u32());
         e.delta = sr.u8();
     });
-    index_.loadState(r);
+    // lookup() trusts every index position the buffer holds, so each
+    // must be one already written and, while live, hold its block.
+    index_.loadState(r, [this](std::uint64_t block, Position pos) {
+        if (pos >= buffer_.size())
+            return false;
+        auto entry = buffer_.at(pos);
+        return !entry.has_value() || entry->addr == block;
+    });
 }
 
 } // namespace stems

@@ -114,14 +114,13 @@ StemsPrefetcher::maybeStartSpatialOnlyStream(
     // index) needs the spatial stream regardless of coverage.
     (void)trigger_covered;
 
-    if (!pst_.lookup(gen.index, lookupScratch_) ||
-        lookupScratch_.empty()) {
+    const SpatialPrediction *predicted = pst_.prediction(gen.index);
+    if (predicted == nullptr || predicted->empty())
         return;
-    }
 
     auto addrs = addrPool_.acquire();
-    addrs->reserve(lookupScratch_.size());
-    for (const SpatialElement &el : lookupScratch_) {
+    addrs->reserve(predicted->size);
+    for (const SpatialElement &el : *predicted) {
         if (el.offset == gen.triggerOffset)
             continue;
         addrs->push_back(

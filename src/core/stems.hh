@@ -121,7 +121,6 @@ class StemsPrefetcher : public Prefetcher
     std::uint64_t lastAppendSeq_ = 0;
     std::uint64_t filtered_ = 0;
     std::uint64_t spatialOnlyStreams_ = 0;
-    std::vector<SpatialElement> lookupScratch_;
     /** Recycled scratch for stream-start address lists (a temporal
      *  or spatial-only stream start builds one, hands it to
      *  StreamQueueSet::allocate by const reference, and returns the

@@ -126,18 +126,13 @@ TmsPrefetcher::onOffChipRead(const OffChipRead &ev)
     Addr block = blockAlign(ev.addr);
 
     // Locate the previous occurrence and record this one in a single
-    // index probe.
-    Position prev_pos = 0;
-    bool have_prev = false;
+    // index probe. The index entry and the buffer slot are written
+    // together, so a position the buffer still holds is this block's
+    // (loadState rejects an index that breaks this).
     bool fresh = false;
     std::uint64_t &last = index_.findOrInsert(block, &fresh);
-    if (!fresh) {
-        auto prev = buffer_.at(last);
-        if (prev.has_value() && blockAlign(*prev) == block) {
-            prev_pos = last;
-            have_prev = true;
-        }
-    }
+    const bool have_prev = !fresh && buffer_.contains(last);
+    const Position prev_pos = have_prev ? last : 0;
     last = buffer_.append(block);
 
     if (ev.covered)
@@ -253,7 +248,15 @@ TmsPrefetcher::loadState(StateReader &r)
     streamsStarted_ = r.u64();
     buffer_.loadState(
         r, [](StateReader &sr, Addr &a) { a = sr.u64(); });
-    index_.loadState(r);
+    // onOffChipRead trusts every index position the buffer holds, so
+    // each must be one already written and, while live, hold its
+    // block.
+    index_.loadState(r, [this](std::uint64_t block, Position pos) {
+        if (pos >= buffer_.size())
+            return false;
+        auto entry = buffer_.at(pos);
+        return !entry.has_value() || blockAlign(*entry) == block;
+    });
     if (r.u64() != streams_.size()) {
         r.fail();
         return;

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <random>
 #include <unordered_map>
@@ -28,8 +29,10 @@
 #include "core/stream.hh"
 #include "mem/cache.hh"
 #include "mem/svb.hh"
+#include "prefetch/tms.hh"
 #include "reference_cache.hh"
 #include "reference_lru_table.hh"
+#include "reference_pst.hh"
 #include "reference_svb.hh"
 
 using namespace stems;
@@ -40,7 +43,10 @@ namespace {
  * Drive the SoA table and the reference with an identical op mix
  * (findOrInsert / find / peek / erase / occupancy) and require the
  * same observable result at every step, plus byte-identical
- * serialized state at the end.
+ * serialized state at the end. Halfway through, the table is saved
+ * and continued as a freshly loaded copy, so whatever loadState
+ * rebuilds (a fully associative table's slot index) is checked
+ * against the reference too.
  */
 void
 lruEquivalenceRun(std::uint64_t seed, std::size_t entries,
@@ -50,10 +56,24 @@ lruEquivalenceRun(std::uint64_t seed, std::size_t entries,
     std::mt19937_64 rng(seed);
     LruTable<std::uint64_t> table(entries, ways);
     ReferenceLruTable<std::uint64_t> oracle(entries, ways);
+    auto save = [](StateWriter &w, const std::uint64_t &v) {
+        w.u64(v);
+    };
 
     std::vector<std::pair<std::uint64_t, std::uint64_t>> evTable;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> evOracle;
     for (std::size_t i = 0; i < ops; ++i) {
+        if (i == ops / 2) {
+            StateWriter w;
+            table.saveState(w, save);
+            LruTable<std::uint64_t> loaded(entries, ways);
+            StateReader r(w.bytes().data(), w.bytes().size());
+            loaded.loadState(r, [](StateReader &rd, std::uint64_t &v) {
+                v = rd.u64();
+            });
+            ASSERT_TRUE(r.atEnd());
+            table = std::move(loaded);
+        }
         std::uint64_t key = rng() % key_span;
         switch (rng() % 8) {
         case 0: { // find
@@ -106,9 +126,6 @@ lruEquivalenceRun(std::uint64_t seed, std::size_t entries,
     // slot positions, keys, stamps and values) must match byte for
     // byte.
     StateWriter wa, wb;
-    auto save = [](StateWriter &w, const std::uint64_t &v) {
-        w.u64(v);
-    };
     table.saveState(wa, save);
     oracle.saveState(wb, save);
     ASSERT_EQ(wa.bytes(), wb.bytes());
@@ -129,6 +146,14 @@ TEST(HotpathLruTable, MatchesReferenceEvictHeavy)
 TEST(HotpathLruTable, MatchesReferenceFullyAssociative)
 {
     lruEquivalenceRun(3, 16, 16, 300, 20000);
+}
+
+TEST(HotpathLruTable, MatchesReferenceAgtGeometry)
+{
+    // The 64-entry, 64-way SMS and STeMS AGTs: lookups go through the
+    // slot index, which every insert, eviction and erase updates.
+    lruEquivalenceRun(5, 64, 64, 100, 20000);
+    lruEquivalenceRun(6, 64, 64, 2000, 20000);
 }
 
 TEST(HotpathLruTable, MatchesReferenceDirectMapped)
@@ -634,6 +659,172 @@ TEST(HotpathFlatIndex, MatchesUnorderedMapAndItsSortedBytes)
     }
 }
 
+// ---- PST kept predictions vs the frozen scan-and-sort ----------
+
+/** Offsets and deltas of a spatial sequence, for ASSERT_EQ. */
+template <typename Seq>
+std::vector<std::pair<unsigned, unsigned>>
+elementsOf(const Seq &seq)
+{
+    std::vector<std::pair<unsigned, unsigned>> out;
+    for (const SpatialElement &el : seq)
+        out.emplace_back(el.offset, el.delta);
+    return out;
+}
+
+/**
+ * Train the PST and the reference with the same seeded generations
+ * (random sequences, repeated offsets, sparse and dense access masks,
+ * LRU evictions) and require the same prediction, mask and copied
+ * lookup after every step, and the same bytes. Halfway through, the
+ * PST continues as a copy loaded from its own saved state, so the
+ * predictions loadState rebuilds are checked too.
+ */
+void
+pstEquivalenceRun(std::uint64_t seed, unsigned threshold)
+{
+    PstParams params;
+    params.entries = 64;
+    params.ways = 4;
+    params.predictThreshold = threshold;
+    auto pst = std::make_unique<PatternSequenceTable>(params);
+    ReferencePatternSequenceTable oracle(params);
+    std::mt19937_64 rng(seed);
+    std::vector<SpatialElement> got, want;
+    for (int i = 0; i < 20000; ++i) {
+        if (i == 10000) {
+            ASSERT_EQ(stateBytes(*pst), stateBytes(oracle));
+            const std::vector<std::uint8_t> bytes = stateBytes(*pst);
+            auto loaded = std::make_unique<PatternSequenceTable>(params);
+            StateReader r(bytes.data(), bytes.size());
+            loaded->loadState(r);
+            ASSERT_TRUE(r.atEnd());
+            pst = std::move(loaded);
+        }
+        const std::uint64_t index = rng() % 150;
+        if (rng() % 2 == 0) {
+            SpatialElement seq[kBlocksPerRegion];
+            const std::size_t len = rng() % (kBlocksPerRegion + 1);
+            for (std::size_t k = 0; k < len; ++k) {
+                seq[k].offset =
+                    static_cast<std::uint8_t>(rng() % kBlocksPerRegion);
+                seq[k].delta = static_cast<std::uint8_t>(rng());
+            }
+            const auto mask = static_cast<std::uint32_t>(
+                rng() % 2 ? rng() : rng() & rng() & rng());
+            pst->train(index, seq, len, mask);
+            oracle.train(index, seq, len, mask);
+        }
+        const bool present = oracle.lookup(index, want);
+        const SpatialPrediction *kept = pst->prediction(index);
+        ASSERT_EQ(kept != nullptr, present) << "step " << i;
+        if (kept != nullptr) {
+            ASSERT_EQ(elementsOf(*kept), elementsOf(want)) << "step " << i;
+        }
+        ASSERT_EQ(pst->predictedMask(index), oracle.predictedMask(index))
+            << "step " << i;
+        ASSERT_EQ(pst->lookup(index, got), present) << "step " << i;
+        ASSERT_EQ(elementsOf(got), elementsOf(want)) << "step " << i;
+    }
+    ASSERT_EQ(stateBytes(*pst), stateBytes(oracle));
+}
+
+TEST(HotpathPst, KeptPredictionMatchesScanAndSort)
+{
+    for (unsigned threshold = 1; threshold <= 3; ++threshold)
+        pstEquivalenceRun(40 + threshold, threshold);
+}
+
+// ---- RMOB and TMS lookups by position window -------------------
+
+TEST(HotpathRmob, WindowLookupMatchesEntryRecheckAcrossWraps)
+{
+    // The lookup it replaced: the block's newest index position,
+    // accepted only while the buffer holds it and its entry's
+    // address is the block. 200 blocks through 64 slots wrap the
+    // buffer about 80 times; halfway, the RMOB continues as a copy
+    // loaded from its saved state.
+    using Position = RegionMissOrderBuffer::Position;
+    auto rmob = std::make_unique<RegionMissOrderBuffer>(64);
+    std::unordered_map<Addr, Position> newest;
+    auto recheck = [&](Addr block) -> std::optional<Position> {
+        auto it = newest.find(block);
+        if (it == newest.end())
+            return std::nullopt;
+        auto entry = rmob->at(it->second);
+        if (!entry.has_value() || entry->addr != block)
+            return std::nullopt;
+        return it->second;
+    };
+    std::mt19937_64 rng(17);
+    for (int i = 0; i < 5000; ++i) {
+        if (i == 2500) {
+            const std::vector<std::uint8_t> bytes = stateBytes(*rmob);
+            auto loaded = std::make_unique<RegionMissOrderBuffer>(64);
+            StateReader r(bytes.data(), bytes.size());
+            loaded->loadState(r);
+            ASSERT_TRUE(r.atEnd());
+            rmob = std::move(loaded);
+        }
+        for (int probe = 0; probe < 4; ++probe) {
+            const Addr block = (rng() % 200) << kBlockShift;
+            ASSERT_EQ(rmob->lookup(block), recheck(block)) << "append " << i;
+        }
+        const Addr block = (rng() % 200) << kBlockShift;
+        newest[block] = rmob->append(block, static_cast<std::uint16_t>(i),
+                                     static_cast<unsigned>(rng() % 300));
+    }
+}
+
+TEST(HotpathTms, StreamStartsMatchPositionWindowAcrossWraps)
+{
+    // With resync off, an uncovered miss starts a stream exactly when
+    // the block's previous occurrence is still among the last
+    // bufferEntries misses, and the stream's first request is the
+    // miss recorded right after that occurrence. Halfway, the engine
+    // continues as a copy loaded from its saved state.
+    TmsParams params;
+    params.bufferEntries = 64;
+    params.numStreams = 4;
+    params.resyncWindow = 0;
+    auto tms = std::make_unique<TmsPrefetcher>(params);
+    std::vector<Addr> history; // every recorded miss, by position
+    std::vector<PrefetchRequest> issued;
+    std::mt19937_64 rng(23);
+    for (std::uint64_t i = 0; i < 5000; ++i) {
+        if (i == 2500) {
+            const std::vector<std::uint8_t> bytes = stateBytes(*tms);
+            auto loaded = std::make_unique<TmsPrefetcher>(params);
+            StateReader r(bytes.data(), bytes.size());
+            loaded->loadState(r);
+            ASSERT_TRUE(r.atEnd());
+            tms = std::move(loaded);
+        }
+        const Addr block = (rng() % 200) << kBlockShift;
+        std::optional<std::size_t> prev;
+        for (std::size_t j = history.size();
+             j-- > 0 && history.size() - j <= params.bufferEntries;) {
+            if (history[j] == block) {
+                prev = j;
+                break;
+            }
+        }
+        const std::uint64_t started = tms->streamsStarted();
+        tms->onOffChipRead({block, 0x400, i, false, -1});
+        history.push_back(block);
+        issued.clear();
+        tms->drainRequests(issued);
+        ASSERT_EQ(tms->streamsStarted() - started, prev ? 1u : 0u)
+            << "miss " << i;
+        if (prev) {
+            ASSERT_EQ(issued.size(), 1u) << "miss " << i;
+            EXPECT_EQ(issued[0].addr, history[*prev + 1]) << "miss " << i;
+        } else {
+            ASSERT_TRUE(issued.empty()) << "miss " << i;
+        }
+    }
+}
+
 // ---- reject, never misdecode -----------------------------------
 
 /** Load a hand-built payload. @return the re-encoded state when the
@@ -673,6 +864,125 @@ TEST(HotpathReject, LruTableValidSlotWithStampZero)
     };
     EXPECT_TRUE(loads(payload(3)));
     EXPECT_FALSE(loads(payload(0)));
+}
+
+TEST(HotpathReject, LruTableKeyLiveInTwoSlots)
+{
+    // `valid` flags which of the table's slots hold key 42; a saved
+    // table never holds one key twice.
+    auto payload = [](std::size_t ways, std::size_t sets,
+                      const std::vector<bool> &valid) {
+        StateWriter w;
+        w.u64(ways);
+        w.u64(sets);
+        w.u64(99); // clock
+        for (std::size_t i = 0; i < valid.size(); ++i) {
+            w.boolean(valid[i]);
+            if (valid[i]) {
+                w.u64(42);    // key
+                w.u64(i + 1); // stamp
+                w.u64(7);     // value
+            }
+        }
+        return w;
+    };
+    auto loads = [](std::size_t ways, std::size_t sets,
+                    const StateWriter &w) {
+        LruTable<std::uint64_t> t(ways * sets, ways);
+        StateReader r(w.bytes().data(), w.bytes().size());
+        t.loadState(r, [](StateReader &rd, std::uint64_t &v) {
+            v = rd.u64();
+        });
+        return r.atEnd();
+    };
+    // Fully associative (the slot-index geometry).
+    EXPECT_TRUE(loads(4, 1, payload(4, 1, {false, true, false, false})));
+    EXPECT_FALSE(loads(4, 1, payload(4, 1, {true, false, false, true})));
+    // Set-associative: every slot of both sets holds it, so the set
+    // the key maps to holds it four times.
+    EXPECT_FALSE(loads(4, 2, payload(4, 2, std::vector<bool>(8, true))));
+}
+
+TEST(HotpathReject, RmobIndexPositionItsBufferCannotHold)
+{
+    // Two slots, three appends: position 0 (block 0x1000) was
+    // overwritten, positions 1 and 2 hold 0x2000 and 0x3000. The
+    // varied field is the index position of 0x3000.
+    auto payload = [](std::uint64_t pos_of_3000) {
+        StateWriter w;
+        w.tag(stateTag('R', 'M', 'O', 'B'));
+        w.u64(2); // capacity
+        w.u64(3); // frontier
+        for (Addr a : {Addr{0x2000}, Addr{0x3000}}) {
+            w.u64(a);
+            w.u32(5); // pc16
+            w.u8(0);  // delta
+        }
+        w.u64(3);
+        w.u64(0x1000); // stale: its position left the window
+        w.u64(0);
+        w.u64(0x2000);
+        w.u64(1);
+        w.u64(0x3000);
+        w.u64(pos_of_3000);
+        return w;
+    };
+    RegionMissOrderBuffer rmob(2);
+    const StateWriter good = payload(2);
+    auto again = reload(rmob, good);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(*again, good.bytes());
+    EXPECT_EQ(rmob.lookup(0x3000), std::optional<std::uint64_t>(2));
+    EXPECT_FALSE(rmob.lookup(0x1000).has_value());
+    // A live slot that holds another block.
+    EXPECT_FALSE(reload(rmob, payload(1)).has_value());
+    // At and past the frontier: positions not written yet.
+    EXPECT_FALSE(reload(rmob, payload(3)).has_value());
+    EXPECT_FALSE(reload(rmob, payload(9)).has_value());
+}
+
+TEST(HotpathReject, TmsIndexPositionItsBufferCannotHold)
+{
+    // The RMOB case for the TMS buffer: two slots, three misses.
+    auto payload = [](std::uint64_t pos_of_3000) {
+        StateWriter w;
+        w.tag(stateTag('T', 'M', 'S', '1'));
+        w.i64(0); // global in flight
+        w.u64(0); // clock
+        w.u64(0); // streams started
+        w.u64(2); // capacity
+        w.u64(3); // frontier
+        w.u64(0x2000);
+        w.u64(0x3000);
+        w.u64(3);
+        w.u64(0x1000);
+        w.u64(0);
+        w.u64(0x2000);
+        w.u64(1);
+        w.u64(0x3000);
+        w.u64(pos_of_3000);
+        w.u64(1); // one idle stream
+        w.boolean(false);
+        w.boolean(false);
+        w.u64(0); // pending
+        w.u64(0); // next position
+        w.u64(0); // lru
+        w.i64(0); // in flight
+        w.u32(0); // generation
+        w.u64(0); // queued requests
+        return w;
+    };
+    TmsParams params;
+    params.bufferEntries = 2;
+    params.numStreams = 1;
+    TmsPrefetcher tms(params);
+    const StateWriter good = payload(2);
+    auto again = reload(tms, good);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(*again, good.bytes());
+    EXPECT_FALSE(reload(tms, payload(1)).has_value());
+    EXPECT_FALSE(reload(tms, payload(3)).has_value());
+    EXPECT_FALSE(reload(tms, payload(9)).has_value());
 }
 
 TEST(HotpathReject, CacheWayTheSetBlockCannotHold)
