@@ -1,5 +1,6 @@
 #include "trace/trace_io.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -186,8 +187,10 @@ encodeTraceV2(const Trace &trace)
     std::memcpy(file.data() + codec::kV2PayloadLenOffset,
                 &payload_len, sizeof(payload_len));
     std::memcpy(file.data() + codec::kV2CrcOffset, &crc, sizeof(crc));
-    std::memcpy(file.data() + codec::kV2HeaderBytes, payload.data(),
-                payload.size());
+    // std::copy, not memcpy: an empty trace's payload may have a null
+    // data(), which memcpy may not be passed even for zero bytes.
+    std::copy(payload.begin(), payload.end(),
+              file.begin() + codec::kV2HeaderBytes);
     return file;
 }
 
