@@ -10,7 +10,7 @@
  * three parallel arrays indexed by slot (set * ways + way). A lookup
  * probes the set's key lane — one contiguous cache line of keys for
  * typical associativities — and touches the value lane just on a
- * hit; the hot miss path never drags value bytes (168-byte PST
+ * hit; the hot miss path never drags value bytes (136-byte PST
  * entries, AGT generations) through the cache. There is no validity
  * lane: a slot is invalid exactly when its stamp is 0, because
  * touch() stamps from 1 and erase() zeroes the stamp. That makes the

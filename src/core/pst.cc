@@ -25,7 +25,7 @@ PatternSequenceTable::train(
         access_mask |= 1u << off;
         // The most recent occurrence defines order and delta (recent
         // history predicts best, Section 2.1).
-        e.delta[off] = el.delta;
+        e.predicted.delta[off] = el.delta;
         e.order[off] = position++;
     }
     for (unsigned off = 0; off < kBlocksPerRegion; ++off) {
@@ -42,33 +42,22 @@ PatternSequenceTable::train(
 void
 PatternSequenceTable::repredict(Entry &e) const
 {
-    struct Item
-    {
-        std::uint8_t order;
-        SpatialElement element;
-    };
-    Item items[kBlocksPerRegion];
+    SpatialPrediction &p = e.predicted;
     unsigned n = 0;
-    std::uint32_t mask = 0;
+    p.mask = 0;
     for (unsigned off = 0; off < kBlocksPerRegion; ++off) {
         if (e.counter[off] >= params_.predictThreshold) {
-            items[n].order = e.order[off];
-            items[n].element.offset = static_cast<std::uint8_t>(off);
-            items[n].element.delta = e.delta[off];
-            mask |= 1u << off;
-            ++n;
+            p.offsets[n++] = static_cast<std::uint8_t>(off);
+            p.mask |= 1u << off;
         }
     }
-    std::sort(items, items + n, [](const Item &a, const Item &b) {
-        if (a.order != b.order)
-            return a.order < b.order;
-        return a.element.offset < b.element.offset;
-    });
-    SpatialPrediction &p = e.predicted;
-    for (unsigned i = 0; i < n; ++i)
-        p.elements[i] = items[i].element;
     p.size = static_cast<std::uint8_t>(n);
-    p.mask = mask;
+    std::sort(p.offsets, p.offsets + n,
+              [&e](std::uint8_t a, std::uint8_t b) {
+                  if (e.order[a] != e.order[b])
+                      return e.order[a] < e.order[b];
+                  return a < b;
+              });
 }
 
 bool
@@ -78,7 +67,9 @@ PatternSequenceTable::lookup(std::uint64_t index,
     const SpatialPrediction *p = prediction(index);
     if (p == nullptr)
         return false;
-    out.assign(p->begin(), p->end());
+    out.clear();
+    for (std::size_t i = 0; i < p->size; ++i)
+        out.push_back((*p)[i]);
     return true;
 }
 
@@ -93,7 +84,7 @@ PatternSequenceTable::saveState(StateWriter &w) const
     table_.saveState(w, [](StateWriter &sw, const Entry &e) {
         for (unsigned off = 0; off < kBlocksPerRegion; ++off) {
             sw.u8(e.counter[off]);
-            sw.u8(e.delta[off]);
+            sw.u8(e.predicted.delta[off]);
             sw.u8(e.order[off]);
         }
     });
@@ -106,7 +97,7 @@ PatternSequenceTable::loadState(StateReader &r)
     table_.loadState(r, [this](StateReader &sr, Entry &e) {
         for (unsigned off = 0; off < kBlocksPerRegion; ++off) {
             e.counter[off] = sr.u8();
-            e.delta[off] = sr.u8();
+            e.predicted.delta[off] = sr.u8();
             e.order[off] = sr.u8();
         }
         repredict(e);

@@ -52,18 +52,27 @@ struct SpatialElement
 };
 
 /**
- * What a PST entry predicts: the elements whose counters meet the
+ * The part of a PST entry that lookups read: every offset's delta,
+ * and what the entry predicts — the offsets whose counters meet the
  * threshold, ordered by stored access order (ties by offset), and
- * their offsets as a mask. Iterable as a sequence of elements.
+ * their mask. Element i of the prediction is (offsets[i],
+ * delta[offsets[i]]); keeping offsets rather than (offset, delta)
+ * pairs keeps each delta stored once.
  */
 struct SpatialPrediction
 {
-    std::uint32_t mask = 0; ///< offsets of the predicted elements
+    std::uint32_t mask = 0; ///< the predicted offsets
     std::uint8_t size = 0;  ///< predicted elements
-    SpatialElement elements[kBlocksPerRegion];
+    std::uint8_t offsets[kBlocksPerRegion] = {}; ///< predicted, in order
+    std::uint8_t delta[kBlocksPerRegion] = {};   ///< per offset
 
-    const SpatialElement *begin() const { return elements; }
-    const SpatialElement *end() const { return elements + size; }
+    /** Predicted element i (i < size). */
+    SpatialElement
+    operator[](std::size_t i) const
+    {
+        return {offsets[i], delta[offsets[i]]};
+    }
+
     bool empty() const { return size == 0; }
 };
 
@@ -108,8 +117,8 @@ class PatternSequenceTable
     }
 
     /**
-     * The prediction kept for an index (no recency update). Valid
-     * until the next train() or loadState().
+     * The prediction kept for an index, read in place (no recency
+     * update). Valid until the next train() or loadState().
      *
      * @return nullptr when the index has no entry; an entry whose
      *         elements all fall below the threshold predicts empty.
@@ -156,22 +165,22 @@ class PatternSequenceTable
     void loadState(StateReader &r);
 
   private:
-    /** Per-index storage: 2-bit counter, delta, order per block, and
-     *  the prediction they make. */
+    /** Per-index storage: 2-bit counter, delta and order per block
+     *  (the delta inside `predicted`), and the prediction they make. */
     struct Entry
     {
-        /// Derived from the three arrays below: rebuilt by train()
-        /// and loadState(), never serialized. Lookups outnumber
-        /// training about 12 to 1, so each is a read of this, not a
-        /// scan and sort of the counters.
+        /// Its offsets, size and mask derive from counter, order and
+        /// delta: train() and loadState() rebuild them, and they are
+        /// never serialized. Lookups outnumber training about 12 to
+        /// 1, so each reads these instead of scanning the counters
+        /// and sorting.
         SpatialPrediction predicted;
         std::uint8_t counter[kBlocksPerRegion] = {};
-        std::uint8_t delta[kBlocksPerRegion] = {};
         std::uint8_t order[kBlocksPerRegion] = {};
     };
 
-    /** Rebuild an entry's prediction from its counters, deltas and
-     *  orders. */
+    /** Rebuild an entry's predicted offsets, size and mask from its
+     *  counters, orders and deltas. */
     void repredict(Entry &e) const;
 
     PstParams params_;

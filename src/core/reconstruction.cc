@@ -76,7 +76,8 @@ Reconstructor::expandSpatial(std::vector<Addr> &slots, const Placed &p)
     expanded_.push_back({region, p.index});
 
     std::size_t cursor = p.slot;
-    for (const SpatialElement &el : *predicted) {
+    for (std::size_t i = 0; i < predicted->size; ++i) {
+        const SpatialElement el = (*predicted)[i];
         cursor += el.delta + 1;
         if (cursor >= slots.size() + params_.displacementWindow)
             break;

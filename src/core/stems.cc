@@ -120,11 +120,11 @@ StemsPrefetcher::maybeStartSpatialOnlyStream(
 
     auto addrs = addrPool_.acquire();
     addrs->reserve(predicted->size);
-    for (const SpatialElement &el : *predicted) {
-        if (el.offset == gen.triggerOffset)
+    for (std::size_t i = 0; i < predicted->size; ++i) {
+        const unsigned offset = predicted->offsets[i];
+        if (offset == gen.triggerOffset)
             continue;
-        addrs->push_back(
-            addrFromRegionOffset(gen.regionBase, el.offset));
+        addrs->push_back(addrFromRegionOffset(gen.regionBase, offset));
     }
     if (addrs->empty())
         return;

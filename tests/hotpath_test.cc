@@ -662,13 +662,22 @@ TEST(HotpathFlatIndex, MatchesUnorderedMapAndItsSortedBytes)
 // ---- PST kept predictions vs the frozen scan-and-sort ----------
 
 /** Offsets and deltas of a spatial sequence, for ASSERT_EQ. */
-template <typename Seq>
 std::vector<std::pair<unsigned, unsigned>>
-elementsOf(const Seq &seq)
+elementsOf(const std::vector<SpatialElement> &seq)
 {
     std::vector<std::pair<unsigned, unsigned>> out;
     for (const SpatialElement &el : seq)
         out.emplace_back(el.offset, el.delta);
+    return out;
+}
+
+/** The same for a kept prediction, read element by element. */
+std::vector<std::pair<unsigned, unsigned>>
+elementsOf(const SpatialPrediction &p)
+{
+    std::vector<std::pair<unsigned, unsigned>> out;
+    for (std::size_t i = 0; i < p.size; ++i)
+        out.emplace_back(p[i].offset, p[i].delta);
     return out;
 }
 
