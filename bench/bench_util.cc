@@ -56,16 +56,11 @@ usage(const char *argv0, int status)
         "  --seed N           trace-generation seed (default: 42)\n"
         "  --workloads a,b,c  restrict the workload sweep\n"
         "  --engines x,y      restrict the engine sweep\n"
-        "  --store DIR        persistent trace/baseline store\n"
+        "  --store DIR        persistent trace/result store\n"
         "                     (default: $STEMS_STORE when set)\n"
         "  --no-store         disable the store even if STEMS_STORE\n"
         "                     is set\n"
         "  --json FILE        also write results as JSON\n"
-        "  --batch            batched execution: one trace pass\n"
-        "                     advances all of a workload's cells\n"
-        "                     (default)\n"
-        "  --no-batch         one task per cell, re-iterating the\n"
-        "                     trace (same results, bitwise)\n"
         "  --checkpoint-every N\n"
         "                     checkpoint each cell every N records\n"
         "                     and resume warm prefixes (needs\n"
@@ -175,10 +170,6 @@ parseBenchOptions(int argc, char **argv, std::size_t default_records)
             no_store = true;
         } else if (arg == "--json") {
             options.jsonPath = value();
-        } else if (arg == "--batch") {
-            options.batch = true;
-        } else if (arg == "--no-batch") {
-            options.batch = false;
         } else if (arg == "--checkpoint-every") {
             options.checkpointEvery = static_cast<std::size_t>(
                 numberArg(argv[0], "--checkpoint-every", value()));
@@ -279,7 +270,6 @@ benchPlan(const BenchOptions &options, bool enable_timing,
     plan.warmupRecords = options.warmupRecords;
     plan.timing = enable_timing;
     plan.jobs = options.jobs;
-    plan.batch = options.batch;
     plan.checkpointEvery = options.checkpointEvery;
     plan.heartbeatSeconds = options.progressSeconds;
     plan.unitGranularity = options.unitGranularity;
@@ -410,10 +400,9 @@ namespace {
 /**
  * The `[store]` diagnostics line, sourced from the process-wide
  * metrics registry — the single source of truth the driver and
- * store mirror their counters into. One code path for batched and
- * unbatched runs (the counters themselves are what differ), and the
- * exact field layout CI greps (`engineSims=0` on warm re-runs,
- * `resumedSims=[1-9]` on incremental runs) is pinned here.
+ * store mirror their counters into. The exact field layout CI greps
+ * (`cellSims=0` on warm re-runs, `resumedSims=[1-9]` on incremental
+ * runs) is pinned here.
  */
 std::string
 storeStatsLine(const MetricsSnapshot &snap)
@@ -428,18 +417,14 @@ storeStatsLine(const MetricsSnapshot &snap)
     std::snprintf(
         line, sizeof(line),
         "[store] generations=%llu traceHits=%llu "
-        "baselineSims=%llu baselineHits=%llu "
-        "engineSims=%llu resultHits=%llu resultMisses=%llu "
-        "batchedSims=%llu resumedSims=%llu "
+        "cellSims=%llu resultHits=%llu resultMisses=%llu "
+        "resumedSims=%llu "
         "skippedRecords=%llu checkpointsWritten=%llu",
         counter("driver.trace.generated"),
         counter("store.trace.hit"),
-        counter("driver.cell.baseline"),
-        counter("store.baseline.hit"),
-        counter("driver.cell.engine"),
+        counter("driver.cell.simulated"),
         counter("store.result.hit"),
         counter("store.result.miss"),
-        counter("driver.cell.batched"),
         counter("driver.cell.resumed"),
         counter("ckpt.resume.skipped_records"),
         counter("ckpt.written"));
@@ -535,7 +520,6 @@ BenchObsSession::finish()
                            : joinNames(options_.engines));
         add("store", options_.storeDir.empty() ? "(none)"
                                                : options_.storeDir);
-        add("batch", options_.batch ? "1" : "0");
         add("checkpoint_every",
             std::to_string(options_.checkpointEvery));
         add("warmup_records",

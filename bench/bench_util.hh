@@ -9,23 +9,19 @@
  *   bench [records] [--records N] [--jobs N] [--seed N]
  *         [--workloads a,b,c] [--engines x,y]
  *         [--store DIR] [--no-store] [--json FILE]
- *         [--batch] [--no-batch] [--checkpoint-every N]
- *         [--warmup-records N] [--plan-out FILE] [--list] [--help]
+ *         [--checkpoint-every N] [--warmup-records N]
+ *         [--plan-out FILE] [--list] [--help]
  *
  * The bare positional `records` argument is the historical interface
  * (e.g. `fig9_streaming_comparison 500000` for a quick run) and keeps
  * working.
  *
  * `--store DIR` (or the STEMS_STORE environment variable) attaches a
- * persistent TraceStore, so re-runs replay traces and baselines from
- * disk instead of regenerating/resimulating them; `--no-store` forces
- * the store off even when STEMS_STORE is set. `--json FILE` writes
- * the sweep results machine-readably, in the format
+ * persistent TraceStore, so re-runs replay traces and cell results
+ * from disk instead of regenerating/resimulating them; `--no-store`
+ * forces the store off even when STEMS_STORE is set. `--json FILE`
+ * writes the sweep results machine-readably, in the format
  * `stems_report compare` reads.
- * `--no-batch` disables the driver's batched execution (one trace
- * pass advancing all of a workload's cells) in favor of the
- * one-task-per-cell dispatch; results are bitwise identical either
- * way.
  *
  * `--checkpoint-every N` enables checkpointed execution (requires a
  * store): every cell persists simulator checkpoints every N records
@@ -63,13 +59,10 @@ struct BenchOptions
     std::vector<std::string> workloads;
     /// Engines to sweep; empty = the bench's default set.
     std::vector<std::string> engines;
-    /// Persistent trace/baseline store directory; empty = no store.
+    /// Persistent trace/result store directory; empty = no store.
     std::string storeDir;
     /// Machine-readable results output path; empty = none.
     std::string jsonPath;
-    /// Batched execution (one trace pass per workload); --no-batch
-    /// restores the per-cell dispatch.
-    bool batch = true;
     /// Checkpoint interval in records (--checkpoint-every; 0 = off).
     std::size_t checkpointEvery = 0;
     /// Absolute warmup-record override (0 = 50% fraction).
@@ -106,7 +99,7 @@ BenchOptions parseBenchOptions(int argc, char **argv,
 /**
  * THE one place that maps the bench CLI onto a declarative
  * SweepPlan: trace knobs (records/seed/warmup), timing mode, and
- * the whole execution policy (jobs/batch/checkpoint/heartbeat)
+ * the whole execution policy (jobs/checkpoint/heartbeat)
  * come from `options`; the workload and engine
  * columns are the bench's resolved selections. When --plan-out was
  * given, the canonical plan JSON is written as a side effect (note
@@ -183,10 +176,10 @@ void maybeWriteJson(const BenchOptions &options,
 
 /**
  * When a store is attached, print the driver's cache diagnostics
- * (trace generations/hits, baseline and engine simulations vs
- * cache hits) to stderr — stderr so bench stdout stays bitwise
- * identical between cold and warm runs. CI greps this line for
- * `engineSims=0` on warm re-runs. No-op without a store.
+ * (trace generations/hits, cell simulations vs result-cache hits)
+ * to stderr — stderr so bench stdout stays bitwise identical
+ * between cold and warm runs. CI greps this line for `cellSims=0`
+ * on warm re-runs. No-op without a store.
  */
 void reportStoreStats(const ExperimentDriver &driver);
 

@@ -441,11 +441,11 @@ renderHistoryMarkdown(const std::vector<StoredResultInfo> &entries,
     std::ostringstream os;
     os << "# Stored-run trajectory — " << store_dir << "\n\n";
     if (entries.empty()) {
-        os << "No cached engine results in this store.\n";
+        os << "No cached cell results in this store.\n";
         return os.str();
     }
     os << entries.size()
-       << " cached engine results, oldest first.\n\n";
+       << " cached cell results, oldest first.\n\n";
     os << "| saved (UTC) | workload | engine | records | seed | "
           "timing | coverage | accuracy | speedup |\n";
     os << "| --- | --- | --- | ---: | ---: | --- | ---: | ---: | "

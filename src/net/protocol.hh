@@ -15,8 +15,8 @@
  * three granularities (net/units.hh): a whole workload row, one
  * (workload, engine-column) cell, or one checkpoint-delimited
  * segment of a cell; executing it runs the same driver lane path a
- * local sweep uses, persisting baselines, checkpoints and results
- * into the shared store. kUnitDone reports completion; when every
+ * local sweep uses, persisting checkpoints and results into the
+ * shared store. kUnitDone reports completion; when every
  * unit of the plan is complete the coordinator answers pending
  * requests with kBye.
  *
@@ -62,8 +62,9 @@ namespace stems {
  *  v2: session ids, Resume/ResumeAck, tagged multi-granularity
  *  units with a prefetch hint.
  *  v3: the plan payload lost two execution-policy fields
- *  (SweepPlan schema v2). */
-inline constexpr std::uint32_t kNetProtocolVersion = 3;
+ *  (SweepPlan schema v2).
+ *  v4: the plan payload lost `batch` (SweepPlan schema v3). */
+inline constexpr std::uint32_t kNetProtocolVersion = 4;
 
 /** Frame types (net/frame.hh `type` field). */
 enum NetMsg : std::uint32_t

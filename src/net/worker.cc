@@ -253,8 +253,8 @@ runWorker(const WorkerOptions &options, WorkerReport *report,
             plan_digest = plan_msg.planDigest;
             engine_specs = planEngineSpecs(plan);
             // One driver for the whole session: policy from the
-            // plan, the shared store attached, baseline cache warm
-            // across units.
+            // plan, and the shared store attached, so a unit merges
+            // whatever cells earlier units persisted.
             driver.applyPlan(plan);
             driver.setStore(store);
             have_plan = true;

@@ -5,7 +5,7 @@
  * workload rows, (workload, engine-column) cells, or checkpoint
  * segments of a cell (net/units.hh) — through the exact same
  * ExperimentDriver lane path a local sweep uses, persisting
- * baselines, checkpoints and per-engine results into the shared
+ * checkpoints and per-cell results into the shared
  * content-addressed store. The wire never carries results; the
  * store is the data plane.
  *

@@ -236,24 +236,4 @@ BatchSimulator::run(const Trace &trace, unsigned jobs)
     finishAll(trace.size());
 }
 
-void
-BatchSimulator::run(TraceSource &source, unsigned jobs)
-{
-    source.reset();
-    std::vector<MemRecord> chunk(kChunkRecords);
-    std::size_t first = 0;
-    for (;;) {
-        std::size_t count = 0;
-        while (count < kChunkRecords && source.next(chunk[count]))
-            ++count;
-        if (count == 0)
-            break;
-        runChunk(chunk.data(), first, count, jobs);
-        first += count;
-        if (count < kChunkRecords)
-            break;
-    }
-    finishAll(first);
-}
-
 } // namespace stems

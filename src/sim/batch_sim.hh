@@ -9,16 +9,16 @@
  * identical to what a standalone PrefetchSimulator::run over the same
  * trace would produce (tests/sim_test.cc pins this). What the batch
  * amortizes is the trace traversal itself: every record is fetched
- * (or decoded, for a TraceSource replay) exactly once and stepped
- * through every lane, instead of once per lane. Records are
+ * exactly once and stepped through every lane, instead of once per
+ * lane. Records are
  * processed in chunks, lane-major within each chunk, so a lane's
  * working set stays cache-hot across the chunk while the chunk's
  * records are re-served from cache to every subsequent lane.
  *
  * This is the single-pass, multi-consumer structure trace-driven
  * simulators use to evaluate many configurations per trace read; the
- * ExperimentDriver uses it to run a workload's baseline, stride and
- * engine cells in one traversal (SweepPlan::batch), and to advance
+ * ExperimentDriver runs every cell it simulates through it — a
+ * workload's baseline, stride and engine lanes in one traversal, and
  * a distributed segment unit's lanes over their record range.
  */
 
@@ -69,14 +69,6 @@ class BatchSimulator
      *              clamped to the lane count, 1 = serial).
      */
     void run(const Trace &trace, unsigned jobs = 1);
-
-    /**
-     * One pass over a TraceSource (the source is reset first): each
-     * record is decoded exactly once and stepped through every lane.
-     * Record-for-record equivalent to run(const Trace &) over the
-     * materialized trace.
-     */
-    void run(TraceSource &source, unsigned jobs = 1);
 
     /** Statistics of one lane's measured window (valid after run). */
     const SimStats &stats(std::size_t lane) const

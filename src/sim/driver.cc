@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <exception>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <thread>
 
@@ -35,18 +36,16 @@ namespace {
 struct DriverMetrics
 {
     Counter &traceGenerated;
-    Counter &cellBaseline, &cellEngine, &cellBatched, &cellResumed;
+    Counter &cellSimulated, &cellResumed;
     Counter &ckptSkippedRecords, &ckptWritten;
-    /// One sample per BatchSimulator pass: a whole workload's lanes
-    /// batched, a single cell unbatched, a segment unit's lanes.
+    /// One sample per BatchSimulator pass: a workload's cold lanes,
+    /// or a segment unit's lanes.
     LatencyHistogram &passNs;
 
     DriverMetrics()
         : traceGenerated(
               registry().counter("driver.trace.generated")),
-          cellBaseline(registry().counter("driver.cell.baseline")),
-          cellEngine(registry().counter("driver.cell.engine")),
-          cellBatched(registry().counter("driver.cell.batched")),
+          cellSimulated(registry().counter("driver.cell.simulated")),
           cellResumed(registry().counter("driver.cell.resumed")),
           ckptSkippedRecords(
               registry().counter("ckpt.resume.skipped_records")),
@@ -69,31 +68,12 @@ driverMetrics()
     return metrics;
 }
 
-/** A spec that carries an anonymous probe cannot be result-cached:
- *  the probe's output is part of the result but its code has no
- *  stable identity. Naming the probe (probeId) opts back in. */
-bool
-specResultCacheable(const EngineSpec &spec)
-{
-    return !spec.probe || !spec.probeId.empty();
-}
-
-/** Digest of everything (besides trace + system config) that
- *  determines an engine cell's result. */
-std::uint64_t
-specResultDigest(const EngineSpec &spec, bool scientific)
-{
-    EngineOptions effective = spec.options;
-    effective.scientific = effective.scientific || scientific;
-    return engineSpecDigest(spec.engine, effective, spec.probeId);
-}
-
 } // namespace
 
 /**
  * One trace as the lane routine sees it: the records, the warmup
  * boundary, the checkpoint boundary schedule and the trace-prefix
- * digest memo. Shared by every lane over the trace, batched or not.
+ * digest memo. Shared by every lane of a pass over the trace.
  */
 struct ExperimentDriver::TraceContext
 {
@@ -110,8 +90,7 @@ struct ExperimentDriver::TraceContext
      * per trace: every boundary is hashed when the context opens,
      * and an off-schedule resume candidate is hashed by whichever
      * lane asks first, in one pass with the rest of its misses.
-     * Thread-safe (unbatched cells of one trace resume
-     * concurrently, and lane threads write checkpoints).
+     * Thread-safe (lane threads write checkpoints concurrently).
      */
     std::vector<std::uint64_t>
     prefixDigests(const std::vector<std::size_t> &indices)
@@ -140,19 +119,27 @@ struct ExperimentDriver::TraceContext
 
 /**
  * One simulation lane, resolved once at schedule time: the label
- * its checkpoints are filed under, the engine it builds, and its
- * checkpoint identity (store/keys.hh laneCheckpointSpecDigest).
+ * its checkpoints and results are filed under, the engine it builds,
+ * its checkpoint identity (store/keys.hh laneCheckpointSpecDigest)
+ * and its result identity.
  */
 struct ExperimentDriver::LaneSpec
 {
     LaneSpec(std::string lane_label, std::string engine_name,
-             EngineOptions engine_options, bool scientific)
+             EngineOptions engine_options, bool scientific,
+             const std::string &probe_id = {})
         : label(std::move(lane_label)),
           engine(std::move(engine_name)),
           options(std::move(engine_options))
     {
         options.scientific = options.scientific || scientific;
         ckptSpec = laneCheckpointSpecDigest(engine, options, scientific);
+        // The baseline's result is filed under its checkpoint
+        // identity; an engine lane's under its engine spec, probe id
+        // included (a probe's output is part of the result).
+        resultSpec = engine.empty()
+                         ? ckptSpec
+                         : engineSpecDigest(engine, options, probe_id);
     }
 
     /** The no-prefetch baseline lane. */
@@ -174,7 +161,7 @@ struct ExperimentDriver::LaneSpec
     column(const EngineSpec &spec, bool scientific)
     {
         return LaneSpec(spec.resultLabel(), spec.engine, spec.options,
-                        scientific);
+                        scientific, spec.probeId);
     }
 
     std::string label;
@@ -183,6 +170,7 @@ struct ExperimentDriver::LaneSpec
     /// Effective engine options (workload class folded in).
     EngineOptions options;
     std::uint64_t ckptSpec = 0;
+    std::uint64_t resultSpec = 0;
 };
 
 /** A finished lane pass: per-lane statistics live in `sim`, and the
@@ -193,60 +181,55 @@ struct ExperimentDriver::LanePass
     std::vector<std::unique_ptr<Prefetcher>> engines;
 };
 
-/** Per-workload shard state shared by that workload's cells. */
+/** One lane of a workload's lane list, and its outcome. */
+struct ExperimentDriver::Cell
+{
+    explicit Cell(LaneSpec lane_spec, const EngineSpec *column = nullptr)
+        : lane(std::move(lane_spec)), spec(column)
+    {
+    }
+
+    LaneSpec lane;
+    /// The engine column the lane runs; null for the baseline and
+    /// stride reference lanes.
+    const EngineSpec *spec;
+    SimStats stats;
+    std::map<std::string, double> extra;
+    /// Served from the store's result cache at schedule time, so
+    /// never simulated (and never re-persisted).
+    bool fromCache = false;
+
+    /** A spec that carries an anonymous probe cannot be
+     *  result-cached: the probe's output is part of the result but
+     *  its code has no stable identity. Naming the probe (probeId)
+     *  opts back in. */
+    bool
+    cacheable() const
+    {
+        return !spec || !spec->probe || !spec->probeId.empty();
+    }
+};
+
+/** Per-workload shard state: the workload's lane list and trace. */
 struct ExperimentDriver::WorkloadShard
 {
     const Workload *workload = nullptr;
     bool scientific = false;
-
-    /// Trace opened once (first cell to touch it) and shared
-    /// read-only; its records are released when the last cell
-    /// finishes.
-    std::once_flag traceOnce;
     TraceContext ctx;
-    /// Record count of the materialized trace (outlives the early
-    /// trace release; informational, for result sidecars).
+    /// Record count of the materialized trace (outlives the trace
+    /// release; informational, for result sidecars).
     std::size_t traceSize = 0;
-    std::atomic<std::size_t> remainingCells{0};
 
-    bool needBaseline = false;
-    bool needStride = false;
-    /// Baseline metrics (from the cache, or filled by the baseline /
-    /// stride cells; those cells write disjoint fields).
-    std::uint64_t baselineMisses = 0;
-    double baselineCycles = 0.0;
-    double strideCycles = 0.0;
-    double strideIpc = 0.0;
+    /// The baseline lane, under timing the stride lane, then one
+    /// cell per known engine column in the caller's order.
+    std::vector<Cell> cells;
 
     /// Persistent-store state: registry workloads with an attached
-    /// store replay traces from disk and key stored baselines by the
-    /// trace's content digest.
+    /// store replay traces from disk, and a valid trace content
+    /// digest keys the stored lane results.
     bool storeEligible = false;
     std::uint64_t traceDigest = 0;
     bool digestValid = false;
-
-    std::vector<SimStats> engineStats;
-    std::vector<std::map<std::string, double>> engineExtra;
-    /// Per engine: cell served from the store's result cache, so it
-    /// was never scheduled (and must not be re-persisted).
-    std::vector<std::uint8_t> engineFromCache;
-};
-
-/** One unit of work: a single simulation lane over one shard's
- *  trace. */
-struct ExperimentDriver::Cell
-{
-    enum Kind
-    {
-        kBaseline,
-        kStride,
-        kEngine,
-    };
-
-    std::size_t shard = 0;
-    Kind kind = kEngine;
-    std::size_t spec = 0; ///< engine index (kEngine only)
-    LaneSpec lane;
 };
 
 std::vector<EngineSpec>
@@ -284,20 +267,12 @@ ExperimentDriver::ExperimentDriver(ExperimentConfig config,
 }
 
 void
-ExperimentDriver::clearBaselineCache()
-{
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    baselineCache_.clear();
-}
-
-void
 ExperimentDriver::setStore(std::shared_ptr<TraceStore> store)
 {
     store_ = std::move(store);
     if (store_) {
         // The store's key vocabulary lives in store/keys.hh; the
-        // driver only caches the three config-context digests here.
-        configDigest_ = baselineConfigDigest(config_);
+        // driver only caches the config-context digests here.
         resultConfigDigest_ = stems::resultConfigDigest(config_);
         ckptConfigDigest_ = checkpointConfigDigest(config_);
     }
@@ -308,20 +283,8 @@ ExperimentDriver::applyPlan(const SweepPlan &plan)
 {
     ExperimentConfig next = planExperimentConfig(plan);
     next.system = config_.system;
-    // The name-keyed baseline cache describes the old trace/warmup
-    // configuration; a changed plan would silently serve stale
-    // baselines without this.
-    const bool trace_knobs_changed =
-        next.traceRecords != config_.traceRecords ||
-        next.seed != config_.seed ||
-        next.warmupFraction != config_.warmupFraction ||
-        next.warmupRecords != config_.warmupRecords ||
-        next.enableTiming != config_.enableTiming;
     config_ = next;
-    if (trace_knobs_changed)
-        clearBaselineCache();
     jobs_ = resolveJobs(plan.jobs);
-    batching_ = plan.batch;
     checkpointEvery_ =
         static_cast<std::size_t>(plan.checkpointEvery);
     heartbeatSeconds_ =
@@ -342,9 +305,9 @@ ExperimentDriver::materializeTrace(
         Trace trace;
         if (store_->loadTrace(key, trace)) {
             // Hash the records actually loaded rather than trusting
-            // (and re-reading) the meta sidecar: baselines stay
-            // keyed to the true content even if a meta file is
-            // stale, at no extra I/O.
+            // (and re-reading) the meta sidecar: results stay keyed
+            // to the true content even if a meta file is stale, at
+            // no extra I/O.
             if (digest_out)
                 *digest_out = traceDigest(trace);
             return trace;
@@ -415,9 +378,6 @@ ExperimentDriver::runCells(
     std::optional<std::uint64_t> external_digest)
 {
     const EngineRegistry &registry = EngineRegistry::instance();
-    std::vector<bool> spec_known(engines.size());
-    for (std::size_t j = 0; j < engines.size(); ++j)
-        spec_known[j] = registry.contains(engines[j].engine);
 
     // ---- schedule ----
     // Phase spans end early (before the next phase), so they live
@@ -425,26 +385,29 @@ ExperimentDriver::runCells(
     auto schedule_span = std::make_unique<ScopedSpan>(
         "driver.schedule", "driver");
     std::vector<std::unique_ptr<WorkloadShard>> shards;
-    std::vector<Cell> cells;
     shards.reserve(workloads.size());
-    std::size_t baseline_cells = 0;
-    std::size_t engine_cells = 0;
+    // Shards with cells to simulate: one task each.
+    std::vector<WorkloadShard *> tasks;
+    std::size_t cold_cells = 0;
     for (const Workload *w : workloads) {
         auto shard = std::make_unique<WorkloadShard>();
         shard->workload = w;
         shard->ctx.workload = w->name();
         shard->scientific =
             w->workloadClass() == WorkloadClass::kScientific;
-        shard->engineStats.resize(engines.size());
-        shard->engineExtra.resize(engines.size());
-        shard->engineFromCache.assign(engines.size(), 0);
+        shard->cells.emplace_back(LaneSpec::baseline(shard->scientific));
+        if (config_.enableTiming)
+            shard->cells.emplace_back(
+                LaneSpec::stride(shard->scientific));
+        for (const EngineSpec &spec : engines)
+            if (registry.contains(spec.engine))
+                shard->cells.emplace_back(
+                    LaneSpec::column(spec, shard->scientific), &spec);
 
-        shard->needBaseline = true;
-        shard->needStride = config_.enableTiming;
         shard->storeEligible = cacheable && store_ != nullptr;
         if (shard->storeEligible) {
             // Metadata-only probe: learn the trace's content digest
-            // (the stored-baseline key) without decoding any records.
+            // (the stored-result key) without decoding any records.
             if (auto info = store_->findTrace(
                     {w->name(), config_.traceRecords,
                      config_.seed})) {
@@ -453,119 +416,41 @@ ExperimentDriver::runCells(
             }
         } else if (store_ && external_digest) {
             // External workload with a caller-vouched trace digest
-            // (a captured/imported trace): stored baselines apply
-            // even though the name-keyed trace replay does not.
+            // (a captured/imported trace): stored results apply even
+            // though the name-keyed trace replay does not.
             shard->traceDigest = *external_digest;
             shard->digestValid = true;
         }
-        if (cacheable) {
-            std::lock_guard<std::mutex> lock(cacheMutex_);
-            auto it = baselineCache_.find(w->name());
-            if (it != baselineCache_.end()) {
-                const Baseline &b = it->second;
-                // A functional-only cache entry has valid misses but
-                // no cycle accounting; a timing run must redo it.
-                bool timed_enough =
-                    !config_.enableTiming || b.cycles > 0.0;
-                if (timed_enough) {
-                    shard->needBaseline = false;
-                    shard->baselineMisses = b.misses;
-                    shard->baselineCycles = b.cycles;
-                    if (b.haveStride) {
-                        shard->needStride = false;
-                        shard->strideCycles = b.strideCycles;
-                        shard->strideIpc = b.strideIpc;
-                    }
-                }
-            }
-        }
-        if ((shard->needBaseline || shard->needStride) &&
-            shard->digestValid) {
-            // Second-level lookup: the persistent store, keyed by
-            // trace digest + system-config digest.
-            if (auto b = store_->loadBaseline(shard->traceDigest,
-                                              configDigest_)) {
-                bool timed_enough =
-                    !config_.enableTiming || b->haveTiming;
-                if (timed_enough) {
-                    if (shard->needBaseline) {
-                        shard->needBaseline = false;
-                        shard->baselineMisses = b->misses;
-                        shard->baselineCycles = b->cycles;
-                    }
-                    if (shard->needStride && b->haveStride) {
-                        shard->needStride = false;
-                        shard->strideCycles = b->strideCycles;
-                        shard->strideIpc = b->strideIpc;
-                    }
-                }
-                if (cacheable && !shard->needBaseline &&
-                    !shard->needStride) {
-                    // Mirror into the in-memory cache so later
-                    // run() calls skip the disk probe.
-                    std::lock_guard<std::mutex> lock(cacheMutex_);
-                    Baseline &mb = baselineCache_[w->name()];
-                    mb.misses = shard->baselineMisses;
-                    mb.cycles = shard->baselineCycles;
-                    if (config_.enableTiming) {
-                        mb.strideCycles = shard->strideCycles;
-                        mb.strideIpc = shard->strideIpc;
-                        mb.haveStride = true;
-                    }
-                }
-            }
-        }
 
-        if (store_ && shard->digestValid) {
-            // Probe the engine-result cache at schedule time: a warm
-            // cell is merged straight from the store and never
-            // scheduled, so a fully warm sweep dispatches no work at
-            // all (and never even materializes the trace).
-            for (std::size_t j = 0; j < engines.size(); ++j) {
-                if (!spec_known[j] ||
-                    !specResultCacheable(engines[j]))
+        if (shard->digestValid) {
+            // Probe the result cache at schedule time: a warm cell is
+            // merged straight from the store and never scheduled, so
+            // a fully warm sweep dispatches no work at all (and never
+            // even materializes the trace).
+            for (Cell &cell : shard->cells) {
+                if (!cell.cacheable())
                     continue;
-                if (auto r = store_->loadResult(
-                        shard->traceDigest,
-                        specResultDigest(engines[j],
-                                         shard->scientific),
-                        resultConfigDigest_)) {
-                    shard->engineStats[j] = r->stats;
-                    shard->engineExtra[j] = std::move(r->extra);
-                    shard->engineFromCache[j] = 1;
+                if (auto r = store_->loadResult(shard->traceDigest,
+                                                cell.lane.resultSpec,
+                                                resultConfigDigest_)) {
+                    cell.stats = r->stats;
+                    cell.extra = std::move(r->extra);
+                    cell.fromCache = true;
                 }
             }
         }
 
-        std::size_t shard_index = shards.size();
-        std::size_t count = 0;
-        if (shard->needBaseline) {
-            cells.push_back({shard_index, Cell::kBaseline, 0,
-                             LaneSpec::baseline(shard->scientific)});
-            ++count;
-            ++baseline_cells;
-        }
-        if (shard->needStride) {
-            cells.push_back({shard_index, Cell::kStride, 0,
-                             LaneSpec::stride(shard->scientific)});
-            ++count;
-            ++baseline_cells;
-        }
-        for (std::size_t j = 0; j < engines.size(); ++j) {
-            if (!spec_known[j] || shard->engineFromCache[j])
-                continue;
-            cells.push_back(
-                {shard_index, Cell::kEngine, j,
-                 LaneSpec::column(engines[j], shard->scientific)});
-            ++count;
-            ++engine_cells;
-        }
-        shard->remainingCells.store(count);
+        std::size_t cold = 0;
+        for (const Cell &cell : shard->cells)
+            cold += cell.fromCache ? 0 : 1;
+        if (cold > 0)
+            tasks.push_back(shard.get());
+        cold_cells += cold;
         shards.push_back(std::move(shard));
     }
     if (schedule_span->active()) {
-        schedule_span->arg(
-            "cells", static_cast<std::uint64_t>(cells.size()));
+        schedule_span->arg("cells",
+                           static_cast<std::uint64_t>(cold_cells));
         schedule_span->arg(
             "workloads",
             static_cast<std::uint64_t>(shards.size()));
@@ -578,11 +463,45 @@ ExperimentDriver::runCells(
     const bool checkpointing = store_ != nullptr && store_->usable() &&
                                checkpointEvery_ > 0;
 
-    auto materialize_shard = [&](WorkloadShard &shard) {
-        std::call_once(shard.traceOnce, [&] {
-            ScopedSpan span("trace.materialize", "driver");
-            if (span.active())
-                span.arg("workload", shard.workload->name());
+    // A sweep with fewer workloads than jobs would leave threads
+    // idle: hand the slack to each pass as lane threads. Lanes are
+    // independent, so any split stays bitwise deterministic.
+    const unsigned lane_jobs = static_cast<unsigned>(
+        std::max<std::size_t>(
+            1, jobs_ / std::max<std::size_t>(1, tasks.size())));
+
+    // Progress accounting for the heartbeat: scheduled cells that
+    // have finished executing (warm cells never appear — they were
+    // merged from the store at schedule time).
+    std::atomic<std::size_t> cells_done{0};
+
+    /**
+     * One workload's task: materialize the trace, advance every cold
+     * cell as a lane of one pass over it (a lane is bitwise identical
+     * to a standalone PrefetchSimulator::run, which sim_test pins),
+     * collect the lanes' statistics and probes, and release the
+     * trace.
+     */
+    auto run_shard = [&](std::size_t task) {
+        WorkloadShard &shard = *tasks[task];
+        std::vector<Cell *> cold;
+        std::vector<LaneSpec> lanes;
+        for (Cell &cell : shard.cells) {
+            if (cell.fromCache)
+                continue;
+            cold.push_back(&cell);
+            lanes.push_back(cell.lane);
+        }
+        ScopedSpan span("driver.batch", "driver");
+        if (span.active()) {
+            span.arg("workload", shard.workload->name());
+            span.arg("cells", static_cast<std::uint64_t>(cold.size()));
+            span.arg("lane_jobs", static_cast<std::uint64_t>(lane_jobs));
+        }
+        {
+            ScopedSpan materialize("trace.materialize", "driver");
+            if (materialize.active())
+                materialize.arg("workload", shard.workload->name());
             Trace trace;
             if (shard.storeEligible) {
                 std::optional<std::uint64_t> digest;
@@ -600,90 +519,25 @@ ExperimentDriver::runCells(
             shard.traceSize = trace.size();
             openTraceContext(shard.ctx, std::move(trace),
                              checkpointing);
-        });
-    };
+        }
 
-    /** Record one finished cell's statistics into its shard. */
-    auto collect_cell = [&](const Cell &cell, WorkloadShard &shard,
-                            const SimStats &stats,
-                            Prefetcher *engine) {
-        switch (cell.kind) {
-        case Cell::kBaseline:
-            shard.baselineMisses = stats.offChipReads;
-            shard.baselineCycles = stats.cycles;
-            break;
-        case Cell::kStride:
-            shard.strideCycles = stats.cycles;
-            shard.strideIpc = stats.ipc();
-            break;
-        case Cell::kEngine: {
-            const EngineSpec &spec = engines[cell.spec];
-            shard.engineStats[cell.spec] = stats;
-            if (spec.probe) {
-                EngineResult scratch;
-                scratch.engine = spec.resultLabel();
-                scratch.stats = stats;
-                spec.probe(*engine, scratch);
-                shard.engineExtra[cell.spec] =
-                    std::move(scratch.extra);
-            }
-            break;
-        }
-        }
-    };
-
-    /**
-     * Run a group of one workload's cells as lanes of one pass over
-     * the whole trace (the whole shard when batching, a single cell
-     * otherwise — a 1-lane pass is bitwise identical to a standalone
-     * PrefetchSimulator::run, which sim_test pins), then collect
-     * every lane's statistics.
-     */
-    auto execute_cells = [&](WorkloadShard &shard,
-                             const std::vector<Cell> &group,
-                             unsigned lane_jobs) {
-        ScopedSpan span("cells.execute", "driver");
-        if (span.active()) {
-            span.arg("workload", shard.workload->name());
-            span.arg("lanes",
-                     static_cast<std::uint64_t>(group.size()));
-            span.arg("lane_jobs",
-                     static_cast<std::uint64_t>(lane_jobs));
-        }
-        std::vector<LaneSpec> lanes;
-        lanes.reserve(group.size());
-        for (const Cell &cell : group)
-            lanes.push_back(cell.lane);
         LanePass pass = runLanes(shard.ctx, lanes,
                                  shard.ctx.trace.size(), lane_jobs);
-        for (std::size_t k = 0; k < group.size(); ++k)
-            collect_cell(group[k], shard, pass.sim.stats(k),
-                         pass.engines[k].get());
-    };
-
-    // Progress accounting for the heartbeat: scheduled cells that
-    // have finished executing (warm cells never appear — they were
-    // merged from the store at schedule time).
-    std::atomic<std::size_t> cells_done{0};
-
-    auto run_cell = [&](std::size_t index) {
-        const Cell &cell = cells[index];
-        WorkloadShard &shard = *shards[cell.shard];
-        ScopedSpan span("driver.cell", "driver");
-        if (span.active()) {
-            span.arg("workload", shard.workload->name());
-            span.arg("cell", cell.lane.label);
+        for (std::size_t k = 0; k < cold.size(); ++k) {
+            Cell &cell = *cold[k];
+            cell.stats = pass.sim.stats(k);
+            if (cell.spec && cell.spec->probe) {
+                EngineResult scratch;
+                scratch.engine = cell.lane.label;
+                scratch.stats = cell.stats;
+                cell.spec->probe(*pass.engines[k], scratch);
+                cell.extra = std::move(scratch.extra);
+            }
         }
-        materialize_shard(shard);
-
-        execute_cells(shard, {cell}, 1);
-        cells_done.fetch_add(1, std::memory_order_relaxed);
-
-        if (shard.remainingCells.fetch_sub(1) == 1) {
-            // Last cell of this workload: release the trace early so
-            // peak memory tracks in-flight workloads, not the suite.
-            Trace().swap(shard.ctx.trace);
-        }
+        cells_done.fetch_add(cold.size(), std::memory_order_relaxed);
+        // Release the trace as soon as its single pass completes, so
+        // peak memory tracks in-flight workloads, not the suite.
+        Trace().swap(shard.ctx.trace);
     };
 
     // ---- heartbeat (opt-in; stderr only) ----
@@ -691,8 +545,8 @@ ExperimentDriver::runCells(
     std::condition_variable hb_cv;
     bool hb_stop = false;
     std::thread hb_thread;
-    if (heartbeatSeconds_ > 0 && !cells.empty()) {
-        hb_thread = std::thread([&, total = cells.size()] {
+    if (heartbeatSeconds_ > 0 && cold_cells > 0) {
+        hb_thread = std::thread([&, total = cold_cells] {
             Counter &steps = MetricsRegistry::instance().counter(
                 "batch.record_steps");
             std::uint64_t last_steps = steps.value();
@@ -737,131 +591,39 @@ ExperimentDriver::runCells(
         hb_cv.notify_all();
         hb_thread.join();
     };
-
-    // Batched: all of a workload's schedulable cells become one task
-    // that traverses the trace once, each cell an isolated lane of a
-    // BatchSimulator. Unbatched: one task per cell, every cell
-    // re-iterating the shared trace. Per-cell simulation state is
-    // identical either way, so results are bitwise equal; what
-    // changes is traversal count and dispatch granularity.
-    if (batching_) {
-        std::vector<std::vector<Cell>> shard_cells(shards.size());
-        for (const Cell &cell : cells)
-            shard_cells[cell.shard].push_back(cell);
-        std::vector<std::size_t> batch_shards;
-        for (std::size_t i = 0; i < shards.size(); ++i)
-            if (!shard_cells[i].empty())
-                batch_shards.push_back(i);
-
-        // Batching coarsens dispatch to one task per workload; when
-        // that leaves worker threads idle (fewer workloads than
-        // jobs), hand the slack to each task as lane-level
-        // parallelism inside its single trace pass. Lane results
-        // cannot depend on this (lanes are independent), so any
-        // split stays bitwise deterministic.
-        unsigned lane_jobs = static_cast<unsigned>(std::max<std::size_t>(
-            1, jobs_ / std::max<std::size_t>(1, batch_shards.size())));
-
-        auto run_batch = [&](std::size_t task) {
-            WorkloadShard &shard = *shards[batch_shards[task]];
-            const std::vector<Cell> &batch =
-                shard_cells[batch_shards[task]];
-            ScopedSpan span("driver.batch", "driver");
-            if (span.active()) {
-                span.arg("workload", shard.workload->name());
-                span.arg("cells",
-                         static_cast<std::uint64_t>(batch.size()));
-            }
-            materialize_shard(shard);
-            execute_cells(shard, batch, lane_jobs);
-            cells_done.fetch_add(batch.size(),
-                                 std::memory_order_relaxed);
-            // The task owns all of this workload's cells: release
-            // the trace as soon as its single pass completes.
-            Trace().swap(shard.ctx.trace);
-        };
-        try {
-            dispatch(batch_shards.size(), run_batch);
-        } catch (...) {
-            stop_heartbeat();
-            throw;
-        }
-    } else {
-        try {
-            dispatch(cells.size(), run_cell);
-        } catch (...) {
-            stop_heartbeat();
-            throw;
-        }
+    try {
+        dispatch(tasks.size(), run_shard);
+    } catch (...) {
+        stop_heartbeat();
+        throw;
     }
     stop_heartbeat();
+    cellRuns_ += cold_cells;
+    driverMetrics().cellSimulated.add(cold_cells);
 
-    // ---- update the baseline caches (in-memory, then store) ----
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        baselineRuns_ += baseline_cells;
-        engineRuns_ += engine_cells;
-        driverMetrics().cellBaseline.add(baseline_cells);
-        driverMetrics().cellEngine.add(engine_cells);
-        if (batching_) {
-            batchedRuns_ += cells.size();
-            driverMetrics().cellBatched.add(cells.size());
-        }
-        for (const auto &shard : shards) {
-            if (!cacheable ||
-                (!shard->needBaseline && !shard->needStride))
-                continue;
-            Baseline &b = baselineCache_[shard->workload->name()];
-            b.misses = shard->baselineMisses;
-            b.cycles = shard->baselineCycles;
-            if (config_.enableTiming) {
-                b.strideCycles = shard->strideCycles;
-                b.strideIpc = shard->strideIpc;
-                b.haveStride = true;
-            }
-        }
-    }
-    auto persist_span =
-        std::make_unique<ScopedSpan>("driver.persist", "driver");
-    bool store_wrote = false;
-    if (store_) {
-        for (const auto &shard : shards) {
-            if (!shard->digestValid ||
-                (!shard->needBaseline && !shard->needStride))
-                continue;
-            store_wrote = true;
-            StoredBaseline sb;
-            sb.misses = shard->baselineMisses;
-            sb.cycles = shard->baselineCycles;
-            sb.strideCycles = shard->strideCycles;
-            sb.strideIpc = shard->strideIpc;
-            sb.haveStride = config_.enableTiming;
-            sb.haveTiming = config_.enableTiming;
-            store_->putBaseline(shard->traceDigest, configDigest_,
-                                sb);
-        }
-    }
-    persist_span.reset();
-
-    // ---- merge, in fixed (workload, engine) order ----
+    // ---- merge in fixed (workload, engine) order, persisting every
+    // simulated cell ----
     auto merge_span =
         std::make_unique<ScopedSpan>("driver.merge", "driver");
+    bool store_wrote = false;
     std::vector<WorkloadResult> results;
     results.reserve(shards.size());
     for (const auto &shard : shards) {
         WorkloadResult r;
         r.workload = shard->workload->name();
         r.workloadClass = shard->workload->workloadClass();
-        r.baselineMisses = shard->baselineMisses;
-        r.baselineCycles = shard->baselineCycles;
-        r.strideCycles = shard->strideCycles;
-        r.baselineIpc = shard->strideIpc;
-        for (std::size_t j = 0; j < engines.size(); ++j) {
-            if (!spec_known[j])
-                continue;
+        const SimStats &baseline = shard->cells[0].stats;
+        r.baselineMisses = baseline.offChipReads;
+        r.baselineCycles = baseline.cycles;
+        if (config_.enableTiming) {
+            const SimStats &stride = shard->cells[1].stats;
+            r.strideCycles = stride.cycles;
+            r.baselineIpc = stride.ipc();
+        }
+        for (Cell &cell : shard->cells) {
             EngineResult er;
-            er.engine = engines[j].resultLabel();
-            er.stats = shard->engineStats[j];
+            er.engine = cell.lane.label;
+            er.stats = cell.stats;
             er.coverage =
                 ratio(er.stats.covered(), r.baselineMisses);
             er.uncovered =
@@ -870,10 +632,9 @@ ExperimentDriver::runCells(
                 ratio(er.stats.overpredictions, r.baselineMisses);
             if (config_.enableTiming && er.stats.cycles > 0)
                 er.speedup = r.strideCycles / er.stats.cycles;
-            er.extra = std::move(shard->engineExtra[j]);
-            if (store_ && shard->digestValid &&
-                !shard->engineFromCache[j] &&
-                specResultCacheable(engines[j])) {
+            er.extra = std::move(cell.extra);
+            if (shard->digestValid && !cell.fromCache &&
+                cell.cacheable()) {
                 StoredEngineResult sr;
                 sr.stats = er.stats;
                 sr.extra = er.extra;
@@ -891,21 +652,20 @@ ExperimentDriver::runCells(
                                       er.stats.prefetchesIssued);
                 meta.speedup = er.speedup;
                 meta.timing = config_.enableTiming;
-                store_->putResult(
-                    shard->traceDigest,
-                    specResultDigest(engines[j],
-                                     shard->scientific),
-                    resultConfigDigest_, sr, meta);
+                store_->putResult(shard->traceDigest,
+                                  cell.lane.resultSpec,
+                                  resultConfigDigest_, sr, meta);
                 store_wrote = true;
             }
-            r.engines.push_back(std::move(er));
+            if (cell.spec)
+                r.engines.push_back(std::move(er));
         }
         results.push_back(std::move(r));
     }
     merge_span.reset();
     if (store_wrote) {
-        // One budget pass for the whole sweep's baseline/result
-        // writes (putTrace already self-enforces per trace).
+        // One budget pass for the whole sweep's result writes
+        // (putTrace already self-enforces per trace).
         store_->enforceBudget();
     }
     return results;

@@ -1,30 +1,27 @@
 /**
  * @file
- * Parallel experiment driver: shards (workload x engine) cells of a
- * sweep across a std::thread pool.
+ * Parallel experiment driver: runs the (workload x lane) cells of a
+ * sweep on a std::thread pool.
  *
- * Compared with the serial ExperimentRunner, the driver
- *  - generates each workload's trace exactly once and shares it
- *    read-only across every engine run over that workload,
- *  - by default *batches* each workload's cold cells: one
- *    BatchSimulator pass traverses the trace once and advances the
- *    baseline, stride and every engine cell together instead of
- *    re-iterating the trace per cell (SweepPlan::batch = false
- *    restores the one-task-per-cell dispatch; results are bitwise
- *    identical either way),
- *  - caches the no-prefetch and stride baselines per workload across
- *    run() calls instead of recomputing them per call,
- *  - releases each trace as soon as its last cell completes, bounding
+ * A workload's lane list is the no-prefetch baseline, under timing
+ * the stride reference, then one lane per engine column. The two
+ * reference lanes normalize the engine lanes (coverage by the
+ * baseline, Figure 9; speedup by stride, Figure 10), and are
+ * otherwise cells like any other. Compared with the serial
+ * ExperimentRunner, the driver
+ *  - generates each workload's trace exactly once and advances every
+ *    lane that must be simulated in one BatchSimulator pass over it
+ *    (one task per workload; threads the workloads leave idle become
+ *    lane threads inside the passes),
+ *  - releases each trace as soon as its pass completes, bounding
  *    peak memory to the in-flight workloads, and
  *  - when a persistent TraceStore is attached (setStore), consults it
- *    before generating any trace, simulating any baseline, or
- *    simulating any engine cell (results are keyed by trace content
- *    digest + engine-spec digest + config digest), and fills it
- *    afterwards — so the amortization above also survives across
- *    processes: a fully warm-store re-run of a sweep performs zero
- *    workload generations, zero baseline simulations and zero engine
- *    simulations (traceGenerations() / baselineRuns() / engineRuns()
- *    diagnostics pin this), with bitwise-identical results.
+ *    before generating any trace or simulating any lane (each lane's
+ *    result is keyed by trace content digest + lane spec digest +
+ *    config digest), and fills it afterwards — so a fully warm-store
+ *    re-run of a sweep performs zero workload generations and zero
+ *    cell simulations (traceGenerations() / cellRuns() diagnostics
+ *    pin this), with bitwise-identical results.
  *
  * Determinism: every cell (one PrefetchSimulator over one trace) is
  * independent and seeded only by the trace, and results are merged in
@@ -41,10 +38,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/experiment.hh"
@@ -108,9 +103,9 @@ engineSpecs(const std::vector<std::string> &names);
 std::vector<EngineSpec> planEngineSpecs(const SweepPlan &plan);
 
 /**
- * The parallel sweep driver. One instance owns a baseline cache tied
- * to its ExperimentConfig; reuse the instance across calls to
- * amortize the baselines.
+ * The parallel sweep driver. Nothing carries across run() calls but
+ * the attached store: a call re-simulates whatever earlier calls (of
+ * any process) did not persist.
  */
 class ExperimentDriver
 {
@@ -132,7 +127,7 @@ class ExperimentDriver
      * knobs — and return results merged in the plan's (workload,
      * engine) order. Equivalent to applyPlan(plan) followed by
      * run(plan.workloads, planEngineSpecs(plan)); bitwise identical
-     * for any jobs/batch/checkpoint policy.
+     * for any jobs/checkpoint policy.
      */
     std::vector<WorkloadResult> run(const SweepPlan &plan);
 
@@ -150,11 +145,9 @@ class ExperimentDriver
     /**
      * Adopt a plan's configuration without running: trace knobs
      * (records/seed/warmup/timing), jobs, and the whole execution
-     * policy, refreshed store digests included. The baseline cache
-     * is dropped when the trace/warmup knobs change (cached
-     * baselines would describe the old configuration). Used by
-     * run(plan) and by harnesses that pair a plan with forEachTrace
-     * or runWorkload.
+     * policy, refreshed store digests included. Used by run(plan)
+     * and by harnesses that pair a plan with forEachTrace or
+     * runWorkload.
      */
     void applyPlan(const SweepPlan &plan);
 
@@ -192,16 +185,17 @@ class ExperimentDriver
     runSuite(const std::vector<EngineSpec> &engines);
 
     /** Run one externally-owned workload (e.g. a custom subclass not
-     *  in the registry); engine cells still run in parallel. The
-     *  baseline cache is bypassed: an external instance's behaviour
-     *  is not determined by its name, so name-keyed caching could
-     *  cross-contaminate differently-parameterized instances.
+     *  in the registry); its lanes still run in parallel. The
+     *  store's name-keyed trace replay is bypassed: an external
+     *  instance's behaviour is not determined by its name, so
+     *  name-keyed caching could cross-contaminate
+     *  differently-parameterized instances.
      *
      *  When the caller *can* vouch for the trace's identity — a
      *  FixedTraceWorkload replaying a captured trace — pass its
      *  content digest (traceDigest()) and an attached store will
-     *  cache the baselines under it, exactly as for store-replayed
-     *  registry traces. */
+     *  cache every lane's result under it, exactly as for
+     *  store-replayed registry traces. */
     WorkloadResult
     runWorkload(const Workload &workload,
                 const std::vector<EngineSpec> &engines,
@@ -230,8 +224,8 @@ class ExperimentDriver
     static unsigned resolveJobs(unsigned jobs);
 
     /**
-     * Attach a persistent trace/baseline store. Registry-workload
-     * sweeps and forEachTrace then load traces and baselines from
+     * Attach a persistent trace/result store. Registry-workload
+     * sweeps and forEachTrace then load traces and lane results from
      * disk when present and persist what they compute. Pass null to
      * detach.
      */
@@ -243,21 +237,11 @@ class ExperimentDriver
         return store_;
     }
 
-    /** Baseline simulations actually executed (cache diagnostics). */
-    std::uint64_t baselineRuns() const { return baselineRuns_; }
-
-    /** Engine-cell simulations actually executed, as opposed to
-     *  served from the store's engine-result cache (store
-     *  diagnostics; a fully warm sweep re-run reports 0). Counts
-     *  batched and unbatched executions alike — the split between
-     *  the two is batchedRuns(). */
-    std::uint64_t engineRuns() const { return engineRuns_; }
-
-    /** Cell simulations (baseline, stride and engine cells alike)
-     *  executed inside batched trace passes. 0 when batching is
-     *  disabled; on a fully warm sweep 0 either way (warm cells are
-     *  merged from the store and join no batch). */
-    std::uint64_t batchedRuns() const { return batchedRuns_; }
+    /** Cell simulations actually executed — baseline, stride and
+     *  engine lanes alike — as opposed to served from the store's
+     *  result cache (store diagnostics; a fully warm sweep re-run
+     *  reports 0). */
+    std::uint64_t cellRuns() const { return cellRuns_; }
 
     /** Workload traces actually generated, as opposed to replayed
      *  from the store (store diagnostics). */
@@ -287,9 +271,6 @@ class ExperimentDriver
         return checkpointsWritten_.load();
     }
 
-    /** Drop the per-workload baseline cache. */
-    void clearBaselineCache();
-
   private:
     // Execution internals, defined in driver.cc.
     struct TraceContext;
@@ -298,21 +279,11 @@ class ExperimentDriver
     struct WorkloadShard;
     struct Cell;
 
-    struct Baseline
-    {
-        std::uint64_t misses = 0;
-        double cycles = 0.0; ///< no-prefetch cycles (timing runs)
-        double strideCycles = 0.0;
-        double strideIpc = 0.0;
-        bool haveStride = false;
-    };
-
     /** @param cacheable  workloads came from the registry, so the
-     *                     name-keyed baseline cache and trace-replay
-     *                     store paths apply.
+     *                     name-keyed trace-replay store path applies.
      *  @param external_digest  caller-vouched trace content digest
      *                     for the non-cacheable single-workload path;
-     *                     keys the stored baselines. */
+     *                     keys the stored lane results. */
     std::vector<WorkloadResult>
     runCells(const std::vector<const Workload *> &workloads,
              const std::vector<EngineSpec> &engines, bool cacheable,
@@ -343,16 +314,10 @@ class ExperimentDriver
     ExperimentConfig config_;
     unsigned jobs_;
 
-    std::mutex cacheMutex_;
-    std::unordered_map<std::string, Baseline> baselineCache_;
-    std::uint64_t baselineRuns_ = 0;
-
     std::shared_ptr<TraceStore> store_;
-    /// Digest of (system config, warmup) keying stored baselines.
-    std::uint64_t configDigest_ = 0;
-    /// Digest keying stored engine results: the baseline digest
-    /// inputs plus the timing mode and the result-format version
-    /// (functional and timed runs are distinct entries).
+    /// Digest keying stored lane results: system, warmup, timing
+    /// mode and the result-format version (functional and timed
+    /// runs are distinct entries).
     std::uint64_t resultConfigDigest_ = 0;
     /// Digest keying stored checkpoints: system + timing + blob
     /// version. Warmup is deliberately excluded — it joins each
@@ -360,10 +325,8 @@ class ExperimentDriver
     /// boundary lies beyond the checkpoint index, so pre-warmup
     /// checkpoints are shareable across different warmup settings.
     std::uint64_t ckptConfigDigest_ = 0;
-    std::uint64_t engineRuns_ = 0;
-    std::uint64_t batchedRuns_ = 0;
+    std::uint64_t cellRuns_ = 0;
     // Execution policy, adopted from the plan by applyPlan().
-    bool batching_ = true;
     std::size_t checkpointEvery_ = 0;
     double heartbeatSeconds_ = 0.0;
     std::atomic<std::uint64_t> traceGenerations_{0};

@@ -264,24 +264,6 @@ PrefetchSimulator::run(const Trace &trace, std::size_t warmup_records)
     finish();
 }
 
-void
-PrefetchSimulator::run(TraceSource &source,
-                       std::size_t warmup_records)
-{
-    source.reset();
-    if (warmup_records > 0)
-        setMeasuring(false);
-    MemRecord r;
-    std::size_t i = 0;
-    while (source.next(r)) {
-        if (i == warmup_records)
-            setMeasuring(true);
-        step(r);
-        ++i;
-    }
-    finish();
-}
-
 namespace {
 constexpr std::uint32_t kSimTag = stateTag('P', 'S', 'I', 'M');
 } // namespace

@@ -28,7 +28,6 @@
 #include "prefetch/prefetcher.hh"
 #include "sim/timing.hh"
 #include "trace/trace.hh"
-#include "trace/trace_source.hh"
 
 namespace stems {
 
@@ -110,17 +109,6 @@ class PrefetchSimulator
      *                        being measured.
      */
     void run(const Trace &trace, std::size_t warmup_records = 0);
-
-    /**
-     * Process every record a TraceSource yields (the source is reset
-     * first) and finalize accounting. Record-for-record equivalent to
-     * run(const Trace &): an mmap replay of a stored trace produces
-     * bitwise-identical statistics. This is the streaming entry for
-     * single-engine replay of big on-disk traces (no record vector
-     * is materialized); the ExperimentDriver instead materializes
-     * each trace once so many engine cells can share it.
-     */
-    void run(TraceSource &source, std::size_t warmup_records = 0);
 
     /** Enable/disable measurement (training always continues). */
     void setMeasuring(bool on);

@@ -212,10 +212,7 @@ sweepPlanJson(const SweepPlan &plan)
 {
     std::string out;
     out += "{\n";
-    out += "  \"batch\": ";
-    out += boolToken(plan.batch);
-    out += ",\n  \"checkpoint_every\": " +
-           u64Token(plan.checkpointEvery);
+    out += "  \"checkpoint_every\": " + u64Token(plan.checkpointEvery);
     out += ",\n  \"engines\": [";
     for (std::size_t i = 0; i < plan.engines.size(); ++i) {
         const PlanEngine &e = plan.engines[i];
@@ -297,9 +294,6 @@ parseSweepPlanJson(const std::string &text, SweepPlan &plan,
         const JsonValue &val = kv.second;
         if (key == "schema") {
             continue;
-        } else if (key == "batch") {
-            if (!asBool(val, out.batch))
-                return parseFail(error, "bad batch");
         } else if (key == "checkpoint_every") {
             if (!asU64(val, out.checkpointEvery))
                 return parseFail(error, "bad checkpoint_every");

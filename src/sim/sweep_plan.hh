@@ -13,7 +13,7 @@
  *
  * The one codec is canonical JSON (sweepPlanJson /
  * parseSweepPlanJson): key-sorted, mini_json conventions (`%.17g`
- * doubles, exact u64 integers), schema-tagged "stems-sweep-plan-v2".
+ * doubles, exact u64 integers), schema-tagged "stems-sweep-plan-v3".
  * Every field is always emitted (unset optional engine knobs as
  * `null`), so two plans are equal iff their JSON bytes are equal.
  * The parser is reject-never-misdecode: it refuses unknown fields,
@@ -43,9 +43,10 @@
 namespace stems {
 
 /// Canonical JSON schema tag (also the digest domain prefix).
-/// v2 removed two execution-policy fields (`segments` among them);
-/// a v1 document is refused, never read with those keys ignored.
-inline constexpr const char *kSweepPlanSchema = "stems-sweep-plan-v2";
+/// v2 removed two execution-policy fields (`segments` among them),
+/// v3 removed `batch`; an older document is refused, never read with
+/// its retired keys ignored.
+inline constexpr const char *kSweepPlanSchema = "stems-sweep-plan-v3";
 
 /**
  * One engine column of a plan: a registered engine name, the label
@@ -105,8 +106,6 @@ struct SweepPlan
     // this), so none of them joins any cache key.
     /// Worker threads (0 = hardware concurrency).
     unsigned jobs = 0;
-    /// Batched execution (one trace pass per workload).
-    bool batch = true;
     /// Checkpoint a cell every this many records, plus at the trace
     /// end (0 = off). Absolute, so a run extended to more records
     /// finds a shorter run's checkpoints.

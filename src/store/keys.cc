@@ -10,21 +10,6 @@ namespace stems {
 
 namespace {
 
-/** The (system, warmup) description shared by the baseline and
- *  result digests. The warmupRecords line is appended only when set
- *  so stores written before the absolute-warmup knob existed keep
- *  their keys. */
-std::string
-describeBaselineConfig(const ExperimentConfig &config)
-{
-    std::ostringstream os;
-    os << describeSystem(config.system) << "\nwarmup="
-       << std::setprecision(17) << config.warmupFraction;
-    if (config.warmupRecords > 0)
-        os << "\nwarmupRecords=" << config.warmupRecords;
-    return os.str();
-}
-
 } // namespace
 
 std::uint64_t
@@ -46,20 +31,18 @@ laneCheckpointSpecDigest(const std::string &engine,
 }
 
 std::uint64_t
-baselineConfigDigest(const ExperimentConfig &config)
-{
-    return storeDigest(describeBaselineConfig(config));
-}
-
-std::uint64_t
 resultConfigDigest(const ExperimentConfig &config)
 {
-    // Engine results additionally depend on the timing mode (a
-    // functional run's stats carry no cycles) and their on-disk
-    // format version; baselines handle both via in-entry flags.
+    // A result depends on the timing mode (a functional run's stats
+    // carry no cycles) and its on-disk format version. The
+    // warmupRecords line is appended only when set so stores written
+    // before the absolute-warmup knob existed keep their keys.
     std::ostringstream os;
-    os << describeBaselineConfig(config)
-       << "\ntiming=" << config.enableTiming << "\nresultv=1";
+    os << describeSystem(config.system) << "\nwarmup="
+       << std::setprecision(17) << config.warmupFraction;
+    if (config.warmupRecords > 0)
+        os << "\nwarmupRecords=" << config.warmupRecords;
+    os << "\ntiming=" << config.enableTiming << "\nresultv=1";
     return storeDigest(os.str());
 }
 

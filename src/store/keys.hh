@@ -13,10 +13,10 @@
  *                          [+ probe id]); keys results.
  *  - laneCheckpointSpecDigest what a simulation lane is (baseline,
  *                          stride reference or engine); keys
- *                          checkpoints.
- *  - baselineConfigDigest  what system + warmup produced a baseline.
- *  - resultConfigDigest    baselineConfigDigest inputs + timing mode
- *                          + result-format version; keys results.
+ *                          checkpoints, and the baseline lane's
+ *                          result.
+ *  - resultConfigDigest    system + warmup + timing mode +
+ *                          result-format version; keys results.
  *  - checkpointConfigDigest system + timing + checkpoint blob
  *                          version; keys checkpoints. Warmup is
  *                          deliberately excluded — it joins the
@@ -70,14 +70,10 @@ std::uint64_t laneCheckpointSpecDigest(const std::string &engine,
                                        EngineOptions options,
                                        bool scientific);
 
-/** Key of the (system, warmup) context a stored baseline belongs
- *  to. Trace length and seed are part of the trace identity, not
- *  this digest. */
-std::uint64_t baselineConfigDigest(const ExperimentConfig &config);
-
-/** Key of the context a stored engine result belongs to: the
- *  baseline inputs plus the timing mode and the on-disk result
- *  format version. */
+/** Key of the context a stored cell result belongs to: system,
+ *  warmup, timing mode and the on-disk result format version. Trace
+ *  length and seed are part of the trace identity, not this
+ *  digest. */
 std::uint64_t resultConfigDigest(const ExperimentConfig &config);
 
 /** Key of the context a stored checkpoint belongs to: system +

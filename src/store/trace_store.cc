@@ -38,15 +38,12 @@ namespace {
 struct StoreMetrics
 {
     Counter &traceHit, &traceMiss;
-    Counter &baselineHit, &baselineMiss;
     Counter &resultHit, &resultMiss;
     Counter &ckptHit, &ckptMiss;
 
     StoreMetrics()
         : traceHit(registry().counter("store.trace.hit")),
           traceMiss(registry().counter("store.trace.miss")),
-          baselineHit(registry().counter("store.baseline.hit")),
-          baselineMiss(registry().counter("store.baseline.miss")),
           resultHit(registry().counter("store.result.hit")),
           resultMiss(registry().counter("store.result.miss")),
           ckptHit(registry().counter("store.ckpt.hit")),
@@ -69,7 +66,6 @@ storeMetrics()
 }
 
 constexpr char kTraceSubdir[] = "traces";
-constexpr char kBaselineSubdir[] = "baselines";
 constexpr char kResultSubdir[] = "results";
 constexpr char kCheckpointSubdir[] = "checkpoints";
 /// Bumped when the trace encoding or key scheme changes, so stale
@@ -83,21 +79,6 @@ hex16(std::uint64_t v)
     std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
     return buf;
 }
-
-/** Binary baseline entry layout. */
-struct PackedBaseline
-{
-    char magic[4];
-    std::uint32_t version;
-    std::uint64_t misses;
-    double cycles;
-    double strideCycles;
-    double strideIpc;
-    std::uint8_t flags; ///< bit0 haveStride, bit1 haveTiming
-} __attribute__((packed));
-
-constexpr char kBaselineMagic[4] = {'S', 'T', 'B', 'L'};
-constexpr std::uint32_t kBaselineVersion = 1;
 
 constexpr char kResultMagic[4] = {'S', 'T', 'R', 'S'};
 /// Bumped when StoredEngineResult's serialized layout changes.
@@ -270,7 +251,8 @@ secondsSince(fs::file_time_type t)
         .count();
 }
 
-/** A deletable unit: one baseline file, or a .trc/.meta pair. */
+/** A deletable unit: one entry's payload file and its .meta
+ *  sidecar. */
 struct EvictableEntry
 {
     std::vector<fs::path> files;
@@ -302,8 +284,6 @@ TraceStore::TraceStore(std::string dir, Options options)
     std::error_code ec;
     fs::create_directories(fs::path(dir_) / kTraceSubdir, ec);
     if (!ec)
-        fs::create_directories(fs::path(dir_) / kBaselineSubdir, ec);
-    if (!ec)
         fs::create_directories(fs::path(dir_) / kResultSubdir, ec);
     if (!ec) {
         fs::create_directories(fs::path(dir_) / kCheckpointSubdir,
@@ -323,16 +303,6 @@ TraceStore::tracePath(const TraceKey &key, bool meta) const
     fs::path p = fs::path(dir_) / kTraceSubdir /
                  (hex16(storeDigest(os.str())) +
                   (meta ? ".meta" : ".trc"));
-    return p.string();
-}
-
-std::string
-TraceStore::baselinePath(std::uint64_t trace_digest,
-                         std::uint64_t config_digest) const
-{
-    fs::path p = fs::path(dir_) / kBaselineSubdir /
-                 (hex16(trace_digest) + "-" + hex16(config_digest) +
-                  ".bl");
     return p.string();
 }
 
@@ -518,80 +488,6 @@ TraceStore::putTrace(const TraceKey &key, const Trace &trace)
     return info;
 }
 
-std::optional<StoredBaseline>
-TraceStore::loadBaseline(std::uint64_t trace_digest,
-                         std::uint64_t config_digest)
-{
-    ScopedSpan span("store.baseline.get", "store");
-    if (!usable_) {
-        ++baselineMisses_;
-        storeMetrics().baselineMiss.add();
-        return std::nullopt;
-    }
-    std::string path = baselinePath(trace_digest, config_digest);
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        ++baselineMisses_;
-        storeMetrics().baselineMiss.add();
-        return std::nullopt;
-    }
-    PackedBaseline p;
-    std::uint32_t stored_crc = 0;
-    bool ok = std::fread(&p, sizeof(p), 1, f) == 1 &&
-              std::fread(&stored_crc, sizeof(stored_crc), 1, f) == 1 &&
-              std::fgetc(f) == EOF;
-    std::fclose(f);
-    if (!ok ||
-        std::memcmp(p.magic, kBaselineMagic, sizeof(p.magic)) != 0 ||
-        p.version != kBaselineVersion ||
-        crc32(&p, sizeof(p)) != stored_crc) {
-        ++baselineMisses_;
-        storeMetrics().baselineMiss.add();
-        std::error_code ec;
-        fs::remove(path, ec); // corrupt: drop so it gets recomputed
-        return std::nullopt;
-    }
-    ++baselineHits_;
-    storeMetrics().baselineHit.add();
-    touch(path);
-    StoredBaseline b;
-    b.misses = p.misses;
-    b.cycles = p.cycles;
-    b.strideCycles = p.strideCycles;
-    b.strideIpc = p.strideIpc;
-    b.haveStride = (p.flags & 1) != 0;
-    b.haveTiming = (p.flags & 2) != 0;
-    return b;
-}
-
-bool
-TraceStore::putBaseline(std::uint64_t trace_digest,
-                        std::uint64_t config_digest,
-                        const StoredBaseline &baseline)
-{
-    ScopedSpan span("store.baseline.put", "store");
-    if (!usable_)
-        return false;
-    PackedBaseline p;
-    std::memcpy(p.magic, kBaselineMagic, sizeof(p.magic));
-    p.version = kBaselineVersion;
-    p.misses = baseline.misses;
-    p.cycles = baseline.cycles;
-    p.strideCycles = baseline.strideCycles;
-    p.strideIpc = baseline.strideIpc;
-    p.flags = static_cast<std::uint8_t>(
-        (baseline.haveStride ? 1 : 0) |
-        (baseline.haveTiming ? 2 : 0));
-    std::uint32_t crc = crc32(&p, sizeof(p));
-    std::vector<std::uint8_t> bytes(sizeof(p) + sizeof(crc));
-    std::memcpy(bytes.data(), &p, sizeof(p));
-    std::memcpy(bytes.data() + sizeof(p), &crc, sizeof(crc));
-
-    std::lock_guard<std::mutex> lock(writeMutex_);
-    return atomicWrite(baselinePath(trace_digest, config_digest),
-                       bytes.data(), bytes.size());
-}
-
 std::optional<StoredEngineResult>
 TraceStore::loadResult(std::uint64_t trace_digest,
                        std::uint64_t spec_digest,
@@ -733,8 +629,8 @@ TraceStore::putCheckpoint(std::uint64_t spec_digest,
                    ec);
         return false;
     }
-    // Like putBaseline/putResult, no per-put eviction scan: the
-    // driver calls enforceBudget() once per sweep.
+    // Like putResult, no per-put eviction scan: the driver calls
+    // enforceBudget() once per sweep.
     return true;
 }
 
@@ -997,23 +893,6 @@ TraceStore::list()
         e.ageSeconds = secondsSince(fs::last_write_time(trc, fec));
         entries.push_back(std::move(e));
     }
-    for (const auto &de : fs::directory_iterator(
-             fs::path(dir_) / kBaselineSubdir, ec)) {
-        if (de.path().extension() != ".bl")
-            continue;
-        std::error_code fec;
-        StoreEntry e;
-        e.kind = StoreEntry::Kind::kBaseline;
-        e.file = fs::relative(de.path(), dir_, fec).string();
-        e.description =
-            "baseline " + de.path().stem().string();
-        e.bytes = fs::file_size(de.path(), fec);
-        if (fec)
-            continue;
-        e.ageSeconds =
-            secondsSince(fs::last_write_time(de.path(), fec));
-        entries.push_back(std::move(e));
-    }
     for (const StoredResultInfo &info : listResults()) {
         std::error_code fec;
         fs::path res =
@@ -1090,8 +969,8 @@ TraceStore::totalBytes()
     std::uint64_t total = 0;
     if (!usable_)
         return total;
-    for (const char *sub : {kTraceSubdir, kBaselineSubdir,
-                            kResultSubdir, kCheckpointSubdir}) {
+    for (const char *sub :
+         {kTraceSubdir, kResultSubdir, kCheckpointSubdir}) {
         std::error_code ec;
         for (const auto &de :
              fs::directory_iterator(fs::path(dir_) / sub, ec)) {
@@ -1122,46 +1001,10 @@ TraceStore::evictLockedWithin(std::uint64_t budget_bytes)
     std::vector<EvictableEntry> units;
     std::uint64_t total = 0;
     std::error_code ec;
-    for (const auto &de : fs::directory_iterator(
-             fs::path(dir_) / kTraceSubdir, ec)) {
-        if (de.path().extension() != ".trc")
-            continue;
-        std::error_code fec;
-        EvictableEntry u;
-        u.files.push_back(de.path());
-        u.bytes = fs::file_size(de.path(), fec);
-        u.mtime = fs::last_write_time(de.path(), fec);
-        if (fec)
-            continue;
-        fs::path meta = de.path();
-        meta.replace_extension(".meta");
-        std::error_code mec;
-        std::uint64_t msz = fs::file_size(meta, mec);
-        if (!mec) {
-            u.files.push_back(meta);
-            u.bytes += msz;
-        }
-        total += u.bytes;
-        units.push_back(std::move(u));
-    }
-    for (const auto &de : fs::directory_iterator(
-             fs::path(dir_) / kBaselineSubdir, ec)) {
-        if (de.path().extension() != ".bl")
-            continue;
-        std::error_code fec;
-        EvictableEntry u;
-        u.files.push_back(de.path());
-        u.bytes = fs::file_size(de.path(), fec);
-        u.mtime = fs::last_write_time(de.path(), fec);
-        if (fec)
-            continue;
-        total += u.bytes;
-        units.push_back(std::move(u));
-    }
-    // Results and checkpoints share the payload/.meta-pair unit
-    // shape: each pair is evicted as one unit, like a trace's
-    // .trc/.meta pair, under the one shared size budget.
+    // Every entry kind is a payload/.meta pair, evicted as one unit
+    // under the one shared size budget.
     const std::pair<const char *, const char *> paired_kinds[] = {
+        {kTraceSubdir, ".trc"},
         {kResultSubdir, ".res"},
         {kCheckpointSubdir, ".ckpt"},
     };

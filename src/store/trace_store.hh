@@ -1,20 +1,19 @@
 /**
  * @file
  * TraceStore: a persistent, content-addressed on-disk cache of
- * generated traces, baseline simulation results, and per-engine
- * simulation results, so the work the parallel ExperimentDriver
- * amortizes *within* a process also survives *across* processes,
- * benches, tools, and CI runs.
+ * generated traces, per-cell simulation results and mid-trace
+ * checkpoints, so the work the parallel ExperimentDriver amortizes
+ * *within* a process also survives *across* processes, benches,
+ * tools, and CI runs.
  *
  * Layout under the store root:
  *
  *   traces/<key-hash>.trc    v2-encoded trace (trace/trace_codec.hh)
  *   traces/<key-hash>.meta   text metadata: the key fields, the
  *                            record count, and the content digest
- *   baselines/<trace-digest>-<config-digest>.bl
- *                            binary baseline metrics (CRC-checked)
  *   results/<trace-digest>-<spec-digest>-<config-digest>.res
- *                            binary engine-cell result (CRC-checked)
+ *                            binary cell result (CRC-checked): the
+ *                            baseline, stride and engine lanes alike
  *   results/<...same...>.meta
  *                            text sidecar: workload/engine names,
  *                            headline metrics, save timestamp
@@ -27,13 +26,13 @@
  *
  * Trace entries are keyed by (workload, records, seed, encoding
  * version) — everything that determines a generated trace's content.
- * Baseline entries are keyed by the *content digest* of the trace
- * plus an opaque configuration digest supplied by the caller, so an
- * imported external trace gets baseline caching exactly like a
- * generated one. Engine-result entries add a digest of the engine
- * specification (registered name + every EngineOptions override +
- * probe identity; see describeEngineSpec()), so one warm cell of a
- * sweep is exactly one stored result.
+ * Result entries are keyed by the *content digest* of the trace, a
+ * digest of the lane (the baseline's fixed identity, or the engine
+ * specification: registered name + every EngineOptions override +
+ * probe identity; see describeEngineSpec()) and an opaque
+ * configuration digest supplied by the caller, so one warm cell of a
+ * sweep is exactly one stored result, and an imported external trace
+ * gets result caching exactly like a generated one.
  *
  * Checkpoint entries are keyed by the *prefix* of the trace they
  * were taken in, not the whole trace: the state digest combines the
@@ -47,8 +46,8 @@
  * Writes are atomic (temp file + rename), so concurrent processes
  * sharing a store directory at worst duplicate work, never corrupt
  * entries. Reads touch the entry mtime; evictWithin() removes
- * oldest-first across all three entry kinds until the store fits a
- * size budget.
+ * oldest-first across every entry kind until the store fits a size
+ * budget.
  */
 
 #ifndef STEMS_STORE_TRACE_STORE_HH
@@ -88,23 +87,12 @@ struct TraceEntryInfo
     std::uint64_t bytes = 0;   ///< encoded size on disk
 };
 
-/** Cached baseline metrics for one (trace digest, config digest). */
-struct StoredBaseline
-{
-    std::uint64_t misses = 0; ///< no-prefetch off-chip read misses
-    double cycles = 0.0;      ///< no-prefetch cycles
-    double strideCycles = 0.0;
-    double strideIpc = 0.0;
-    bool haveStride = false;
-    bool haveTiming = false; ///< cycle fields are valid
-};
-
 /**
- * One engine cell's raw simulation output: everything the driver
- * needs to merge the cell without running it. The normalized metrics
+ * One cell's raw simulation output: everything the driver needs to
+ * merge the cell without running it. The normalized metrics
  * (coverage, speedup, ...) are recomputed at merge time from these
- * stats plus the baseline, so a warm cell is bitwise identical to a
- * cold one.
+ * stats plus the reference lanes', so a warm cell is bitwise
+ * identical to a cold one.
  */
 struct StoredEngineResult
 {
@@ -161,7 +149,6 @@ struct StoreEntry
     enum class Kind
     {
         kTrace,
-        kBaseline,
         kResult,
         kCheckpoint,
     };
@@ -172,7 +159,7 @@ struct StoreEntry
     std::int64_t ageSeconds = 0; ///< since last touch
 };
 
-/** The persistent trace & baseline cache. Thread-safe. */
+/** The persistent trace, result and checkpoint cache. Thread-safe. */
 class TraceStore
 {
   public:
@@ -226,20 +213,10 @@ class TraceStore
     std::optional<TraceEntryInfo> putTrace(const TraceKey &key,
                                            const Trace &trace);
 
-    // ---- baselines ----
-
-    std::optional<StoredBaseline>
-    loadBaseline(std::uint64_t trace_digest,
-                 std::uint64_t config_digest);
-
-    bool putBaseline(std::uint64_t trace_digest,
-                     std::uint64_t config_digest,
-                     const StoredBaseline &baseline);
-
-    // ---- engine results ----
+    // ---- cell results ----
 
     /**
-     * Look up a cached engine cell. A corrupt or truncated entry is
+     * Look up a cached cell. A corrupt or truncated entry is
      * rejected (CRC + bounds checks), deleted, and counted as a
      * miss, so the caller falls back to simulation.
      */
@@ -248,7 +225,7 @@ class TraceStore
                std::uint64_t config_digest);
 
     /**
-     * Persist one engine cell's result plus its human-readable .meta
+     * Persist one cell's result plus its human-readable .meta
      * sidecar. Atomic; overwrites any existing entry for the key.
      */
     bool putResult(std::uint64_t trace_digest,
@@ -337,8 +314,8 @@ class TraceStore
 
     /**
      * Evict oldest-touched entries until the store fits
-     * `budget_bytes` (a trace's .trc/.meta pair and a result's
-     * .res/.meta pair each count and are evicted as one unit).
+     * `budget_bytes` (each entry's payload/.meta pair counts and is
+     * evicted as one unit).
      * @return bytes removed.
      */
     std::uint64_t evictWithin(std::uint64_t budget_bytes);
@@ -346,7 +323,7 @@ class TraceStore
     /**
      * Evict down to the configured size budget (no-op when the
      * budget is 0/disabled). putTrace applies this automatically;
-     * the cheap putBaseline/putResult writes do not, so batch
+     * the cheap putResult/putCheckpoint writes do not, so batch
      * writers (the driver, once per sweep) call this when done.
      * @return bytes removed.
      */
@@ -356,8 +333,6 @@ class TraceStore
 
     std::uint64_t traceHits() const { return traceHits_; }
     std::uint64_t traceMisses() const { return traceMisses_; }
-    std::uint64_t baselineHits() const { return baselineHits_; }
-    std::uint64_t baselineMisses() const { return baselineMisses_; }
     std::uint64_t resultHits() const { return resultHits_; }
     std::uint64_t resultMisses() const { return resultMisses_; }
     std::uint64_t checkpointHits() const { return checkpointHits_; }
@@ -369,8 +344,6 @@ class TraceStore
 
   private:
     std::string tracePath(const TraceKey &key, bool meta) const;
-    std::string baselinePath(std::uint64_t trace_digest,
-                             std::uint64_t config_digest) const;
     std::string resultPath(std::uint64_t trace_digest,
                            std::uint64_t spec_digest,
                            std::uint64_t config_digest,
@@ -395,8 +368,6 @@ class TraceStore
 
     std::atomic<std::uint64_t> traceHits_{0};
     std::atomic<std::uint64_t> traceMisses_{0};
-    std::atomic<std::uint64_t> baselineHits_{0};
-    std::atomic<std::uint64_t> baselineMisses_{0};
     std::atomic<std::uint64_t> resultHits_{0};
     std::atomic<std::uint64_t> resultMisses_{0};
     std::atomic<std::uint64_t> checkpointHits_{0};

@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include "common/crc32.hh"
-#include "trace/trace_io.hh"
 
 namespace stems {
 
@@ -146,17 +145,6 @@ MmapTraceSource::next(MemRecord &out)
     out = r;
     ++produced_;
     return true;
-}
-
-std::unique_ptr<TraceSource>
-openTraceSource(const std::string &path)
-{
-    if (auto v2 = MmapTraceSource::open(path))
-        return v2;
-    Trace t;
-    if (!readTraceFile(path, t))
-        return nullptr;
-    return std::make_unique<VectorTraceSource>(std::move(t));
 }
 
 } // namespace stems

@@ -1,14 +1,10 @@
 /**
  * @file
- * TraceSource: a sequential reader of MemRecords that decouples
- * consumers (the prefetch simulator, the analyses, the tools) from
- * where the records live. Two implementations:
- *
- *  - VectorTraceSource walks an in-memory Trace (owned or borrowed);
- *  - MmapTraceSource replays a v2 trace file straight out of the
- *    page cache: the file is mapped read-only and records are decoded
- *    incrementally from the mapped bytes, so replay never
- *    materializes the whole record vector.
+ * TraceSource: a sequential reader of MemRecords. Its one
+ * implementation, MmapTraceSource, replays a v2 trace file straight
+ * out of the page cache: the file is mapped read-only and records are
+ * decoded incrementally from the mapped bytes. The TraceStore decodes
+ * stored traces through it.
  */
 
 #ifndef STEMS_TRACE_TRACE_SOURCE_HH
@@ -45,37 +41,6 @@ class TraceSource
     /** Materialize all remaining records (after a reset: the whole
      *  trace) into a vector. */
     void readAll(Trace &out);
-};
-
-/** TraceSource over an in-memory Trace. */
-class VectorTraceSource : public TraceSource
-{
-  public:
-    /** Borrow a trace owned by the caller (must outlive the source). */
-    explicit VectorTraceSource(const Trace &trace) : trace_(&trace) {}
-
-    /** Take ownership of a trace. */
-    explicit VectorTraceSource(Trace &&trace)
-        : owned_(std::move(trace)), trace_(&owned_)
-    {
-    }
-
-    std::size_t size() const override { return trace_->size(); }
-    void reset() override { pos_ = 0; }
-
-    bool
-    next(MemRecord &out) override
-    {
-        if (pos_ >= trace_->size())
-            return false;
-        out = (*trace_)[pos_++];
-        return true;
-    }
-
-  private:
-    Trace owned_;
-    const Trace *trace_;
-    std::size_t pos_ = 0;
 };
 
 /**
@@ -124,13 +89,6 @@ class MmapTraceSource : public TraceSource
     std::size_t produced_ = 0;
     codec::DeltaState state_;
 };
-
-/**
- * Open any trace file as a source: v2 files get the mmap replay
- * path, v1 files are read into memory. @return null on any error.
- */
-std::unique_ptr<TraceSource>
-openTraceSource(const std::string &path);
 
 } // namespace stems
 

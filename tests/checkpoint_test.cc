@@ -12,8 +12,8 @@
  *
  * On top of that sit the driver-level guarantees: checkpointed
  * execution (checkpoint at every boundary, resume from the newest
- * trusted match) is bitwise identical to a continuous run across
- * {jobs 1, 8} x {batched, unbatched} for every registered engine;
+ * trusted match) is bitwise identical to a continuous run at
+ * jobs 1 and 8 for every registered engine;
  * re-running a sweep with more records over a warm store
  * re-simulates only the new suffix (resumedRuns()/
  * resumedRecordsSkipped() diagnostics); and checkpoints from a
@@ -365,12 +365,11 @@ class SegmentedDriverTest : public test::TempDirTest
 };
 
 TEST_F(SegmentedDriverTest,
-       SegmentedMatchesContinuousAcrossJobsAndBatchForEveryEngine)
+       SegmentedMatchesContinuousAcrossJobsForEveryEngine)
 {
     // The acceptance bar: for every registered engine, a
-    // checkpointed run (checkpoints written and, across combos,
-    // resumed) is bitwise identical to a continuous storeless run,
-    // whatever the jobs count and batching mode.
+    // checkpointed run is bitwise identical to a continuous
+    // storeless run, whatever the jobs count.
     std::vector<EngineSpec> engines;
     for (const std::string &name :
          EngineRegistry::instance().names())
@@ -380,34 +379,23 @@ TEST_F(SegmentedDriverTest,
     ExperimentDriver reference(cfg, 4);
     auto expected = reference.run({"dss-qry17"}, engines);
 
-    int combo = 0;
     for (unsigned jobs : {1u, 8u}) {
-        for (bool batch : {true, false}) {
-            SCOPED_TRACE("jobs " + std::to_string(jobs) +
-                         (batch ? " batched" : " unbatched"));
-            // A fresh store per combo keeps every cell cold, so the
-            // checkpointed execution path itself runs each time.
-            std::string dir =
-                dir_ + "_combo" + std::to_string(combo++);
-            SweepPlan plan =
-                test::configPlan(cfg, {"dss-qry17"}, jobs);
-            plan.batch = batch;
-            // Three interior boundaries over the 30022-record trace.
-            plan.checkpointEvery = 8000;
-            ExperimentDriver segmented;
-            segmented.setStore(std::make_shared<TraceStore>(dir));
-            auto results = segmented.run(plan, engines);
-            EXPECT_GT(segmented.checkpointsWritten(), 0u);
-            // Even within one cold sweep a resume can legitimately
-            // happen: the stride *baseline* cell and the stride
-            // *engine* cell share a checkpoint identity (same
-            // simulation), so whichever runs second may reuse the
-            // first one's end-of-trace checkpoint when the
-            // dispatch order serializes them.
-            EXPECT_LE(segmented.resumedRuns(), 1u);
-            expectSameResults(expected, results);
-            std::filesystem::remove_all(dir);
-        }
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        // A fresh store per jobs count keeps every cell cold, so the
+        // checkpointed execution path itself runs each time.
+        std::string dir = dir_ + "_jobs" + std::to_string(jobs);
+        SweepPlan plan = test::configPlan(cfg, {"dss-qry17"}, jobs);
+        // Three interior boundaries over the 30022-record trace.
+        plan.checkpointEvery = 8000;
+        ExperimentDriver segmented;
+        segmented.setStore(std::make_shared<TraceStore>(dir));
+        auto results = segmented.run(plan, engines);
+        EXPECT_GT(segmented.checkpointsWritten(), 0u);
+        // Every lane starts in the one pass, before any checkpoint
+        // exists: nothing resumes in a cold sweep.
+        EXPECT_EQ(segmented.resumedRuns(), 0u);
+        expectSameResults(expected, results);
+        std::filesystem::remove_all(dir);
     }
 }
 
@@ -435,11 +423,11 @@ TEST_F(SegmentedDriverTest, SecondSegmentedRunResumesFromCheckpoints)
     ExperimentDriver second;
     second.setStore(std::make_shared<TraceStore>(dir_));
     auto b = second.run(plan, {probed});
-    // The probed cell re-executed (engineRuns counts it) but
+    // The probed cell re-executed (cellRuns counts it) but
     // resumed at the end-of-trace checkpoint: zero records
-    // re-stepped. The baseline cell stayed warm via the baseline
+    // re-stepped. The baseline cell stayed warm via the result
     // cache, so exactly one cell resumed.
-    EXPECT_EQ(second.engineRuns(), 1u);
+    EXPECT_EQ(second.cellRuns(), 1u);
     EXPECT_EQ(second.resumedRuns(), 1u);
     auto trace_size =
         makeWorkload("dss-qry17")->generate(cfg.seed, 20000).size();

@@ -2,10 +2,10 @@
  * @file
  * Tests for the parallel ExperimentDriver: bitwise determinism
  * across thread counts, equivalence with the serial
- * ExperimentRunner reference, batched-vs-unbatched execution
- * identity (including mixed warm/cold batches over a persistent
- * store and anonymous-probe cells), baseline caching, engine
- * overrides, probes, and the forEachTrace analysis path.
+ * ExperimentRunner reference, mixed warm/cold passes over a
+ * persistent store (anonymous-probe cells included), the baseline
+ * and stride lanes cached like any other cell, engine overrides,
+ * probes, and the forEachTrace analysis path.
  */
 
 #include <gtest/gtest.h>
@@ -57,30 +57,6 @@ TEST(Driver, MatchesSerialRunnerReference)
     expectSameResults(reference, results);
 }
 
-TEST(Driver, BatchedMatchesUnbatchedAcrossJobs)
-{
-    // The batch toggle is pure execution strategy: for every
-    // (jobs, batching) combination the sweep must be bitwise
-    // identical, and the diagnostics must attribute the work to the
-    // right mode.
-    ExperimentConfig cfg = smallConfig(true);
-    std::vector<std::vector<WorkloadResult>> runs;
-    for (unsigned jobs : {1u, 8u}) {
-        for (bool batch : {true, false}) {
-            SweepPlan plan = test::configPlan(cfg, kWorkloads, jobs);
-            plan.batch = batch;
-            ExperimentDriver driver;
-            runs.push_back(driver.run(plan, engineSpecs(kEngines)));
-            if (batch)
-                EXPECT_GT(driver.batchedRuns(), 0u);
-            else
-                EXPECT_EQ(driver.batchedRuns(), 0u);
-        }
-    }
-    for (std::size_t i = 1; i < runs.size(); ++i)
-        expectSameResults(runs[0], runs[i]);
-}
-
 /** Unique-per-test temporary store directory (ctest runs test
  *  binaries concurrently). */
 std::string
@@ -93,7 +69,7 @@ tempStoreDir()
 
 TEST(Driver, BatchMergesWarmCellsAndBatchesColdOnes)
 {
-    // A batch over a partially warm store must only simulate the
+    // A pass over a partially warm store must only simulate the
     // cold cells; warm neighbors merge from the cache, and the
     // combined result is bitwise identical to a storeless sweep.
     std::string dir = tempStoreDir();
@@ -104,7 +80,7 @@ TEST(Driver, BatchMergesWarmCellsAndBatchesColdOnes)
         ExperimentDriver cold(cfg, 4);
         cold.setStore(store);
         cold.run({"dss-qry17"}, engineSpecs({"tms", "sms"}));
-        EXPECT_EQ(cold.engineRuns(), 2u);
+        EXPECT_EQ(cold.cellRuns(), 3u); // baseline + tms + sms
     }
     auto store = std::make_shared<TraceStore>(dir);
     ASSERT_TRUE(store->usable());
@@ -114,9 +90,8 @@ TEST(Driver, BatchMergesWarmCellsAndBatchesColdOnes)
         mixed.run({"dss-qry17"}, engineSpecs({"tms", "sms", "stems"}));
     // Only the stems cell was cold; the baseline and the other two
     // engine cells came from the store.
-    EXPECT_EQ(mixed.engineRuns(), 1u);
-    EXPECT_EQ(mixed.baselineRuns(), 0u);
-    EXPECT_EQ(mixed.batchedRuns(), 1u);
+    EXPECT_EQ(mixed.cellRuns(), 1u);
+    EXPECT_EQ(mixed.store()->resultHits(), 3u);
 
     ExperimentDriver reference(cfg, 4);
     auto expected = reference.run({"dss-qry17"},
@@ -128,7 +103,7 @@ TEST(Driver, BatchMergesWarmCellsAndBatchesColdOnes)
 TEST(Driver, AnonymousProbeJoinsBatchWithoutPoisoningCache)
 {
     // An anonymous probe (no probeId) makes a spec uncacheable: its
-    // cell must re-simulate inside the batch even when a cached
+    // cell must re-simulate in the pass even when a cached
     // result for the same engine exists, must not overwrite that
     // cached entry, and warm neighbors must stay warm.
     std::string dir = tempStoreDir();
@@ -139,7 +114,7 @@ TEST(Driver, AnonymousProbeJoinsBatchWithoutPoisoningCache)
         ExperimentDriver warm(cfg, 2);
         warm.setStore(store);
         warm.run({"dss-qry17"}, engineSpecs({"stems", "sms"}));
-        EXPECT_EQ(warm.engineRuns(), 2u);
+        EXPECT_EQ(warm.cellRuns(), 3u); // baseline + stems + sms
     }
 
     EngineSpec probed("stems");
@@ -154,8 +129,7 @@ TEST(Driver, AnonymousProbeJoinsBatchWithoutPoisoningCache)
         driver.setStore(store);
         auto results = driver.run({"dss-qry17"},
                                   {probed, EngineSpec("sms")});
-        EXPECT_EQ(driver.engineRuns(), 1u); // probed cell only
-        EXPECT_EQ(driver.batchedRuns(), 1u);
+        EXPECT_EQ(driver.cellRuns(), 1u); // probed cell only
         ASSERT_EQ(results.size(), 1u);
         const EngineResult *stems = results[0].find("stems");
         ASSERT_NE(stems, nullptr);
@@ -170,7 +144,7 @@ TEST(Driver, AnonymousProbeJoinsBatchWithoutPoisoningCache)
     ExperimentDriver replay(cfg, 2);
     replay.setStore(store);
     auto cached = replay.run({"dss-qry17"}, engineSpecs({"stems"}));
-    EXPECT_EQ(replay.engineRuns(), 0u);
+    EXPECT_EQ(replay.cellRuns(), 0u);
     ASSERT_EQ(cached.size(), 1u);
     EXPECT_TRUE(cached[0].find("stems")->extra.empty());
 
@@ -183,24 +157,30 @@ TEST(Driver, AnonymousProbeJoinsBatchWithoutPoisoningCache)
 
 TEST(Driver, BaselinesCachedAcrossCalls)
 {
+    // The no-prefetch and stride lanes are cells like any other: the
+    // attached store serves them to a later run() call, which then
+    // simulates only its new engine lane.
+    std::string dir = tempStoreDir();
     ExperimentDriver driver(smallConfig(true), 4);
+    driver.setStore(std::make_shared<TraceStore>(dir));
     auto first =
         driver.run({"dss-qry17"}, engineSpecs({"sms"}));
-    std::uint64_t baselines = driver.baselineRuns();
-    EXPECT_EQ(baselines, 2u); // no-prefetch + stride
+    EXPECT_EQ(driver.cellRuns(), 3u); // no-prefetch + stride + sms
 
     auto second =
         driver.run({"dss-qry17"}, engineSpecs({"sms", "stems"}));
-    EXPECT_EQ(driver.baselineRuns(), baselines);
+    EXPECT_EQ(driver.cellRuns(), 4u); // + stems
     EXPECT_EQ(first.at(0).baselineMisses,
               second.at(0).baselineMisses);
     EXPECT_EQ(first.at(0).strideCycles, second.at(0).strideCycles);
     EXPECT_EQ(first.at(0).find("sms")->coverage,
               second.at(0).find("sms")->coverage);
 
-    driver.clearBaselineCache();
+    // Without a store nothing carries across calls.
+    driver.setStore(nullptr);
     driver.run({"dss-qry17"}, engineSpecs({"sms"}));
-    EXPECT_EQ(driver.baselineRuns(), baselines + 2);
+    EXPECT_EQ(driver.cellRuns(), 7u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Driver, FunctionalRunSkipsStrideBaseline)
@@ -211,7 +191,7 @@ TEST(Driver, FunctionalRunSkipsStrideBaseline)
     ExperimentDriver driver(functional, 2);
     auto plain = driver.run({"dss-qry17"}, engineSpecs({"sms"}));
     EXPECT_EQ(plain.at(0).find("sms")->speedup, 0.0);
-    EXPECT_EQ(driver.baselineRuns(), 1u); // no stride needed
+    EXPECT_EQ(driver.cellRuns(), 2u); // baseline + sms, no stride
 }
 
 TEST(Driver, UnknownNamesAreSkipped)
@@ -299,12 +279,12 @@ TEST(Driver, RunWorkloadAcceptsExternalWorkload)
     EXPECT_GT(r.baselineMisses, 0u);
     ASSERT_EQ(r.engines.size(), 2u);
     EXPECT_GT(r.find("sms")->coverage, 0.0);
+    EXPECT_EQ(driver.cellRuns(), 3u); // baseline + sms + stems
 
-    // External instances bypass the name-keyed baseline cache: a
-    // second call recomputes rather than trusting the name.
-    std::uint64_t baselines = driver.baselineRuns();
+    // Nothing carries across calls without a store: a second call
+    // simulates its baseline lane again.
     driver.runWorkload(w, engineSpecs({"sms"}));
-    EXPECT_GT(driver.baselineRuns(), baselines);
+    EXPECT_EQ(driver.cellRuns(), 5u);
 }
 
 TEST(Driver, ForEachTraceVisitsEveryWorkloadOnce)

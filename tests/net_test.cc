@@ -512,8 +512,8 @@ TEST_F(NetSweepTest, TwoWorkersMatchSingleProcessBitwise)
     test::expectSameResults(distributed, referenceRun(plan));
 
     // A later client over the warm store must simulate nothing:
-    // zero trace generations, zero baseline sims, zero engine sims
-    // (counter deltas in the process-wide registry).
+    // zero trace generations, zero cell sims (counter deltas in the
+    // process-wide registry).
     const MetricsSnapshot before =
         MetricsRegistry::instance().snapshot();
     ExperimentDriver warm;
@@ -530,8 +530,7 @@ TEST_F(NetSweepTest, TwoWorkersMatchSingleProcessBitwise)
         return get(after) - get(before);
     };
     EXPECT_EQ(delta("driver.trace.generated"), 0u);
-    EXPECT_EQ(delta("driver.cell.baseline"), 0u);
-    EXPECT_EQ(delta("driver.cell.engine"), 0u);
+    EXPECT_EQ(delta("driver.cell.simulated"), 0u);
 }
 
 TEST_F(NetSweepTest, AbandonedUnitIsRequeuedAndResultsMatch)

@@ -15,7 +15,6 @@
 #include "sim/experiment.hh"
 #include "sim/prefetch_sim.hh"
 #include "sim/timing.hh"
-#include "trace/trace_source.hh"
 #include "workloads/registry.hh"
 
 namespace stems {
@@ -379,25 +378,6 @@ TEST(BatchSim, ParallelLanesMatchSerialLanes)
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         expectBitwiseEqualStats(serial[i], parallel[i]);
-}
-
-TEST(BatchSim, TraceSourceRunMatchesVectorRun)
-{
-    auto w = makeWorkload("em3d");
-    Trace t = w->generate(11, 15000);
-    SimParams params = tinySystem();
-
-    BatchSimulator from_vector;
-    from_vector.addLane(params, nullptr, 100);
-    from_vector.run(t);
-
-    BatchSimulator from_source;
-    from_source.addLane(params, nullptr, 100);
-    VectorTraceSource source(t);
-    from_source.run(source);
-
-    expectBitwiseEqualStats(from_vector.stats(0),
-                            from_source.stats(0));
 }
 
 TEST(BatchSim, PerLaneWarmupIsHonored)

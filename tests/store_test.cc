@@ -1,14 +1,14 @@
 /**
  * @file
  * Tests for the persistent TraceStore and its driver integration:
- * content-addressed trace entries, baseline caching keyed by trace
- * digest, cross-process reuse (a fresh store instance over the same
- * directory), eviction under a size budget, and the headline
- * guarantee — a warm-store re-run of a (workloads x engines) sweep
- * performs zero trace generations, zero baseline simulations and
- * zero engine simulations (every cell served from the engine-result
- * cache) and produces results bitwise identical to a cold run and to
- * the serial ExperimentRunner reference.
+ * content-addressed trace entries, result caching keyed by trace
+ * digest (the baseline and stride lanes included), cross-process
+ * reuse (a fresh store instance over the same directory), eviction
+ * under a size budget, and the headline guarantee — a warm-store
+ * re-run of a (workloads x engines) sweep performs zero trace
+ * generations and zero cell simulations (every cell served from the
+ * result cache) and produces results bitwise identical to a cold run
+ * and to the serial ExperimentRunner reference.
  */
 
 #include <gtest/gtest.h>
@@ -135,33 +135,6 @@ TEST_F(TraceStoreTest, CorruptEntryIsDroppedNotServed)
     EXPECT_FALSE(store.findTrace(key).has_value());
 }
 
-TEST_F(TraceStoreTest, BaselineRoundTripIsBitExact)
-{
-    TraceStore store(dir_);
-    StoredBaseline b;
-    b.misses = 123456789;
-    b.cycles = 1.0 / 3.0;
-    b.strideCycles = 98765.4321e7;
-    b.strideIpc = 0.7071067811865476;
-    b.haveStride = true;
-    b.haveTiming = true;
-    ASSERT_TRUE(store.putBaseline(0xABCD, 0x1234, b));
-
-    auto loaded = store.loadBaseline(0xABCD, 0x1234);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->misses, b.misses);
-    EXPECT_EQ(loaded->cycles, b.cycles);
-    EXPECT_EQ(loaded->strideCycles, b.strideCycles);
-    EXPECT_EQ(loaded->strideIpc, b.strideIpc);
-    EXPECT_TRUE(loaded->haveStride);
-    EXPECT_TRUE(loaded->haveTiming);
-
-    EXPECT_FALSE(store.loadBaseline(0xABCD, 0x9999).has_value());
-    EXPECT_FALSE(store.loadBaseline(0xDCBA, 0x1234).has_value());
-    EXPECT_EQ(store.baselineHits(), 1u);
-    EXPECT_EQ(store.baselineMisses(), 2u);
-}
-
 TEST_F(TraceStoreTest, EvictionRemovesOldestFirstUnderBudget)
 {
     TraceStore::Options opts;
@@ -211,12 +184,13 @@ TEST_F(TraceStoreTest, ListDescribesEntries)
 {
     TraceStore store(dir_);
     store.putTrace({"lister", 500, 9}, sampleTrace());
-    StoredBaseline b;
-    b.misses = 1;
-    store.putBaseline(1, 2, b);
+    StoredEngineResult r;
+    r.stats.records = 1;
+    store.putResult(1, 2, 3, r,
+                    {"lister", "baseline", 500, 9, 0, 0, 0, false});
     auto entries = store.list();
     ASSERT_EQ(entries.size(), 2u);
-    bool have_trace = false, have_baseline = false;
+    bool have_trace = false, have_result = false;
     for (const StoreEntry &e : entries) {
         if (e.kind == StoreEntry::Kind::kTrace) {
             have_trace = true;
@@ -224,11 +198,13 @@ TEST_F(TraceStoreTest, ListDescribesEntries)
                       std::string::npos);
             EXPECT_GT(e.bytes, 0u);
         } else {
-            have_baseline = true;
+            have_result = e.kind == StoreEntry::Kind::kResult;
+            EXPECT_NE(e.description.find("lister x baseline"),
+                      std::string::npos);
         }
     }
     EXPECT_TRUE(have_trace);
-    EXPECT_TRUE(have_baseline);
+    EXPECT_TRUE(have_result);
 }
 
 TEST_F(TraceStoreTest, UnusableDirectoryDegradesGracefully)
@@ -242,7 +218,7 @@ TEST_F(TraceStoreTest, UnusableDirectoryDegradesGracefully)
                      .has_value());
     Trace t;
     EXPECT_FALSE(store.loadTrace({"w", 1, 1}, t));
-    EXPECT_FALSE(store.loadBaseline(1, 2).has_value());
+    EXPECT_FALSE(store.loadResult(1, 2, 3).has_value());
     std::remove(file.c_str());
 }
 
@@ -256,23 +232,22 @@ TEST_F(TraceStoreTest, WarmSweepDoesZeroGenerationsAndBaselines)
     ExperimentDriver cold(cfg, 2);
     cold.setStore(std::make_shared<TraceStore>(dir_));
     auto cold_results = cold.run(kWorkloads, engineSpecs(kEngines));
+    // Per workload: the no-prefetch and stride lanes, then one lane
+    // per engine.
+    const std::size_t cells = kWorkloads.size() * (2 + kEngines.size());
     EXPECT_EQ(cold.traceGenerations(), kWorkloads.size());
-    EXPECT_EQ(cold.baselineRuns(), 2 * kWorkloads.size());
-    EXPECT_EQ(cold.engineRuns(),
-              kWorkloads.size() * kEngines.size());
+    EXPECT_EQ(cold.cellRuns(), cells);
 
     // Warm run: fresh driver AND fresh store instance over the same
-    // directory, as a separate process would see it. Every engine
-    // cell is served from the result cache, so nothing at all is
-    // simulated — not even the traces are decoded.
+    // directory, as a separate process would see it. Every cell is
+    // served from the result cache, so nothing at all is simulated —
+    // not even the traces are decoded.
     ExperimentDriver warm(cfg, 4);
     warm.setStore(std::make_shared<TraceStore>(dir_));
     auto warm_results = warm.run(kWorkloads, engineSpecs(kEngines));
     EXPECT_EQ(warm.traceGenerations(), 0u);
-    EXPECT_EQ(warm.baselineRuns(), 0u);
-    EXPECT_EQ(warm.engineRuns(), 0u);
-    EXPECT_EQ(warm.store()->resultHits(),
-              kWorkloads.size() * kEngines.size());
+    EXPECT_EQ(warm.cellRuns(), 0u);
+    EXPECT_EQ(warm.store()->resultHits(), cells);
     EXPECT_EQ(warm.store()->traceHits(), 0u);
 
     // Bitwise-identical merged results: warm vs cold...
@@ -289,46 +264,37 @@ TEST_F(TraceStoreTest, WarmSweepDoesZeroGenerationsAndBaselines)
     expectSameResults(reference, warm_results);
 }
 
-TEST_F(TraceStoreTest, SecondSweepInSameDriverUsesMemoryCache)
+TEST_F(TraceStoreTest, FunctionalAndTimedEntriesNeverServeEachOther)
 {
-    ExperimentConfig cfg = smallConfig(false);
-    ExperimentDriver driver(cfg, 2);
-    driver.setStore(std::make_shared<TraceStore>(dir_));
-    driver.run({"dss-qry17"}, engineSpecs({"sms"}));
-    std::uint64_t baseline_loads = driver.store()->baselineHits() +
-                                   driver.store()->baselineMisses();
-    driver.run({"dss-qry17"}, engineSpecs({"sms", "stems"}));
-    // The in-memory baseline cache answers first; the store is not
-    // probed again for baselines.
-    EXPECT_EQ(driver.store()->baselineHits() +
-                  driver.store()->baselineMisses(),
-              baseline_loads);
-    EXPECT_EQ(driver.traceGenerations(), 1u);
-}
-
-TEST_F(TraceStoreTest, FunctionalEntryDoesNotServeTimingRun)
-{
-    // A functional-only run persists baselines without cycle data; a
-    // later timing run must recompute rather than trust them.
+    // A functional run persists cells without cycle data; a later
+    // timing run must recompute rather than trust them.
     ExperimentDriver functional(smallConfig(false), 2);
     functional.setStore(std::make_shared<TraceStore>(dir_));
     functional.run({"dss-qry17"}, engineSpecs({"sms"}));
-    EXPECT_EQ(functional.baselineRuns(), 1u);
+    EXPECT_EQ(functional.cellRuns(), 2u); // baseline + sms
 
     ExperimentDriver timed(smallConfig(true), 2);
     timed.setStore(std::make_shared<TraceStore>(dir_));
     timed.run({"dss-qry17"}, engineSpecs({"sms"}));
     EXPECT_EQ(timed.traceGenerations(), 0u); // trace still reused
-    EXPECT_EQ(timed.baselineRuns(), 2u);     // baselines recomputed
-    // The functional run's cached engine result carries no cycle
-    // data; the timing run keys results separately and re-simulates.
-    EXPECT_EQ(timed.engineRuns(), 1u);
+    // Results are keyed by the timing mode, so the baseline, stride
+    // and sms lanes all re-simulate.
+    EXPECT_EQ(timed.cellRuns(), 3u);
 
-    // The upgraded (timed) entry now serves both kinds of run.
     ExperimentDriver warm(smallConfig(true), 2);
     warm.setStore(std::make_shared<TraceStore>(dir_));
     warm.run({"dss-qry17"}, engineSpecs({"sms"}));
-    EXPECT_EQ(warm.baselineRuns(), 0u);
+    EXPECT_EQ(warm.cellRuns(), 0u);
+
+    // The other direction: the timed cells must not serve a
+    // functional run either (their baseline carries cycles a
+    // functional run reports as 0).
+    ExperimentDriver replay(smallConfig(false), 2);
+    replay.setStore(std::make_shared<TraceStore>(dir_));
+    auto replayed = replay.run({"dss-qry17"}, engineSpecs({"sms"}));
+    ExperimentDriver reference(smallConfig(false), 2);
+    expectSameResults(
+        reference.run({"dss-qry17"}, engineSpecs({"sms"})), replayed);
 }
 
 TEST_F(TraceStoreTest, DifferentSeedMissesTheStore)
@@ -343,7 +309,7 @@ TEST_F(TraceStoreTest, DifferentSeedMissesTheStore)
     b.setStore(std::make_shared<TraceStore>(dir_));
     b.run({"dss-qry17"}, engineSpecs({"sms"}));
     EXPECT_EQ(b.traceGenerations(), 1u);
-    EXPECT_EQ(b.baselineRuns(), 1u);
+    EXPECT_EQ(b.cellRuns(), 2u);
 }
 
 TEST_F(TraceStoreTest, ForEachTraceReplaysFromStore)
@@ -372,8 +338,9 @@ TEST_F(TraceStoreTest, ForEachTraceReplaysFromStore)
 TEST_F(TraceStoreTest, ExternalTraceDigestKeysStoredBaselines)
 {
     // runWorkload with a caller-vouched content digest caches the
-    // baselines in the store even though the name-keyed paths are
-    // bypassed — this is what `stems_trace run --store` relies on.
+    // baseline lane's result in the store even though the name-keyed
+    // paths are bypassed — this is what `stems_trace run --store`
+    // relies on.
     Trace t = sampleTrace();
     std::uint64_t digest = traceDigest(t);
     FixedTraceWorkload w("captured", Trace(t));
@@ -381,13 +348,14 @@ TEST_F(TraceStoreTest, ExternalTraceDigestKeysStoredBaselines)
     ExperimentDriver first(smallConfig(false), 2);
     first.setStore(std::make_shared<TraceStore>(dir_));
     auto a = first.runWorkload(w, engineSpecs({"sms"}), digest);
-    EXPECT_EQ(first.baselineRuns(), 1u);
+    EXPECT_EQ(first.cellRuns(), 2u);
 
-    // Fresh driver + store instance (a new process): baseline hits.
+    // Fresh driver + store instance (a new process): every cell,
+    // the baseline included, hits.
     ExperimentDriver second(smallConfig(false), 2);
     second.setStore(std::make_shared<TraceStore>(dir_));
     auto b = second.runWorkload(w, engineSpecs({"sms"}), digest);
-    EXPECT_EQ(second.baselineRuns(), 0u);
+    EXPECT_EQ(second.cellRuns(), 0u);
     EXPECT_EQ(a.baselineMisses, b.baselineMisses);
     EXPECT_EQ(a.find("sms")->coverage, b.find("sms")->coverage);
 
@@ -395,7 +363,7 @@ TEST_F(TraceStoreTest, ExternalTraceDigestKeysStoredBaselines)
     ExperimentDriver third(smallConfig(false), 2);
     third.setStore(std::make_shared<TraceStore>(dir_));
     third.runWorkload(w, engineSpecs({"sms"}));
-    EXPECT_EQ(third.baselineRuns(), 1u);
+    EXPECT_EQ(third.cellRuns(), 2u);
 }
 
 TEST_F(TraceStoreTest, ImportedTraceRunsThroughDriverWithAllEngines)
@@ -506,9 +474,9 @@ TEST_F(TraceStoreTest, CorruptResultEntryFallsBackToSimulation)
     ExperimentDriver cold(cfg, 2);
     cold.setStore(std::make_shared<TraceStore>(dir_));
     auto cold_results = cold.run({"dss-qry17"}, engineSpecs({"sms"}));
-    EXPECT_EQ(cold.engineRuns(), 1u);
+    EXPECT_EQ(cold.cellRuns(), 2u);
 
-    // Flip a byte in the middle of the stored .res payload.
+    // Flip a byte in the middle of every stored .res payload.
     for (const auto &de :
          std::filesystem::recursive_directory_iterator(dir_)) {
         if (de.path().extension() != ".res")
@@ -522,7 +490,7 @@ TEST_F(TraceStoreTest, CorruptResultEntryFallsBackToSimulation)
     ExperimentDriver warm(cfg, 2);
     warm.setStore(std::make_shared<TraceStore>(dir_));
     auto warm_results = warm.run({"dss-qry17"}, engineSpecs({"sms"}));
-    EXPECT_EQ(warm.engineRuns(), 1u); // cache rejected, re-simulated
+    EXPECT_EQ(warm.cellRuns(), 2u); // cache rejected, re-simulated
     EXPECT_EQ(warm.store()->resultHits(), 0u);
     expectSameResults(cold_results, warm_results);
 
@@ -531,7 +499,7 @@ TEST_F(TraceStoreTest, CorruptResultEntryFallsBackToSimulation)
     third.setStore(std::make_shared<TraceStore>(dir_));
     expectSameResults(cold_results,
                       third.run({"dss-qry17"}, engineSpecs({"sms"})));
-    EXPECT_EQ(third.engineRuns(), 0u);
+    EXPECT_EQ(third.cellRuns(), 0u);
 }
 
 TEST_F(TraceStoreTest, TruncatedResultEntryFallsBackToSimulation)
@@ -551,7 +519,7 @@ TEST_F(TraceStoreTest, TruncatedResultEntryFallsBackToSimulation)
     ExperimentDriver warm(cfg, 2);
     warm.setStore(std::make_shared<TraceStore>(dir_));
     auto warm_results = warm.run({"dss-qry17"}, engineSpecs({"sms"}));
-    EXPECT_EQ(warm.engineRuns(), 1u);
+    EXPECT_EQ(warm.cellRuns(), 2u);
     expectSameResults(cold_results, warm_results);
 }
 
@@ -562,16 +530,13 @@ TEST_F(TraceStoreTest, EvictionSharesBudgetAcrossAllEntryKinds)
     TraceStore store(dir_, opts);
     ASSERT_TRUE(
         store.putTrace({"evict", 500, 1}, sampleTrace(1)).has_value());
-    StoredBaseline b;
-    b.misses = 7;
-    ASSERT_TRUE(store.putBaseline(1, 2, b));
     StoredEngineResult r;
     r.stats.records = 1;
     ASSERT_TRUE(store.putResult(1, 2, 3, r,
                                 {"wl", "eng", 500, 1, 0, 0, 0,
                                  false}));
 
-    // totalBytes counts all three kinds.
+    // totalBytes counts both kinds.
     std::uint64_t total = store.totalBytes();
     std::uint64_t listed = 0;
     bool have_result = false;
@@ -599,9 +564,8 @@ TEST_F(TraceStoreTest, EvictionSharesBudgetAcrossAllEntryKinds)
     EXPECT_GT(removed, 0u);
     EXPECT_FALSE(store.loadResult(1, 2, 3).has_value());
     EXPECT_TRUE(store.listResults().empty());
-    // The newer trace and baseline survive.
+    // The newer trace survives.
     EXPECT_TRUE(store.findTrace({"evict", 500, 1}).has_value());
-    EXPECT_TRUE(store.loadBaseline(1, 2).has_value());
 
     // Full gc removes everything, results included.
     store.evictWithin(0);
@@ -622,22 +586,21 @@ TEST_F(TraceStoreTest, ExternalTraceHitsResultCacheByDigest)
     first.setStore(std::make_shared<TraceStore>(dir_));
     auto a =
         first.runWorkload(w, engineSpecs({"sms", "stems"}), digest);
-    EXPECT_EQ(first.engineRuns(), 2u);
+    EXPECT_EQ(first.cellRuns(), 3u);
 
     ExperimentDriver second(smallConfig(false), 2);
     second.setStore(std::make_shared<TraceStore>(dir_));
     auto b =
         second.runWorkload(w, engineSpecs({"sms", "stems"}), digest);
-    EXPECT_EQ(second.engineRuns(), 0u);
-    EXPECT_EQ(second.baselineRuns(), 0u);
-    EXPECT_EQ(second.store()->resultHits(), 2u);
+    EXPECT_EQ(second.cellRuns(), 0u);
+    EXPECT_EQ(second.store()->resultHits(), 3u);
     expectSameResults({a}, {b});
 
     // Without a digest nothing is cached or served.
     ExperimentDriver third(smallConfig(false), 2);
     third.setStore(std::make_shared<TraceStore>(dir_));
     third.runWorkload(w, engineSpecs({"sms", "stems"}));
-    EXPECT_EQ(third.engineRuns(), 2u);
+    EXPECT_EQ(third.cellRuns(), 3u);
 }
 
 TEST_F(TraceStoreTest, AnonymousProbeBypassesResultCache)
@@ -653,12 +616,12 @@ TEST_F(TraceStoreTest, AnonymousProbeBypassesResultCache)
     ExperimentDriver cold(cfg, 2);
     cold.setStore(std::make_shared<TraceStore>(dir_));
     cold.run({"dss-qry17"}, {spec});
-    EXPECT_EQ(cold.engineRuns(), 1u);
+    EXPECT_EQ(cold.cellRuns(), 2u); // baseline + stems
 
     ExperimentDriver warm(cfg, 2);
     warm.setStore(std::make_shared<TraceStore>(dir_));
     auto results = warm.run({"dss-qry17"}, {spec});
-    EXPECT_EQ(warm.engineRuns(), 1u); // not served from the cache
+    EXPECT_EQ(warm.cellRuns(), 1u); // not served from the cache
     EXPECT_EQ(results.at(0).engines.at(0).extra.at("marker"), 1.0);
 }
 
@@ -675,12 +638,12 @@ TEST_F(TraceStoreTest, NamedProbeRoundTripsExtrasThroughCache)
     ExperimentDriver cold(cfg, 2);
     cold.setStore(std::make_shared<TraceStore>(dir_));
     auto cold_results = cold.run({"dss-qry17"}, {spec});
-    EXPECT_EQ(cold.engineRuns(), 1u);
+    EXPECT_EQ(cold.cellRuns(), 2u);
 
     ExperimentDriver warm(cfg, 2);
     warm.setStore(std::make_shared<TraceStore>(dir_));
     auto warm_results = warm.run({"dss-qry17"}, {spec});
-    EXPECT_EQ(warm.engineRuns(), 0u);
+    EXPECT_EQ(warm.cellRuns(), 0u);
     const auto &extra = warm_results.at(0).engines.at(0).extra;
     EXPECT_EQ(extra.at("marker"), 2.5);
     EXPECT_EQ(extra.at("other"), -0.125);
@@ -691,7 +654,7 @@ TEST_F(TraceStoreTest, NamedProbeRoundTripsExtrasThroughCache)
     ExperimentDriver bumped(cfg, 2);
     bumped.setStore(std::make_shared<TraceStore>(dir_));
     bumped.run({"dss-qry17"}, {spec});
-    EXPECT_EQ(bumped.engineRuns(), 1u);
+    EXPECT_EQ(bumped.cellRuns(), 1u);
 }
 
 // ---- checkpoint entries ----
@@ -945,7 +908,7 @@ TEST_F(TraceStoreTest, DifferentEngineOptionsAreDifferentResults)
     ExperimentDriver cold(cfg, 2);
     cold.setStore(std::make_shared<TraceStore>(dir_));
     cold.run({"dss-qry17"}, {EngineSpec("stems")});
-    EXPECT_EQ(cold.engineRuns(), 1u);
+    EXPECT_EQ(cold.cellRuns(), 2u);
 
     // Same engine name, different overrides: must not be served
     // from the default-options entry.
@@ -953,7 +916,7 @@ TEST_F(TraceStoreTest, DifferentEngineOptionsAreDifferentResults)
     swept.setStore(std::make_shared<TraceStore>(dir_));
     swept.run({"dss-qry17"},
               {EngineSpec("stems", "stems-small", small_rmob)});
-    EXPECT_EQ(swept.engineRuns(), 1u);
+    EXPECT_EQ(swept.cellRuns(), 1u);
 
     // While a *label-only* change shares the entry (labels are
     // cosmetic; the simulation is identical).
@@ -961,7 +924,7 @@ TEST_F(TraceStoreTest, DifferentEngineOptionsAreDifferentResults)
     relabeled.setStore(std::make_shared<TraceStore>(dir_));
     auto results = relabeled.run(
         {"dss-qry17"}, {EngineSpec("stems", "stems-renamed")});
-    EXPECT_EQ(relabeled.engineRuns(), 0u);
+    EXPECT_EQ(relabeled.cellRuns(), 0u);
     EXPECT_EQ(results.at(0).engines.at(0).engine, "stems-renamed");
 }
 

@@ -45,7 +45,6 @@ fullPlan()
     plan.warmupRecords = 10'000;
     plan.timing = true;
     plan.jobs = 3;
-    plan.batch = false;
     plan.checkpointEvery = 5'000;
     plan.heartbeatSeconds = 1.5;
     plan.unitGranularity = UnitGranularity::kSegment;
@@ -77,14 +76,14 @@ TEST(SweepPlanJson, DigestIsPinned)
     // Pinned across releases: a digest change means the canonical
     // JSON changed, which invalidates every wire/plan-file digest
     // comparison in flight. Bump deliberately or not at all (last
-    // re-pinned for schema v2).
+    // re-pinned for schema v3).
     SweepPlan plan;
     plan.workloads = {"oltp-db2"};
     plan.engines = {PlanEngine{"stems", "", {}}};
     plan.records = 100'000;
     const std::uint64_t digest = sweepPlanDigest(plan);
     EXPECT_EQ(digest, sweepPlanDigest(plan)) << "digest unstable";
-    EXPECT_EQ(digest, UINT64_C(0x62be20d12ebb72cd));
+    EXPECT_EQ(digest, UINT64_C(0x00b54459f692f054));
 }
 
 TEST(SweepPlanJson, RejectsUnknownFields)
@@ -94,8 +93,8 @@ TEST(SweepPlanJson, RejectsUnknownFields)
 
     // Top level.
     std::string doctored = base;
-    doctored.replace(doctored.find("\"batch\""), 7,
-                     "\"zzz\": 1,\n  \"batch\"");
+    doctored.replace(doctored.find("\"checkpoint_every\""), 18,
+                     "\"zzz\": 1,\n  \"checkpoint_every\"");
     EXPECT_FALSE(parseSweepPlanJson(doctored, out));
 
     // Engine level.
@@ -157,6 +156,29 @@ TEST(SweepPlanJson, RefusesVersionOnePlans)
     SweepPlan out;
     std::string error;
     EXPECT_FALSE(parseSweepPlanJson(v1, out, &error));
+    EXPECT_NE(error.find("schema"), std::string::npos) << error;
+
+    // Likewise a schema-v2 document, which still carried `batch`.
+    const std::string v2 = R"({
+  "batch": false,
+  "checkpoint_every": 0,
+  "engines": [],
+  "heartbeat_seconds": 0,
+  "jobs": 1,
+  "records": 2000,
+  "schema": "stems-sweep-plan-v2",
+  "seed": 42,
+  "timing": false,
+  "unit_granularity": "workload",
+  "warmup_fraction": 0.5,
+  "warmup_records": 0,
+  "workloads": [
+    "oltp-db2"
+  ]
+}
+)";
+    error.clear();
+    EXPECT_FALSE(parseSweepPlanJson(v2, out, &error));
     EXPECT_NE(error.find("schema"), std::string::npos) << error;
 }
 
@@ -369,7 +391,6 @@ TEST(SweepPlanDriver, RunPlanMatchesWorkloadEngineRun)
     plan.records = 20'000;
     plan.timing = true;
     plan.jobs = 2;
-    plan.batch = false;
 
     ExperimentDriver planned;
     const auto via_plan = planned.run(plan);

@@ -56,8 +56,8 @@ ExperimentConfig smallConfig(bool timing,
 
 /** The SweepPlan form of `config` over `workloads` on `jobs`
  *  threads: the config's trace, warmup and timing knobs with the
- *  default execution policy, which tests then adjust (batch,
- *  checkpointEvery, ...) before run(plan, specs) or applyPlan. */
+ *  default execution policy, which tests then adjust
+ *  (checkpointEvery, ...) before run(plan, specs) or applyPlan. */
 SweepPlan configPlan(const ExperimentConfig &config,
                      std::vector<std::string> workloads,
                      unsigned jobs);

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for trace records, the builder, binary trace I/O (both
  * encodings, including corruption/truncation rejection), the
- * TraceSource/mmap replay path, text-trace import/export, and the
+ * MmapTraceSource replay path, text-trace import/export, and the
  * randomized v2-codec property tests: arbitrary record streams
  * round-trip bitwise, and random single-byte corruption is always
  * rejected, never mis-decoded.
@@ -377,13 +377,6 @@ TEST_F(TraceIoTest, MmapSourceRejectsV1AndCorruptFiles)
     ASSERT_TRUE(writeTraceFile(path_, t)); // v1
     EXPECT_EQ(MmapTraceSource::open(path_), nullptr);
     EXPECT_EQ(MmapTraceSource::open(path_ + ".missing"), nullptr);
-
-    // openTraceSource falls back to an in-memory source for v1.
-    auto src = openTraceSource(path_);
-    ASSERT_NE(src, nullptr);
-    Trace replayed;
-    src->readAll(replayed);
-    expectSameTrace(t, replayed);
 }
 
 class TextTraceTest : public ::testing::Test

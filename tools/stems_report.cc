@@ -14,7 +14,7 @@
  *     2 only when a metric got *worse* beyond the threshold.
  *
  *   stems_report history [--store DIR] [--format md|csv] [-o FILE]
- *     Orders the engine results cached in a store (--store or
+ *     Orders the cell results cached in a store (--store or
  *     $STEMS_STORE) by save timestamp into a trajectory table.
  *
  *   stems_report metrics <metrics.json> [<old-metrics.json>]

@@ -9,17 +9,15 @@
  *   stems_trace analyze <trace.trc>
  *       Run the Figure 6/8 characterization analyses on a trace.
  *   stems_trace run <trace.trc> <engines> [--jobs N] [--timing]
- *                   [--store DIR] [--batch|--no-batch]
- *                   [--metrics-out F] [--trace-out F]
+ *                   [--store DIR] [--metrics-out F] [--trace-out F]
  *                   [--manifest-out F]
  *       Run prefetch engines (comma-separated registry names) over a
  *       trace through the parallel ExperimentDriver and report
- *       coverage and accuracy. By default all cells advance together
- *       in one batched trace pass; --no-batch runs one pass per cell
- *       (bitwise-identical results). With a store (--store or
- *       $STEMS_STORE), baselines and per-engine results are cached
- *       under the trace's content digest, so re-runs skip both the
- *       baseline and the engine simulations.
+ *       coverage and accuracy. All cells advance together in one
+ *       trace pass, on up to --jobs lane threads. With a store
+ *       (--store or $STEMS_STORE), every cell's result — the
+ *       baseline's included — is cached under the trace's content
+ *       digest, so re-runs simulate nothing.
  *   stems_trace import <in.txt> <out.trc> [--store DIR] [--name N]
  *       Convert an external text/CSV access trace (ChampSim-style
  *       pc,addr,is_write lines; see trace/text_trace.hh) to the
@@ -108,7 +106,7 @@ usage()
         "  stems_trace info <trace.trc>\n"
         "  stems_trace analyze <trace.trc>\n"
         "  stems_trace run <trace.trc> <engine[,engine...]> "
-        "[--jobs N] [--timing] [--store DIR] [--batch|--no-batch]\n"
+        "[--jobs N] [--timing] [--store DIR]\n"
         "              [--metrics-out F] "
         "[--trace-out F] [--manifest-out F]\n"
         "  stems_trace import <in.txt> <out.trc> [--store DIR] "
@@ -140,7 +138,6 @@ struct ArgScanner
     std::string manifestOut;
     unsigned jobs = 1;
     bool timing = false;
-    bool batch = true;
     bool ok = true;
 
     ArgScanner(int argc, char **argv, int first)
@@ -173,10 +170,6 @@ struct ArgScanner
                     std::strtoul(value(), nullptr, 10));
             } else if (arg == "--timing") {
                 timing = true;
-            } else if (arg == "--batch") {
-                batch = true;
-            } else if (arg == "--no-batch") {
-                batch = false;
             } else if (!arg.empty() && arg[0] == '-') {
                 std::fprintf(stderr, "unknown option '%s'\n",
                              arg.c_str());
@@ -374,14 +367,13 @@ cmdRun(int argc, char **argv)
     plan.seed = 0;
     plan.timing = args.timing;
     plan.jobs = args.jobs;
-    plan.batch = args.batch;
     ExperimentDriver driver;
     driver.applyPlan(plan);
     if (!args.storeDir.empty()) {
         auto store = std::make_shared<TraceStore>(args.storeDir);
         if (store->usable()) {
             // Content-digest keying gives imported/external traces
-            // cross-process baseline caching too.
+            // cross-process result caching too.
             driver.setStore(std::move(store));
         } else {
             std::fprintf(stderr,
@@ -434,7 +426,6 @@ cmdRun(int argc, char **argv)
                 {"engines", args.positional[1]},
                 {"jobs", std::to_string(args.jobs)},
                 {"timing", args.timing ? "true" : "false"},
-                {"batch", args.batch ? "true" : "false"},
                 {"store", args.storeDir.empty() ? "(none)"
                                                 : args.storeDir},
             };
@@ -499,7 +490,7 @@ cmdImport(int argc, char **argv)
                 in.c_str(), out.c_str());
 
     // Optional: ingest into the persistent store so driver sweeps
-    // can replay it and cache baselines against its digest.
+    // can replay it and cache results against its digest.
     if (!args.storeDir.empty()) {
         auto store = openStore(args.storeDir);
         if (!store)
@@ -556,9 +547,7 @@ cmdCache(int argc, char **argv)
         std::uint64_t total = 0;
         for (const StoreEntry &e : entries) {
             const char *kind = "trace";
-            if (e.kind == StoreEntry::Kind::kBaseline)
-                kind = "baseline";
-            else if (e.kind == StoreEntry::Kind::kResult)
+            if (e.kind == StoreEntry::Kind::kResult)
                 kind = "result";
             else if (e.kind == StoreEntry::Kind::kCheckpoint)
                 kind = "checkpoint";
