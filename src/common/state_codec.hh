@@ -21,8 +21,10 @@
 #ifndef STEMS_COMMON_STATE_CODEC_HH
 #define STEMS_COMMON_STATE_CODEC_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 namespace stems {
@@ -40,14 +42,45 @@ stateTag(char a, char b, char c, char d)
             << 24);
 }
 
-/** Appends state fields to a growing byte buffer. */
+/**
+ * Appends state fields at a cursor into a byte buffer, one memcpy
+ * per field.
+ *
+ * An in-memory writer grows its buffer and hands it over with
+ * bytes() or take(). A streaming writer owns one kChunkBytes buffer
+ * and passes each full chunk to its sink, and the partial last one
+ * on flush(), so a multi-megabyte state never sits in memory whole.
+ * Both emit the same byte stream.
+ */
 class StateWriter
 {
   public:
+    /// Size of the chunks a streaming writer hands to its sink.
+    static constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+
+    /// Receives a streaming writer's bytes, in order.
+    using Sink = std::function<void(const std::uint8_t *, std::size_t)>;
+
+    /**
+     * In-memory writer. Its buffer starts with `reserved` zero bytes
+     * that the caller fills in once the fields are written (a frame
+     * header, say), so the fields need no second buffer.
+     */
+    explicit StateWriter(std::size_t reserved = 0)
+        : buf_(reserved), pos_(reserved)
+    {
+    }
+
+    /** Streaming writer; call flush() after the last field. */
+    explicit StateWriter(Sink sink)
+        : sink_(std::move(sink)), buf_(kChunkBytes)
+    {
+    }
+
     void
     u8(std::uint8_t v)
     {
-        buf_.push_back(v);
+        raw(&v, sizeof(v));
     }
 
     void
@@ -88,19 +121,75 @@ class StateWriter
         u32(t);
     }
 
-    const std::vector<std::uint8_t> &bytes() const { return buf_; }
+    /** Hand a streaming writer's buffered bytes to its sink. */
+    void
+    flush()
+    {
+        if (sink_ && pos_ > 0) {
+            sink_(buf_.data(), pos_);
+            pos_ = 0;
+        }
+    }
 
-    std::vector<std::uint8_t> take() { return std::move(buf_); }
+    /**
+     * An in-memory writer's bytes so far, reserved prefix included.
+     * Trims the buffer's spare tail, so call it after the fields.
+     */
+    const std::vector<std::uint8_t> &
+    bytes() const
+    {
+        buf_.resize(pos_);
+        return buf_;
+    }
+
+    /** Hand over an in-memory writer's bytes (see bytes()). */
+    std::vector<std::uint8_t>
+    take()
+    {
+        bytes();
+        pos_ = 0;
+        return std::move(buf_);
+    }
 
   private:
     void
     raw(const void *data, std::size_t len)
     {
-        const auto *p = static_cast<const std::uint8_t *>(data);
-        buf_.insert(buf_.end(), p, p + len);
+        if (len > buf_.size() - pos_)
+            return spill(data, len);
+        std::memcpy(buf_.data() + pos_, data, len);
+        pos_ += len;
     }
 
-    std::vector<std::uint8_t> buf_;
+    /**
+     * Slow path of raw(). A streaming writer fills its chunk with
+     * the field's head, passes the chunk on and starts the next one
+     * with the tail (fields are at most 8 bytes, far below
+     * kChunkBytes); an in-memory writer doubles its buffer.
+     */
+    void
+    spill(const void *data, std::size_t len)
+    {
+        const auto *p = static_cast<const std::uint8_t *>(data);
+        if (sink_) {
+            const std::size_t head = buf_.size() - pos_;
+            std::memcpy(buf_.data() + pos_, p, head);
+            pos_ += head;
+            flush();
+            p += head;
+            len -= head;
+        } else {
+            buf_.resize(
+                std::max({2 * buf_.size(), pos_ + len, std::size_t{64}}));
+        }
+        std::memcpy(buf_.data() + pos_, p, len);
+        pos_ += len;
+    }
+
+    Sink sink_;
+    /// Written bytes, then spare room; bytes() trims the spare room.
+    mutable std::vector<std::uint8_t> buf_;
+    std::size_t pos_ = 0; ///< write cursor into buf_
 };
 
 /** Bounds-checked sequential reader over a state byte stream. */

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/crc32.hh"
-#include "common/state_codec.hh"
 
 namespace stems {
 
@@ -11,16 +10,16 @@ namespace {
 
 constexpr char kCheckpointMagic[8] = {'S', 'T', 'e', 'M',
                                       'S', 'c', 'k', 'p'};
-constexpr std::size_t kHeaderBytes = 32;
+constexpr std::size_t kHeaderBytes = kCheckpointHeaderBytes;
 constexpr std::size_t kIndexOffset = 12;
 constexpr std::size_t kPayloadLenOffset = 20;
 constexpr std::size_t kCrcOffset = 28;
 
 template <typename T>
 void
-putScalar(std::vector<std::uint8_t> &buf, std::size_t offset, T v)
+putScalar(std::uint8_t *header, std::size_t offset, T v)
 {
-    std::memcpy(buf.data() + offset, &v, sizeof(v));
+    std::memcpy(header + offset, &v, sizeof(v));
 }
 
 template <typename T>
@@ -30,6 +29,18 @@ getScalar(const std::vector<std::uint8_t> &buf, std::size_t offset)
     T v{};
     std::memcpy(&v, buf.data() + offset, sizeof(v));
     return v;
+}
+
+/** The one header writer both encoders share. */
+void
+writeHeader(std::uint8_t *header, std::uint64_t record_index,
+            std::uint64_t payload_len, std::uint32_t crc)
+{
+    std::memcpy(header, kCheckpointMagic, sizeof(kCheckpointMagic));
+    putScalar<std::uint32_t>(header, 8, kCheckpointVersion);
+    putScalar<std::uint64_t>(header, kIndexOffset, record_index);
+    putScalar<std::uint64_t>(header, kPayloadLenOffset, payload_len);
+    putScalar<std::uint32_t>(header, kCrcOffset, crc);
 }
 
 } // namespace
@@ -53,22 +64,33 @@ std::vector<std::uint8_t>
 encodeCheckpoint(const PrefetchSimulator &sim,
                  std::uint64_t record_index)
 {
-    StateWriter w;
+    StateWriter w(kHeaderBytes);
     sim.saveState(w);
-    const std::vector<std::uint8_t> &payload = w.bytes();
-
-    std::vector<std::uint8_t> blob(kHeaderBytes + payload.size());
-    std::memcpy(blob.data(), kCheckpointMagic,
-                sizeof(kCheckpointMagic));
-    putScalar<std::uint32_t>(blob, 8, kCheckpointVersion);
-    putScalar<std::uint64_t>(blob, kIndexOffset, record_index);
-    putScalar<std::uint64_t>(blob, kPayloadLenOffset,
-                             payload.size());
-    putScalar<std::uint32_t>(blob, kCrcOffset,
-                             crc32(payload.data(), payload.size()));
-    std::memcpy(blob.data() + kHeaderBytes, payload.data(),
-                payload.size());
+    std::vector<std::uint8_t> blob = w.take();
+    const std::size_t payload_len = blob.size() - kHeaderBytes;
+    writeHeader(blob.data(), record_index, payload_len,
+                crc32(blob.data() + kHeaderBytes, payload_len));
     return blob;
+}
+
+CheckpointHeader
+streamCheckpoint(const PrefetchSimulator &sim,
+                 std::uint64_t record_index,
+                 const StateWriter::Sink &sink)
+{
+    CheckpointHeader header{};
+    sink(header.data(), header.size());
+    std::uint64_t payload_len = 0;
+    std::uint32_t crc = 0;
+    StateWriter w([&](const std::uint8_t *data, std::size_t len) {
+        crc = crc32Update(crc, data, len);
+        payload_len += len;
+        sink(data, len);
+    });
+    sim.saveState(w);
+    w.flush();
+    writeHeader(header.data(), record_index, payload_len, crc);
+    return header;
 }
 
 bool

@@ -24,21 +24,31 @@
  * resumed run re-executes the flip check for record i exactly like a
  * continuous run does.
  *
+ * Encoding has one header routine and two sinks: encodeCheckpoint
+ * builds the blob in one buffer (payload after a reserved header),
+ * and streamCheckpoint hands the same bytes out in
+ * StateWriter::kChunkBytes chunks with the header last, which is how
+ * the TraceStore writes a checkpoint file without holding the blob.
+ *
  * Decoding is reject-only: magic/version/length/CRC are verified
  * before any simulator mutation, and a structural mismatch inside
  * the payload (wrong geometry, wrong engine shape) fails the load.
- * The TraceStore persists these blobs as its fourth entry class,
- * keyed by (trace-prefix digest, engine-spec digest, config digest,
- * record index) — see store/trace_store.hh.
+ * The TraceStore persists these blobs as its third entry class,
+ * beside traces and results, keyed by (engine-spec digest, config
+ * digest, record index, state digest), where the state digest
+ * combines the trace-prefix digest with the warmup boundary — see
+ * store/trace_store.hh.
  */
 
 #ifndef STEMS_SIM_CHECKPOINT_HH
 #define STEMS_SIM_CHECKPOINT_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "common/state_codec.hh"
 #include "sim/prefetch_sim.hh"
 
 namespace stems {
@@ -84,6 +94,25 @@ inline constexpr std::uint32_t kCheckpointVersion = 2;
 std::vector<std::uint8_t>
 encodeCheckpoint(const PrefetchSimulator &sim,
                  std::uint64_t record_index);
+
+/// Size of the fixed blob header (layout in the file comment).
+inline constexpr std::size_t kCheckpointHeaderBytes = 32;
+
+using CheckpointHeader = std::array<std::uint8_t, kCheckpointHeaderBytes>;
+
+/**
+ * Stream a framed checkpoint through `sink` without building the
+ * blob: the sink first receives a zeroed placeholder header, then
+ * the payload in StateWriter::kChunkBytes chunks, with the CRC
+ * accumulated on the way.
+ *
+ * @return the real header. Written over the placeholder (offset 0),
+ *         it makes the streamed bytes equal
+ *         encodeCheckpoint(sim, record_index).
+ */
+CheckpointHeader streamCheckpoint(const PrefetchSimulator &sim,
+                                  std::uint64_t record_index,
+                                  const StateWriter::Sink &sink);
 
 /**
  * Validate a blob's framing (magic, version, length, CRC) without

@@ -85,36 +85,11 @@ struct ExperimentDriver::TraceContext
     /// ending at trace.size(); empty when checkpointing is off.
     std::vector<std::size_t> bounds;
 
-    /**
-     * Trace-prefix digests at `indices` (ascending). Computed once
-     * per trace: every boundary is hashed when the context opens,
-     * and an off-schedule resume candidate is hashed by whichever
-     * lane asks first, in one pass with the rest of its misses.
-     * Thread-safe (lane threads write checkpoints concurrently).
-     */
-    std::vector<std::uint64_t>
-    prefixDigests(const std::vector<std::size_t> &indices)
-    {
-        std::lock_guard<std::mutex> lock(prefixMutex);
-        std::vector<std::size_t> missing;
-        for (std::size_t i : indices)
-            if (prefixes.find(i) == prefixes.end())
-                missing.push_back(i);
-        if (!missing.empty()) {
-            const std::vector<std::uint64_t> computed =
-                tracePrefixDigests(trace, missing);
-            for (std::size_t m = 0; m < missing.size(); ++m)
-                prefixes[missing[m]] = computed[m];
-        }
-        std::vector<std::uint64_t> out;
-        out.reserve(indices.size());
-        for (std::size_t i : indices)
-            out.push_back(prefixes.at(i));
-        return out;
-    }
-
-    std::mutex prefixMutex;
-    std::map<std::size_t, std::uint64_t> prefixes;
+    /// Trace-prefix digests (trace/trace_io.hh). Every boundary is
+    /// hashed when the context opens; an off-schedule resume
+    /// candidate resumes from the nearest lower index hashed.
+    /// Thread-safe (lane threads write checkpoints concurrently).
+    TracePrefixMemo prefixes{trace};
 };
 
 /**
@@ -699,10 +674,7 @@ ExperimentDriver::openTraceContext(TraceContext &ctx, Trace trace,
     // formula the distributed coordinator decomposes segment units
     // with, so unit endpoints land exactly on checkpoint indices.
     ctx.bounds = checkpointBounds(ctx.trace.size(), checkpointEvery_);
-    const std::vector<std::uint64_t> digests =
-        tracePrefixDigests(ctx.trace, ctx.bounds);
-    for (std::size_t b = 0; b < ctx.bounds.size(); ++b)
-        ctx.prefixes[ctx.bounds[b]] = digests[b];
+    ctx.prefixes.digests(ctx.bounds);
 }
 
 /**
@@ -760,7 +732,7 @@ ExperimentDriver::runLanes(TraceContext &ctx,
             if (c > 0 && c <= end)
                 candidates.push_back(static_cast<std::size_t>(c));
         const std::vector<std::uint64_t> prefixes =
-            ctx.prefixDigests(candidates);
+            ctx.prefixes.digests(candidates);
         std::size_t resume = 0;
         for (std::size_t c = candidates.size(); c-- > 0;) {
             const std::uint64_t state = checkpointStateDigest(
@@ -827,9 +799,9 @@ ExperimentDriver::runLanes(TraceContext &ctx,
             meta.warmup = ctx.warmup;
             store_->putCheckpoint(
                 lanes[lane].ckptSpec, ckptConfigDigest_, index,
-                checkpointStateDigest(ctx.prefixDigests({index})[0],
+                checkpointStateDigest(ctx.prefixes.digests({index})[0],
                                       index, ctx.warmup),
-                encodeCheckpoint(lane_sim, index), meta);
+                lane_sim, meta);
             checkpointsWritten_.fetch_add(1);
             driverMetrics().ckptWritten.add();
         });

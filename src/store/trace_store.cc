@@ -1,6 +1,8 @@
 #include "store/trace_store.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -10,10 +12,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
-#include <iterator>
 #include <sstream>
 #include <tuple>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/crc32.hh"
@@ -218,29 +221,173 @@ decodeResult(const std::vector<std::uint8_t> &bytes,
     return in.ok && in.pos == in.size;
 }
 
+/// Process-wide sequence for temp-file names, so two stores in one
+/// process (or two lane threads of one store) never share a temp path.
+std::atomic<std::uint64_t> tempFileSequence{0};
+
+/**
+ * An entry file being written: a uniquely named temp file beside
+ * `path` that commit() renames into place. Nothing is visible at
+ * `path` before that, so an entry is never rewritten in place; a
+ * failed or abandoned write removes the temp file.
+ */
+class TempFile
+{
+  public:
+    explicit TempFile(const fs::path &path) : path_(path), tmp_(path)
+    {
+        tmp_ += ".tmp." + std::to_string(::getpid()) + "." +
+                std::to_string(tempFileSequence.fetch_add(1));
+        fd_ = ::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                     0666);
+        ok_ = fd_ >= 0;
+    }
+
+    TempFile(const TempFile &) = delete;
+    TempFile &operator=(const TempFile &) = delete;
+
+    ~TempFile()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+        if (!committed_) {
+            std::error_code ec;
+            fs::remove(tmp_, ec);
+        }
+    }
+
+    /** False once opening or any write failed. */
+    bool ok() const { return ok_; }
+
+    /** Where commit() puts the file. */
+    const fs::path &path() const { return path_; }
+
+    /** Append bytes. */
+    void
+    write(const void *data, std::size_t len)
+    {
+        writeAt(size_, data, len);
+        size_ += len;
+    }
+
+    /** Write bytes at `offset`, e.g. a header over its placeholder. */
+    void
+    writeAt(std::uint64_t offset, const void *data, std::size_t len)
+    {
+        const auto *p = static_cast<const char *>(data);
+        while (ok_ && len > 0) {
+            const ssize_t n =
+                ::pwrite(fd_, p, len, static_cast<off_t>(offset));
+            if (n < 0 && errno == EINTR)
+                continue;
+            ok_ = n > 0;
+            if (ok_) {
+                p += n;
+                len -= static_cast<std::size_t>(n);
+                offset += static_cast<std::uint64_t>(n);
+            }
+        }
+    }
+
+    /** Close and rename into place. @return false on any failure. */
+    bool
+    commit()
+    {
+        ok_ = ::close(fd_) == 0 && ok_;
+        fd_ = -1;
+        if (!ok_)
+            return false;
+        std::error_code ec;
+        fs::rename(tmp_, path_, ec);
+        committed_ = !ec;
+        return committed_;
+    }
+
+  private:
+    fs::path path_;
+    fs::path tmp_;
+    int fd_ = -1;
+    std::uint64_t size_ = 0; ///< bytes appended so far
+    bool ok_ = false;
+    bool committed_ = false;
+};
+
 /** Write bytes to path atomically via a temp file + rename. */
 bool
 atomicWrite(const fs::path &path, const void *data, std::size_t len)
 {
-    fs::path tmp = path;
-    tmp += ".tmp." + std::to_string(::getpid());
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
+    TempFile file(path);
+    file.write(data, len);
+    return file.commit();
+}
+
+/**
+ * Commit a written entry: rename its payload into place, then write
+ * its .meta sidecar. Payload first, meta last: the sidecar is the
+ * commit record, so a crash between the two leaves no visible entry.
+ * The caller holds the store's write mutex.
+ */
+bool
+commitEntry(TempFile &payload, const fs::path &meta_path,
+            const std::string &meta)
+{
+    if (!payload.commit())
         return false;
-    bool ok = len == 0 || std::fwrite(data, 1, len, f) == len;
-    ok = std::fclose(f) == 0 && ok;
-    if (!ok) {
+    if (!atomicWrite(meta_path, meta.data(), meta.size())) {
         std::error_code ec;
-        fs::remove(tmp, ec);
-        return false;
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
+        fs::remove(payload.path(), ec);
         return false;
     }
     return true;
+}
+
+/**
+ * Read a whole file with one sized read. @return nullopt when the
+ * file cannot be opened; a read error returns the bytes read so far,
+ * which the caller's integrity check rejects.
+ */
+std::optional<std::vector<std::uint8_t>>
+readFile(const std::string &path)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return std::nullopt;
+    struct stat st{};
+    std::vector<std::uint8_t> bytes;
+    if (::fstat(fd, &st) == 0 && st.st_size > 0)
+        bytes.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t got = 0;
+    while (got < bytes.size()) {
+        const ssize_t n =
+            ::read(fd, bytes.data() + got, bytes.size() - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        got += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+    bytes.resize(got);
+    return bytes;
+}
+
+/** A checkpoint's .meta sidecar text. */
+std::string
+checkpointMetaText(const StoredCheckpointMeta &meta,
+                   std::uint64_t spec_digest,
+                   std::uint64_t config_digest,
+                   std::uint64_t state_digest)
+{
+    std::ostringstream ms;
+    ms << "workload=" << meta.workload << '\n'
+       << "engine=" << meta.engine << '\n'
+       << "index=" << meta.index << '\n'
+       << "warmup=" << meta.warmup << '\n'
+       << "savedAtUnix=" << std::time(nullptr) << '\n'
+       << "spec=" << hex16(spec_digest) << '\n'
+       << "config=" << hex16(config_digest) << '\n'
+       << "state=" << hex16(state_digest) << '\n';
+    return ms.str();
 }
 
 std::int64_t
@@ -469,20 +616,12 @@ TraceStore::putTrace(const TraceKey &key, const Trace &trace)
          << "seed=" << key.seed << '\n'
          << "count=" << info.records << '\n'
          << "digest=" << hex16(info.digest) << '\n';
-    std::string meta_str = meta.str();
 
+    TempFile file(tracePath(key, false));
+    file.write(bytes.data(), bytes.size());
     std::lock_guard<std::mutex> lock(writeMutex_);
-    // Payload first, meta last: a .meta file is the commit record,
-    // so a crash between the two leaves no visible entry.
-    if (!atomicWrite(tracePath(key, false), bytes.data(),
-                     bytes.size()))
+    if (!commitEntry(file, tracePath(key, true), meta.str()))
         return std::nullopt;
-    if (!atomicWrite(tracePath(key, true), meta_str.data(),
-                     meta_str.size())) {
-        std::error_code ec;
-        fs::remove(tracePath(key, false), ec);
-        return std::nullopt;
-    }
     if (options_.sizeBudgetBytes > 0)
         evictLockedWithin(options_.sizeBudgetBytes);
     return info;
@@ -501,17 +640,14 @@ TraceStore::loadResult(std::uint64_t trace_digest,
     }
     std::string path = resultPath(trace_digest, spec_digest,
                                   config_digest, /*meta=*/false);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const auto bytes = readFile(path);
+    if (!bytes) {
         ++resultMisses_;
         storeMetrics().resultMiss.add();
         return std::nullopt;
     }
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
     StoredEngineResult result;
-    if (!decodeResult(bytes, result)) {
+    if (!decodeResult(*bytes, result)) {
         // Corrupt/truncated entry: drop both files so the caller's
         // re-simulation replaces the pair.
         ++resultMisses_;
@@ -559,23 +695,16 @@ TraceStore::putResult(std::uint64_t trace_digest,
        << "trace=" << hex16(trace_digest) << '\n'
        << "spec=" << hex16(spec_digest) << '\n'
        << "config=" << hex16(config_digest) << '\n';
-    std::string meta_str = ms.str();
 
+    TempFile file(
+        resultPath(trace_digest, spec_digest, config_digest, false));
+    file.write(bytes.data(), bytes.size());
     std::lock_guard<std::mutex> lock(writeMutex_);
-    // Payload first, meta last — same commit order as traces.
-    if (!atomicWrite(resultPath(trace_digest, spec_digest,
-                                config_digest, false),
-                     bytes.data(), bytes.size()))
-        return false;
-    if (!atomicWrite(resultPath(trace_digest, spec_digest,
+    if (!commitEntry(file,
+                     resultPath(trace_digest, spec_digest,
                                 config_digest, true),
-                     meta_str.data(), meta_str.size())) {
-        std::error_code ec;
-        fs::remove(resultPath(trace_digest, spec_digest,
-                              config_digest, false),
-                   ec);
+                     ms.str()))
         return false;
-    }
     // No per-put eviction: result entries are a few hundred bytes
     // and a sweep writes one per cell, so scanning the whole store
     // each time would dominate. The driver calls enforceBudget()
@@ -600,38 +729,56 @@ TraceStore::putCheckpoint(std::uint64_t spec_digest,
     }
     if (!usable_)
         return false;
-
-    std::ostringstream ms;
-    ms << "workload=" << meta.workload << '\n'
-       << "engine=" << meta.engine << '\n'
-       << "index=" << meta.index << '\n'
-       << "warmup=" << meta.warmup << '\n'
-       << "savedAtUnix=" << std::time(nullptr) << '\n'
-       << "spec=" << hex16(spec_digest) << '\n'
-       << "config=" << hex16(config_digest) << '\n'
-       << "state=" << hex16(state_digest) << '\n';
-    std::string meta_str = ms.str();
-
+    TempFile file(checkpointPath(spec_digest, config_digest,
+                                 record_index, state_digest, false));
+    file.write(blob.data(), blob.size());
     std::lock_guard<std::mutex> lock(writeMutex_);
-    // Payload first, meta last — same commit order as traces.
-    if (!atomicWrite(checkpointPath(spec_digest, config_digest,
-                                    record_index, state_digest,
-                                    false),
-                     blob.data(), blob.size()))
-        return false;
-    if (!atomicWrite(checkpointPath(spec_digest, config_digest,
-                                    record_index, state_digest,
-                                    true),
-                     meta_str.data(), meta_str.size())) {
-        std::error_code ec;
-        fs::remove(checkpointPath(spec_digest, config_digest,
-                                  record_index, state_digest, false),
-                   ec);
-        return false;
-    }
     // Like putResult, no per-put eviction scan: the driver calls
     // enforceBudget() once per sweep.
-    return true;
+    return commitEntry(file,
+                       checkpointPath(spec_digest, config_digest,
+                                      record_index, state_digest, true),
+                       checkpointMetaText(meta, spec_digest,
+                                          config_digest, state_digest));
+}
+
+bool
+TraceStore::putCheckpoint(std::uint64_t spec_digest,
+                          std::uint64_t config_digest,
+                          std::uint64_t record_index,
+                          std::uint64_t state_digest,
+                          const PrefetchSimulator &sim,
+                          const StoredCheckpointMeta &meta)
+{
+    ScopedSpan span("store.ckpt.put", "store");
+    if (!usable_)
+        return false;
+    // Encoding and writing run outside writeMutex_, so lane threads
+    // stream their checkpoints concurrently; only the commit locks.
+    TempFile file(checkpointPath(spec_digest, config_digest,
+                                 record_index, state_digest, false));
+    if (!file.ok())
+        return false;
+    std::uint64_t bytes = 0;
+    const CheckpointHeader header = streamCheckpoint(
+        sim, record_index,
+        [&](const std::uint8_t *data, std::size_t len) {
+            file.write(data, len);
+            bytes += len;
+        });
+    file.writeAt(0, header.data(), header.size());
+    if (span.active()) {
+        span.arg("workload", meta.workload);
+        span.arg("engine", meta.engine);
+        span.arg("index", static_cast<std::uint64_t>(meta.index));
+        span.arg("bytes", bytes);
+    }
+    std::lock_guard<std::mutex> lock(writeMutex_);
+    return commitEntry(file,
+                       checkpointPath(spec_digest, config_digest,
+                                      record_index, state_digest, true),
+                       checkpointMetaText(meta, spec_digest,
+                                          config_digest, state_digest));
 }
 
 std::optional<std::vector<std::uint8_t>>
@@ -651,17 +798,14 @@ TraceStore::loadCheckpoint(std::uint64_t spec_digest,
     std::string path = checkpointPath(spec_digest, config_digest,
                                       record_index, state_digest,
                                       /*meta=*/false);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    auto blob = readFile(path);
+    if (!blob) {
         ++checkpointMisses_;
         storeMetrics().ckptMiss.add();
         return std::nullopt;
     }
-    std::vector<std::uint8_t> blob(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
     std::uint64_t index = 0;
-    if (!checkpointRecordIndex(blob, index) ||
+    if (!checkpointRecordIndex(*blob, index) ||
         index != record_index) {
         // Corrupt/truncated/mis-keyed: drop the pair so the caller's
         // cold run rewrites it.

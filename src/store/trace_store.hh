@@ -43,9 +43,11 @@
  * makes extending a sweep's --records simulate only the new suffix
  * (sim/driver.hh checkpointed execution).
  *
- * Writes are atomic (temp file + rename), so concurrent processes
- * sharing a store directory at worst duplicate work, never corrupt
- * entries. Reads touch the entry mtime; evictWithin() removes
+ * Writes are atomic (temp file + rename; temp names carry the pid
+ * and a process-wide sequence number, so no two writers share one),
+ * so concurrent processes and threads sharing a store directory at
+ * worst duplicate work, never corrupt entries. No entry is ever
+ * rewritten in place. Reads touch the entry mtime; evictWithin() removes
  * oldest-first across every entry kind until the store fits a size
  * budget.
  */
@@ -242,7 +244,11 @@ class TraceStore
 
     /**
      * Persist one mid-trace simulator snapshot plus its sidecar.
-     * Atomic; overwrites any existing entry for the key.
+     * The blob goes to a uniquely named temp file that is renamed
+     * into place, then the .meta sidecar is written (payload first,
+     * meta last); only that commit takes the write lock. Overwrites
+     * any existing entry for the key; a failed write leaves no file
+     * behind and returns false.
      *
      * @param spec_digest    engine-spec digest of the cell.
      * @param config_digest  system/timing config digest.
@@ -259,8 +265,26 @@ class TraceStore
                        const StoredCheckpointMeta &meta);
 
     /**
-     * Load a stored checkpoint blob. The blob framing (magic,
-     * version, CRC) is verified here; a corrupt entry is deleted and
+     * Persist a simulator's checkpoint without building its blob:
+     * streamCheckpoint (sim/checkpoint.hh) writes a placeholder
+     * header and the payload chunks into the temp file, accumulating
+     * the CRC, and the real header goes in last, before the rename.
+     * The file is byte-identical to putting
+     * encodeCheckpoint(sim, record_index); key, commit order and
+     * failure handling are the blob overload's. The driver's
+     * checkpoint writer calls this from lane threads concurrently.
+     */
+    bool putCheckpoint(std::uint64_t spec_digest,
+                       std::uint64_t config_digest,
+                       std::uint64_t record_index,
+                       std::uint64_t state_digest,
+                       const PrefetchSimulator &sim,
+                       const StoredCheckpointMeta &meta);
+
+    /**
+     * Load a stored checkpoint blob with one sized read. The blob
+     * framing (magic, version, length, CRC) and its record index are
+     * verified here; a corrupt or mis-keyed entry is deleted and
      * counted as a miss so the caller falls back to a cold start.
      */
     std::optional<std::vector<std::uint8_t>>
@@ -364,7 +388,9 @@ class TraceStore
     Options options_;
     bool usable_ = false;
 
-    std::mutex writeMutex_; ///< serializes put + eviction scans
+    /// Serializes entry commits (renames + sidecars) and eviction
+    /// scans; payloads are written to their temp files outside it.
+    std::mutex writeMutex_;
 
     std::atomic<std::uint64_t> traceHits_{0};
     std::atomic<std::uint64_t> traceMisses_{0};

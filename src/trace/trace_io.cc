@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
 
 #include "common/crc32.hh"
@@ -227,66 +228,104 @@ readTraceFile(const std::string &path, Trace &out)
     return false;
 }
 
+namespace {
+
+/// FNV-1a offset basis: the hash state before any byte.
+constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
+
+std::uint64_t
+fnvMix(std::uint64_t state, const void *data, std::size_t len)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < len; ++i) {
+        state ^= p[i];
+        state *= 1099511628211ull;
+    }
+    return state;
+}
+
+/** Fold records [from, to) into the running prefix-hash state, with
+ *  the same canonical field serialization as traceDigest. */
+std::uint64_t
+advancePrefixState(const Trace &trace, std::uint64_t state,
+                   std::size_t from, std::size_t to)
+{
+    to = std::min(to, trace.size());
+    for (std::size_t i = from; i < to; ++i) {
+        const MemRecord &r = trace[i];
+        state = fnvMix(state, &r.vaddr, sizeof(r.vaddr));
+        state = fnvMix(state, &r.pc, sizeof(r.pc));
+        state = fnvMix(state, &r.cpuOps, sizeof(r.cpuOps));
+        state = fnvMix(state, &r.depDist, sizeof(r.depDist));
+        const auto kind = static_cast<std::uint8_t>(r.kind);
+        state = fnvMix(state, &kind, sizeof(kind));
+    }
+    return state;
+}
+
+/** A prefix's digest: its running state with the length folded in. */
+std::uint64_t
+finishPrefixDigest(std::uint64_t state, std::size_t index)
+{
+    const std::uint64_t count = index;
+    return fnvMix(state, &count, sizeof(count));
+}
+
+} // namespace
+
 std::uint64_t
 traceDigest(const Trace &trace)
 {
-    // 64-bit FNV-1a over a canonical little-endian field serialization.
-    std::uint64_t h = 14695981039346656037ull;
-    auto mix = [&h](const void *data, std::size_t len) {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < len; ++i) {
-            h ^= p[i];
-            h *= 1099511628211ull;
-        }
-    };
-    std::uint64_t count = trace.size();
-    mix(&count, sizeof(count));
-    for (const MemRecord &r : trace) {
-        mix(&r.vaddr, sizeof(r.vaddr));
-        mix(&r.pc, sizeof(r.pc));
-        mix(&r.cpuOps, sizeof(r.cpuOps));
-        mix(&r.depDist, sizeof(r.depDist));
-        std::uint8_t kind = static_cast<std::uint8_t>(r.kind);
-        mix(&kind, sizeof(kind));
-    }
-    return h;
+    // 64-bit FNV-1a over a canonical little-endian field serialization,
+    // the record count first.
+    const std::uint64_t count = trace.size();
+    return advancePrefixState(
+        trace, fnvMix(kFnvOffsetBasis, &count, sizeof(count)), 0,
+        trace.size());
 }
 
 std::vector<std::uint64_t>
 tracePrefixDigests(const Trace &trace,
                    const std::vector<std::size_t> &indices)
 {
-    // Same canonical field serialization as traceDigest, but the
-    // running state is shared by all prefixes and each prefix's
+    // The running state is shared by all prefixes and each prefix's
     // length is folded in at its snapshot point (see the header).
-    std::uint64_t h = 14695981039346656037ull;
-    auto mix = [](std::uint64_t state, const void *data,
-                  std::size_t len) {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < len; ++i) {
-            state ^= p[i];
-            state *= 1099511628211ull;
-        }
-        return state;
-    };
-
+    std::uint64_t h = kFnvOffsetBasis;
     std::vector<std::uint64_t> digests;
     digests.reserve(indices.size());
     std::size_t record = 0;
     for (std::size_t index : indices) {
-        for (; record < index && record < trace.size(); ++record) {
-            const MemRecord &r = trace[record];
-            h = mix(h, &r.vaddr, sizeof(r.vaddr));
-            h = mix(h, &r.pc, sizeof(r.pc));
-            h = mix(h, &r.cpuOps, sizeof(r.cpuOps));
-            h = mix(h, &r.depDist, sizeof(r.depDist));
-            std::uint8_t kind = static_cast<std::uint8_t>(r.kind);
-            h = mix(h, &kind, sizeof(kind));
+        if (index > record) {
+            h = advancePrefixState(trace, h, record, index);
+            record = index;
         }
-        std::uint64_t count = index;
-        digests.push_back(mix(h, &count, sizeof(count)));
+        digests.push_back(finishPrefixDigest(h, index));
     }
     return digests;
+}
+
+TracePrefixMemo::TracePrefixMemo(const Trace &trace)
+    : trace_(trace), states_{{0, kFnvOffsetBasis}}
+{
+}
+
+std::vector<std::uint64_t>
+TracePrefixMemo::digests(const std::vector<std::size_t> &indices)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<std::uint64_t> out;
+    out.reserve(indices.size());
+    for (std::size_t index : indices) {
+        auto it = states_.upper_bound(index);
+        --it; // index 0 is always present
+        std::uint64_t state = it->second;
+        if (it->first != index) {
+            state = advancePrefixState(trace_, state, it->first, index);
+            states_.emplace_hint(std::next(it), index, state);
+        }
+        out.push_back(finishPrefixDigest(state, index));
+    }
+    return out;
 }
 
 } // namespace stems

@@ -20,7 +20,12 @@
 #ifndef STEMS_TRACE_TRACE_IO_HH
 #define STEMS_TRACE_TRACE_IO_HH
 
+#include <cstddef>
+#include <cstdint>
+#include <map>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "trace/trace.hh"
 
@@ -80,6 +85,35 @@ std::uint64_t traceDigest(const Trace &trace);
 std::vector<std::uint64_t>
 tracePrefixDigests(const Trace &trace,
                    const std::vector<std::size_t> &indices);
+
+/**
+ * Memo of one trace's prefix digests that resumes hashing: it keeps
+ * the running hash state at every index it has hashed, and starts
+ * each new index from the nearest lower one. Asking for the indices
+ * of one boundary schedule and then for an index just past one of
+ * them hashes each record once. Every value equals
+ * tracePrefixDigests(trace, {index})[0]. Thread-safe.
+ */
+class TracePrefixMemo
+{
+  public:
+    /** Memo over `trace`, which must outlive it and stay unchanged. */
+    explicit TracePrefixMemo(const Trace &trace);
+
+    TracePrefixMemo(const TracePrefixMemo &) = delete;
+    TracePrefixMemo &operator=(const TracePrefixMemo &) = delete;
+
+    /** Prefix digests at `indices`, in any order; one per index. */
+    std::vector<std::uint64_t>
+    digests(const std::vector<std::size_t> &indices);
+
+  private:
+    const Trace &trace_;
+    std::mutex mutex_;
+    /// Running hash state after records [0, index), keyed by index;
+    /// always holds index 0.
+    std::map<std::size_t, std::uint64_t> states_;
+};
 
 } // namespace stems
 

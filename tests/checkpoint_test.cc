@@ -23,9 +23,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -70,6 +73,24 @@ makeEngine(const std::string &name)
 {
     return EngineRegistry::instance().make(name,
                                            defaultSystemConfig());
+}
+
+/** The bytes of a store's .ckpt file, read straight off disk (the
+ *  layout store/trace_store.hh documents). Empty when missing. */
+std::string
+readCheckpointFile(const std::string &store_dir, std::uint64_t spec,
+                   std::uint64_t config, std::uint64_t index,
+                   std::uint64_t state)
+{
+    char name[80];
+    std::snprintf(name, sizeof(name),
+                  "%016" PRIx64 "-%016" PRIx64 "-%016" PRIx64
+                  "-%016" PRIx64 ".ckpt",
+                  spec, config, index, state);
+    std::ifstream in(store_dir + "/checkpoints/" + name,
+                     std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
 }
 
 /** Step records [first, last) with the standard warmup flip, i.e.
@@ -284,6 +305,12 @@ TEST(Checkpoint, EncodedBytesArePinnedForEveryLane)
     };
     const Trace traces[2] = {test::sampleTrace(), propertyTrace()};
     const std::size_t indices[2][2] = {{256, 535}, {4096, 16384}};
+    // Every lane is also streamed into a store; its .ckpt file must
+    // carry the same pinned bytes.
+    const std::string store_dir = test::uniqueTempPath("stems_pin_store");
+    std::filesystem::remove_all(store_dir);
+    TraceStore store(store_dir);
+    std::vector<std::string> streamed_differs;
 
     std::set<std::string> pinned;
     std::ostringstream now;
@@ -308,6 +335,17 @@ TEST(Checkpoint, EncodedBytesArePinnedForEveryLane)
                     const std::uint64_t got = storeDigest(
                         std::string(blob.begin(), blob.end()));
                     same = same && got == pin.digest[t][timing][k];
+                    ASSERT_TRUE(store.putCheckpoint(
+                        0x5, 0xC, indices[t][k], 0x5D, sim,
+                        {"pin", pin.engine, indices[t][k], 0}));
+                    if (storeDigest(readCheckpointFile(
+                            store_dir, 0x5, 0xC, indices[t][k], 0x5D)) !=
+                        pin.digest[t][timing][k])
+                        streamed_differs.push_back(
+                            std::string(pin.engine) + " trace " +
+                            std::to_string(t) + " timing " +
+                            std::to_string(timing) + " index " +
+                            std::to_string(indices[t][k]));
                     now << (k ? ", " : "") << "0x" << std::hex << got
                         << std::dec << "ull";
                 }
@@ -319,9 +357,39 @@ TEST(Checkpoint, EncodedBytesArePinnedForEveryLane)
     }
     EXPECT_TRUE(same) << "checkpoint bytes changed; digests now:\n"
                       << now.str();
+    EXPECT_TRUE(streamed_differs.empty())
+        << "streamed .ckpt file off its pin: " << streamed_differs[0];
+    std::filesystem::remove_all(store_dir);
     for (const std::string &name : EngineRegistry::instance().names())
         EXPECT_EQ(pinned.count(name), 1u)
             << "engine " << name << " has no pinned digests";
+}
+
+TEST(Checkpoint, StreamedFileSpanningChunksEqualsEncodedBlob)
+{
+    // Three and a bit chunks of engine state, so the streamed writer
+    // splits fields at chunk ends and writes its header last.
+    test::BulkStateEngine engine(3 * StateWriter::kChunkBytes + 12345);
+    PrefetchSimulator lane(timedParams(), &engine);
+    const Trace trace = test::sampleTrace();
+    stepSpan(lane, trace, 0, trace.size(), trace.size() / 3);
+    const std::vector<std::uint8_t> blob =
+        encodeCheckpoint(lane, trace.size());
+    ASSERT_GE(blob.size(), 3 * StateWriter::kChunkBytes);
+
+    const std::string store_dir =
+        test::uniqueTempPath("stems_chunk_store");
+    std::filesystem::remove_all(store_dir);
+    TraceStore store(store_dir);
+    ASSERT_TRUE(store.putCheckpoint(
+        0x7, 0x8, trace.size(), 0x9, lane,
+        {"chunks", engine.name(), trace.size(), 0}));
+    const std::string file =
+        readCheckpointFile(store_dir, 0x7, 0x8, trace.size(), 0x9);
+    EXPECT_TRUE(file == std::string(blob.begin(), blob.end()))
+        << "streamed " << file.size() << " bytes, encoded "
+        << blob.size();
+    std::filesystem::remove_all(store_dir);
 }
 
 TEST(Checkpoint, ReencodeRoundTripIsByteIdenticalForEveryEngine)

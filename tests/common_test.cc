@@ -2,14 +2,17 @@
  * @file
  * Unit tests for the common infrastructure: address geometry, RNG,
  * saturating counters, circular buffer, LRU table, histogram, table,
- * and the mini-JSON parser's nesting cap.
+ * the mini-JSON parser's nesting cap, and CRC-32 (against the frozen
+ * bytewise implementation in reference_crc32.hh).
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/circular_buffer.hh"
+#include "common/crc32.hh"
 #include "common/lru_table.hh"
 #include "common/mini_json.hh"
 #include "common/rng.hh"
@@ -17,6 +20,7 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/types.hh"
+#include "reference_crc32.hh"
 
 namespace stems {
 namespace {
@@ -304,6 +308,55 @@ TEST(MiniJson, CapsNestingDepth)
     // Deep enough to exhaust the stack if the recursion were
     // unbounded.
     EXPECT_FALSE(parses(1 << 20));
+}
+
+/** Seeded bytes for the CRC-32 properties. */
+std::vector<std::uint8_t>
+crcInput(std::size_t len)
+{
+    Rng rng(0xC4C32);
+    std::vector<std::uint8_t> bytes(len);
+    for (std::uint8_t &b : bytes)
+        b = static_cast<std::uint8_t>(rng.below(256));
+    return bytes;
+}
+
+TEST(Crc32, StandardCheckValue)
+{
+    // The catalogued check value of CRC-32/ISO-HDLC (zlib, gzip).
+    const char digits[] = "123456789";
+    EXPECT_EQ(crc32(digits, 9), 0xCBF43926u);
+    EXPECT_EQ(crc32(digits, 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
+{
+    // Slicing-by-8 folds eight bytes per step and the tail bytewise;
+    // every length 0-1024 at every start offset 0-7 covers each
+    // split between the two and every alignment of the 8-byte loads.
+    const std::vector<std::uint8_t> bytes = crcInput(1024 + 8);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 1024; ++len) {
+            const std::uint8_t *p = bytes.data() + offset;
+            ASSERT_EQ(crc32(p, len), referenceCrc32Update(0, p, len))
+                << "offset " << offset << " len " << len;
+        }
+    }
+}
+
+TEST(Crc32, ChainedUpdateMatchesOneShotAtEverySplit)
+{
+    // The streamed checkpoint writer folds its payload in chunk by
+    // chunk; any split must give the one-shot value.
+    const std::vector<std::uint8_t> bytes = crcInput(777);
+    const std::uint32_t whole = crc32(bytes.data(), bytes.size());
+    for (std::size_t split = 0; split <= bytes.size(); ++split) {
+        const std::uint32_t head = crc32Update(0, bytes.data(), split);
+        ASSERT_EQ(crc32Update(head, bytes.data() + split,
+                              bytes.size() - split),
+                  whole)
+            << "split " << split;
+    }
 }
 
 TEST(TableDeathTest, ArityMismatchPanics)

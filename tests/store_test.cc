@@ -823,6 +823,53 @@ TEST_F(TraceStoreTest, ConcurrentCheckpointWritesAllLand)
     }
 }
 
+TEST_F(TraceStoreTest, StoresInOneProcessNeverShareATempFile)
+{
+    // Distributed workers run as threads of one process, each with
+    // its own store over one directory, and duplicate engine columns
+    // share a checkpoint key. Temp names that depended on the pid
+    // alone collided there, and the losing rename failed the put.
+    // Every put of the shared key must land, blob and streamed alike.
+    constexpr unsigned kThreads = 4;
+    constexpr int kPuts = 100;
+    std::vector<std::thread> threads;
+    std::vector<int> failed(kThreads, 0);
+    std::vector<std::uint8_t> blob;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            TraceStore store(dir_);
+            test::BulkStateEngine engine(256 << 10);
+            PrefetchSimulator sim(SimParams{}, &engine);
+            const std::vector<std::uint8_t> mine =
+                encodeCheckpoint(sim, 700);
+            if (t == 0)
+                blob = mine;
+            const StoredCheckpointMeta meta{"wl", "tms", 700, 0};
+            for (int i = 0; i < kPuts; ++i) {
+                const bool ok =
+                    i % 2 == 0
+                        ? store.putCheckpoint(1, 2, 700, 3, mine, meta)
+                        : store.putCheckpoint(1, 2, 700, 3, sim, meta);
+                failed[t] += ok ? 0 : 1;
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (unsigned t = 0; t < kThreads; ++t)
+        EXPECT_EQ(failed[t], 0) << "thread " << t;
+
+    TraceStore store(dir_);
+    auto loaded = store.loadCheckpoint(1, 2, 700, 3);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(*loaded, blob);
+    for (const auto &de :
+         std::filesystem::recursive_directory_iterator(dir_))
+        EXPECT_EQ(de.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << de.path();
+}
+
 TEST_F(TraceStoreTest, ListCheckpointsOnMixedStore)
 {
     // listCheckpoints() is how the segment-unit decomposer finds

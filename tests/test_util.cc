@@ -2,6 +2,8 @@
 
 #include <filesystem>
 
+#include "common/rng.hh"
+
 namespace stems {
 namespace test {
 
@@ -131,6 +133,27 @@ expectSameResults(const std::vector<WorkloadResult> &a,
             EXPECT_EQ(ea.overprediction, eb.overprediction);
             EXPECT_EQ(ea.speedup, eb.speedup);
             expectSameStats(ea.stats, eb.stats);
+        }
+    }
+}
+
+void
+BulkStateEngine::saveState(StateWriter &w) const
+{
+    Rng rng(0xB01C);
+    for (std::size_t n = 0; n < stateBytes_;) {
+        switch (rng.below(3)) {
+        case 0:
+            w.u8(static_cast<std::uint8_t>(rng.next()));
+            n += 1;
+            break;
+        case 1:
+            w.u32(rng.next());
+            n += 4;
+            break;
+        default:
+            w.u64(std::uint64_t{rng.next()} << 32 | rng.next());
+            n += 8;
         }
     }
 }

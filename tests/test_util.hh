@@ -2,8 +2,9 @@
  * @file
  * Shared test utilities: unique temp paths (ctest runs test binaries
  * concurrently, so fixed paths collide), a temp-directory fixture,
- * small canned traces/configs, and the bitwise result/stats/trace
- * comparators the determinism contracts are pinned with. Extracted
+ * small canned traces/configs, a checkpoint-size engine, and the
+ * bitwise result/stats/trace comparators the determinism contracts
+ * are pinned with. Extracted
  * from the store/driver/trace suites so every suite asserts
  * equality the same way.
  */
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "prefetch/prefetcher.hh"
 #include "sim/config.hh"
 #include "sim/experiment.hh"
 #include "sim/sweep_plan.hh"
@@ -73,6 +75,27 @@ void expectSameStats(const SimStats &a, const SimStats &b);
  *  normalized metrics and raw stats, all bitwise. */
 void expectSameResults(const std::vector<WorkloadResult> &a,
                        const std::vector<WorkloadResult> &b);
+
+/**
+ * An engine whose whole state is about `state_bytes` of seeded fields
+ * of mixed widths: a checkpoint of any size, cheap to make, whose
+ * StateWriter chunk ends fall inside fields. It saves state only.
+ */
+class BulkStateEngine : public Prefetcher
+{
+  public:
+    explicit BulkStateEngine(std::size_t state_bytes)
+        : stateBytes_(state_bytes)
+    {
+    }
+
+    std::string name() const override { return "bulk-state"; }
+    void drainRequests(std::vector<PrefetchRequest> &) override {}
+    void saveState(StateWriter &w) const override;
+
+  private:
+    std::size_t stateBytes_;
+};
 
 } // namespace test
 } // namespace stems

@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <utility>
 
 #include "common/rng.hh"
+#include "sim/checkpoint.hh"
 #include "test_util.hh"
 #include "trace/text_trace.hh"
 #include "trace/trace.hh"
@@ -640,6 +643,55 @@ TEST_F(TraceIoTest, PrefixDigestsMatchStandaloneHashes)
     EXPECT_NE(tracePrefixDigests(tweaked, {299}).at(0),
               digests[2]);
     EXPECT_EQ(tracePrefixDigests(tweaked, {1}).at(0), digests[1]);
+}
+
+TEST_F(TraceIoTest, PrefixMemoResumesToTheOneShotDigest)
+{
+    // The driver's memo keeps the running hash state at every index
+    // it hashed and resumes each new index from the nearest lower
+    // one. Whatever it hashed before, and in whatever order it is
+    // asked, each digest must equal hashing that prefix in one pass.
+    Rng rng(0x3e30);
+    const Trace t = randomTrace(rng, 3000);
+    for (int trial = 0; trial < 40; ++trial) {
+        const std::size_t every = 1 + rng.below(700);
+        std::vector<std::size_t> indices = {0, t.size()};
+        for (std::size_t b : checkpointBounds(t.size(), every))
+            indices.push_back(b);
+        for (int k = 0; k < 6; ++k) {
+            std::size_t off =
+                rng.below(static_cast<std::uint32_t>(t.size()));
+            if (off % every == 0)
+                ++off; // off the schedule
+            indices.push_back(off);
+        }
+        for (std::size_t i = indices.size(); i > 1; --i)
+            std::swap(indices[i - 1],
+                      indices[rng.below(static_cast<std::uint32_t>(i))]);
+
+        TracePrefixMemo memo(t);
+        // Ask in a few random batches, then everything once more
+        // (all served from the memo).
+        std::size_t asked = 0;
+        while (asked < indices.size()) {
+            const std::size_t n = std::min<std::size_t>(
+                indices.size() - asked, 1 + rng.below(4));
+            const std::vector<std::size_t> batch(
+                indices.begin() + static_cast<std::ptrdiff_t>(asked),
+                indices.begin() +
+                    static_cast<std::ptrdiff_t>(asked + n));
+            const std::vector<std::uint64_t> got = memo.digests(batch);
+            ASSERT_EQ(got.size(), batch.size());
+            for (std::size_t i = 0; i < batch.size(); ++i)
+                ASSERT_EQ(got[i], tracePrefixDigests(t, {batch[i]})[0])
+                    << "trial " << trial << " index " << batch[i];
+            asked += n;
+        }
+        const std::vector<std::uint64_t> again = memo.digests(indices);
+        for (std::size_t i = 0; i < indices.size(); ++i)
+            ASSERT_EQ(again[i], tracePrefixDigests(t, {indices[i]})[0])
+                << "trial " << trial << " index " << indices[i];
+    }
 }
 
 } // namespace
