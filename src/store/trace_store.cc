@@ -312,20 +312,11 @@ class TempFile
     bool committed_ = false;
 };
 
-/** Write bytes to path atomically via a temp file + rename. */
-bool
-atomicWrite(const fs::path &path, const void *data, std::size_t len)
-{
-    TempFile file(path);
-    file.write(data, len);
-    return file.commit();
-}
-
 /**
  * Commit a written entry: rename its payload into place, then write
- * its .meta sidecar. Payload first, meta last: the sidecar is the
- * commit record, so a crash between the two leaves no visible entry.
- * The caller holds the store's write mutex.
+ * its .meta sidecar the same way. Payload first, meta last: the
+ * sidecar is the commit record, so a crash between the two leaves
+ * no visible entry. The caller holds the store's write mutex.
  */
 bool
 commitEntry(TempFile &payload, const fs::path &meta_path,
@@ -333,7 +324,9 @@ commitEntry(TempFile &payload, const fs::path &meta_path,
 {
     if (!payload.commit())
         return false;
-    if (!atomicWrite(meta_path, meta.data(), meta.size())) {
+    TempFile sidecar(meta_path);
+    sidecar.write(meta.data(), meta.size());
+    if (!sidecar.commit()) {
         std::error_code ec;
         fs::remove(payload.path(), ec);
         return false;
