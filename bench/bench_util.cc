@@ -70,10 +70,9 @@ usage(const char *argv0, int status)
         "  --warmup-records N warm up exactly N records instead of\n"
         "                     50%% of the trace (keeps prefixes\n"
         "                     comparable across --records values)\n"
-        "  --unit-granularity workload|cell|segment\n"
+        "  --unit-granularity workload|cell\n"
         "                     distributed work-unit size for\n"
-        "                     `stems_trace serve` (segment needs a\n"
-        "                     checkpoint schedule; same results,\n"
+        "                     `stems_trace serve` (same results,\n"
         "                     bitwise)\n"
         "  --metrics-out FILE write a metrics snapshot\n"
         "                     (stems-metrics-v1 JSON)\n"
@@ -182,7 +181,7 @@ parseBenchOptions(int argc, char **argv, std::size_t default_records)
                                       options.unitGranularity)) {
                 std::fprintf(stderr,
                              "%s: --unit-granularity wants "
-                             "workload|cell|segment, got '%s'\n",
+                             "workload|cell, got '%s'\n",
                              argv[0], v);
                 usage(argv[0], 1);
             }

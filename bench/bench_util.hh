@@ -68,7 +68,7 @@ struct BenchOptions
     /// Absolute warmup-record override (0 = 50% fraction).
     std::size_t warmupRecords = 0;
     /// Distributed work-unit granularity (--unit-granularity;
-    /// "workload" | "cell" | "segment"). Pure scheduling policy for
+    /// "workload" | "cell"). Pure scheduling policy for
     /// `stems_trace serve`: results are bitwise identical at any
     /// setting; local (non-serve) runs ignore it.
     UnitGranularity unitGranularity = UnitGranularity::kWorkload;

@@ -25,48 +25,22 @@ coordCounter(const char *name)
     return MetricsRegistry::instance().counter(name);
 }
 
+/** Counts assignments, not executions: a requeued unit counts
+ *  again when it is handed out again. */
 const char *
-unitKindCounter(UnitKind kind)
+unitKindCounter(UnitGranularity kind)
 {
-    switch (kind) {
-    case UnitKind::kCell:
-        return "net.unit.cell";
-    case UnitKind::kSegment:
-        return "net.unit.segment";
-    case UnitKind::kWorkload:
-    default:
-        return "net.unit.workload";
-    }
-}
-
-std::vector<WorkUnit>
-storelessUnits(const SweepPlan &plan)
-{
-    // Without a store there is no seeding pass, so segment
-    // granularity degrades to the finest storeless decomposition
-    // (cells). Purely a scheduling matter: results are identical at
-    // any granularity.
-    SweepPlan local = plan;
-    if (local.unitGranularity == UnitGranularity::kSegment)
-        local.unitGranularity = UnitGranularity::kCell;
-    return decomposeSweepPlan(local, nullptr);
+    return kind == UnitGranularity::kCell ? "net.unit.cell"
+                                          : "net.unit.workload";
 }
 
 } // namespace
 
 SweepCoordinator::SweepCoordinator(const SweepPlan &plan)
-    : SweepCoordinator(plan, storelessUnits(plan))
-{
-}
-
-SweepCoordinator::SweepCoordinator(const SweepPlan &plan,
-                                   std::vector<WorkUnit> units)
-    : plan_(plan),
-      planJson_(sweepPlanJson(plan)),
+    : planJson_(sweepPlanJson(plan)),
       planDigest_(sweepPlanDigest(plan))
 {
-    units_.reserve(units.size());
-    for (WorkUnit &work : units) {
+    for (WorkUnit &work : decomposeSweepPlan(plan)) {
         Unit unit;
         unit.work = std::move(work);
         units_.push_back(std::move(unit));
@@ -82,27 +56,13 @@ SweepCoordinator::listen(std::uint16_t port, std::string *error)
 }
 
 bool
-SweepCoordinator::unitAssignable(std::size_t index) const
-{
-    const Unit &unit = units_[index];
-    if (unit.state != UnitState::kPending)
-        return false;
-    const std::int64_t dep = unit.work.dependsOn;
-    return dep < 0 ||
-           units_[static_cast<std::size_t>(dep)].state ==
-               UnitState::kDone;
-}
-
-bool
 SweepCoordinator::assignUnit(Conn &conn)
 {
-    // Lowest assignable index first: deterministic hand-out order
-    // (the results themselves are order-independent, but
-    // predictable scheduling keeps logs and tests readable), and
-    // segment chains advance front-to-back so dependents unblock as
-    // early as possible.
+    // Lowest pending index first: deterministic hand-out order (the
+    // results themselves are order-independent, but predictable
+    // scheduling keeps logs and tests readable).
     for (std::size_t i = 0; i < units_.size(); ++i) {
-        if (!unitAssignable(i))
+        if (units_[i].state != UnitState::kPending)
             continue;
         const WorkUnit &work = units_[i].work;
         UnitMsg msg;
@@ -110,9 +70,6 @@ SweepCoordinator::assignUnit(Conn &conn)
         msg.workload = work.workload;
         msg.kind = work.kind;
         msg.column = work.column;
-        msg.segBegin = work.segBegin;
-        msg.segEnd = work.segEnd;
-        msg.finalSegment = work.finalSegment;
         // Prefetch hint: the next pending unit with a *different*
         // workload — its trace can be materialized into the store
         // while this unit simulates.
@@ -135,7 +92,16 @@ SweepCoordinator::assignUnit(Conn &conn)
         coordCounter(unitKindCounter(work.kind)).add();
         return true;
     }
-    return false; // nothing assignable
+    return false; // nothing pending
+}
+
+void
+SweepCoordinator::requeue(Unit &unit)
+{
+    unit.state = UnitState::kPending;
+    unit.session = 0;
+    requeued_++;
+    coordCounter("coord.units.requeued").add();
 }
 
 /** Graceful end-of-sweep: kBye then close (not a failure path). */
@@ -148,8 +114,7 @@ SweepCoordinator::finishConn(Conn &conn)
     conn.io->close();
 }
 
-/** Abrupt loss: reserve the conn's unit for a session reconnect
- *  (or requeue it outright when resume is disabled) and close. */
+/** Abrupt loss: requeue the conn's unit and close. */
 void
 SweepCoordinator::dropConn(std::size_t index)
 {
@@ -158,21 +123,11 @@ SweepCoordinator::dropConn(std::size_t index)
         return;
     if (conn.state == ConnState::kWorking &&
         units_[conn.unit].state == UnitState::kInFlight &&
-        units_[conn.unit].session == conn.session) {
-        Unit &unit = units_[conn.unit];
-        if (resumeGraceSeconds_ > 0.0 && conn.session != 0) {
-            unit.state = UnitState::kResumable;
-            unit.resumableAt = std::chrono::steady_clock::now();
-        } else {
-            unit.state = UnitState::kPending;
-            unit.session = 0;
-            requeued_++;
-            coordCounter("coord.units.requeued").add();
-        }
-    }
+        units_[conn.unit].session == conn.session)
+        requeue(units_[conn.unit]);
     conn.io->close();
     coordCounter("coord.workers.disconnected").add();
-    // A parked worker can take over anything now assignable.
+    // A parked worker can take over the requeued unit.
     pumpParked();
 }
 
@@ -191,10 +146,9 @@ SweepCoordinator::pumpParked()
 void
 SweepCoordinator::expireUnits()
 {
+    if (unitTimeoutSeconds_ <= 0.0)
+        return;
     const auto now = std::chrono::steady_clock::now();
-    const auto grace = std::chrono::duration_cast<
-        std::chrono::steady_clock::duration>(
-        std::chrono::duration<double>(resumeGraceSeconds_));
     const auto unit_limit = std::chrono::duration_cast<
         std::chrono::steady_clock::duration>(
         std::chrono::duration<double>(unitTimeoutSeconds_));
@@ -202,17 +156,8 @@ SweepCoordinator::expireUnits()
 
     for (std::size_t i = 0; i < units_.size(); ++i) {
         Unit &unit = units_[i];
-        if (unit.state == UnitState::kResumable &&
-            now - unit.resumableAt >= grace) {
-            // The session never came back: give the unit away.
-            unit.state = UnitState::kPending;
-            unit.session = 0;
-            requeued_++;
-            coordCounter("coord.units.requeued").add();
-            changed = true;
-        } else if (unit.state == UnitState::kInFlight &&
-                   unitTimeoutSeconds_ > 0.0 &&
-                   now - unit.assignedAt >= unit_limit) {
+        if (unit.state == UnitState::kInFlight &&
+            now - unit.assignedAt >= unit_limit) {
             // Slow-worker watchdog: one hung worker must not stall
             // the sweep. Drop the connection (if it is still
             // around) and requeue; a late kUnitDone from the
@@ -229,10 +174,7 @@ SweepCoordinator::expireUnits()
                     break;
                 }
             }
-            unit.state = UnitState::kPending;
-            unit.session = 0;
-            requeued_++;
-            coordCounter("coord.units.requeued").add();
+            requeue(unit);
             coordCounter("coord.units.watchdog").add();
             changed = true;
         }
@@ -279,30 +221,6 @@ SweepCoordinator::handleFrame(std::size_t index, const Frame &frame)
         conn.state = ConnState::kIdle;
         return true;
     }
-    case kMsgResume: {
-        ResumeMsg resume;
-        if (conn.state != ConnState::kIdle ||
-            !decodeResume(frame.payload, resume))
-            return false;
-        Unit *unit = resume.unitIndex < units_.size()
-                         ? &units_[resume.unitIndex]
-                         : nullptr;
-        ResumeAckMsg ack;
-        ack.unitIndex = resume.unitIndex;
-        if (unit && unit->state == UnitState::kResumable &&
-            unit->session == resume.sessionId &&
-            resume.sessionId == conn.session) {
-            unit->state = UnitState::kInFlight;
-            unit->assignedAt = std::chrono::steady_clock::now();
-            conn.state = ConnState::kWorking;
-            conn.unit = static_cast<std::size_t>(resume.unitIndex);
-            ack.accepted = true;
-            resumed_++;
-            coordCounter("net.unit.resumed").add();
-        }
-        return conn.io->sendFrame(kMsgResumeAck,
-                                  encodeResumeAck(ack));
-    }
     case kMsgRequestUnit: {
         if (conn.state != ConnState::kIdle)
             return false;
@@ -326,13 +244,11 @@ SweepCoordinator::handleFrame(std::size_t index, const Frame &frame)
             completed_++;
             coordCounter("coord.units.completed").add();
             conn.state = ConnState::kIdle;
-            // Completion may unblock segment-chain dependents.
-            pumpParked();
             return true;
         }
         // Duplicate completion for a unit that is already done
-        // (retransmit after a resume, or a worker hook sending
-        // kUnitDone twice): idempotent, ignore.
+        // (a worker hook sending kUnitDone twice): idempotent,
+        // ignore.
         if (done.unitIndex < units_.size() &&
             units_[static_cast<std::size_t>(done.unitIndex)]
                     .state == UnitState::kDone)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Sweep coordinator: decomposes a SweepPlan into work units
- * (net/units.hh — whole workloads, cells, or checkpoint segments)
- * and hands them to connected workers over the net/protocol.hh pull
- * protocol until every unit is complete.
+ * (net/units.hh — whole workloads or cells) and hands them to
+ * connected workers over the net/protocol.hh pull protocol until
+ * every unit is complete.
  *
  * Single-threaded poll() loop; no driver dependency — the
  * coordinator never simulates, it only schedules. Workers populate
@@ -12,29 +12,25 @@
  * the warm store, which reproduces the single-process output
  * bitwise in fixed plan order.
  *
- * Unit lifecycle: pending -> in-flight -> (resumable ->) done.
+ * Unit lifecycle: pending -> in-flight -> done.
  *
- *  - pending: unassigned. Assignable once its dependency (segment
- *    chains, WorkUnit::dependsOn) is done; lowest index first.
+ *  - pending: unassigned; handed out lowest index first.
  *  - in-flight: owned by one worker connection/session.
- *  - resumable: the owning connection was lost mid-unit. The unit
- *    stays reserved for that session for a grace window
- *    (setResumeGraceSeconds) so a reconnecting worker can reclaim
- *    it with kResume and finish from its last store-committed
- *    checkpoint; when the grace expires it is requeued to pending.
  *  - done: completed (a duplicate kUnitDone for a done unit is
- *    ignored — retransmits after a resume are harmless).
+ *    ignored).
  *
  * Fault model: a worker that disconnects mid-unit (crash, kill -9,
- * network loss) has its unit resumed or requeued as above; because
- * unit execution is idempotent against the store (re-running writes
- * identical bytes under identical keys), partial work from the lost
- * worker is either reused or redone, never corrupted. Workers that
- * break framing are dropped the same way; peers speaking another
- * protocol version are refused with a clean kBye at the Hello
- * stage. A slow-worker watchdog (setUnitTimeoutSeconds) drops any
- * connection holding a unit longer than the limit and requeues the
- * unit, so one hung worker cannot stall sweep completion.
+ * network loss) has its unit requeued to pending at once. Unit
+ * execution is idempotent against the store (re-running writes
+ * identical bytes under identical keys), and the next runner
+ * resumes each lane from the newest checkpoint the lost worker
+ * committed, so partial work is reused or redone, never corrupted.
+ * Workers that break framing are dropped the same way; peers
+ * speaking another protocol version are refused with a clean kBye
+ * at the Hello stage. A slow-worker watchdog
+ * (setUnitTimeoutSeconds) drops any connection holding a unit
+ * longer than the limit and requeues the unit, so one hung worker
+ * cannot stall sweep completion.
  */
 
 #ifndef STEMS_NET_COORD_HH
@@ -55,15 +51,8 @@ namespace stems {
 class SweepCoordinator
 {
   public:
-    /** Decompose the plan without a store: workload or cell
-     *  granularity as the plan asks; segment granularity (which
-     *  needs a store for its seeding pass) falls back to cells.
-     *  Use the two-argument form to serve store-seeded units. */
+    /** Serve the plan's decomposition (decomposeSweepPlan). */
     explicit SweepCoordinator(const SweepPlan &plan);
-
-    /** Serve a precomputed decomposition (decomposeSweepPlan). */
-    SweepCoordinator(const SweepPlan &plan,
-                     std::vector<WorkUnit> units);
 
     ~SweepCoordinator();
 
@@ -85,14 +74,6 @@ class SweepCoordinator
     bool serve(double timeout_seconds = 0.0,
                std::string *error = nullptr);
 
-    /** How long a lost worker's unit stays reserved for its session
-     *  before being requeued (seconds; 0 requeues immediately,
-     *  disabling resume). Default 5. */
-    void setResumeGraceSeconds(double seconds)
-    {
-        resumeGraceSeconds_ = seconds < 0.0 ? 0.0 : seconds;
-    }
-
     /** Slow-worker watchdog: a unit held in-flight longer than this
      *  has its connection dropped and is requeued (seconds; 0 = no
      *  watchdog, the default). */
@@ -104,7 +85,6 @@ class SweepCoordinator
     std::size_t unitCount() const { return units_.size(); }
     std::uint64_t unitsCompleted() const { return completed_; }
     std::uint64_t unitsRequeued() const { return requeued_; }
-    std::uint64_t unitsResumed() const { return resumed_; }
     std::uint64_t workersSeen() const { return workersSeen_; }
 
   private:
@@ -112,7 +92,6 @@ class SweepCoordinator
     {
         kPending,
         kInFlight,
-        kResumable, ///< reserved for its session's reconnect
         kDone
     };
 
@@ -129,9 +108,8 @@ class SweepCoordinator
     {
         WorkUnit work;
         UnitState state = UnitState::kPending;
-        std::uint64_t session = 0; ///< owner (in-flight/resumable)
+        std::uint64_t session = 0; ///< owner while in flight
         std::chrono::steady_clock::time_point assignedAt{};
-        std::chrono::steady_clock::time_point resumableAt{};
     };
 
     struct Conn
@@ -142,29 +120,27 @@ class SweepCoordinator
         std::uint64_t session = 0; ///< assigned at kMsgHello
     };
 
-    bool unitAssignable(std::size_t index) const;
     bool assignUnit(Conn &conn);
+    /** Return an in-flight unit to pending. */
+    void requeue(Unit &unit);
     void finishConn(Conn &conn);
     void dropConn(std::size_t index);
     bool handleFrame(std::size_t index, const Frame &frame);
-    /** Offer newly-assignable units to parked workers. */
+    /** Offer newly-requeued units to parked workers. */
     void pumpParked();
-    /** Requeue expired resumable units and watchdog overdue ones. */
+    /** Slow-worker watchdog: drop and requeue overdue units. */
     void expireUnits();
     bool allDone() const { return completed_ == units_.size(); }
 
-    SweepPlan plan_;
     std::string planJson_;
     std::uint64_t planDigest_ = 0;
     TcpListener listener_;
     std::vector<Unit> units_;
     std::vector<Conn> conns_;
-    double resumeGraceSeconds_ = 5.0;
     double unitTimeoutSeconds_ = 0.0;
     std::uint64_t nextSession_ = 1;
     std::uint64_t completed_ = 0;
     std::uint64_t requeued_ = 0;
-    std::uint64_t resumed_ = 0;
     std::uint64_t workersSeen_ = 0;
 };
 

@@ -9,13 +9,11 @@ namespace {
 constexpr std::uint32_t kHelloTag = stateTag('N', 'H', 'L', 'O');
 constexpr std::uint32_t kPlanTag = stateTag('N', 'P', 'L', 'N');
 constexpr std::uint32_t kPlanAckTag = stateTag('N', 'P', 'A', 'K');
-// v2 unit payload: a fresh tag (v1 used 'NUNT'), so a v1 decoder
-// rejects the richer layout outright instead of mis-reading a
-// prefix of it.
-constexpr std::uint32_t kUnitTag = stateTag('N', 'U', 'N', '2');
+// Each unit payload layout gets a fresh tag (v1 used 'NUNT', v2-v4
+// 'NUN2' with a record range), so an older decoder rejects a newer
+// layout outright instead of mis-reading a prefix of it.
+constexpr std::uint32_t kUnitTag = stateTag('N', 'U', 'N', '3');
 constexpr std::uint32_t kUnitDoneTag = stateTag('N', 'U', 'D', 'N');
-constexpr std::uint32_t kResumeTag = stateTag('N', 'R', 'S', 'M');
-constexpr std::uint32_t kResumeAckTag = stateTag('N', 'R', 'S', 'A');
 
 /** Plan JSON is small; anything near the frame cap is hostile. */
 constexpr std::size_t kMaxStringBytes = 4u << 20;
@@ -26,21 +24,6 @@ writeString(StateWriter &w, const std::string &s)
     w.u64(s.size());
     for (char c : s)
         w.u8(static_cast<std::uint8_t>(c));
-}
-
-/** Strict boolean: only the canonical 0/1 bytes decode, so every
- *  accepted payload re-encodes to exactly the bytes received
- *  (reject-never-misdecode extends to the payload layer). */
-bool
-readBool(StateReader &r, bool &out)
-{
-    const std::uint8_t v = r.u8();
-    if (v > 1) {
-        r.fail();
-        return false;
-    }
-    out = v != 0;
-    return true;
 }
 
 std::string
@@ -141,9 +124,6 @@ encodeUnit(const UnitMsg &msg)
     // column (-1) encodes as 0 and the codec stays unsigned.
     w.u64(static_cast<std::uint64_t>(
         static_cast<std::int64_t>(msg.column) + 1));
-    w.u64(msg.segBegin);
-    w.u64(msg.segEnd);
-    w.boolean(msg.finalSegment);
     writeString(w, msg.prefetchWorkload);
     return w.take();
 }
@@ -156,11 +136,11 @@ decodeUnit(const std::vector<std::uint8_t> &bytes, UnitMsg &out)
     out.unitIndex = r.u64();
     out.workload = readString(r, 64u << 10);
     const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(UnitKind::kSegment)) {
+    if (kind > static_cast<std::uint8_t>(UnitGranularity::kCell)) {
         r.fail();
         return false;
     }
-    out.kind = static_cast<UnitKind>(kind);
+    out.kind = static_cast<UnitGranularity>(kind);
     const std::uint64_t column = r.u64();
     if (column > static_cast<std::uint64_t>(INT32_MAX)) {
         r.fail();
@@ -169,10 +149,6 @@ decodeUnit(const std::vector<std::uint8_t> &bytes, UnitMsg &out)
     out.column =
         static_cast<std::int32_t>(static_cast<std::int64_t>(column) -
                                   1);
-    out.segBegin = r.u64();
-    out.segEnd = r.u64();
-    if (!readBool(r, out.finalSegment))
-        return false;
     out.prefetchWorkload = readString(r, 64u << 10);
     return r.atEnd();
 }
@@ -193,50 +169,6 @@ decodeUnitDone(const std::vector<std::uint8_t> &bytes,
     StateReader r(bytes.data(), bytes.size());
     r.tag(kUnitDoneTag);
     out.unitIndex = r.u64();
-    return r.atEnd();
-}
-
-std::vector<std::uint8_t>
-encodeResume(const ResumeMsg &msg)
-{
-    StateWriter w;
-    w.tag(kResumeTag);
-    w.u64(msg.sessionId);
-    w.u64(msg.unitIndex);
-    w.u64(msg.lastCheckpointIndex);
-    return w.take();
-}
-
-bool
-decodeResume(const std::vector<std::uint8_t> &bytes, ResumeMsg &out)
-{
-    StateReader r(bytes.data(), bytes.size());
-    r.tag(kResumeTag);
-    out.sessionId = r.u64();
-    out.unitIndex = r.u64();
-    out.lastCheckpointIndex = r.u64();
-    return r.atEnd();
-}
-
-std::vector<std::uint8_t>
-encodeResumeAck(const ResumeAckMsg &msg)
-{
-    StateWriter w;
-    w.tag(kResumeAckTag);
-    w.u64(msg.unitIndex);
-    w.boolean(msg.accepted);
-    return w.take();
-}
-
-bool
-decodeResumeAck(const std::vector<std::uint8_t> &bytes,
-                ResumeAckMsg &out)
-{
-    StateReader r(bytes.data(), bytes.size());
-    r.tag(kResumeAckTag);
-    out.unitIndex = r.u64();
-    if (!readBool(r, out.accepted))
-        return false;
     return r.atEnd();
 }
 

@@ -12,23 +12,19 @@
  * its digest and a coordinator-assigned session id (kPlan,
  * acknowledged by echoing the digest in kPlanAck), then loops
  * requesting work units (kRequestUnit -> kUnit). A unit is one of
- * three granularities (net/units.hh): a whole workload row, one
- * (workload, engine-column) cell, or one checkpoint-delimited
- * segment of a cell; executing it runs the same driver lane path a
- * local sweep uses, persisting checkpoints and results into the
- * shared store. kUnitDone reports completion; when every
+ * two granularities (net/units.hh): a whole workload row or one
+ * (workload, engine-column) cell; executing it runs the same driver
+ * lane path a local sweep uses, persisting checkpoints and results
+ * into the shared store. kUnitDone reports completion; when every
  * unit of the plan is complete the coordinator answers pending
  * requests with kBye.
  *
- * Reconnect-resume: a worker that lost its connection mid-unit
- * reconnects, repeats kHello carrying its previous session id, and
- * sends kResume naming the unit it still holds plus the newest
- * checkpoint index it committed to the store. A coordinator that
- * still has that unit reserved for the session re-assigns it in
- * place (kResumeAck accepted=1) and the worker finishes it from the
- * store-committed checkpoint instead of restarting at record 0;
- * otherwise the unit was already requeued or completed and the
- * worker falls through to requesting fresh work (accepted=0).
+ * Lost workers: a unit whose worker's connection dies is requeued
+ * at once. Whoever runs it next resumes each lane from the newest
+ * trusted checkpoint in the shared store, so the lost worker's
+ * committed checkpoints are reused, not redone. A worker that
+ * reconnects repeats kHello with the session id it was given and
+ * asks for fresh work like any other.
  *
  * Determinism: because workers only ever *populate* the store —
  * under exactly the keys a single-process sweep would use — the
@@ -36,15 +32,15 @@
  * the now-warm store, which makes the distributed result bitwise
  * identical to the single-process one by construction, regardless
  * of worker count, unit granularity, scheduling, or mid-sweep
- * worker loss (a lost unit is requeued or resumed; re-execution
- * writes the same bytes).
+ * worker loss (a lost unit is requeued; re-execution writes the
+ * same bytes).
  *
  * Payload encodings use common/state_codec.hh with the same
  * bounds-checked "reject, never mis-decode" discipline as the
  * checkpoint codec; the frame layer (net/frame.hh) already
- * CRC-protects every message. The v2 kUnit payload uses a fresh
- * payload tag, so a v1 decoder rejects it outright instead of
- * reading a prefix of it.
+ * CRC-protects every message. Each kUnit payload layout has its
+ * own payload tag, so an older decoder rejects a newer layout
+ * outright instead of reading a prefix of it.
  */
 
 #ifndef STEMS_NET_PROTOCOL_HH
@@ -54,17 +50,19 @@
 #include <string>
 #include <vector>
 
-#include "net/units.hh"
+#include "sim/sweep_plan.hh"
 
 namespace stems {
 
 /** Bumped on any wire-visible change; kHello carries it.
- *  v2: session ids, Resume/ResumeAck, tagged multi-granularity
+ *  v2: session ids, session resume, tagged multi-granularity
  *  units with a prefetch hint.
  *  v3: the plan payload lost two execution-policy fields
  *  (SweepPlan schema v2).
- *  v4: the plan payload lost `batch` (SweepPlan schema v3). */
-inline constexpr std::uint32_t kNetProtocolVersion = 4;
+ *  v4: the plan payload lost `batch` (SweepPlan schema v3).
+ *  v5: segment units and session resume are gone: the unit payload
+ *  lost its record range, and message types 8 and 9 are retired. */
+inline constexpr std::uint32_t kNetProtocolVersion = 5;
 
 /** Frame types (net/frame.hh `type` field). */
 enum NetMsg : std::uint32_t
@@ -77,8 +75,6 @@ enum NetMsg : std::uint32_t
     kMsgUnitDone = 6,    ///< worker -> coord: unit completed
     kMsgBye = 7,         ///< coord -> worker: sweep finished (or
                          ///< version refused, at the Hello stage)
-    kMsgResume = 8,      ///< worker -> coord: reclaim a held unit
-    kMsgResumeAck = 9,   ///< coord -> worker: reclaim verdict
 };
 
 /** kMsgHello payload. A returning worker repeats the session id the
@@ -116,15 +112,10 @@ struct UnitMsg
 {
     std::uint64_t unitIndex = 0;
     std::string workload;
-    UnitKind kind = UnitKind::kWorkload;
-    /// Engine column (cell/segment units): -1 = the baseline
-    /// column, >= 0 indexes the plan's engine list.
+    UnitGranularity kind = UnitGranularity::kWorkload;
+    /// Engine column (cell units): -1 = the baseline column, >= 0
+    /// indexes the plan's engine list.
     std::int32_t column = -1;
-    std::uint64_t segBegin = 0; ///< segment units: first record
-    std::uint64_t segEnd = 0;   ///< segment units: one past last
-    /// Segment units: this is the cell's final segment (its end is
-    /// the trace end), so results must be computed and persisted.
-    bool finalSegment = false;
     std::string prefetchWorkload;
 };
 
@@ -132,27 +123,6 @@ struct UnitMsg
 struct UnitDoneMsg
 {
     std::uint64_t unitIndex = 0;
-};
-
-/** kMsgResume payload: after reconnecting, reclaim the unit this
- *  session still holds. lastCheckpointIndex is the newest checkpoint
- *  the worker committed to the store for the unit (0 = none) — the
- *  store remains the source of truth for the actual resume point;
- *  the field makes the handshake observable in logs and tests. */
-struct ResumeMsg
-{
-    std::uint64_t sessionId = 0;
-    std::uint64_t unitIndex = 0;
-    std::uint64_t lastCheckpointIndex = 0;
-};
-
-/** kMsgResumeAck payload. accepted=0 means the unit is no longer
- *  reserved (requeued, reassigned, or already done): drop it and
- *  request fresh work. */
-struct ResumeAckMsg
-{
-    std::uint64_t unitIndex = 0;
-    bool accepted = false;
 };
 
 std::vector<std::uint8_t> encodeHello(const HelloMsg &msg);
@@ -174,14 +144,6 @@ bool decodeUnit(const std::vector<std::uint8_t> &bytes,
 std::vector<std::uint8_t> encodeUnitDone(const UnitDoneMsg &msg);
 bool decodeUnitDone(const std::vector<std::uint8_t> &bytes,
                     UnitDoneMsg &out);
-
-std::vector<std::uint8_t> encodeResume(const ResumeMsg &msg);
-bool decodeResume(const std::vector<std::uint8_t> &bytes,
-                  ResumeMsg &out);
-
-std::vector<std::uint8_t> encodeResumeAck(const ResumeAckMsg &msg);
-bool decodeResumeAck(const std::vector<std::uint8_t> &bytes,
-                     ResumeAckMsg &out);
 
 } // namespace stems
 

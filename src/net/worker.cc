@@ -1,14 +1,11 @@
 #include "net/worker.hh"
 
-#include <chrono>
 #include <filesystem>
 #include <memory>
-#include <optional>
 #include <thread>
 
 #include "net/protocol.hh"
 #include "net/socket.hh"
-#include "net/units.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_span.hh"
 #include "sim/driver.hh"
@@ -77,19 +74,6 @@ class TracePrefetcher
     std::thread thread_;
 };
 
-WorkUnit
-toWorkUnit(const UnitMsg &msg)
-{
-    WorkUnit work;
-    work.kind = msg.kind;
-    work.workload = msg.workload;
-    work.column = msg.column;
-    work.segBegin = msg.segBegin;
-    work.segEnd = msg.segEnd;
-    work.finalSegment = msg.finalSegment;
-    return work;
-}
-
 } // namespace
 
 bool
@@ -124,7 +108,6 @@ runWorker(const WorkerOptions &options, WorkerReport *report,
     bool have_plan = false;
     std::uint64_t plan_digest = 0;
     std::uint64_t session_id = 0;
-    std::optional<UnitMsg> held; // unit kept across a connection drop
     bool drop_fired = false;
     unsigned reconnects_left = options.maxReconnects;
     TracePrefetcher prefetcher(store);
@@ -144,50 +127,20 @@ runWorker(const WorkerOptions &options, WorkerReport *report,
             setError(error, "unit engine column out of range");
             return false;
         }
-        switch (unit.kind) {
-        case UnitKind::kWorkload: {
+        if (unit.kind == UnitGranularity::kWorkload) {
             SweepPlan unit_plan = plan;
             unit_plan.workloads = {unit.workload};
             driver.run(unit_plan);
-            break;
-        }
-        case UnitKind::kCell: {
+        } else {
+            // A cell: the driver resumes each of its lanes from the
+            // newest trusted checkpoint in the store — a lost
+            // worker's partial cell included — and persists the
+            // results.
             std::vector<EngineSpec> specs;
             if (unit.column >= 0)
                 specs.push_back(engine_specs[static_cast<std::size_t>(
                     unit.column)]);
             driver.run({unit.workload}, specs);
-            break;
-        }
-        case UnitKind::kSegment: {
-            const EngineSpec *engine =
-                unit.column >= 0
-                    ? &engine_specs[static_cast<std::size_t>(
-                          unit.column)]
-                    : nullptr;
-            if (unit.finalSegment) {
-                // The cell's last slice: run the cell through the
-                // normal path — the driver resumes from the newest
-                // trusted checkpoint (the predecessor unit's end
-                // state) and computes and persists the results.
-                std::vector<EngineSpec> specs;
-                if (engine)
-                    specs.push_back(*engine);
-                driver.run({unit.workload}, specs);
-            } else {
-                std::string seg_error;
-                if (!driver.runCellSegment(
-                        unit.workload, engine,
-                        static_cast<std::size_t>(unit.segBegin),
-                        static_cast<std::size_t>(unit.segEnd),
-                        &seg_error)) {
-                    setError(error, "segment unit failed: " +
-                                        seg_error);
-                    return false;
-                }
-            }
-            break;
-        }
         }
         out.unitsCompleted++;
         MetricsRegistry::instance()
@@ -270,52 +223,6 @@ runWorker(const WorkerOptions &options, WorkerReport *report,
         if (!conn.sendFrame(kMsgPlanAck, encodePlanAck(ack), error))
             return Outcome::kLost;
 
-        // Reclaim a unit held across the previous connection's
-        // loss: resume it from the last store-committed checkpoint
-        // instead of letting the grace window expire into a
-        // from-zero requeue.
-        if (held) {
-            ResumeMsg resume;
-            resume.sessionId = session_id;
-            resume.unitIndex = held->unitIndex;
-            resume.lastCheckpointIndex = unitLastCheckpointIndex(
-                plan, toWorkUnit(*held), *store);
-            if (!conn.sendFrame(kMsgResume, encodeResume(resume),
-                                error) ||
-                !conn.recvFrame(frame, error))
-                return Outcome::kLost;
-            // The sweep can finish between the Plan handshake and
-            // this Resume (the held unit was requeued after the
-            // grace window and completed elsewhere); the
-            // coordinator then says Bye instead of answering.
-            if (frame.type == kMsgBye)
-                return Outcome::kFinished;
-            ResumeAckMsg verdict;
-            if (frame.type != kMsgResumeAck ||
-                !decodeResumeAck(frame.payload, verdict)) {
-                setError(error,
-                         "expected resume ack, got frame type " +
-                             std::to_string(frame.type));
-                return Outcome::kFailed;
-            }
-            if (verdict.accepted) {
-                UnitMsg unit = *held;
-                held.reset();
-                out.unitsResumed++;
-                if (!execute(unit))
-                    return Outcome::kFailed;
-                UnitDoneMsg done;
-                done.unitIndex = unit.unitIndex;
-                if (!conn.sendFrame(kMsgUnitDone,
-                                    encodeUnitDone(done), error))
-                    return Outcome::kLost;
-            } else {
-                // Requeued or completed while we were away; the
-                // coordinator will hand out whatever is pending.
-                held.reset();
-            }
-        }
-
         for (;;) {
             if (!conn.sendFrame(kMsgRequestUnit, {}, error))
                 return Outcome::kLost;
@@ -333,23 +240,18 @@ runWorker(const WorkerOptions &options, WorkerReport *report,
             if (options.abandonAfterUnits > 0 &&
                 out.unitsCompleted >= options.abandonAfterUnits) {
                 // Vanish mid-unit: the coordinator must requeue it
-                // (after the resume grace — we are not coming
-                // back).
+                // (we are not coming back).
                 conn.close();
                 out.abandoned = true;
                 return Outcome::kFinished;
             }
             if (options.dropAfterUnits > 0 && !drop_fired &&
                 out.unitsCompleted >= options.dropAfterUnits) {
-                // Lose the connection but keep the unit: reconnect
-                // and reclaim it via kResume.
+                // Lose the connection mid-unit: the coordinator
+                // requeues the unit, and we reconnect for fresh
+                // work.
                 drop_fired = true;
                 conn.close();
-                held = unit;
-                if (options.reconnectStallSeconds > 0.0)
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double>(
-                            options.reconnectStallSeconds));
                 return Outcome::kLost;
             }
             if (options.prefetchTraces &&

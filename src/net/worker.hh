@@ -2,10 +2,9 @@
  * @file
  * Sweep worker: connects to a coordinator (net/coord.hh), receives
  * the declarative SweepPlan, and executes work units — whole
- * workload rows, (workload, engine-column) cells, or checkpoint
- * segments of a cell (net/units.hh) — through the exact same
- * ExperimentDriver lane path a local sweep uses, persisting
- * checkpoints and per-cell results into the shared
+ * workload rows or (workload, engine-column) cells (net/units.hh) —
+ * through the exact same ExperimentDriver lane path a local sweep
+ * uses, persisting checkpoints and per-cell results into the shared
  * content-addressed store. The wire never carries results; the
  * store is the data plane.
  *
@@ -14,12 +13,11 @@
  * the canonical-JSON contract broke somewhere — running anyway
  * would poison the store under wrong keys).
  *
- * Reconnect-resume: when a connection is lost while a unit is held,
- * the worker reconnects (bounded retries), repeats the handshake
- * under its original session id, and sends kResume to reclaim the
- * held unit; execution then restarts from the newest checkpoint the
- * store already holds for it, not from record 0. Trace prefetch:
- * each unit carries a hint naming the next unit's workload, which a
+ * Reconnect: when a connection is lost, the worker reconnects
+ * (bounded retries), repeats the handshake under its original
+ * session id, and asks for fresh work; the coordinator has already
+ * requeued any unit the lost connection held. Trace prefetch: each
+ * unit carries a hint naming the next unit's workload, which a
  * background thread materializes into the store while the current
  * unit simulates.
  */
@@ -50,13 +48,10 @@ struct WorkerOptions
     /// arrives. 0 = never abandon.
     unsigned abandonAfterUnits = 0;
     /// Test/CI hook: after completing this many units, drop the
-    /// connection the moment the next unit arrives — keeping that
-    /// unit — optionally stall, then reconnect and kResume it.
-    /// Fires once. 0 = never drop.
+    /// connection the moment the next unit arrives (the coordinator
+    /// requeues that unit), then reconnect and carry on. Fires
+    /// once. 0 = never drop.
     unsigned dropAfterUnits = 0;
-    /// Stall before reconnecting after the dropAfterUnits hook
-    /// (simulates a network outage, seconds).
-    double reconnectStallSeconds = 0.0;
     /// Test hook: send every kUnitDone twice (the coordinator must
     /// treat the duplicate as idempotent).
     bool duplicateUnitDone = false;
@@ -65,7 +60,6 @@ struct WorkerOptions
 struct WorkerReport
 {
     std::uint64_t unitsCompleted = 0;
-    std::uint64_t unitsResumed = 0;
     std::uint64_t reconnects = 0;
     bool abandoned = false;
 };

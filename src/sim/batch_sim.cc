@@ -68,13 +68,10 @@ BatchSimulator::rebuildLane(std::size_t lane_index,
 }
 
 void
-BatchSimulator::setLaneRange(std::size_t lane_index,
-                             std::size_t start_index,
-                             std::size_t end_index)
+BatchSimulator::setLaneStart(std::size_t lane_index,
+                             std::size_t start_index)
 {
-    Lane &lane = lanes_.at(lane_index);
-    lane.start = start_index;
-    lane.end = end_index;
+    lanes_.at(lane_index).start = start_index;
 }
 
 void
@@ -100,11 +97,7 @@ BatchSimulator::runLaneChunk(std::size_t lane_index,
     PrefetchSimulator &sim = *lane.sim;
     if (first + count <= lane.start)
         return; // whole chunk inside the resumed prefix
-    if (first >= lane.end)
-        return; // whole chunk past the lane's range end
     std::size_t skip = lane.start > first ? lane.start - first : 0;
-    if (lane.end < first + count)
-        count = lane.end - first;
     batchMetrics().recordSteps.add(count - skip);
     for (std::size_t i = skip; i < count; ++i) {
         // Loads only: the step of record i + kLookaheadRecords then
@@ -194,18 +187,14 @@ BatchSimulator::finishAll(std::size_t total_records)
 {
     for (std::size_t li = 0; li < lanes_.size(); ++li) {
         Lane &lane = lanes_[li];
-        // A boundary at the lane's last index captures the
-        // pre-finish state, so a resumed run re-executes finish()
-        // exactly once, like the continuous run it mirrors. A lane
-        // whose range ends before the trace fires at its end the
-        // same way: after its last record, before the warmup-flip
-        // check of record `end`.
-        const std::size_t end = std::min(lane.end, total_records);
+        // A boundary at the trace end captures the pre-finish
+        // state, so a resumed run re-executes finish() exactly once,
+        // like the continuous run it mirrors.
         while (lane.nextBoundary < lane.boundaries.size() &&
-               lane.boundaries[lane.nextBoundary] <= end) {
-            if (lane.boundaries[lane.nextBoundary] == end &&
+               lane.boundaries[lane.nextBoundary] <= total_records) {
+            if (lane.boundaries[lane.nextBoundary] == total_records &&
                 boundary_)
-                boundary_(li, end, *lane.sim);
+                boundary_(li, total_records, *lane.sim);
             ++lane.nextBoundary;
         }
         lane.sim->finish();
@@ -215,19 +204,15 @@ BatchSimulator::finishAll(std::size_t total_records)
 void
 BatchSimulator::run(const Trace &trace, unsigned jobs)
 {
-    // Visit only the chunks some lane's range reaches: resumed lanes
-    // skip their prefix and range-limited lanes stop at their end.
-    // Chunks stay aligned to kChunkRecords, so every visited chunk
-    // is the one a whole-trace pass would step.
+    // Skip the chunks before every lane's start: resumed lanes skip
+    // their prefix. Chunks stay aligned to kChunkRecords, so every
+    // visited chunk is the one a whole-trace pass would step.
     std::size_t first = trace.size();
-    std::size_t last = 0;
-    for (const Lane &lane : lanes_) {
+    for (const Lane &lane : lanes_)
         first = std::min(first, lane.start);
-        last = std::max(last, std::min(lane.end, trace.size()));
-    }
-    if (first < last) {
+    if (first < trace.size()) {
         for (std::size_t start = first - first % kChunkRecords;
-             start < last; start += kChunkRecords) {
+             start < trace.size(); start += kChunkRecords) {
             std::size_t count =
                 std::min(trace.size() - start, kChunkRecords);
             runChunk(trace.data() + start, start, count, jobs);

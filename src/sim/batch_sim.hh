@@ -18,8 +18,7 @@
  * This is the single-pass, multi-consumer structure trace-driven
  * simulators use to evaluate many configurations per trace read; the
  * ExperimentDriver runs every cell it simulates through it — a
- * workload's baseline, stride and engine lanes in one traversal, and
- * a distributed segment unit's lanes over their record range.
+ * workload's baseline, stride and engine lanes in one traversal.
  */
 
 #ifndef STEMS_SIM_BATCH_SIM_HH
@@ -58,10 +57,11 @@ class BatchSimulator
     std::size_t lanes() const { return lanes_.size(); }
 
     /**
-     * One pass over an in-memory trace: each record is stepped
-     * through every lane whose range covers it, honoring per-lane
-     * warmup, then every lane is finalized. Chunks no lane's range
-     * reaches are skipped. Call at most once per BatchSimulator.
+     * One pass over an in-memory trace: each record at or past a
+     * lane's start is stepped through that lane, honoring per-lane
+     * warmup, then every lane is finalized. Chunks before every
+     * lane's start are skipped. Call at most once per
+     * BatchSimulator.
      *
      * @param jobs  worker threads advancing lanes within each chunk
      *              (lanes are mutually independent, so lane-level
@@ -92,27 +92,23 @@ class BatchSimulator
     void rebuildLane(std::size_t lane, Prefetcher *engine);
 
     /**
-     * Restrict a lane to the record range [start_index, end_index).
-     * Records before the start are skipped entirely: the lane's
-     * simulator must hold the matching checkpointed state
-     * (sim/checkpoint.hh), which bakes in any warmup flip at or
-     * before the start, so the skipped records' flip checks are
-     * skipped with them. Records at or past the end are never
-     * stepped; an end past the trace length is clamped to it.
-     * Lanes default to the whole trace.
+     * Resume a lane at `start_index`: records before it are skipped
+     * entirely. The lane's simulator must hold the matching
+     * checkpointed state (sim/checkpoint.hh), which bakes in any
+     * warmup flip at or before the start, so the skipped records'
+     * flip checks are skipped with them. Lanes default to 0; every
+     * lane runs to the trace end.
      */
-    void setLaneRange(std::size_t lane, std::size_t start_index,
-                      std::size_t end_index);
+    void setLaneStart(std::size_t lane, std::size_t start_index);
 
     /**
      * Checkpoint boundaries for a lane, ascending and strictly
      * greater than its start index. At each boundary index i the
      * boundary callback fires after records [0, i) were stepped and
      * before the warmup-flip check of record i (the checkpoint
-     * convention of sim/checkpoint.hh). A boundary at the lane's
-     * range end (or the trace length, whichever is smaller) fires
-     * after the lane's last record, before finish(); boundaries
-     * past it never fire.
+     * convention of sim/checkpoint.hh). A boundary at the trace
+     * length fires after the lane's last record, before finish();
+     * boundaries past it never fire.
      */
     void setLaneBoundaries(std::size_t lane,
                            std::vector<std::size_t> boundaries);
@@ -137,10 +133,7 @@ class BatchSimulator
         SimParams params;
         Prefetcher *engine = nullptr;
         std::size_t warmup = 0;
-        std::size_t start = 0;
-        /// One past the last record this lane steps; records beyond
-        /// it are ignored (npos = unbounded, the run() default).
-        std::size_t end = static_cast<std::size_t>(-1);
+        std::size_t start = 0; ///< first record this lane steps
         std::vector<std::size_t> boundaries;
         std::size_t nextBoundary = 0; ///< cursor into boundaries
     };
@@ -171,7 +164,7 @@ class BatchSimulator
                       const MemRecord *records, std::size_t first,
                       std::size_t count);
 
-    /** Fire each lane's range-end boundary, then finish every
+    /** Fire each lane's trace-end boundary, then finish every
      *  lane. */
     void finishAll(std::size_t total_records);
 

@@ -62,10 +62,9 @@ namespace stems {
  * shorter run's checkpoints. `checkpoint_every` 0 yields the trace
  * end alone; an empty trace yields no boundary.
  *
- * THE boundary schedule: the driver's checkpoint writer and the
- * distributed coordinator's segment-unit decomposition
- * (net/units.hh) both call this, so a segment unit's endpoints
- * provably sit on the indices workers checkpoint at.
+ * THE boundary schedule: every driver lane checkpoints at these
+ * indices, in whichever process runs it, so a cell requeued after
+ * its worker was lost resumes from the lost worker's last boundary.
  */
 std::vector<std::size_t> checkpointBounds(std::size_t trace_size,
                                           std::size_t checkpoint_every);

@@ -38,8 +38,8 @@ struct DriverMetrics
     Counter &traceGenerated;
     Counter &cellSimulated, &cellResumed;
     Counter &ckptSkippedRecords, &ckptWritten;
-    /// One sample per BatchSimulator pass: a workload's cold lanes,
-    /// or a segment unit's lanes.
+    /// One sample per BatchSimulator pass over a workload's cold
+    /// lanes.
     LatencyHistogram &passNs;
 
     DriverMetrics()
@@ -496,8 +496,7 @@ ExperimentDriver::runCells(
                              checkpointing);
         }
 
-        LanePass pass = runLanes(shard.ctx, lanes,
-                                 shard.ctx.trace.size(), lane_jobs);
+        LanePass pass = runLanes(shard.ctx, lanes, lane_jobs);
         for (std::size_t k = 0; k < cold.size(); ++k) {
             Cell &cell = *cold[k];
             cell.stats = pass.sim.stats(k);
@@ -670,27 +669,25 @@ ExperimentDriver::openTraceContext(TraceContext &ctx, Trace trace,
     ctx.warmup = effectiveWarmupRecords(config_, ctx.trace.size());
     if (!checkpointing)
         return;
-    // The shared boundary schedule (sim/checkpoint.hh): the same
-    // formula the distributed coordinator decomposes segment units
-    // with, so unit endpoints land exactly on checkpoint indices.
+    // The shared boundary schedule (sim/checkpoint.hh): absolute
+    // indices, so a run extended to more records finds these.
     ctx.bounds = checkpointBounds(ctx.trace.size(), checkpointEvery_);
     ctx.prefixes.digests(ctx.bounds);
 }
 
 /**
- * Every lane pass goes through here: run()'s cells (to the trace
- * end, statistics collected by the caller) and runCellSegment's
- * units (to the segment end, checkpoints only). When the context
- * has a boundary schedule, each lane first resumes from the newest
- * trusted stored checkpoint at or before `end` — one whose trace
- * prefix, warmup boundary and lane identity all match — and then
- * writes a checkpoint at every boundary in (resume, end], `end`
- * included.
+ * Every lane pass goes through here, always to the trace end; the
+ * caller collects the lanes' statistics. When the context has a
+ * boundary schedule, each lane first resumes from the newest trusted
+ * stored checkpoint — one whose trace prefix, warmup boundary and
+ * lane identity all match, whoever wrote it (an earlier shorter run,
+ * or a worker lost mid-cell) — and then writes a checkpoint at every
+ * boundary past the resume index, the trace end included.
  */
 ExperimentDriver::LanePass
 ExperimentDriver::runLanes(TraceContext &ctx,
                            const std::vector<LaneSpec> &lanes,
-                           std::size_t end, unsigned jobs)
+                           unsigned jobs)
 {
     const EngineRegistry &registry = EngineRegistry::instance();
     auto make_engine =
@@ -714,11 +711,7 @@ ExperimentDriver::runLanes(TraceContext &ctx,
     }
 
     const bool checkpointing = !ctx.bounds.empty();
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-        if (!checkpointing) {
-            pass.sim.setLaneRange(k, 0, end);
-            continue;
-        }
+    for (std::size_t k = 0; checkpointing && k < lanes.size(); ++k) {
         const LaneSpec &lane = lanes[k];
         ScopedSpan resume_span("ckpt.resume", "ckpt");
 
@@ -729,7 +722,7 @@ ExperimentDriver::runLanes(TraceContext &ctx,
         std::vector<std::size_t> candidates;
         for (std::uint64_t c : store_->listCheckpointIndices(
                  lane.ckptSpec, ckptConfigDigest_))
-            if (c > 0 && c <= end)
+            if (c > 0 && c <= ctx.trace.size())
                 candidates.push_back(static_cast<std::size_t>(c));
         const std::vector<std::uint64_t> prefixes =
             ctx.prefixes.digests(candidates);
@@ -769,13 +762,11 @@ ExperimentDriver::runLanes(TraceContext &ctx,
             driverMetrics().cellResumed.add();
             driverMetrics().ckptSkippedRecords.add(resume);
         }
-        pass.sim.setLaneRange(k, resume, end);
+        pass.sim.setLaneStart(k, resume);
         std::vector<std::size_t> armed;
         for (std::size_t b : ctx.bounds)
-            if (b > resume && b < end)
+            if (b > resume)
                 armed.push_back(b);
-        if (end > resume)
-            armed.push_back(end);
         pass.sim.setLaneBoundaries(k, std::move(armed));
     }
 
@@ -814,59 +805,6 @@ ExperimentDriver::runLanes(TraceContext &ctx,
             std::chrono::steady_clock::now() - pass_start)
             .count()));
     return pass;
-}
-
-bool
-ExperimentDriver::runCellSegment(const std::string &workload_name,
-                                 const EngineSpec *engine,
-                                 std::size_t seg_begin,
-                                 std::size_t seg_end,
-                                 std::string *error)
-{
-    auto fail = [&](const std::string &text) {
-        if (error)
-            *error = text;
-        return false;
-    };
-    if (!store_ || !store_->usable())
-        return fail("segment execution requires an attached store");
-    std::unique_ptr<Workload> workload =
-        WorkloadRegistry::instance().make(workload_name);
-    if (!workload)
-        return fail("unknown workload '" + workload_name + "'");
-    if (engine && !EngineRegistry::instance().contains(engine->engine))
-        return fail("unknown engine '" + engine->engine + "'");
-
-    ScopedSpan span("cells.segment", "driver");
-    if (span.active()) {
-        span.arg("workload", workload_name);
-        span.arg("begin", static_cast<std::uint64_t>(seg_begin));
-        span.arg("end", static_cast<std::uint64_t>(seg_end));
-    }
-
-    TraceContext ctx;
-    ctx.workload = workload_name;
-    openTraceContext(ctx, materializeTrace(*workload, nullptr),
-                     /*checkpointing=*/true);
-    seg_end = std::min(seg_end, ctx.trace.size());
-    if (seg_begin >= seg_end)
-        return true; // nothing to advance
-
-    // The column's lanes, under the same identities run() gives
-    // them: resuming here finds a continuous run's checkpoints and
-    // vice versa.
-    const bool scientific =
-        workload->workloadClass() == WorkloadClass::kScientific;
-    std::vector<LaneSpec> lanes;
-    if (engine) {
-        lanes.push_back(LaneSpec::column(*engine, scientific));
-    } else {
-        lanes.push_back(LaneSpec::baseline(scientific));
-        if (config_.enableTiming)
-            lanes.push_back(LaneSpec::stride(scientific));
-    }
-    runLanes(ctx, lanes, seg_end, jobs_);
-    return true;
 }
 
 std::vector<WorkloadResult>

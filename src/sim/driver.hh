@@ -157,29 +157,6 @@ class ExperimentDriver
     run(const std::vector<std::string> &workloads,
         const std::vector<EngineSpec> &engines);
 
-    /**
-     * Distributed-segment entry point (net/units.hh): advance one
-     * cell column of `workload` up to trace record seg_end only,
-     * producing no results — its sole deliverable is the
-     * checkpoints it persists, one at every schedule boundary it
-     * crosses and one at seg_end, under exactly the keys (and with
-     * exactly the bytes) a continuous run writes. `engine` selects
-     * the column: null is the baseline column (the no-prefetch
-     * lane plus, under timing, the stride reference lane), non-null
-     * a single engine lane. The lanes go through the same
-     * resume-and-checkpoint routine as run(): each resumes from the
-     * newest trusted stored checkpoint at or before seg_end — a
-     * segment whose predecessor committed starts at seg_begin;
-     * with a cold store it recomputes from record 0 (slower, never
-     * wrong). Requires an attached usable store.
-     * @return false with *error set on store/workload/engine
-     *         lookup failures.
-     */
-    bool runCellSegment(const std::string &workload,
-                        const EngineSpec *engine,
-                        std::size_t seg_begin, std::size_t seg_end,
-                        std::string *error = nullptr);
-
     /** Sweep every registered workload (figure order). */
     std::vector<WorkloadResult>
     runSuite(const std::vector<EngineSpec> &engines);
@@ -306,10 +283,10 @@ class ExperimentDriver
                           bool checkpointing) const;
 
     /** THE resume-and-checkpoint routine: advance `lanes` over
-     *  ctx's trace up to record `end` (see driver.cc). */
+     *  ctx's whole trace (see driver.cc). */
     LanePass runLanes(TraceContext &ctx,
                       const std::vector<LaneSpec> &lanes,
-                      std::size_t end, unsigned jobs);
+                      unsigned jobs);
 
     ExperimentConfig config_;
     unsigned jobs_;

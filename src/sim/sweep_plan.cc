@@ -185,8 +185,6 @@ unitGranularityName(UnitGranularity granularity)
     switch (granularity) {
     case UnitGranularity::kCell:
         return "cell";
-    case UnitGranularity::kSegment:
-        return "segment";
     case UnitGranularity::kWorkload:
     default:
         return "workload";
@@ -200,8 +198,6 @@ parseUnitGranularity(const std::string &text, UnitGranularity &out)
         out = UnitGranularity::kWorkload;
     else if (text == "cell")
         out = UnitGranularity::kCell;
-    else if (text == "segment")
-        out = UnitGranularity::kSegment;
     else
         return false;
     return true;

@@ -62,20 +62,19 @@ struct PlanEngine
 
 /**
  * Work-unit granularity for the distributed sweep service: how the
- * coordinator (net/coord.hh) decomposes this plan into units. Pure
- * scheduling policy — results are bitwise identical for any
- * setting — but part of the plan (and thus the digest) so every
- * worker agrees on the unit numbering the wire messages reference.
+ * coordinator (net/coord.hh) decomposes this plan into units, and
+ * the kind each unit carries on the wire. Pure scheduling policy —
+ * results are bitwise identical for any setting — but part of the
+ * plan (and thus the digest) so every worker agrees on the unit
+ * numbering the wire messages reference.
  */
 enum class UnitGranularity : std::uint8_t
 {
     kWorkload = 0, ///< one unit = one workload row (the default)
     kCell = 1,     ///< one unit = one (workload, engine column) cell
-    kSegment = 2,  ///< one unit = one checkpoint-delimited slice of
-                   ///< a cell, cut every checkpointEvery records
 };
 
-/** Canonical lower-case name ("workload" | "cell" | "segment"). */
+/** Canonical lower-case name ("workload" | "cell"). */
 const char *unitGranularityName(UnitGranularity granularity);
 
 /** Parse a canonical granularity name; false on anything else. */

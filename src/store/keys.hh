@@ -62,9 +62,9 @@ std::uint64_t engineSpecDigest(const std::string &name,
  * reference lane is plain "stride") is that engine under `options`
  * with the workload's `scientific` flag folded in. Labels and probe
  * ids never join it: a probe reads state after the run and cannot
- * change the simulation a checkpoint captures. The driver's lanes,
- * its distributed segment units and the segment-unit decomposer
- * (net/units.hh) all key checkpoints through this one function.
+ * change the simulation a checkpoint captures. Every driver lane,
+ * in whichever process runs it, keys its checkpoints through this
+ * one function.
  */
 std::uint64_t laneCheckpointSpecDigest(const std::string &engine,
                                        EngineOptions options,

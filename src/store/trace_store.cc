@@ -392,7 +392,7 @@ secondsSince(fs::file_time_type t)
 }
 
 /** A deletable unit: one entry's payload file and its .meta
- *  sidecar. */
+ *  sidecar, or one temp file. */
 struct EvictableEntry
 {
     std::vector<fs::path> files;
@@ -1139,7 +1139,11 @@ TraceStore::evictLockedWithin(std::uint64_t budget_bytes)
     std::uint64_t total = 0;
     std::error_code ec;
     // Every entry kind is a payload/.meta pair, evicted as one unit
-    // under the one shared size budget.
+    // under the one shared size budget. A temp file is a one-file
+    // entry: a writer killed mid-put leaves it behind
+    // (<entry>.tmp.<pid>.<seq>, see TempFile), and totalBytes()
+    // counts it. A live writer whose temp file is evicted fails its
+    // rename, so its put returns false.
     const std::pair<const char *, const char *> paired_kinds[] = {
         {kTraceSubdir, ".trc"},
         {kResultSubdir, ".res"},
@@ -1148,7 +1152,10 @@ TraceStore::evictLockedWithin(std::uint64_t budget_bytes)
     for (const auto &[subdir, ext] : paired_kinds) {
         for (const auto &de : fs::directory_iterator(
                  fs::path(dir_) / subdir, ec)) {
-            if (de.path().extension() != ext)
+            const bool temp =
+                de.path().filename().string().find(".tmp.") !=
+                std::string::npos;
+            if (!temp && de.path().extension() != ext)
                 continue;
             std::error_code fec;
             EvictableEntry u;
@@ -1157,13 +1164,15 @@ TraceStore::evictLockedWithin(std::uint64_t budget_bytes)
             u.mtime = fs::last_write_time(de.path(), fec);
             if (fec)
                 continue;
-            fs::path meta = de.path();
-            meta.replace_extension(".meta");
-            std::error_code mec;
-            std::uint64_t msz = fs::file_size(meta, mec);
-            if (!mec) {
-                u.files.push_back(meta);
-                u.bytes += msz;
+            if (!temp) {
+                fs::path meta = de.path();
+                meta.replace_extension(".meta");
+                std::error_code mec;
+                std::uint64_t msz = fs::file_size(meta, mec);
+                if (!mec) {
+                    u.files.push_back(meta);
+                    u.bytes += msz;
+                }
             }
             total += u.bytes;
             units.push_back(std::move(u));

@@ -308,9 +308,8 @@ class TraceStore
      * Every stored (record index, state digest) checkpoint key for a
      * (spec, config) pair, sorted by (index, stateDigest). Unlike
      * listCheckpointIndices this exposes the state digests, letting
-     * the segment-unit decomposer (net/units.hh) tell a trusted
-     * on-key checkpoint from a stale or foreign-run one without
-     * loading any blob. Malformed filenames are skipped; blob
+     * a caller tell a trusted on-key checkpoint from a stale or
+     * foreign-run one without loading any blob. Malformed filenames are skipped; blob
      * integrity is still only checked by loadCheckpoint.
      */
     std::vector<StoredCheckpointKey>

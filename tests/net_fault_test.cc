@@ -1,15 +1,15 @@
 /**
  * @file
- * Fault-injection battery for the finer-grained distributed work
- * units (net/units.hh): decomposition properties (every record of
- * every cell covered exactly once at every granularity, segment
- * endpoints aligned with the checkpoint schedule, dependency chains
- * cleared by a warm store), and the end-to-end contract that a
- * coordinator plus workers — through worker churn, mid-frame
- * disconnects, duplicate completions, stalled units and
- * reconnect-resume — always produces results bitwise identical to a
- * single-process sweep. Faults may cost wall-clock (requeues,
- * re-execution); they must never cost correctness.
+ * Fault-injection battery for the distributed work units
+ * (net/units.hh): decomposition properties (every cell covered
+ * exactly once at either granularity), and the end-to-end contract
+ * that a coordinator plus workers — through worker churn, mid-frame
+ * disconnects, duplicate completions, stalled units, reconnects and
+ * a worker lost mid-cell — always produces results bitwise
+ * identical to a single-process sweep. Faults may cost wall-clock
+ * (requeues, re-execution); they must never cost correctness, and a
+ * requeued cell resumes from the checkpoints its lost runner
+ * committed.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -29,7 +28,6 @@
 #include "net/units.hh"
 #include "net/worker.hh"
 #include "obs/metrics.hh"
-#include "sim/checkpoint.hh"
 #include "sim/driver.hh"
 #include "store/keys.hh"
 #include "store/trace_store.hh"
@@ -82,17 +80,14 @@ class NetFaultTest : public test::TempDirTest
         std::size_t unitCount = 0;
         std::uint64_t completed = 0;
         std::uint64_t requeued = 0;
-        std::uint64_t resumed = 0;
     };
 
-    /** One distributed sweep in a fresh store subdirectory: decompose
-     *  (seeding the store when the plan asks for segment units),
-     *  serve to the given workers, merge over the warm store. */
+    /** One distributed sweep over the store in subdirectory `tag`
+     *  (created empty unless a test prepared it): serve to the given
+     *  workers, merge over the warm store. */
     ScenarioResult
     runScenario(const SweepPlan &plan, const std::string &tag,
-                std::vector<WorkerOptions> workers,
-                double grace_seconds = 0.4,
-                double unit_timeout_seconds = 0.0)
+                std::vector<WorkerOptions> workers)
     {
         ScenarioResult out;
         const std::string store_dir = dir_ + "/" + tag;
@@ -101,12 +96,7 @@ class NetFaultTest : public test::TempDirTest
         EXPECT_TRUE(store->usable());
 
         std::string error;
-        std::vector<WorkUnit> units =
-            decomposeSweepPlan(plan, store.get(), &error);
-        EXPECT_FALSE(units.empty()) << error;
-        SweepCoordinator coord(plan, std::move(units));
-        coord.setResumeGraceSeconds(grace_seconds);
-        coord.setUnitTimeoutSeconds(unit_timeout_seconds);
+        SweepCoordinator coord(plan);
         EXPECT_TRUE(coord.listen(0, &error)) << error;
 
         std::vector<std::thread> threads;
@@ -135,7 +125,6 @@ class NetFaultTest : public test::TempDirTest
         out.unitCount = coord.unitCount();
         out.completed = coord.unitsCompleted();
         out.requeued = coord.unitsRequeued();
-        out.resumed = coord.unitsResumed();
         EXPECT_EQ(out.completed, out.unitCount);
 
         ExperimentDriver merge;
@@ -144,9 +133,10 @@ class NetFaultTest : public test::TempDirTest
         return out;
     }
 
-    /** The {clean 1-worker, abandon 2-worker, drop-resume 2-worker,
-     *  mixed 4-worker} fault matrix at one granularity: every
-     *  scenario must reproduce the single-process sweep bitwise. */
+    /** The {clean 1-worker, abandon 2-worker, drop-reconnect
+     *  2-worker, mixed 4-worker} fault matrix at one granularity:
+     *  every scenario must reproduce the single-process sweep
+     *  bitwise. */
     void
     runFaultMatrix(UnitGranularity granularity)
     {
@@ -163,7 +153,6 @@ class NetFaultTest : public test::TempDirTest
         quitter.abandonAfterUnits = 1;
         WorkerOptions dropper = steady;
         dropper.dropAfterUnits = 1;
-        dropper.reconnectStallSeconds = 0.5;
 
         {
             SCOPED_TRACE("clean one worker");
@@ -178,9 +167,9 @@ class NetFaultTest : public test::TempDirTest
             test::expectSameResults(got.results, reference);
         }
         {
-            SCOPED_TRACE("dropping/resuming worker, two workers");
+            SCOPED_TRACE("dropping/reconnecting worker, two workers");
             auto got =
-                runScenario(plan, "resume", {dropper, steady});
+                runScenario(plan, "reconnect", {dropper, steady});
             test::expectSameResults(got.results, reference);
         }
         {
@@ -201,23 +190,21 @@ TEST_F(NetFaultTest, WorkloadAndCellDecompositionCoverExactlyOnce)
         planFor(UnitGranularity::kWorkload,
                 {"oltp-db2", "web-apache", "em3d"});
 
-    auto whole = decomposeSweepPlan(base, nullptr);
+    auto whole = decomposeSweepPlan(base);
     ASSERT_EQ(whole.size(), base.workloads.size());
     for (std::size_t i = 0; i < whole.size(); ++i) {
-        EXPECT_EQ(whole[i].kind, UnitKind::kWorkload);
+        EXPECT_EQ(whole[i].kind, UnitGranularity::kWorkload);
         EXPECT_EQ(whole[i].workload, base.workloads[i]);
-        EXPECT_EQ(whole[i].dependsOn, -1);
     }
 
     SweepPlan cell_plan = base;
     cell_plan.unitGranularity = UnitGranularity::kCell;
-    auto cells = decomposeSweepPlan(cell_plan, nullptr);
+    auto cells = decomposeSweepPlan(cell_plan);
     // One unit per (workload, column), columns = baseline + each
     // engine, each pair exactly once.
     std::map<std::pair<std::string, std::int32_t>, int> seen;
     for (const WorkUnit &u : cells) {
-        EXPECT_EQ(u.kind, UnitKind::kCell);
-        EXPECT_EQ(u.dependsOn, -1);
+        EXPECT_EQ(u.kind, UnitGranularity::kCell);
         seen[{u.workload, u.column}]++;
     }
     EXPECT_EQ(cells.size(),
@@ -228,202 +215,6 @@ TEST_F(NetFaultTest, WorkloadAndCellDecompositionCoverExactlyOnce)
              ++c)
             EXPECT_EQ((seen[{w, c}]), 1)
                 << w << " column " << c;
-}
-
-TEST_F(NetFaultTest, SegmentDecompositionTilesEveryCellOnSchedule)
-{
-    const SweepPlan plan = planFor(UnitGranularity::kSegment,
-                                   {"oltp-db2", "em3d"});
-    std::filesystem::create_directories(dir_);
-    TraceStore store(dir_);
-    std::string error;
-    auto units = decomposeSweepPlan(plan, &store, &error);
-    ASSERT_FALSE(units.empty()) << error;
-
-    for (const std::string &name : plan.workloads) {
-        // The seeding pass materialized the trace; its true length
-        // (generators may overshoot plan.records) fixes the
-        // boundary schedule.
-        Trace trace;
-        ASSERT_TRUE(store.loadTrace(
-            TraceKey{name, plan.records, plan.seed}, trace));
-        const auto bounds = checkpointBounds(
-            trace.size(),
-            static_cast<std::size_t>(plan.checkpointEvery));
-        ASSERT_GE(bounds.size(), 2u); // interior cuts exist
-
-        for (std::int32_t c = -1;
-             c < static_cast<std::int32_t>(plan.engines.size());
-             ++c) {
-            std::vector<const WorkUnit *> chain;
-            for (const WorkUnit &u : units)
-                if (u.workload == name && u.column == c)
-                    chain.push_back(&u);
-            ASSERT_EQ(chain.size(), bounds.size())
-                << name << " column " << c;
-            std::uint64_t at = 0;
-            for (std::size_t s = 0; s < chain.size(); ++s) {
-                const WorkUnit &u = *chain[s];
-                EXPECT_EQ(u.kind, UnitKind::kSegment);
-                // Contiguous tiling: no gap, no overlap, ending
-                // exactly at the trace end.
-                EXPECT_EQ(u.segBegin, at);
-                EXPECT_EQ(u.segEnd, bounds[s]);
-                EXPECT_EQ(u.finalSegment,
-                          s + 1 == chain.size());
-                // Cold store: every non-first segment waits for
-                // its predecessor's boundary checkpoint.
-                if (s == 0)
-                    EXPECT_EQ(u.dependsOn, -1);
-                else
-                    EXPECT_GE(u.dependsOn, 0);
-                at = u.segEnd;
-            }
-            EXPECT_EQ(at, trace.size());
-        }
-    }
-}
-
-TEST_F(NetFaultTest, WarmStoreClearsSegmentDependencies)
-{
-    const SweepPlan plan =
-        planFor(UnitGranularity::kSegment, {"oltp-db2"});
-    std::filesystem::create_directories(dir_);
-    auto store = std::make_shared<TraceStore>(dir_);
-    std::string error;
-    auto cold = decomposeSweepPlan(plan, store.get(), &error);
-    ASSERT_FALSE(cold.empty()) << error;
-    bool any_dep = false;
-    for (const WorkUnit &u : cold)
-        any_dep = any_dep || u.dependsOn >= 0;
-    EXPECT_TRUE(any_dep);
-
-    // A full local run persists a trusted checkpoint at every
-    // boundary of every lane; re-decomposing over that warm store
-    // must find them and emit a fully parallel (dependency-free)
-    // unit set.
-    ExperimentDriver driver;
-    driver.setStore(store);
-    driver.run(plan);
-    auto warm = decomposeSweepPlan(plan, store.get(), &error);
-    ASSERT_EQ(warm.size(), cold.size());
-    for (const WorkUnit &u : warm)
-        EXPECT_EQ(u.dependsOn, -1)
-            << u.workload << " [" << u.segBegin << ", " << u.segEnd
-            << ")";
-}
-
-TEST_F(NetFaultTest, ResumeBookkeepingTracksCommittedCheckpoints)
-{
-    const SweepPlan plan =
-        planFor(UnitGranularity::kSegment, {"oltp-db2"});
-    std::filesystem::create_directories(dir_);
-    auto store = std::make_shared<TraceStore>(dir_);
-    std::string error;
-    auto units = decomposeSweepPlan(plan, store.get(), &error);
-    ASSERT_FALSE(units.empty()) << error;
-
-    // The baseline column's chain, in order.
-    std::vector<const WorkUnit *> chain;
-    for (const WorkUnit &u : units)
-        if (u.workload == "oltp-db2" && u.column == -1)
-            chain.push_back(&u);
-    ASSERT_GE(chain.size(), 3u);
-
-    // Cold store: nothing committed, nothing to resume from.
-    EXPECT_EQ(unitLastCheckpointIndex(plan, *chain[0], *store), 0u);
-    EXPECT_EQ(unitLastCheckpointIndex(plan, *chain[1], *store), 0u);
-
-    ExperimentDriver driver;
-    driver.applyPlan(plan);
-    driver.setStore(store);
-    ASSERT_TRUE(driver.runCellSegment(
-        "oltp-db2", nullptr,
-        static_cast<std::size_t>(chain[0]->segBegin),
-        static_cast<std::size_t>(chain[0]->segEnd), &error))
-        << error;
-
-    // Unit 0 committed its end checkpoint: a resume of unit 0
-    // reports exactly its end (nothing left to redo), unit 1
-    // exactly its start (it can skip the whole prefix but has not
-    // advanced), and later units the same index — the newest
-    // committed state, never anything beyond a unit's own end, so
-    // the skip accounting cannot double-count records past the
-    // unit.
-    EXPECT_EQ(unitLastCheckpointIndex(plan, *chain[0], *store),
-              chain[0]->segEnd);
-    EXPECT_EQ(unitLastCheckpointIndex(plan, *chain[1], *store),
-              chain[1]->segBegin);
-    EXPECT_EQ(unitLastCheckpointIndex(plan, *chain[2], *store),
-              chain[0]->segEnd);
-}
-
-TEST_F(NetFaultTest, SegmentUnitEndBlobMatchesContinuousRun)
-{
-    // Segment units and whole-trace runs share one lane routine, so
-    // the checkpoint a segment unit leaves at its end is the very
-    // blob a continuous checkpointed run writes under that key.
-    // Warmup is pinned to the segment end, so the blob is also
-    // taken exactly before record seg_end's warmup flip.
-    SweepPlan plan = planFor(UnitGranularity::kSegment, {"oltp-db2"});
-    plan.warmupRecords = 10'000;
-    const std::string seg_dir = dir_ + "/segment";
-    const std::string cont_dir = dir_ + "/continuous";
-    std::filesystem::create_directories(seg_dir);
-    std::filesystem::create_directories(cont_dir);
-    auto seg_store = std::make_shared<TraceStore>(seg_dir);
-    auto cont_store = std::make_shared<TraceStore>(cont_dir);
-
-    // The stems column's first two units, in order: the second
-    // resumes from the first's end and stops at 10'000.
-    std::string error;
-    auto units = decomposeSweepPlan(plan, seg_store.get(), &error);
-    ASSERT_FALSE(units.empty()) << error;
-    std::vector<const WorkUnit *> chain;
-    for (const WorkUnit &u : units)
-        if (u.column == 1)
-            chain.push_back(&u);
-    ASSERT_GE(chain.size(), 3u);
-    ASSERT_EQ(chain[1]->segEnd, 10'000u);
-    ExperimentDriver segmented;
-    segmented.applyPlan(plan);
-    segmented.setStore(seg_store);
-    const std::vector<EngineSpec> specs = planEngineSpecs(plan);
-    for (std::size_t s = 0; s < 2; ++s)
-        ASSERT_TRUE(segmented.runCellSegment(
-            "oltp-db2", &specs[1],
-            static_cast<std::size_t>(chain[s]->segBegin),
-            static_cast<std::size_t>(chain[s]->segEnd), &error))
-            << error;
-    EXPECT_EQ(segmented.resumedRuns(), 1u);
-
-    ExperimentDriver continuous;
-    continuous.setStore(cont_store);
-    continuous.run(plan);
-
-    const std::uint64_t spec =
-        laneCheckpointSpecDigest("stems", {}, false);
-    const std::uint64_t config =
-        checkpointConfigDigest(planExperimentConfig(plan));
-    auto key_at = [&](TraceStore &store) {
-        StoredCheckpointKey found;
-        for (const StoredCheckpointKey &k :
-             store.listCheckpoints(spec, config))
-            if (k.index == 10'000)
-                found = k;
-        return found;
-    };
-    const StoredCheckpointKey seg_key = key_at(*seg_store);
-    const StoredCheckpointKey cont_key = key_at(*cont_store);
-    ASSERT_EQ(seg_key.index, 10'000u);
-    EXPECT_EQ(seg_key.stateDigest, cont_key.stateDigest);
-    auto seg_blob = seg_store->loadCheckpoint(spec, config, 10'000,
-                                              seg_key.stateDigest);
-    auto cont_blob = cont_store->loadCheckpoint(
-        spec, config, 10'000, cont_key.stateDigest);
-    ASSERT_TRUE(seg_blob.has_value());
-    ASSERT_TRUE(cont_blob.has_value());
-    EXPECT_EQ(*seg_blob, *cont_blob);
 }
 
 // ---- fault matrix, one granularity per test ----------------------
@@ -438,42 +229,81 @@ TEST_F(NetFaultTest, FaultMatrixCellUnits)
     runFaultMatrix(UnitGranularity::kCell);
 }
 
-TEST_F(NetFaultTest, FaultMatrixSegmentUnits)
-{
-    runFaultMatrix(UnitGranularity::kSegment);
-}
-
 // ---- targeted fault scenarios ------------------------------------
 
-TEST_F(NetFaultTest, ReconnectResumeSkipsCommittedPrefix)
+TEST_F(NetFaultTest, DroppedUnitIsRequeuedAndTheWorkerReconnects)
 {
-    // One worker, segment units over one workload: the worker
-    // completes the first segment, drops the connection while
-    // holding the second, stalls, reconnects under its session and
-    // resumes — from the checkpoint the first segment committed,
-    // not from record 0.
+    // One worker, three cell units: it completes the first, drops
+    // its connection when the second arrives, reconnects under its
+    // session and finishes the sweep — including the unit the
+    // coordinator requeued when the connection went.
     const SweepPlan plan =
-        planFor(UnitGranularity::kSegment, {"oltp-db2"});
-    const auto reference = referenceRun(plan);
-
+        planFor(UnitGranularity::kCell, {"oltp-db2"});
     WorkerOptions dropper;
     dropper.dropAfterUnits = 1;
-    dropper.reconnectStallSeconds = 0.5;
+    auto got = runScenario(plan, "drop", {dropper});
+    EXPECT_EQ(got.unitCount, 3u);
+    EXPECT_EQ(got.requeued, 1u);
+    EXPECT_EQ(got.reports[0].reconnects, 1u);
+    EXPECT_EQ(got.reports[0].unitsCompleted, 3u);
+    test::expectSameResults(got.results, referenceRun(plan));
+}
+
+TEST_F(NetFaultTest, CellUnitFinishesADeadWorkersPartialCell)
+{
+    // The store a worker killed mid-cell leaves behind: the trace
+    // and each lane's checkpoints up to the last boundary it
+    // crossed (10'000), but no results. A steady worker serving the
+    // cell units must resume every lane there — skipping exactly the
+    // committed prefix and stepping exactly the rest — and still
+    // reproduce a storeless sweep bitwise.
+    const SweepPlan plan =
+        planFor(UnitGranularity::kCell, {"oltp-db2"});
+    const auto reference = referenceRun(plan);
+    constexpr std::uint64_t kCommitted = 10'000;
+
+    const std::string store_dir = dir_ + "/dead-worker";
+    std::filesystem::create_directories(store_dir);
+    std::size_t trace_size = 0;
+    {
+        auto store = std::make_shared<TraceStore>(store_dir);
+        ExperimentDriver local;
+        local.setStore(store);
+        local.run(plan);
+        for (const auto &entry : std::filesystem::directory_iterator(
+                 std::filesystem::path(store_dir) / "results"))
+            std::filesystem::remove(entry.path());
+        const std::uint64_t config =
+            checkpointConfigDigest(planExperimentConfig(plan));
+        for (const char *engine : {"", "tms", "stems"}) {
+            const std::uint64_t spec =
+                laneCheckpointSpecDigest(engine, {}, false);
+            for (const StoredCheckpointKey &k :
+                 store->listCheckpoints(spec, config))
+                if (k.index > kCommitted)
+                    store->dropCheckpoint(spec, config, k.index,
+                                          k.stateDigest);
+        }
+        Trace trace;
+        ASSERT_TRUE(store->loadTrace(
+            TraceKey{"oltp-db2", plan.records, plan.seed}, trace));
+        trace_size = trace.size();
+    }
+    ASSERT_GT(trace_size, kCommitted);
+    const std::uint64_t lanes = 1 + plan.engines.size();
 
     const MetricsSnapshot before =
         MetricsRegistry::instance().snapshot();
-    auto got = runScenario(plan, "resume-metrics", {dropper},
-                           /*grace_seconds=*/5.0);
+    auto got = runScenario(plan, "dead-worker", {WorkerOptions{}});
     const MetricsSnapshot after =
         MetricsRegistry::instance().snapshot();
 
-    EXPECT_GE(got.reports[0].unitsResumed, 1u);
-    EXPECT_GE(got.reports[0].reconnects, 1u);
-    EXPECT_GE(got.resumed, 1u);
-    EXPECT_GE(counterDelta(before, after, "net.unit.resumed"), 1u);
-    EXPECT_GT(counterDelta(before, after,
+    EXPECT_EQ(got.unitCount, lanes);
+    EXPECT_EQ(counterDelta(before, after,
                            "ckpt.resume.skipped_records"),
-              0u);
+              lanes * kCommitted);
+    EXPECT_EQ(counterDelta(before, after, "batch.record_steps"),
+              lanes * (trace_size - kCommitted));
     test::expectSameResults(got.results, reference);
 }
 
@@ -566,7 +396,6 @@ TEST_F(NetFaultTest, WatchdogRequeuesUnitHeldByStalledWorker)
     auto store = std::make_shared<TraceStore>(store_dir);
     SweepCoordinator coord(plan);
     coord.setUnitTimeoutSeconds(0.75);
-    coord.setResumeGraceSeconds(0.2);
     std::string error;
     ASSERT_TRUE(coord.listen(0, &error)) << error;
 

@@ -194,11 +194,8 @@ sampleUnit()
     UnitMsg unit;
     unit.unitIndex = 3;
     unit.workload = "oltp-db2";
-    unit.kind = UnitKind::kSegment;
+    unit.kind = UnitGranularity::kCell;
     unit.column = 1;
-    unit.segBegin = 10'000;
-    unit.segEnd = 20'000;
-    unit.finalSegment = true;
     unit.prefetchWorkload = "web-apache";
     return unit;
 }
@@ -232,11 +229,8 @@ TEST(Protocol, PayloadsRoundTrip)
     ASSERT_TRUE(decodeUnit(encodeUnit(unit), unit2));
     EXPECT_EQ(unit2.unitIndex, 3u);
     EXPECT_EQ(unit2.workload, "oltp-db2");
-    EXPECT_EQ(unit2.kind, UnitKind::kSegment);
+    EXPECT_EQ(unit2.kind, UnitGranularity::kCell);
     EXPECT_EQ(unit2.column, 1);
-    EXPECT_EQ(unit2.segBegin, 10'000u);
-    EXPECT_EQ(unit2.segEnd, 20'000u);
-    EXPECT_TRUE(unit2.finalSegment);
     EXPECT_EQ(unit2.prefetchWorkload, "web-apache");
 
     // The baseline column (-1) survives the biased encoding.
@@ -250,25 +244,6 @@ TEST(Protocol, PayloadsRoundTrip)
     UnitDoneMsg done2;
     ASSERT_TRUE(decodeUnitDone(encodeUnitDone(done), done2));
     EXPECT_EQ(done2.unitIndex, 3u);
-
-    ResumeMsg resume;
-    resume.sessionId = 5;
-    resume.unitIndex = 12;
-    resume.lastCheckpointIndex = 30'000;
-    ResumeMsg resume2;
-    ASSERT_TRUE(decodeResume(encodeResume(resume), resume2));
-    EXPECT_EQ(resume2.sessionId, 5u);
-    EXPECT_EQ(resume2.unitIndex, 12u);
-    EXPECT_EQ(resume2.lastCheckpointIndex, 30'000u);
-
-    ResumeAckMsg verdict;
-    verdict.unitIndex = 12;
-    verdict.accepted = true;
-    ResumeAckMsg verdict2;
-    ASSERT_TRUE(
-        decodeResumeAck(encodeResumeAck(verdict), verdict2));
-    EXPECT_EQ(verdict2.unitIndex, 12u);
-    EXPECT_TRUE(verdict2.accepted);
 }
 
 TEST(Protocol, RejectsTruncationAndWrongTags)
@@ -281,26 +256,12 @@ TEST(Protocol, RejectsTruncationAndWrongTags)
                                       unit.begin() + cut),
             out))
             << "cut " << cut;
-    ResumeMsg resume_in;
-    const auto resume = encodeResume(resume_in);
-    ResumeMsg resume_out;
-    for (std::size_t cut = 0; cut < resume.size(); ++cut)
-        EXPECT_FALSE(decodeResume(
-            std::vector<std::uint8_t>(resume.begin(),
-                                      resume.begin() + cut),
-            resume_out))
-            << "cut " << cut;
-    // A different message's bytes are not a unit (or a resume).
+    // A different message's bytes are not a unit (or a done).
     HelloMsg hello;
     EXPECT_FALSE(decodeUnit(encodeHello(hello), out));
-    EXPECT_FALSE(decodeResume(encodeUnit(sampleUnit()),
-                              resume_out));
     UnitDoneMsg done_out;
     EXPECT_FALSE(decodeUnitDone(encodeUnit(sampleUnit()),
                                 done_out));
-    ResumeAckMsg verdict_out;
-    EXPECT_FALSE(decodeResumeAck(encodeUnitDone(UnitDoneMsg{1}),
-                                 verdict_out));
 }
 
 TEST(Protocol, V1ShortHelloStillDecodes)
@@ -341,13 +302,6 @@ TEST(Protocol, ByteFlipFuzzNeverMisdecodes)
     plan.planDigest = 0xfeedULL;
     plan.planJson = "{\"records\": 1000}\n";
     plan.sessionId = 2;
-    ResumeMsg resume;
-    resume.sessionId = 4;
-    resume.unitIndex = 7;
-    resume.lastCheckpointIndex = 123;
-    ResumeAckMsg verdict;
-    verdict.unitIndex = 7;
-    verdict.accepted = true;
     std::vector<Case> cases;
     cases.push_back(
         {"hello", encodeHello(hello),
@@ -379,27 +333,6 @@ TEST(Protocol, ByteFlipFuzzNeverMisdecodes)
              again = encodeUnit(m);
              return true;
          }});
-    cases.push_back(
-        {"resume", encodeResume(resume),
-         [](const std::vector<std::uint8_t> &in,
-            std::vector<std::uint8_t> &again) {
-             ResumeMsg m;
-             if (!decodeResume(in, m))
-                 return false;
-             again = encodeResume(m);
-             return true;
-         }});
-    cases.push_back(
-        {"resume-ack", encodeResumeAck(verdict),
-         [](const std::vector<std::uint8_t> &in,
-            std::vector<std::uint8_t> &again) {
-             ResumeAckMsg m;
-             if (!decodeResumeAck(in, m))
-                 return false;
-             again = encodeResumeAck(m);
-             return true;
-         }});
-
     std::uint64_t state = 0x2545f4914f6cdd1dULL;
     auto next_rand = [&state]() {
         state ^= state << 13;
@@ -669,14 +602,14 @@ TEST_F(NetSweepTest, OldCoordinatorClosingOnHelloFailsCleanlyNoHang)
     old_coord.join();
 }
 
-TEST_F(NetSweepTest, ByeInReplyToResumeEndsTheWorkerCleanly)
+TEST_F(NetSweepTest, ByeAfterReconnectEndsTheWorkerCleanly)
 {
-    // A worker that dropped while holding a unit reconnects and asks
-    // to resume it. If the sweep finished in the meantime (the unit
-    // was requeued after the grace window and completed elsewhere),
-    // the coordinator answers the Resume with Bye: a clean end of
-    // the sweep, not a protocol error. A scripted coordinator makes
-    // that interleaving deterministic.
+    // A worker drops its connection on receiving a unit (the
+    // coordinator requeues it), reconnects under its session and
+    // asks for work. If the sweep finished in the meantime (the unit
+    // completed elsewhere), the coordinator answers with Bye: a
+    // clean end of the sweep, not a protocol error. A scripted
+    // coordinator makes that interleaving deterministic.
     std::filesystem::create_directories(dir_);
     TraceStore seed(dir_); // materialize a usable store directory
     const SweepPlan plan = smallPlan({"oltp-db2"});
@@ -689,6 +622,7 @@ TEST_F(NetSweepTest, ByeInReplyToResumeEndsTheWorkerCleanly)
     std::string error;
     ASSERT_TRUE(listener.open(0, &error)) << error;
     std::vector<std::uint32_t> received;
+    HelloMsg second_hello;
     std::thread coord([&] {
         auto accept = [&] {
             const auto deadline = std::chrono::steady_clock::now() +
@@ -698,8 +632,8 @@ TEST_F(NetSweepTest, ByeInReplyToResumeEndsTheWorkerCleanly)
                 fd = listener.accept();
             return fd;
         };
+        Frame frame;
         auto next = [&](FramedConn &conn) {
-            Frame frame;
             received.push_back(conn.recvFrame(frame) ? frame.type : 0);
         };
         int fd = accept();
@@ -718,15 +652,16 @@ TEST_F(NetSweepTest, ByeInReplyToResumeEndsTheWorkerCleanly)
             if (i == 0)
                 next(first); // UnitDone
         }
-        // The worker drops holding unit 1 and comes back for it.
+        // The worker drops on unit 1 and comes back for fresh work.
         fd = accept();
         if (fd < 0)
             return;
         FramedConn second(fd);
         next(second); // Hello
+        decodeHello(frame.payload, second_hello);
         second.sendFrame(kMsgPlan, encodePlanMsg(plan_msg));
         next(second); // PlanAck
-        next(second); // Resume
+        next(second); // RequestUnit
         second.sendFrame(kMsgBye, {});
         second.close();
     });
@@ -743,11 +678,12 @@ TEST_F(NetSweepTest, ByeInReplyToResumeEndsTheWorkerCleanly)
     coord.join();
     EXPECT_EQ(report.unitsCompleted, 1u);
     EXPECT_EQ(report.reconnects, 1u);
+    EXPECT_EQ(second_hello.sessionId, 7u);
     EXPECT_EQ(received,
               (std::vector<std::uint32_t>{
                   kMsgHello, kMsgPlanAck, kMsgRequestUnit,
                   kMsgUnitDone, kMsgRequestUnit, kMsgHello,
-                  kMsgPlanAck, kMsgResume}));
+                  kMsgPlanAck, kMsgRequestUnit}));
 }
 
 } // namespace

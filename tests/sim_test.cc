@@ -395,20 +395,22 @@ TEST(BatchSim, PerLaneWarmupIsHonored)
     EXPECT_EQ(batch.stats(1).records, 80u);
 }
 
-TEST(BatchSim, RangeLaneFiresAtItsEndBesideAFullTraceLane)
+TEST(BatchSim, ResumedLaneMatchesAStandaloneRunBesideAFullTraceLane)
 {
-    // One pass, two lanes: a full-trace lane and a lane over
-    // [s, e) — a distributed segment unit — restored from a
-    // checkpoint at s. The range lane steps exactly e - s records
-    // and fires its boundary at e with the bytes a standalone
-    // simulator holds after records [0, e), taken before record e's
-    // warmup flip; the full-trace lane stays bitwise a standalone
-    // run. The range spans a chunk edge (64Ki records).
+    // One pass, two lanes: a full-trace lane and a lane restored
+    // from a checkpoint at s, as a requeued cell resumes. The
+    // resumed lane steps exactly size - s records; at an interior
+    // boundary e and at the trace end it fires with the bytes a
+    // standalone simulator holds after records [0, e) (before record
+    // e's warmup flip) and [0, size) (before finish), and its final
+    // statistics are a standalone run's. The full-trace lane stays
+    // bitwise a standalone run. Start and boundary straddle a chunk
+    // edge (64Ki records).
     auto w = makeWorkload("web-apache");
     Trace t = w->generate(5, 100000);
     const std::size_t s = 20001;
     const std::size_t e = 70003;
-    const std::size_t warmup = 45000; // flips inside the range
+    const std::size_t warmup = 45000; // flips after the resume
     ASSERT_GT(t.size(), e);
 
     SystemConfig system = defaultSystemConfig();
@@ -418,46 +420,52 @@ TEST(BatchSim, RangeLaneFiresAtItsEndBesideAFullTraceLane)
     params.timing = system.timing;
     const EngineRegistry &registry = EngineRegistry::instance();
 
-    // Standalone reference for the range lane, checkpointed at s
-    // and at e under the checkpoint convention.
+    // Standalone reference for the resumed lane, checkpointed at s,
+    // at e and at the trace end under the checkpoint convention.
     auto solo_engine = registry.make("stems", system, {});
     PrefetchSimulator solo(params, solo_engine.get());
     solo.setMeasuring(false);
-    std::vector<std::uint8_t> at_start;
-    for (std::size_t i = 0; i < e; ++i) {
+    std::vector<std::uint8_t> at_start, at_e;
+    for (std::size_t i = 0; i < t.size(); ++i) {
         if (i == s)
             at_start = encodeCheckpoint(solo, s);
+        if (i == e)
+            at_e = encodeCheckpoint(solo, e);
         if (i == warmup)
             solo.setMeasuring(true);
         solo.step(t[i]);
     }
-    const std::vector<std::uint8_t> at_end = encodeCheckpoint(solo, e);
+    const std::vector<std::uint8_t> at_end =
+        encodeCheckpoint(solo, t.size());
+    solo.finish();
 
     BatchSimulator batch;
     auto full_engine = registry.make("sms", system, {});
-    auto range_engine = registry.make("stems", system, {});
+    auto resumed_engine = registry.make("stems", system, {});
     batch.addLane(params, full_engine.get(), warmup);
-    batch.addLane(params, range_engine.get(), warmup);
+    batch.addLane(params, resumed_engine.get(), warmup);
     ASSERT_TRUE(decodeCheckpoint(at_start, batch.simulator(1)));
-    batch.setLaneRange(1, s, e);
-    batch.setLaneBoundaries(1, {e});
+    batch.setLaneStart(1, s);
+    batch.setLaneBoundaries(1, {e, t.size()});
     std::vector<std::size_t> fired_at;
-    std::vector<std::uint8_t> fired;
+    std::vector<std::vector<std::uint8_t>> fired;
     batch.setBoundaryCallback([&](std::size_t lane, std::size_t index,
                                   PrefetchSimulator &sim) {
         EXPECT_EQ(lane, 1u);
         fired_at.push_back(index);
-        fired = encodeCheckpoint(sim, index);
+        fired.push_back(encodeCheckpoint(sim, index));
     });
 
     Counter &steps =
         MetricsRegistry::instance().counter("batch.record_steps");
     const std::uint64_t steps_before = steps.value();
     batch.run(t, 2);
-    EXPECT_EQ(steps.value() - steps_before, t.size() + (e - s));
+    EXPECT_EQ(steps.value() - steps_before, t.size() + (t.size() - s));
 
-    ASSERT_EQ(fired_at, std::vector<std::size_t>{e});
-    EXPECT_EQ(fired, at_end);
+    ASSERT_EQ(fired_at, (std::vector<std::size_t>{e, t.size()}));
+    EXPECT_EQ(fired[0], at_e);
+    EXPECT_EQ(fired[1], at_end);
+    expectBitwiseEqualStats(solo.stats(), batch.stats(1));
 
     auto ref_engine = registry.make("sms", system, {});
     PrefetchSimulator ref(params, ref_engine.get());

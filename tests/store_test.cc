@@ -823,6 +823,38 @@ TEST_F(TraceStoreTest, ConcurrentCheckpointWritesAllLand)
     }
 }
 
+TEST_F(TraceStoreTest, EvictionCollectsOrphanedTempFiles)
+{
+    // A writer killed mid-put leaves <entry>.tmp.<pid>.<seq> in the
+    // store. totalBytes() counts it, so eviction must collect it as
+    // well: otherwise no budget is ever met once every committed
+    // entry is gone, and the orphan stays forever.
+    TraceStore store(dir_);
+    PrefetchSimulator sim(SimParams{}, nullptr);
+    const StoredCheckpointMeta meta{"wl", "baseline", 700, 0};
+    ASSERT_TRUE(store.putCheckpoint(1, 2, 700, 3,
+                                    encodeCheckpoint(sim, 700), meta));
+    std::filesystem::path orphan;
+    for (const auto &de : std::filesystem::directory_iterator(
+             std::filesystem::path(dir_) / "checkpoints"))
+        if (de.path().extension() == ".ckpt")
+            orphan = de.path().string() + ".tmp.99999.0";
+    ASSERT_FALSE(orphan.empty());
+    {
+        std::ofstream out(orphan, std::ios::binary);
+        out << std::string(4096, 'x');
+    }
+    ASSERT_GT(store.totalBytes(), 4096u);
+
+    store.evictWithin(0);
+    EXPECT_EQ(store.totalBytes(), 0u);
+    for (const auto &de :
+         std::filesystem::recursive_directory_iterator(dir_))
+        EXPECT_EQ(de.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << de.path();
+}
+
 TEST_F(TraceStoreTest, StoresInOneProcessNeverShareATempFile)
 {
     // Distributed workers run as threads of one process, each with
@@ -872,8 +904,8 @@ TEST_F(TraceStoreTest, StoresInOneProcessNeverShareATempFile)
 
 TEST_F(TraceStoreTest, ListCheckpointsOnMixedStore)
 {
-    // listCheckpoints() is how the segment-unit decomposer finds
-    // trusted boundary checkpoints without loading a blob: it must
+    // listCheckpoints() tells trusted boundary checkpoints from
+    // stale ones without loading a blob: it must
     // enumerate every well-formed key of the requested identity —
     // including multiple state digests per index and entries whose
     // blob is corrupt (integrity is loadCheckpoint's job) — while

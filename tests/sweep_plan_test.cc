@@ -47,7 +47,7 @@ fullPlan()
     plan.jobs = 3;
     plan.checkpointEvery = 5'000;
     plan.heartbeatSeconds = 1.5;
-    plan.unitGranularity = UnitGranularity::kSegment;
+    plan.unitGranularity = UnitGranularity::kCell;
     return plan;
 }
 
@@ -186,8 +186,7 @@ TEST(SweepPlanJson, GranularityRoundTripsAndRejectsUnknownNames)
 {
     SweepPlan plan;
     for (UnitGranularity g :
-         {UnitGranularity::kWorkload, UnitGranularity::kCell,
-          UnitGranularity::kSegment}) {
+         {UnitGranularity::kWorkload, UnitGranularity::kCell}) {
         plan.unitGranularity = g;
         SweepPlan reparsed;
         std::string error;
@@ -202,15 +201,22 @@ TEST(SweepPlanJson, GranularityRoundTripsAndRejectsUnknownNames)
         EXPECT_EQ(parsed, g);
     }
 
-    std::string doctored = sweepPlanJson(plan);
-    const std::string name = "\"segment\"";
-    doctored.replace(doctored.find(name), name.size(),
-                     "\"per-epoch\"");
-    SweepPlan out;
-    EXPECT_FALSE(parseSweepPlanJson(doctored, out));
+    // Unknown names, and the retired segment granularity, are
+    // refused as a bad unit_granularity.
+    for (const char *bad : {"per-epoch", "segment"}) {
+        std::string doctored = sweepPlanJson(plan);
+        const std::string name = "\"cell\"";
+        doctored.replace(doctored.find(name), name.size(),
+                         std::string("\"") + bad + "\"");
+        SweepPlan out;
+        std::string error;
+        EXPECT_FALSE(parseSweepPlanJson(doctored, out, &error)) << bad;
+        EXPECT_NE(error.find("unit_granularity"), std::string::npos)
+            << error;
 
-    UnitGranularity parsed;
-    EXPECT_FALSE(parseUnitGranularity("per-epoch", parsed));
+        UnitGranularity parsed;
+        EXPECT_FALSE(parseUnitGranularity(bad, parsed)) << bad;
+    }
 }
 
 /** `base` with the first occurrence of `from` replaced by `to`. */

@@ -37,33 +37,30 @@
  *       file (--plan; trace/policy flags are then ignored). With a
  *       store the sweep replays anything already cached.
  *   stems_trace serve [bench flags] [--plan FILE] [--timing]
- *               [--port P] [--serve-timeout S] [--resume-grace S]
- *               [--unit-timeout S]
+ *               [--port P] [--serve-timeout S] [--unit-timeout S]
  *       Same plan, distributed: listen for `stems_trace worker`
- *       processes, hand out work units — whole workload rows,
- *       (workload, engine) cells, or checkpoint segments of a cell
- *       per --unit-granularity — over the framed TCP protocol
- *       (src/net/), and after every unit has completed merge by
- *       running the plan locally over the shared (now warm) store.
- *       A dropped worker's unit stays reserved --resume-grace
- *       seconds for a reconnect-resume before it is requeued; the
- *       slow-worker watchdog requeues any unit held in flight past
- *       --unit-timeout (default: the serve timeout). Requires a
- *       store; stdout is bitwise identical to `stems_trace sweep`
- *       of the same plan.
+ *       processes, hand out work units — whole workload rows or
+ *       (workload, engine) cells per --unit-granularity — over the
+ *       framed TCP protocol (src/net/), and after every unit has
+ *       completed merge by running the plan locally over the shared
+ *       (now warm) store. A lost worker's unit is requeued at once,
+ *       and its next runner resumes from the newest checkpoint in
+ *       the store; the slow-worker watchdog requeues any unit held
+ *       in flight past --unit-timeout (default: the serve timeout).
+ *       Requires a store; stdout is bitwise identical to
+ *       `stems_trace sweep` of the same plan.
  *   stems_trace worker --store DIR [--port P] [--host H]
  *               [--connect-timeout S] [--reconnects N]
  *               [--no-prefetch] [--metrics-out FILE]
- *               [--abandon-after N] [--drop-after N]
- *               [--drop-stall S] [--dup-done]
+ *               [--abandon-after N] [--drop-after N] [--dup-done]
  *       Execute work units for a coordinator, simulating through
  *       the normal driver lane path into the shared store. The
  *       store directory must already exist. Fault hooks for tests
  *       and CI: --abandon-after vanishes without a goodbye after N
- *       units; --drop-after drops the connection once while holding
- *       a unit (stalling --drop-stall seconds), then reconnects and
- *       resumes it from the last committed checkpoint; --dup-done
- *       sends every completion twice.
+ *       units; --drop-after drops the connection once when the
+ *       unit after the first N arrives (the coordinator requeues
+ *       it), then reconnects and carries on; --dup-done sends every
+ *       completion twice.
  */
 
 #include <cstdio>
@@ -119,11 +116,11 @@ usage()
         "[--timing]\n"
         "  stems_trace serve [bench flags] [--plan FILE] "
         "[--timing] [--port P] [--serve-timeout S] "
-        "[--resume-grace S] [--unit-timeout S]\n"
+        "[--unit-timeout S]\n"
         "  stems_trace worker --store DIR [--port P] [--host H] "
         "[--connect-timeout S] [--reconnects N] [--no-prefetch] "
         "[--metrics-out FILE] [--abandon-after N] "
-        "[--drop-after N] [--drop-stall S] [--dup-done]\n");
+        "[--drop-after N] [--dup-done]\n");
     return 1;
 }
 
@@ -592,9 +589,6 @@ struct ServiceArgs
     bool timing = false;
     unsigned port = 0;
     double serveTimeout = 600.0;
-    /// How long a dropped session's unit stays reserved for a
-    /// kResume before it is requeued.
-    double resumeGrace = 5.0;
     /// Slow-worker watchdog: requeue a unit held in flight longer
     /// than this. Negative = derive from --serve-timeout (a unit
     /// held past the whole serve window can only time the sweep
@@ -626,8 +620,6 @@ struct ServiceArgs
                     std::strtoul(value(), nullptr, 10));
             } else if (arg == "--serve-timeout") {
                 serveTimeout = std::strtod(value(), nullptr);
-            } else if (arg == "--resume-grace") {
-                resumeGrace = std::strtod(value(), nullptr);
             } else if (arg == "--unit-timeout") {
                 unitTimeout = std::strtod(value(), nullptr);
             } else {
@@ -770,27 +762,16 @@ cmdServe(int argc, char **argv)
     }
     printPlanBanner(plan);
 
-    // Decompose up front: at segment granularity this is the
-    // seeding pass — traces land in the store and the unit
-    // boundaries come off the real trace lengths. The same store
-    // the workers and the merge use, so stale contents only ever
-    // cost scheduling freedom, never correctness.
-    auto store = std::make_shared<TraceStore>(opts.storeDir);
-    std::string error;
-    if (!store->usable()) {
+    // Workers refuse a store directory that does not exist: open
+    // (and so create) it before serving.
+    if (!TraceStore(opts.storeDir).usable()) {
         std::fprintf(stderr, "serve: cannot open store '%s'\n",
                      opts.storeDir.c_str());
         return 1;
     }
-    std::vector<WorkUnit> units =
-        decomposeSweepPlan(plan, store.get(), &error);
-    if (units.empty() && !plan.workloads.empty()) {
-        std::fprintf(stderr, "serve: %s\n", error.c_str());
-        return 1;
-    }
 
-    SweepCoordinator coord(plan, std::move(units));
-    coord.setResumeGraceSeconds(svc.resumeGrace);
+    SweepCoordinator coord(plan);
+    std::string error;
     coord.setUnitTimeoutSeconds(
         svc.unitTimeout >= 0.0 ? svc.unitTimeout
                                : svc.serveTimeout);
@@ -809,16 +790,13 @@ cmdServe(int argc, char **argv)
     }
     std::fprintf(stderr,
                  "[serve] %llu unit(s) completed by %llu worker(s)"
-                 " (%llu requeued) (%llu resumed); merging from "
-                 "store\n",
+                 " (%llu requeued); merging from store\n",
                  static_cast<unsigned long long>(
                      coord.unitsCompleted()),
                  static_cast<unsigned long long>(
                      coord.workersSeen()),
                  static_cast<unsigned long long>(
-                     coord.unitsRequeued()),
-                 static_cast<unsigned long long>(
-                     coord.unitsResumed()));
+                     coord.unitsRequeued()));
 
     // Merge: the same plan over the now-warm shared store. Every
     // cell the workers ran is a store hit, so this reproduces the
@@ -868,9 +846,6 @@ cmdWorker(int argc, char **argv)
         } else if (arg == "--drop-after") {
             w.dropAfterUnits = static_cast<unsigned>(
                 std::strtoul(value(), nullptr, 10));
-        } else if (arg == "--drop-stall") {
-            w.reconnectStallSeconds =
-                std::strtod(value(), nullptr);
         } else if (arg == "--dup-done") {
             w.duplicateUnitDone = true;
         } else if (arg == "--reconnects") {
@@ -912,8 +887,8 @@ cmdWorker(int argc, char **argv)
     const bool worker_ok = runWorker(w, &report, &error);
     if (!metrics_out.empty()) {
         // Written on failure too: a faulted worker's counters
-        // (units completed before the fault, resume bookkeeping)
-        // are exactly what a post-mortem wants.
+        // (units completed before the fault, records resumed from
+        // the store) are exactly what a post-mortem wants.
         std::string obs_error;
         if (!writeMetricsJson(metrics_out,
                               MetricsRegistry::instance()
@@ -928,11 +903,9 @@ cmdWorker(int argc, char **argv)
     }
     std::fprintf(stderr,
                  "[worker] %llu unit(s) completed "
-                 "(%llu resumed, %llu reconnect(s))%s\n",
+                 "(%llu reconnect(s))%s\n",
                  static_cast<unsigned long long>(
                      report.unitsCompleted),
-                 static_cast<unsigned long long>(
-                     report.unitsResumed),
                  static_cast<unsigned long long>(
                      report.reconnects),
                  report.abandoned ? " (abandoned)" : "");
