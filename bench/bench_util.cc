@@ -1,6 +1,5 @@
 #include "bench/bench_util.hh"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,6 +9,7 @@
 #include <thread>
 
 #include "analysis/report.hh"
+#include "common/parse_number.hh"
 #include "common/log.hh"
 #include "obs/manifest.hh"
 #include "obs/metrics.hh"
@@ -107,14 +107,8 @@ std::uint64_t
 numberArg(const char *argv0, const char *flag, const char *value,
           std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(value, &end, 10);
-    // strtoull wraps a leading minus into a huge value and saturates
-    // on overflow: reject both, and anything the field cannot hold,
-    // rather than run a different number than the one asked for.
-    if (end == value || *end != '\0' || value[0] == '-' ||
-        errno == ERANGE || v > max) {
+    std::uint64_t v = 0;
+    if (!parseUnsigned(value, v, max)) {
         std::fprintf(stderr,
                      "%s: %s wants a number from 0 to %llu, "
                      "got '%s'\n",
@@ -195,10 +189,7 @@ parseBenchOptions(int argc, char **argv, std::size_t default_records)
             options.planOutPath = value();
         } else if (arg == "--progress") {
             const char *v = value();
-            char *end = nullptr;
-            options.progressSeconds = std::strtod(v, &end);
-            if (end == v || *end != '\0' ||
-                options.progressSeconds < 0) {
+            if (!parseNonNegative(v, options.progressSeconds)) {
                 std::fprintf(stderr,
                              "%s: --progress wants a non-negative "
                              "number of seconds, got '%s'\n",

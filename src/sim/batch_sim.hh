@@ -1,24 +1,24 @@
 /**
  * @file
- * Batched trace execution: one pass over a trace advances N
- * independent simulation lanes.
+ * Batched trace execution: N independent simulation lanes over one
+ * trace, each advanced one chunk at a time.
  *
  * Each lane is a full PrefetchSimulator — its own MemoryHierarchy,
  * SVB, timing model, SimStats, and (optionally) prefetch engine — so
  * lanes never share mutable state and a lane's statistics are bitwise
  * identical to what a standalone PrefetchSimulator::run over the same
  * trace would produce (tests/sim_test.cc pins this). What the batch
- * amortizes is the trace traversal itself: every record is fetched
- * exactly once and stepped through every lane, instead of once per
- * lane. Records are
- * processed in chunks, lane-major within each chunk, so a lane's
- * working set stays cache-hot across the chunk while the chunk's
- * records are re-served from cache to every subsequent lane.
+ * amortizes is the trace itself: one decoded copy in memory serves
+ * every lane. Each lane keeps a cursor and advances one 64Ki-record
+ * chunk per advanceLane() call, so a lane's working set stays
+ * cache-hot across the chunk, and a chunk another lane just stepped
+ * is still cached for the next one.
  *
- * This is the single-pass, multi-consumer structure trace-driven
- * simulators use to evaluate many configurations per trace read; the
- * ExperimentDriver runs every cell it simulates through it — a
- * workload's baseline, stride and engine lanes in one traversal.
+ * Lanes are the unit of scheduling: different lanes may be advanced
+ * from different threads at the same time (one lane from one thread
+ * at a time), and a lane may continue on another thread after any
+ * chunk. The ExperimentDriver's lane scheduler does exactly that;
+ * run() is the serial loop.
  */
 
 #ifndef STEMS_SIM_BATCH_SIM_HH
@@ -34,8 +34,8 @@
 namespace stems {
 
 /**
- * Advances several independent PrefetchSimulators from a single
- * decode of each trace record.
+ * Independent PrefetchSimulator lanes over one trace, advanced
+ * chunk by chunk.
  */
 class BatchSimulator
 {
@@ -45,7 +45,7 @@ class BatchSimulator
      *
      * @param params  system configuration for this lane.
      * @param engine  attached engine; may be null (the no-prefetch
-     *                baseline). Not owned; must outlive run().
+     *                baseline). Not owned; must outlive the lane.
      * @param warmup_records  leading records that train this lane
      *                without being measured (lanes may differ).
      * @return the lane's index, for stats()/simulator().
@@ -57,20 +57,36 @@ class BatchSimulator
     std::size_t lanes() const { return lanes_.size(); }
 
     /**
-     * One pass over an in-memory trace: each record at or past a
-     * lane's start is stepped through that lane, honoring per-lane
-     * warmup, then every lane is finalized. Chunks before every
-     * lane's start are skipped. Call at most once per
-     * BatchSimulator.
+     * Advance one lane by one chunk: step the records from its
+     * cursor to the end of the 64Ki-record chunk the cursor is in
+     * (or the trace end), honoring its warmup and firing its
+     * boundaries. When that reaches the trace end, fire the lane's
+     * trace-end boundary and finish() it. Each call steps exactly
+     * the records a whole-trace pass steps in that chunk, so any
+     * schedule of calls yields the same lane. Different lanes may
+     * be advanced concurrently; one lane must not be.
      *
-     * @param jobs  worker threads advancing lanes within each chunk
-     *              (lanes are mutually independent, so lane-level
-     *              parallelism cannot change any lane's results;
-     *              clamped to the lane count, 1 = serial).
+     * @return true when the lane finished (stats() is final).
      */
-    void run(const Trace &trace, unsigned jobs = 1);
+    bool advanceLane(std::size_t lane, const Trace &trace);
 
-    /** Statistics of one lane's measured window (valid after run). */
+    /** The next record index the lane steps: its start until its
+     *  first advance, the trace length once it finished. */
+    std::size_t laneCursor(std::size_t lane) const
+    {
+        return lanes_.at(lane).cursor;
+    }
+
+    /**
+     * Serial pass over `trace`: advance the unfinished lane with the
+     * lowest cursor (ties to the lower lane index) until every lane
+     * finished. From a common start that is lane-major within each
+     * chunk: every lane steps chunk c before any lane steps c + 1.
+     */
+    void run(const Trace &trace);
+
+    /** Statistics of one lane's measured window (final once the
+     *  lane finished). */
     const SimStats &stats(std::size_t lane) const
     {
         return lanes_.at(lane).sim->stats();
@@ -90,6 +106,10 @@ class BatchSimulator
      * cold.
      */
     void rebuildLane(std::size_t lane, Prefetcher *engine);
+
+    /** Free a finished lane's simulator (its stats go with it); the
+     *  caller may then free the lane's engine. */
+    void releaseLane(std::size_t lane) { lanes_.at(lane).sim.reset(); }
 
     /**
      * Resume a lane at `start_index`: records before it are skipped
@@ -113,10 +133,10 @@ class BatchSimulator
     void setLaneBoundaries(std::size_t lane,
                            std::vector<std::size_t> boundaries);
 
-    /** Boundary observer: (lane, record index, lane simulator). May
-     *  be invoked concurrently from different lanes' worker threads
-     *  when run() parallelizes lanes; it must only touch per-lane or
-     *  thread-safe state. */
+    /** Boundary observer: (lane, record index, lane simulator). It
+     *  runs on the thread advancing the lane, so lanes advanced
+     *  concurrently invoke it concurrently; it must only touch
+     *  per-lane or thread-safe state. */
     using BoundaryFn = std::function<void(
         std::size_t, std::size_t, PrefetchSimulator &)>;
 
@@ -133,16 +153,16 @@ class BatchSimulator
         SimParams params;
         Prefetcher *engine = nullptr;
         std::size_t warmup = 0;
-        std::size_t start = 0; ///< first record this lane steps
+        std::size_t cursor = 0; ///< next record this lane steps
+        bool done = false;      ///< finish() has run
         std::vector<std::size_t> boundaries;
         std::size_t nextBoundary = 0; ///< cursor into boundaries
     };
 
-    /// Records stepped per lane before switching lanes (or, with
-    /// jobs > 1, the lane-parallel synchronization quantum): big
-    /// enough to amortize reloading a lane's working set and the
-    /// per-chunk thread handoff, small enough that the chunk (2 MiB
-    /// of records) stays cache-resident for the next lane.
+    /// Records one advanceLane() steps: big enough to amortize
+    /// reloading a lane's working set and the scheduler's handoff,
+    /// small enough that the chunk (2 MiB of records) stays
+    /// cache-resident for the next lane that steps it.
     static constexpr std::size_t kChunkRecords = 65536;
 
     /// How far ahead of its step a lane asks the host to load a
@@ -153,20 +173,6 @@ class BatchSimulator
     /// alternating pairs) 8 beat 4 in 4 of 6; 16 and 32 were not
     /// reliably better than 8.
     static constexpr std::size_t kLookaheadRecords = 8;
-
-    /** Step `count` records (trace positions [first, first+count))
-     *  through every lane, lane-major, on up to `jobs` threads. */
-    void runChunk(const MemRecord *records, std::size_t first,
-                  std::size_t count, unsigned jobs);
-
-    /** One lane's share of a chunk. */
-    void runLaneChunk(std::size_t lane_index,
-                      const MemRecord *records, std::size_t first,
-                      std::size_t count);
-
-    /** Fire each lane's trace-end boundary, then finish every
-     *  lane. */
-    void finishAll(std::size_t total_records);
 
     std::vector<Lane> lanes_;
     BoundaryFn boundary_;

@@ -9,6 +9,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <system_error>
 #include <thread>
 
 #include "common/log.hh"
@@ -148,8 +149,8 @@ struct ExperimentDriver::LaneSpec
     std::uint64_t resultSpec = 0;
 };
 
-/** A finished lane pass: per-lane statistics live in `sim`, and the
- *  engines stay alive for post-run probes. */
+/** A workload's armed lanes: lane k of `sim` runs `engines[k]`,
+ *  which stays alive until the lane finished and was probed. */
 struct ExperimentDriver::LanePass
 {
     BatchSimulator sim;
@@ -205,6 +206,26 @@ struct ExperimentDriver::WorkloadShard
     bool storeEligible = false;
     std::uint64_t traceDigest = 0;
     bool digestValid = false;
+
+    /// The cells to simulate; cold[k] is lane k of `pass`.
+    std::vector<Cell *> cold;
+    LanePass pass;
+    /// The `driver.batch` span: materialization to trace release.
+    std::unique_ptr<ScopedSpan> span;
+    std::chrono::steady_clock::time_point passStart;
+
+    /// Scheduler state, guarded by the scheduler's mutex: whether
+    /// the lanes are armed and some are unfinished, and per lane its
+    /// next record index and whether a thread holds or finished it.
+    struct LaneSlot
+    {
+        std::size_t next = 0;
+        bool busy = false;
+        bool done = false;
+    };
+    bool live = false;
+    std::vector<LaneSlot> slots;
+    std::size_t lanesLeft = 0;
 };
 
 std::vector<EngineSpec>
@@ -361,7 +382,7 @@ ExperimentDriver::runCells(
         "driver.schedule", "driver");
     std::vector<std::unique_ptr<WorkloadShard>> shards;
     shards.reserve(workloads.size());
-    // Shards with cells to simulate: one task each.
+    // Shards with cells to simulate, opened in this (plan) order.
     std::vector<WorkloadShard *> tasks;
     std::size_t cold_cells = 0;
     for (const Workload *w : workloads) {
@@ -438,81 +459,10 @@ ExperimentDriver::runCells(
     const bool checkpointing = store_ != nullptr && store_->usable() &&
                                checkpointEvery_ > 0;
 
-    // A sweep with fewer workloads than jobs would leave threads
-    // idle: hand the slack to each pass as lane threads. Lanes are
-    // independent, so any split stays bitwise deterministic.
-    const unsigned lane_jobs = static_cast<unsigned>(
-        std::max<std::size_t>(
-            1, jobs_ / std::max<std::size_t>(1, tasks.size())));
-
     // Progress accounting for the heartbeat: scheduled cells that
     // have finished executing (warm cells never appear — they were
     // merged from the store at schedule time).
     std::atomic<std::size_t> cells_done{0};
-
-    /**
-     * One workload's task: materialize the trace, advance every cold
-     * cell as a lane of one pass over it (a lane is bitwise identical
-     * to a standalone PrefetchSimulator::run, which sim_test pins),
-     * collect the lanes' statistics and probes, and release the
-     * trace.
-     */
-    auto run_shard = [&](std::size_t task) {
-        WorkloadShard &shard = *tasks[task];
-        std::vector<Cell *> cold;
-        std::vector<LaneSpec> lanes;
-        for (Cell &cell : shard.cells) {
-            if (cell.fromCache)
-                continue;
-            cold.push_back(&cell);
-            lanes.push_back(cell.lane);
-        }
-        ScopedSpan span("driver.batch", "driver");
-        if (span.active()) {
-            span.arg("workload", shard.workload->name());
-            span.arg("cells", static_cast<std::uint64_t>(cold.size()));
-            span.arg("lane_jobs", static_cast<std::uint64_t>(lane_jobs));
-        }
-        {
-            ScopedSpan materialize("trace.materialize", "driver");
-            if (materialize.active())
-                materialize.arg("workload", shard.workload->name());
-            Trace trace;
-            if (shard.storeEligible) {
-                std::optional<std::uint64_t> digest;
-                trace = materializeTrace(*shard.workload, &digest);
-                if (digest) {
-                    shard.traceDigest = *digest;
-                    shard.digestValid = true;
-                }
-            } else {
-                trace = shard.workload->generate(config_.seed,
-                                                 config_.traceRecords);
-                traceGenerations_.fetch_add(1);
-                driverMetrics().traceGenerated.add();
-            }
-            shard.traceSize = trace.size();
-            openTraceContext(shard.ctx, std::move(trace),
-                             checkpointing);
-        }
-
-        LanePass pass = runLanes(shard.ctx, lanes, lane_jobs);
-        for (std::size_t k = 0; k < cold.size(); ++k) {
-            Cell &cell = *cold[k];
-            cell.stats = pass.sim.stats(k);
-            if (cell.spec && cell.spec->probe) {
-                EngineResult scratch;
-                scratch.engine = cell.lane.label;
-                scratch.stats = cell.stats;
-                cell.spec->probe(*pass.engines[k], scratch);
-                cell.extra = std::move(scratch.extra);
-            }
-        }
-        cells_done.fetch_add(cold.size(), std::memory_order_relaxed);
-        // Release the trace as soon as its single pass completes, so
-        // peak memory tracks in-flight workloads, not the suite.
-        Trace().swap(shard.ctx.trace);
-    };
 
     // ---- heartbeat (opt-in; stderr only) ----
     std::mutex hb_mutex;
@@ -566,7 +516,7 @@ ExperimentDriver::runCells(
         hb_thread.join();
     };
     try {
-        dispatch(tasks.size(), run_shard);
+        scheduleLanes(tasks, cold_cells, checkpointing, cells_done);
     } catch (...) {
         stop_heartbeat();
         throw;
@@ -676,18 +626,17 @@ ExperimentDriver::openTraceContext(TraceContext &ctx, Trace trace,
 }
 
 /**
- * Every lane pass goes through here, always to the trace end; the
- * caller collects the lanes' statistics. When the context has a
- * boundary schedule, each lane first resumes from the newest trusted
- * stored checkpoint — one whose trace prefix, warmup boundary and
- * lane identity all match, whoever wrote it (an earlier shorter run,
- * or a worker lost mid-cell) — and then writes a checkpoint at every
- * boundary past the resume index, the trace end included.
+ * Every simulated lane is built here; the lane scheduler then
+ * advances it to the trace end. When the context has a boundary
+ * schedule, each lane first resumes from the newest trusted stored
+ * checkpoint — one whose trace prefix, warmup boundary and lane
+ * identity all match, whoever wrote it (an earlier shorter run, or a
+ * worker lost mid-cell) — and is armed to write a checkpoint at
+ * every boundary past the resume index, the trace end included.
  */
 ExperimentDriver::LanePass
-ExperimentDriver::runLanes(TraceContext &ctx,
-                           const std::vector<LaneSpec> &lanes,
-                           unsigned jobs)
+ExperimentDriver::openLanes(TraceContext &ctx,
+                            const std::vector<LaneSpec> &lanes)
 {
     const EngineRegistry &registry = EngineRegistry::instance();
     auto make_engine =
@@ -771,11 +720,13 @@ ExperimentDriver::runLanes(TraceContext &ctx,
     }
 
     if (checkpointing) {
-        pass.sim.setBoundaryCallback([&](std::size_t lane,
+        pass.sim.setBoundaryCallback([this, &ctx, lanes](
+                                         std::size_t lane,
                                          std::size_t index,
                                          PrefetchSimulator &lane_sim) {
-            // May run concurrently from lane worker threads: only
-            // the thread-safe store, prefix memo and atomics below.
+            // Runs on whichever thread advances the lane, beside
+            // other lanes: only the thread-safe store, prefix memo
+            // and atomics below.
             ScopedSpan write_span("ckpt.write", "ckpt");
             if (write_span.active()) {
                 write_span.arg("lane",
@@ -798,13 +749,205 @@ ExperimentDriver::runLanes(TraceContext &ctx,
         });
     }
 
-    const auto pass_start = std::chrono::steady_clock::now();
-    pass.sim.run(ctx.trace, jobs);
+    return pass;
+}
+
+void
+ExperimentDriver::openShard(WorkloadShard &shard, bool checkpointing)
+{
+    shard.span = std::make_unique<ScopedSpan>("driver.batch", "driver");
+    std::vector<LaneSpec> lanes;
+    for (Cell &cell : shard.cells) {
+        if (cell.fromCache)
+            continue;
+        shard.cold.push_back(&cell);
+        lanes.push_back(cell.lane);
+    }
+    if (shard.span->active()) {
+        shard.span->arg("workload", shard.workload->name());
+        shard.span->arg("cells",
+                        static_cast<std::uint64_t>(lanes.size()));
+    }
+    {
+        ScopedSpan materialize("trace.materialize", "driver");
+        if (materialize.active())
+            materialize.arg("workload", shard.workload->name());
+        Trace trace;
+        if (shard.storeEligible) {
+            std::optional<std::uint64_t> digest;
+            trace = materializeTrace(*shard.workload, &digest);
+            if (digest) {
+                shard.traceDigest = *digest;
+                shard.digestValid = true;
+            }
+        } else {
+            trace = shard.workload->generate(config_.seed,
+                                             config_.traceRecords);
+            traceGenerations_.fetch_add(1);
+            driverMetrics().traceGenerated.add();
+        }
+        shard.traceSize = trace.size();
+        openTraceContext(shard.ctx, std::move(trace), checkpointing);
+    }
+    shard.pass = openLanes(shard.ctx, lanes);
+    shard.slots.resize(lanes.size());
+    for (std::size_t k = 0; k < lanes.size(); ++k)
+        shard.slots[k].next = shard.pass.sim.laneCursor(k);
+    shard.lanesLeft = lanes.size();
+    shard.passStart = std::chrono::steady_clock::now();
+}
+
+bool
+ExperimentDriver::stepLane(WorkloadShard &shard, std::size_t k)
+{
+    LanePass &pass = shard.pass;
+    Cell &cell = *shard.cold[k];
+    bool finished = false;
+    {
+        ScopedSpan span("batch.chunk", "batch");
+        if (span.active()) {
+            span.arg("workload", shard.ctx.workload);
+            span.arg("lane", cell.lane.label);
+            span.arg("first", static_cast<std::uint64_t>(
+                                  pass.sim.laneCursor(k)));
+        }
+        finished = pass.sim.advanceLane(k, shard.ctx.trace);
+    }
+    if (!finished)
+        return false;
+    cell.stats = pass.sim.stats(k);
+    if (cell.spec && cell.spec->probe) {
+        EngineResult scratch;
+        scratch.engine = cell.lane.label;
+        scratch.stats = cell.stats;
+        cell.spec->probe(*pass.engines[k], scratch);
+        cell.extra = std::move(scratch.extra);
+    }
+    pass.sim.releaseLane(k);
+    pass.engines[k].reset();
+    return true;
+}
+
+void
+ExperimentDriver::releaseShard(WorkloadShard &shard)
+{
     driverMetrics().passNs.record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - pass_start)
+            std::chrono::steady_clock::now() - shard.passStart)
             .count()));
-    return pass;
+    Trace().swap(shard.ctx.trace);
+    shard.span.reset();
+}
+
+/**
+ * The lane scheduler. A free thread advances, by one chunk, the
+ * unfinished lane nobody holds with the lowest next record index
+ * among the open workloads (ties in plan order). Lanes that step
+ * slowly fall behind, so they are picked first: the threads finish
+ * together without a cost model. Only when no lane is runnable does a
+ * thread open the next workload (trace, prefix digests, resume and
+ * boundary arming), so each live trace is held by a distinct thread
+ * — one stepping its lane, opening it or releasing it — and at most
+ * jobs traces are live. A lane is bitwise the same on any schedule
+ * (BatchSimulator::advanceLane); results merge in plan order later.
+ */
+void
+ExperimentDriver::scheduleLanes(const std::vector<WorkloadShard *> &tasks,
+                                std::size_t cold_lanes, bool checkpointing,
+                                std::atomic<std::size_t> &cells_done)
+{
+    std::mutex mutex;
+    std::condition_variable wake;
+    std::size_t opened = 0;  // tasks[0, opened) were taken
+    std::size_t working = 0; // threads stepping or opening
+    std::exception_ptr error;
+
+    auto body = [&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        while (!error) {
+            WorkloadShard *shard = nullptr;
+            std::size_t lane = 0;
+            for (std::size_t t = 0; t < opened; ++t) {
+                WorkloadShard &s = *tasks[t];
+                if (!s.live)
+                    continue;
+                for (std::size_t k = 0; k < s.slots.size(); ++k) {
+                    const auto &slot = s.slots[k];
+                    if (!slot.busy && !slot.done &&
+                        (!shard || slot.next < shard->slots[lane].next)) {
+                        shard = &s;
+                        lane = k;
+                    }
+                }
+            }
+            WorkloadShard *opening = nullptr;
+            if (shard) {
+                shard->slots[lane].busy = true;
+            } else if (opened < tasks.size()) {
+                opening = tasks[opened++];
+            } else if (working == 0) {
+                break;
+            } else {
+                wake.wait(lock);
+                continue;
+            }
+
+            ++working;
+            lock.unlock();
+            std::exception_ptr failure;
+            bool finished = false;
+            try {
+                if (opening)
+                    openShard(*opening, checkpointing);
+                else
+                    finished = stepLane(*shard, lane);
+            } catch (...) {
+                failure = std::current_exception();
+            }
+            lock.lock();
+            --working;
+            if (failure && !error)
+                error = failure;
+            bool release = false;
+            if (opening) {
+                opening->live = !failure;
+            } else {
+                auto &slot = shard->slots[lane];
+                slot.busy = false;
+                slot.next = shard->pass.sim.laneCursor(lane);
+                if (finished) {
+                    slot.done = true;
+                    cells_done.fetch_add(1, std::memory_order_relaxed);
+                    release = --shard->lanesLeft == 0;
+                    shard->live = !release;
+                }
+            }
+            wake.notify_all();
+            if (release) {
+                // The trace goes with its last lane, so peak memory
+                // tracks the live workloads, not the suite.
+                lock.unlock();
+                releaseShard(*shard);
+                lock.lock();
+            }
+        }
+        wake.notify_all();
+    };
+
+    const std::size_t threads =
+        std::min<std::size_t>(jobs_, cold_lanes);
+    std::vector<std::thread> pool;
+    try {
+        for (std::size_t t = 1; t < threads; ++t)
+            pool.emplace_back(body);
+    } catch (const std::system_error &) {
+        // A thread that cannot start leaves its lanes to the others.
+    }
+    body();
+    for (std::thread &t : pool)
+        t.join();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 std::vector<WorkloadResult>

@@ -1,7 +1,7 @@
 /**
  * @file
  * Parallel experiment driver: runs the (workload x lane) cells of a
- * sweep on a std::thread pool.
+ * sweep on a lane scheduler.
  *
  * A workload's lane list is the no-prefetch baseline, under timing
  * the stride reference, then one lane per engine column. The two
@@ -9,12 +9,16 @@
  * baseline, Figure 9; speedup by stride, Figure 10), and are
  * otherwise cells like any other. Compared with the serial
  * ExperimentRunner, the driver
- *  - generates each workload's trace exactly once and advances every
- *    lane that must be simulated in one BatchSimulator pass over it
- *    (one task per workload; threads the workloads leave idle become
- *    lane threads inside the passes),
- *  - releases each trace as soon as its pass completes, bounding
- *    peak memory to the in-flight workloads, and
+ *  - generates each workload's trace exactly once, and runs every
+ *    lane that must be simulated over that one copy as a lane of a
+ *    BatchSimulator,
+ *  - schedules lanes, not workloads: on up to `jobs` threads, a free
+ *    thread advances the runnable lane with the lowest next record
+ *    index by one 64Ki-record chunk, and materializes the next
+ *    workload only when no lane is runnable, so the lanes of one
+ *    trace spread over the threads and slow lanes are picked first,
+ *  - releases each trace with its last lane, so at most `jobs`
+ *    traces are live, and
  *  - when a persistent TraceStore is attached (setStore), consults it
  *    before generating any trace or simulating any lane (each lane's
  *    result is keyed by trace content digest + lane spec digest +
@@ -282,11 +286,28 @@ class ExperimentDriver
     void openTraceContext(TraceContext &ctx, Trace trace,
                           bool checkpointing) const;
 
-    /** THE resume-and-checkpoint routine: advance `lanes` over
-     *  ctx's whole trace (see driver.cc). */
-    LanePass runLanes(TraceContext &ctx,
-                      const std::vector<LaneSpec> &lanes,
-                      unsigned jobs);
+    /** THE resume-and-checkpoint routine: build `lanes` over ctx's
+     *  trace, each resumed and armed for its checkpoints (see
+     *  driver.cc); the lane scheduler advances them. */
+    LanePass openLanes(TraceContext &ctx,
+                       const std::vector<LaneSpec> &lanes);
+
+    /** Materialize a workload's trace and open its cold lanes. */
+    void openShard(WorkloadShard &shard, bool checkpointing);
+
+    /** Advance lane k of an open workload by one chunk; a finished
+     *  lane hands its stats and probe output to its cell and frees
+     *  its simulator and engine. @return whether it finished. */
+    bool stepLane(WorkloadShard &shard, std::size_t k);
+
+    /** After a workload's last lane: free its trace, end its span. */
+    void releaseShard(WorkloadShard &shard);
+
+    /** Run every cold lane of `tasks` on min(jobs, cold_lanes)
+     *  threads, the calling thread included (see driver.cc). */
+    void scheduleLanes(const std::vector<WorkloadShard *> &tasks,
+                       std::size_t cold_lanes, bool checkpointing,
+                       std::atomic<std::size_t> &cells_done);
 
     ExperimentConfig config_;
     unsigned jobs_;

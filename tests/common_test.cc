@@ -2,12 +2,14 @@
  * @file
  * Unit tests for the common infrastructure: address geometry, RNG,
  * saturating counters, circular buffer, LRU table, histogram, table,
- * the mini-JSON parser's nesting cap, and CRC-32 (against the frozen
- * bytewise implementation in reference_crc32.hh).
+ * the mini-JSON parser's nesting cap, CRC-32 (against the frozen
+ * bytewise implementation in reference_crc32.hh) and strict numeric
+ * argument parsing.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "common/crc32.hh"
 #include "common/lru_table.hh"
 #include "common/mini_json.hh"
+#include "common/parse_number.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
 #include "common/stats.hh"
@@ -357,6 +360,54 @@ TEST(Crc32, ChainedUpdateMatchesOneShotAtEverySplit)
                   whole)
             << "split " << split;
     }
+}
+
+TEST(ParseNumber, UnsignedAcceptsOnlyWholeNumbersInRange)
+{
+    std::uint64_t v = 7;
+    EXPECT_TRUE(parseUnsigned("0", v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseUnsigned("150000", v));
+    EXPECT_EQ(v, 150000u);
+    EXPECT_TRUE(parseUnsigned("18446744073709551615", v));
+    EXPECT_EQ(v, std::numeric_limits<std::uint64_t>::max());
+    EXPECT_TRUE(parseUnsigned("65535", v, 65535));
+    EXPECT_EQ(v, 65535u);
+
+    // Each of these reads as some other number under strtoull; a
+    // rejected input leaves `out` alone.
+    v = 7;
+    for (const char *bad :
+         {"", " 5", "5 ", "+5", "-1", " -1", "5G", "1e6", "0x10", "1.5",
+          "18446744073709551616", "99999999999999999999"})
+        EXPECT_FALSE(parseUnsigned(bad, v)) << "'" << bad << "'";
+    EXPECT_FALSE(parseUnsigned(nullptr, v));
+    EXPECT_FALSE(parseUnsigned("70000", v, 65535));
+    EXPECT_FALSE(parseUnsigned("4294967296", v,
+                               std::numeric_limits<unsigned>::max()));
+    EXPECT_EQ(v, 7u);
+}
+
+TEST(ParseNumber, NonNegativeAcceptsOnlyFiniteNumbers)
+{
+    double v = -1.0;
+    EXPECT_TRUE(parseNonNegative("0", v));
+    EXPECT_EQ(v, 0.0);
+    EXPECT_TRUE(parseNonNegative("2.5", v));
+    EXPECT_EQ(v, 2.5);
+    EXPECT_TRUE(parseNonNegative(".5", v));
+    EXPECT_EQ(v, 0.5);
+    EXPECT_TRUE(parseNonNegative("600", v));
+    EXPECT_EQ(v, 600.0);
+    EXPECT_TRUE(parseNonNegative("1e3", v));
+    EXPECT_EQ(v, 1000.0);
+
+    v = -1.0;
+    for (const char *bad : {"", " 1", "1 ", "-1", "-0", "+1", "1s", "inf",
+                            "nan", "INF", "0x10", ".", "1e999"})
+        EXPECT_FALSE(parseNonNegative(bad, v)) << "'" << bad << "'";
+    EXPECT_FALSE(parseNonNegative(nullptr, v));
+    EXPECT_EQ(v, -1.0);
 }
 
 TEST(TableDeathTest, ArityMismatchPanics)

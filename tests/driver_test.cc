@@ -5,14 +5,25 @@
  * ExperimentRunner reference, mixed warm/cold passes over a
  * persistent store (anonymous-probe cells included), the baseline
  * and stride lanes cached like any other cell, engine overrides,
- * probes, and the forEachTrace analysis path.
+ * probes, the forEachTrace analysis path, and the lane scheduler:
+ * lanes that continue on other threads after any chunk, the
+ * live-trace bound, and a throwing probe.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <stdexcept>
+#include <utility>
 
+#include "common/mini_json.hh"
+#include "obs/trace_span.hh"
 #include "sim/driver.hh"
 #include "sim/experiment.hh"
 #include "store/trace_store.hh"
@@ -324,6 +335,152 @@ TEST(Driver, ScientificLookaheadAppliedPerWorkloadClass)
     ASSERT_EQ(results.size(), 1u);
     expectSameStats(reference.find("tms")->stats,
                     results[0].find("tms")->stats);
+}
+
+/** Every .ckpt file of a store, by name. */
+std::map<std::string, std::string>
+checkpointFiles(const std::string &store_dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &de : std::filesystem::directory_iterator(
+             store_dir + "/checkpoints")) {
+        if (de.path().extension() != ".ckpt")
+            continue;
+        std::ifstream in(de.path(), std::ios::binary);
+        files[de.path().filename().string()] =
+            std::string(std::istreambuf_iterator<char>(in), {});
+    }
+    return files;
+}
+
+/** The most `driver.batch` spans — live traces — open at once. */
+std::size_t
+maxOverlappingBatchSpans(const SpanCollector &collector,
+                         std::size_t *spans)
+{
+    const std::string doc = collector.chromeJson();
+    JsonParser parser(doc);
+    JsonValue root;
+    EXPECT_TRUE(parser.parseValue(root)) << parser.error;
+    // (time in ns, +1 open / -1 close); a close sorts before an open
+    // at the same instant.
+    std::vector<std::pair<long long, int>> edges;
+    if (const JsonValue *events = root.get("traceEvents")) {
+        for (const JsonValue &e : events->items) {
+            if (e.str("name") != "driver.batch")
+                continue;
+            const long long ts = std::llround(e.num("ts") * 1e3);
+            const long long dur = std::llround(e.num("dur") * 1e3);
+            edges.emplace_back(ts, 1);
+            edges.emplace_back(ts + dur, -1);
+        }
+    }
+    *spans = edges.size() / 2;
+    std::sort(edges.begin(), edges.end());
+    std::size_t open = 0, most = 0;
+    for (const auto &edge : edges) {
+        open += edge.second;
+        most = std::max(most, open);
+    }
+    return most;
+}
+
+TEST(Driver, LanesCrossChunksOnEveryThreadCount)
+{
+    // Four 64Ki-record chunks per lane over three timed workloads,
+    // checkpointed off the chunk grid, so under the lane scheduler
+    // lanes continue on other threads after a chunk and checkpoints
+    // fire mid-chunk. Every thread count must give the jobs-1
+    // results and .ckpt bytes, and a storeless run's results. Each
+    // live trace is one driver.batch span, so at most `jobs` of them
+    // may overlap (three workloads, so jobs 1 and 2 can overrun).
+    const std::vector<std::string> workloads = {"web-apache",
+                                                "dss-qry17", "oltp-db2"};
+    const auto engines = engineSpecs({"sms", "stems"});
+    const ExperimentConfig cfg = smallConfig(true, 3 * 65536 + 1000);
+    // Boundaries at 70001 and 140002, and one at the trace end.
+    const std::size_t every = 70001;
+    const std::size_t lanes = workloads.size() * (2 + engines.size());
+
+    ExperimentDriver storeless(cfg, 4);
+    const auto expected = storeless.run(workloads, engines);
+
+    std::map<std::string, std::string> serial_ckpts;
+    for (unsigned jobs : {1u, 2u, 3u, 8u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const std::string dir =
+            tempStoreDir() + "_jobs" + std::to_string(jobs);
+        SweepPlan plan = test::configPlan(cfg, workloads, jobs);
+        plan.checkpointEvery = every;
+
+        SpanCollector collector;
+        collector.attach();
+        ExperimentDriver driver;
+        driver.setStore(std::make_shared<TraceStore>(dir));
+        const auto results = driver.run(plan, engines);
+        collector.detach();
+
+        expectSameResults(expected, results);
+        EXPECT_EQ(driver.cellRuns(), lanes);
+        EXPECT_EQ(driver.checkpointsWritten(), 3 * lanes);
+        const auto ckpts = checkpointFiles(dir);
+        EXPECT_EQ(ckpts.size(), 3 * lanes);
+        if (jobs == 1) {
+            serial_ckpts = ckpts;
+        } else {
+            EXPECT_TRUE(ckpts == serial_ckpts)
+                << "checkpoint bytes differ from the jobs-1 run";
+        }
+        std::size_t spans = 0;
+        EXPECT_LE(maxOverlappingBatchSpans(collector, &spans), jobs);
+        EXPECT_EQ(spans, workloads.size());
+        std::filesystem::remove_all(dir);
+    }
+}
+
+TEST(Driver, ThrowingProbeRethrowsAfterEveryThreadJoined)
+{
+    // A probe runs on the thread that finishes its lane. When it
+    // throws — on the first lane to finish, with workloads still to
+    // open, or on the sweep's last lane — run() must stop the
+    // scheduler, join every thread and rethrow, not hang or
+    // terminate; the driver then runs the next sweep normally.
+    const std::vector<std::string> workloads = {"dss-qry17",
+                                                "web-apache", "em3d"};
+    const ExperimentConfig cfg = smallConfig(false, 20000);
+    ExperimentDriver reference(cfg, 1);
+    const auto expected =
+        reference.run(workloads, engineSpecs({"sms", "stems"}));
+
+    for (unsigned jobs : {1u, 4u}) {
+        for (int throw_at : {1, 3}) {
+            SCOPED_TRACE("jobs " + std::to_string(jobs) +
+                         ", probe call " + std::to_string(throw_at));
+            std::atomic<int> calls{0};
+            EngineSpec probed("stems");
+            probed.probe = [&](const Prefetcher &, EngineResult &) {
+                if (++calls == throw_at)
+                    throw std::runtime_error("probe failed");
+            };
+            ExperimentDriver driver(cfg, jobs);
+            try {
+                driver.run(workloads, {EngineSpec("sms"), probed});
+                ADD_FAILURE() << "run() did not rethrow";
+            } catch (const std::runtime_error &e) {
+                EXPECT_STREQ(e.what(), "probe failed");
+            }
+            // The stems lane is the last of each workload, so on one
+            // thread the first failure stops the sweep before the
+            // next workload opens.
+            if (jobs == 1) {
+                EXPECT_EQ(calls.load(), throw_at);
+            }
+
+            const auto again =
+                driver.run(workloads, engineSpecs({"sms", "stems"}));
+            expectSameResults(expected, again);
+        }
+    }
 }
 
 } // namespace

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "obs/metrics.hh"
 #include "prefetch/engine_registry.hh"
 #include "sim/batch_sim.hh"
@@ -348,17 +351,21 @@ TEST(BatchSim, LanesMatchStandaloneSimulators)
 
 TEST(BatchSim, ParallelLanesMatchSerialLanes)
 {
-    // Lane-level parallelism is an execution detail: jobs > 1 must
-    // not change any lane's statistics.
+    // A lane may continue on another thread after any chunk, beside
+    // other lanes: which thread steps which chunk must not change any
+    // lane's statistics. Three chunks per lane; in round r, lane k
+    // steps on the round's thread (k + r) % 2, so every lane changes
+    // threads after every chunk and two lanes step at once.
     auto w = makeWorkload("web-apache");
-    Trace t = w->generate(3, 20000);
+    Trace t = w->generate(3, 140000);
+    ASSERT_GT(t.size(), 2u * 65536u);
     std::size_t warmup = t.size() / 2;
     SystemConfig system = defaultSystemConfig();
     SimParams params;
     params.hierarchy = system.hierarchy;
     const EngineRegistry &registry = EngineRegistry::instance();
 
-    auto run_with = [&](unsigned jobs) {
+    auto run_with = [&](bool threaded) {
         BatchSimulator batch;
         std::vector<std::unique_ptr<Prefetcher>> lane_engines;
         for (const char *name : {"stride", "tms", "sms", "stems"}) {
@@ -366,15 +373,31 @@ TEST(BatchSim, ParallelLanesMatchSerialLanes)
             batch.addLane(params, lane_engines.back().get(),
                           warmup);
         }
-        batch.run(t, jobs);
+        if (!threaded) {
+            batch.run(t);
+        } else {
+            std::vector<char> done(batch.lanes(), 0);
+            for (std::size_t round = 0;
+                 std::count(done.begin(), done.end(), 0) > 0;
+                 ++round) {
+                auto step = [&](std::size_t parity) {
+                    for (std::size_t k = 0; k < batch.lanes(); ++k)
+                        if ((k + round) % 2 == parity && !done[k])
+                            done[k] = batch.advanceLane(k, t);
+                };
+                std::thread even(step, 0), odd(step, 1);
+                even.join();
+                odd.join();
+            }
+        }
         std::vector<SimStats> out;
         for (std::size_t i = 0; i < batch.lanes(); ++i)
             out.push_back(batch.stats(i));
         return out;
     };
 
-    auto serial = run_with(1);
-    auto parallel = run_with(4);
+    auto serial = run_with(false);
+    auto parallel = run_with(true);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         expectBitwiseEqualStats(serial[i], parallel[i]);
@@ -459,7 +482,7 @@ TEST(BatchSim, ResumedLaneMatchesAStandaloneRunBesideAFullTraceLane)
     Counter &steps =
         MetricsRegistry::instance().counter("batch.record_steps");
     const std::uint64_t steps_before = steps.value();
-    batch.run(t, 2);
+    batch.run(t);
     EXPECT_EQ(steps.value() - steps_before, t.size() + (t.size() - s));
 
     ASSERT_EQ(fired_at, (std::vector<std::size_t>{e, t.size()}));

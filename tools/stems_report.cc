@@ -34,6 +34,7 @@
 #include <string>
 
 #include "analysis/report.hh"
+#include "common/parse_number.hh"
 #include "obs/metrics.hh"
 #include "store/trace_store.hh"
 
@@ -102,9 +103,7 @@ struct Args
                 }
             } else if (arg == "--threshold") {
                 const char *v = value();
-                char *end = nullptr;
-                threshold = std::strtod(v, &end);
-                if (end == v || *end != '\0' || threshold < 0) {
+                if (!parseNonNegative(v, threshold)) {
                     std::fprintf(stderr,
                                  "--threshold wants a non-negative "
                                  "number, got '%s'\n",

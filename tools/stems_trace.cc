@@ -13,8 +13,9 @@
  *                   [--manifest-out F]
  *       Run prefetch engines (comma-separated registry names) over a
  *       trace through the parallel ExperimentDriver and report
- *       coverage and accuracy. All cells advance together in one
- *       trace pass, on up to --jobs lane threads. With a store
+ *       coverage and accuracy. Every cell is a lane over one copy
+ *       of the trace; the driver's lane scheduler advances the
+ *       lanes a chunk at a time on up to --jobs threads. With a store
  *       (--store or $STEMS_STORE), every cell's result — the
  *       baseline's included — is cached under the trace's content
  *       digest, so re-runs simulate nothing.
@@ -66,6 +67,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,6 +77,7 @@
 #include "analysis/correlation.hh"
 #include "analysis/coverage.hh"
 #include "bench/bench_util.hh"
+#include "common/parse_number.hh"
 #include "net/coord.hh"
 #include "net/worker.hh"
 #include "obs/manifest.hh"
@@ -124,6 +127,38 @@ usage()
     return 1;
 }
 
+/**
+ * Parse a numeric argument strictly (common/parse_number.hh) into a
+ * field that holds [0, max]; on failure say what `what` wants.
+ */
+template <typename T>
+bool
+numberArg(const std::string &what, const char *text, T &out,
+          std::uint64_t max = std::numeric_limits<T>::max())
+{
+    std::uint64_t v = 0;
+    if (!parseUnsigned(text, v, max)) {
+        std::fprintf(stderr, "%s wants a number from 0 to %llu, got '%s'\n",
+                     what.c_str(), static_cast<unsigned long long>(max),
+                     text);
+        return false;
+    }
+    out = static_cast<T>(v);
+    return true;
+}
+
+/** A duration argument: a finite, non-negative number of seconds. */
+bool
+secondsArg(const std::string &what, const char *text, double &out)
+{
+    if (parseNonNegative(text, out))
+        return true;
+    std::fprintf(stderr,
+                 "%s wants a non-negative number of seconds, got '%s'\n",
+                 what.c_str(), text);
+    return false;
+}
+
 /** Consume `--flag value` pairs / bare flags from an argv tail. */
 struct ArgScanner
 {
@@ -163,8 +198,7 @@ struct ArgScanner
             } else if (arg == "--manifest-out") {
                 manifestOut = value();
             } else if (arg == "--jobs" || arg == "-j") {
-                jobs = static_cast<unsigned>(
-                    std::strtoul(value(), nullptr, 10));
+                ok = numberArg(arg, value(), jobs) && ok;
             } else if (arg == "--timing") {
                 timing = true;
             } else if (!arg.empty() && arg[0] == '-') {
@@ -244,8 +278,11 @@ cmdGenerate(int argc, char **argv)
         std::fprintf(stderr, "unknown workload '%s'\n", argv[2]);
         return 1;
     }
-    std::size_t records = std::atol(argv[3]);
-    std::uint64_t seed = argc > 5 ? std::atoll(argv[5]) : 42;
+    std::size_t records = 0;
+    std::uint64_t seed = 42;
+    if (!numberArg("records", argv[3], records) ||
+        (argc > 5 && !numberArg("seed", argv[5], seed)))
+        return 1;
     Trace t = w->generate(seed, records);
     if (!writeTraceFileV2(argv[4], t)) {
         std::fprintf(stderr, "failed to write %s\n", argv[4]);
@@ -563,8 +600,10 @@ cmdCache(int argc, char **argv)
     if (sub == "gc") {
         if (args.positional.empty())
             return usage();
-        std::uint64_t budget =
-            std::strtoull(args.positional[0].c_str(), nullptr, 10);
+        std::uint64_t budget = 0;
+        if (!numberArg("budget-bytes", args.positional[0].c_str(),
+                       budget))
+            return 1;
         std::uint64_t removed = store->evictWithin(budget);
         std::printf("evicted %llu bytes; store now %llu bytes\n",
                     static_cast<unsigned long long>(removed),
@@ -616,12 +655,13 @@ struct ServiceArgs
             } else if (arg == "--timing") {
                 timing = true;
             } else if (arg == "--port") {
-                port = static_cast<unsigned>(
-                    std::strtoul(value(), nullptr, 10));
+                ok = numberArg(arg, value(), port,
+                               std::numeric_limits<std::uint16_t>::max()) &&
+                     ok;
             } else if (arg == "--serve-timeout") {
-                serveTimeout = std::strtod(value(), nullptr);
+                ok = secondsArg(arg, value(), serveTimeout) && ok;
             } else if (arg == "--unit-timeout") {
-                unitTimeout = std::strtod(value(), nullptr);
+                ok = secondsArg(arg, value(), unitTimeout) && ok;
             } else {
                 rest.push_back(argv[i]);
             }
@@ -817,7 +857,6 @@ cmdWorker(int argc, char **argv)
     WorkerOptions w;
     if (const char *env = std::getenv("STEMS_STORE"))
         w.storeDir = env;
-    unsigned abandon = 0;
     std::string metrics_out;
     bool ok = true;
     for (int i = 2; i < argc; ++i) {
@@ -834,23 +873,19 @@ cmdWorker(int argc, char **argv)
         if (arg == "--store") {
             w.storeDir = value();
         } else if (arg == "--port") {
-            w.port = static_cast<std::uint16_t>(
-                std::strtoul(value(), nullptr, 10));
+            ok = numberArg(arg, value(), w.port) && ok;
         } else if (arg == "--host") {
             w.host = value();
         } else if (arg == "--connect-timeout") {
-            w.connectTimeoutSeconds = std::strtod(value(), nullptr);
+            ok = secondsArg(arg, value(), w.connectTimeoutSeconds) && ok;
         } else if (arg == "--abandon-after") {
-            abandon = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
+            ok = numberArg(arg, value(), w.abandonAfterUnits) && ok;
         } else if (arg == "--drop-after") {
-            w.dropAfterUnits = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
+            ok = numberArg(arg, value(), w.dropAfterUnits) && ok;
         } else if (arg == "--dup-done") {
             w.duplicateUnitDone = true;
         } else if (arg == "--reconnects") {
-            w.maxReconnects = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
+            ok = numberArg(arg, value(), w.maxReconnects) && ok;
         } else if (arg == "--no-prefetch") {
             w.prefetchTraces = false;
         } else if (arg == "--metrics-out") {
@@ -861,8 +896,9 @@ cmdWorker(int argc, char **argv)
             ok = false;
         }
     }
-    w.abandonAfterUnits = abandon;
-    if (!ok || w.port == 0) {
+    if (!ok)
+        return usage();
+    if (w.port == 0) {
         std::fprintf(stderr, "worker needs --port P\n");
         return usage();
     }
