@@ -45,7 +45,7 @@ main(int argc, char **argv)
     for (const WorkloadResult &r : results) {
         bool first = true;
         for (const EngineResult &e : r.engines) {
-            // Speedup over the no-prefetch system (the historical
+            // Speedup over the prefetch-free system (the historical
             // presentation of this sweep), not the stride baseline.
             table.addRow({first ? r.workload : "", e.engine,
                           fmtPct(e.coverage),

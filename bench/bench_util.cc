@@ -70,10 +70,6 @@ usage(const char *argv0, int status)
         "  --warmup-records N warm up exactly N records instead of\n"
         "                     50%% of the trace (keeps prefixes\n"
         "                     comparable across --records values)\n"
-        "  --unit-granularity workload|cell\n"
-        "                     distributed work-unit size for\n"
-        "                     `stems_trace serve` (same results,\n"
-        "                     bitwise)\n"
         "  --metrics-out FILE write a metrics snapshot\n"
         "                     (stems-metrics-v1 JSON)\n"
         "  --trace-out FILE   write Chrome trace-event spans\n"
@@ -169,16 +165,6 @@ parseBenchOptions(int argc, char **argv, std::size_t default_records)
         } else if (arg == "--warmup-records") {
             options.warmupRecords = static_cast<std::size_t>(
                 numberArg(argv[0], "--warmup-records", value()));
-        } else if (arg == "--unit-granularity") {
-            const char *v = value();
-            if (!parseUnitGranularity(v,
-                                      options.unitGranularity)) {
-                std::fprintf(stderr,
-                             "%s: --unit-granularity wants "
-                             "workload|cell, got '%s'\n",
-                             argv[0], v);
-                usage(argv[0], 1);
-            }
         } else if (arg == "--metrics-out") {
             options.metricsOutPath = value();
         } else if (arg == "--trace-out") {
@@ -262,7 +248,6 @@ benchPlan(const BenchOptions &options, bool enable_timing,
     plan.jobs = options.jobs;
     plan.checkpointEvery = options.checkpointEvery;
     plan.heartbeatSeconds = options.progressSeconds;
-    plan.unitGranularity = options.unitGranularity;
     if (!options.planOutPath.empty()) {
         std::string json = sweepPlanJson(plan);
         std::FILE *f = std::fopen(options.planOutPath.c_str(), "w");
@@ -514,8 +499,6 @@ BenchObsSession::finish()
             std::to_string(options_.checkpointEvery));
         add("warmup_records",
             std::to_string(options_.warmupRecords));
-        add("unit_granularity",
-            unitGranularityName(options_.unitGranularity));
         manifest.phaseNs = phases_;
         manifest.wallNs = end_ns - startNs_;
         manifest.metrics = std::move(snap);

@@ -67,11 +67,6 @@ struct BenchOptions
     std::size_t checkpointEvery = 0;
     /// Absolute warmup-record override (0 = 50% fraction).
     std::size_t warmupRecords = 0;
-    /// Distributed work-unit granularity (--unit-granularity;
-    /// "workload" | "cell"). Pure scheduling policy for
-    /// `stems_trace serve`: results are bitwise identical at any
-    /// setting; local (non-serve) runs ignore it.
-    UnitGranularity unitGranularity = UnitGranularity::kWorkload;
     /// Metrics-snapshot output path (--metrics-out; empty = none).
     std::string metricsOutPath;
     /// Chrome trace-event output path (--trace-out; empty = none).

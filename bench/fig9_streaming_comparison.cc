@@ -2,7 +2,7 @@
  * @file
  * Figure 9 — comparison of temporal, spatial and spatio-temporal
  * memory streaming: covered, uncovered and overpredicted off-chip
- * read misses, normalized to the no-prefetch baseline.
+ * read misses, normalized to the prefetch-free baseline.
  *
  * Paper shape: STeMS matches or exceeds the better of TMS/SMS in
  * every commercial workload (8% more than the best in OLTP/web, for

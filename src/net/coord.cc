@@ -25,26 +25,13 @@ coordCounter(const char *name)
     return MetricsRegistry::instance().counter(name);
 }
 
-/** Counts assignments, not executions: a requeued unit counts
- *  again when it is handed out again. */
-const char *
-unitKindCounter(UnitGranularity kind)
-{
-    return kind == UnitGranularity::kCell ? "net.unit.cell"
-                                          : "net.unit.workload";
-}
-
 } // namespace
 
 SweepCoordinator::SweepCoordinator(const SweepPlan &plan)
     : planJson_(sweepPlanJson(plan)),
-      planDigest_(sweepPlanDigest(plan))
+      planDigest_(sweepPlanDigest(plan)),
+      units_(plan.workloads.size())
 {
-    for (WorkUnit &work : decomposeSweepPlan(plan)) {
-        Unit unit;
-        unit.work = std::move(work);
-        units_.push_back(std::move(unit));
-    }
 }
 
 SweepCoordinator::~SweepCoordinator() = default;
@@ -64,23 +51,8 @@ SweepCoordinator::assignUnit(Conn &conn)
     for (std::size_t i = 0; i < units_.size(); ++i) {
         if (units_[i].state != UnitState::kPending)
             continue;
-        const WorkUnit &work = units_[i].work;
         UnitMsg msg;
         msg.unitIndex = i;
-        msg.workload = work.workload;
-        msg.kind = work.kind;
-        msg.column = work.column;
-        // Prefetch hint: the next pending unit with a *different*
-        // workload — its trace can be materialized into the store
-        // while this unit simulates.
-        for (std::size_t j = 0; j < units_.size(); ++j) {
-            if (j == i ||
-                units_[j].state != UnitState::kPending ||
-                units_[j].work.workload == work.workload)
-                continue;
-            msg.prefetchWorkload = units_[j].work.workload;
-            break;
-        }
         if (!conn.io->sendFrame(kMsgUnit, encodeUnit(msg)))
             return false;
         units_[i].state = UnitState::kInFlight;
@@ -89,7 +61,6 @@ SweepCoordinator::assignUnit(Conn &conn)
         conn.state = ConnState::kWorking;
         conn.unit = i;
         coordCounter("coord.units.assigned").add();
-        coordCounter(unitKindCounter(work.kind)).add();
         return true;
     }
     return false; // nothing pending

@@ -1,9 +1,11 @@
 /**
  * @file
- * Sweep coordinator: decomposes a SweepPlan into work units
- * (net/units.hh — whole workloads or cells) and hands them to
- * connected workers over the net/protocol.hh pull protocol until
- * every unit is complete.
+ * Sweep coordinator: hands a SweepPlan's work units — one per plan
+ * workload, named by its index in plan.workloads — to connected
+ * workers over the net/protocol.hh pull protocol until every unit
+ * is complete. A worker runs a unit's lanes on its own threads, so
+ * a cold sweep generates each trace once and simulates each cell
+ * once at any worker count.
  *
  * Single-threaded poll() loop; no driver dependency — the
  * coordinator never simulates, it only schedules. Workers populate
@@ -43,7 +45,6 @@
 #include <vector>
 
 #include "net/socket.hh"
-#include "net/units.hh"
 #include "sim/sweep_plan.hh"
 
 namespace stems {
@@ -51,7 +52,7 @@ namespace stems {
 class SweepCoordinator
 {
   public:
-    /** Serve the plan's decomposition (decomposeSweepPlan). */
+    /** Serve one unit per plan workload. */
     explicit SweepCoordinator(const SweepPlan &plan);
 
     ~SweepCoordinator();
@@ -104,9 +105,9 @@ class SweepCoordinator
         kWorking     ///< owns an in-flight unit
     };
 
+    /** One plan workload's state slot. */
     struct Unit
     {
-        WorkUnit work;
         UnitState state = UnitState::kPending;
         std::uint64_t session = 0; ///< owner while in flight
         std::chrono::steady_clock::time_point assignedAt{};

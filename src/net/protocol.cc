@@ -10,9 +10,10 @@ constexpr std::uint32_t kHelloTag = stateTag('N', 'H', 'L', 'O');
 constexpr std::uint32_t kPlanTag = stateTag('N', 'P', 'L', 'N');
 constexpr std::uint32_t kPlanAckTag = stateTag('N', 'P', 'A', 'K');
 // Each unit payload layout gets a fresh tag (v1 used 'NUNT', v2-v4
-// 'NUN2' with a record range), so an older decoder rejects a newer
+// 'NUN2' with a record range, v5 'NUN3' with a workload name, kind,
+// column and prefetch hint), so an older decoder rejects a newer
 // layout outright instead of mis-reading a prefix of it.
-constexpr std::uint32_t kUnitTag = stateTag('N', 'U', 'N', '3');
+constexpr std::uint32_t kUnitTag = stateTag('N', 'U', 'N', '4');
 constexpr std::uint32_t kUnitDoneTag = stateTag('N', 'U', 'D', 'N');
 
 /** Plan JSON is small; anything near the frame cap is hostile. */
@@ -27,10 +28,10 @@ writeString(StateWriter &w, const std::string &s)
 }
 
 std::string
-readString(StateReader &r, std::size_t limit = kMaxStringBytes)
+readString(StateReader &r)
 {
     std::uint64_t n = r.u64();
-    if (n > limit) {
+    if (n > kMaxStringBytes) {
         r.fail();
         return {};
     }
@@ -118,13 +119,6 @@ encodeUnit(const UnitMsg &msg)
     StateWriter w;
     w.tag(kUnitTag);
     w.u64(msg.unitIndex);
-    writeString(w, msg.workload);
-    w.u8(static_cast<std::uint8_t>(msg.kind));
-    // Columns are small signed values; bias by one so the baseline
-    // column (-1) encodes as 0 and the codec stays unsigned.
-    w.u64(static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(msg.column) + 1));
-    writeString(w, msg.prefetchWorkload);
     return w.take();
 }
 
@@ -134,22 +128,6 @@ decodeUnit(const std::vector<std::uint8_t> &bytes, UnitMsg &out)
     StateReader r(bytes.data(), bytes.size());
     r.tag(kUnitTag);
     out.unitIndex = r.u64();
-    out.workload = readString(r, 64u << 10);
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(UnitGranularity::kCell)) {
-        r.fail();
-        return false;
-    }
-    out.kind = static_cast<UnitGranularity>(kind);
-    const std::uint64_t column = r.u64();
-    if (column > static_cast<std::uint64_t>(INT32_MAX)) {
-        r.fail();
-        return false;
-    }
-    out.column =
-        static_cast<std::int32_t>(static_cast<std::int64_t>(column) -
-                                  1);
-    out.prefetchWorkload = readString(r, 64u << 10);
     return r.atEnd();
 }
 

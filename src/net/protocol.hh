@@ -11,13 +11,13 @@
  * receives the full declarative SweepPlan as canonical JSON plus
  * its digest and a coordinator-assigned session id (kPlan,
  * acknowledged by echoing the digest in kPlanAck), then loops
- * requesting work units (kRequestUnit -> kUnit). A unit is one of
- * two granularities (net/units.hh): a whole workload row or one
- * (workload, engine-column) cell; executing it runs the same driver
- * lane path a local sweep uses, persisting checkpoints and results
- * into the shared store. kUnitDone reports completion; when every
- * unit of the plan is complete the coordinator answers pending
- * requests with kBye.
+ * requesting work units (kRequestUnit -> kUnit). A unit is one
+ * workload of the plan, named by its index in plan.workloads;
+ * executing it runs the plan restricted to that workload through
+ * the same driver lane path a local sweep uses, persisting
+ * checkpoints and results into the shared store. kUnitDone reports
+ * completion; when every unit of the plan is complete the
+ * coordinator answers pending requests with kBye.
  *
  * Lost workers: a unit whose worker's connection dies is requeued
  * at once. Whoever runs it next resumes each lane from the newest
@@ -31,9 +31,8 @@
  * coordinator's merge is a plain local run of the same plan over
  * the now-warm store, which makes the distributed result bitwise
  * identical to the single-process one by construction, regardless
- * of worker count, unit granularity, scheduling, or mid-sweep
- * worker loss (a lost unit is requeued; re-execution writes the
- * same bytes).
+ * of worker count, scheduling, or mid-sweep worker loss (a lost
+ * unit is requeued; re-execution writes the same bytes).
  *
  * Payload encodings use common/state_codec.hh with the same
  * bounds-checked "reject, never mis-decode" discipline as the
@@ -50,8 +49,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/sweep_plan.hh"
-
 namespace stems {
 
 /** Bumped on any wire-visible change; kHello carries it.
@@ -61,8 +58,10 @@ namespace stems {
  *  (SweepPlan schema v2).
  *  v4: the plan payload lost `batch` (SweepPlan schema v3).
  *  v5: segment units and session resume are gone: the unit payload
- *  lost its record range, and message types 8 and 9 are retired. */
-inline constexpr std::uint32_t kNetProtocolVersion = 5;
+ *  lost its record range, and message types 8 and 9 are retired.
+ *  v6: cell units and the prefetch hint are gone: a unit is a
+ *  workload index, and the unit payload is that index alone. */
+inline constexpr std::uint32_t kNetProtocolVersion = 6;
 
 /** Frame types (net/frame.hh `type` field). */
 enum NetMsg : std::uint32_t
@@ -104,19 +103,11 @@ struct PlanAckMsg
     std::uint64_t planDigest = 0;
 };
 
-/** kMsgUnit payload: one work unit (net/units.hh), plus a prefetch
- *  hint — the workload of the next unit the coordinator expects to
- *  hand out, which the worker may materialize into the store in the
- *  background while this unit simulates (empty = no hint). */
+/** kMsgUnit payload: one work unit, the index of its workload in
+ *  the plan's workload list. */
 struct UnitMsg
 {
     std::uint64_t unitIndex = 0;
-    std::string workload;
-    UnitGranularity kind = UnitGranularity::kWorkload;
-    /// Engine column (cell units): -1 = the baseline column, >= 0
-    /// indexes the plan's engine list.
-    std::int32_t column = -1;
-    std::string prefetchWorkload;
 };
 
 /** kMsgUnitDone payload. */

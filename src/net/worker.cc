@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <memory>
-#include <thread>
 
 #include "net/protocol.hh"
 #include "net/socket.hh"
@@ -11,7 +10,6 @@
 #include "sim/driver.hh"
 #include "store/keys.hh"
 #include "store/trace_store.hh"
-#include "workloads/registry.hh"
 
 namespace stems {
 
@@ -23,56 +21,6 @@ setError(std::string *error, const std::string &text)
     if (error)
         *error = text;
 }
-
-/** One background trace-prefetch slot: at most one hint in flight;
- *  joined before the next launch and on scope exit (putTrace is
- *  atomic, so a prefetch racing a foreground materialization of the
- *  same trace is wasted work, never corruption). */
-class TracePrefetcher
-{
-  public:
-    explicit TracePrefetcher(std::shared_ptr<TraceStore> store)
-        : store_(std::move(store))
-    {
-    }
-
-    ~TracePrefetcher() { join(); }
-
-    void launch(const std::string &workload, std::uint64_t records,
-                std::uint64_t seed)
-    {
-        join();
-        TraceKey key{workload, records, seed};
-        if (store_->findTrace(key))
-            return; // already materialized
-        std::shared_ptr<TraceStore> store = store_;
-        thread_ = std::thread([store, key] {
-            std::unique_ptr<Workload> w =
-                WorkloadRegistry::instance().make(key.workload);
-            if (!w)
-                return;
-            ScopedSpan span("worker.prefetch", "net");
-            if (span.active())
-                span.arg("workload", key.workload);
-            Trace trace = w->generate(
-                key.seed, static_cast<std::size_t>(key.records));
-            if (store->putTrace(key, trace))
-                MetricsRegistry::instance()
-                    .counter("worker.trace.prefetched")
-                    .add();
-        });
-    }
-
-    void join()
-    {
-        if (thread_.joinable())
-            thread_.join();
-    }
-
-  private:
-    std::shared_ptr<TraceStore> store_;
-    std::thread thread_;
-};
 
 } // namespace
 
@@ -103,50 +51,32 @@ runWorker(const WorkerOptions &options, WorkerReport *report,
 
     // Session state carried across reconnects.
     ExperimentDriver driver;
-    std::vector<EngineSpec> engine_specs;
     SweepPlan plan;
     bool have_plan = false;
     std::uint64_t plan_digest = 0;
     std::uint64_t session_id = 0;
     bool drop_fired = false;
     unsigned reconnects_left = options.maxReconnects;
-    TracePrefetcher prefetcher(store);
 
-    /** Execute one unit through the driver; every store write lands
-     *  under exactly the keys a single-process sweep would use. The
-     *  return value of the driver calls is irrelevant here.
-     *  @return false on a protocol-level violation (*error set). */
-    auto execute = [&](const UnitMsg &unit) -> bool {
+    /** Execute one unit: the plan restricted to one workload. The
+     *  driver runs its lanes on the plan's jobs threads, resumes
+     *  each from the newest trusted checkpoint in the store (a lost
+     *  worker's partial unit included) and persists every result
+     *  under exactly the keys a single-process sweep would use. */
+    auto execute = [&](const UnitMsg &unit) {
+        SweepPlan unit_plan = plan;
+        unit_plan.workloads = {
+            plan.workloads[static_cast<std::size_t>(unit.unitIndex)]};
         ScopedSpan span("worker.unit", "net");
         if (span.active()) {
-            span.arg("workload", unit.workload);
+            span.arg("workload", unit_plan.workloads[0]);
             span.arg("unit", unit.unitIndex);
         }
-        if (unit.column >=
-            static_cast<std::int32_t>(plan.engines.size())) {
-            setError(error, "unit engine column out of range");
-            return false;
-        }
-        if (unit.kind == UnitGranularity::kWorkload) {
-            SweepPlan unit_plan = plan;
-            unit_plan.workloads = {unit.workload};
-            driver.run(unit_plan);
-        } else {
-            // A cell: the driver resumes each of its lanes from the
-            // newest trusted checkpoint in the store — a lost
-            // worker's partial cell included — and persists the
-            // results.
-            std::vector<EngineSpec> specs;
-            if (unit.column >= 0)
-                specs.push_back(engine_specs[static_cast<std::size_t>(
-                    unit.column)]);
-            driver.run({unit.workload}, specs);
-        }
+        driver.run(unit_plan);
         out.unitsCompleted++;
         MetricsRegistry::instance()
             .counter("worker.units.completed")
             .add();
-        return true;
     };
 
     // Per-connection outcomes: finished (graceful kBye), failed
@@ -204,11 +134,9 @@ runWorker(const WorkerOptions &options, WorkerReport *report,
                 return Outcome::kFailed;
             }
             plan_digest = plan_msg.planDigest;
-            engine_specs = planEngineSpecs(plan);
-            // One driver for the whole session: policy from the
-            // plan, and the shared store attached, so a unit merges
-            // whatever cells earlier units persisted.
-            driver.applyPlan(plan);
+            // One driver for the whole session, the shared store
+            // attached, so a unit merges whatever cells earlier
+            // units persisted.
             driver.setStore(store);
             have_plan = true;
         } else if (plan_msg.planDigest != plan_digest) {
@@ -237,6 +165,12 @@ runWorker(const WorkerOptions &options, WorkerReport *report,
                                     std::to_string(frame.type));
                 return Outcome::kFailed;
             }
+            if (unit.unitIndex >= plan.workloads.size()) {
+                setError(error, "unit index " +
+                                    std::to_string(unit.unitIndex) +
+                                    " out of range");
+                return Outcome::kFailed;
+            }
             if (options.abandonAfterUnits > 0 &&
                 out.unitsCompleted >= options.abandonAfterUnits) {
                 // Vanish mid-unit: the coordinator must requeue it
@@ -254,13 +188,7 @@ runWorker(const WorkerOptions &options, WorkerReport *report,
                 conn.close();
                 return Outcome::kLost;
             }
-            if (options.prefetchTraces &&
-                !unit.prefetchWorkload.empty() &&
-                unit.prefetchWorkload != unit.workload)
-                prefetcher.launch(unit.prefetchWorkload,
-                                  plan.records, plan.seed);
-            if (!execute(unit))
-                return Outcome::kFailed;
+            execute(unit);
             UnitDoneMsg done;
             done.unitIndex = unit.unitIndex;
             if (!conn.sendFrame(kMsgUnitDone, encodeUnitDone(done),

@@ -1,12 +1,15 @@
 /**
  * @file
  * Sweep worker: connects to a coordinator (net/coord.hh), receives
- * the declarative SweepPlan, and executes work units — whole
- * workload rows or (workload, engine-column) cells (net/units.hh) —
- * through the exact same ExperimentDriver lane path a local sweep
- * uses, persisting checkpoints and per-cell results into the shared
- * content-addressed store. The wire never carries results; the
- * store is the data plane.
+ * the declarative SweepPlan, and executes work units — one plan
+ * workload each, named by its index in plan.workloads — as the plan
+ * restricted to that workload, through the exact same
+ * ExperimentDriver lane path a local sweep uses: the lanes run on
+ * the plan's jobs threads, and checkpoints and per-cell results land
+ * in the shared content-addressed store. The wire never carries
+ * results; the store is the data plane. A unit index outside the
+ * plan's workload list is a protocol violation and ends the worker
+ * with an error.
  *
  * The worker re-derives the plan digest from the JSON it parsed and
  * refuses a coordinator whose digest disagrees (a mismatch means
@@ -16,10 +19,7 @@
  * Reconnect: when a connection is lost, the worker reconnects
  * (bounded retries), repeats the handshake under its original
  * session id, and asks for fresh work; the coordinator has already
- * requeued any unit the lost connection held. Trace prefetch: each
- * unit carries a hint naming the next unit's workload, which a
- * background thread materializes into the store while the current
- * unit simulates.
+ * requeued any unit the lost connection held.
  */
 
 #ifndef STEMS_NET_WORKER_HH
@@ -41,8 +41,6 @@ struct WorkerOptions
     double connectTimeoutSeconds = 10.0;
     /// Reconnect attempts after a lost connection before giving up.
     unsigned maxReconnects = 3;
-    /// Materialize prefetch-hint traces in the background.
-    bool prefetchTraces = true;
     /// Test hook: after completing this many units, vanish without
     /// a goodbye (simulates kill -9) the moment the next unit
     /// arrives. 0 = never abandon.

@@ -44,7 +44,7 @@ class BatchSimulator
      * Add one simulation lane.
      *
      * @param params  system configuration for this lane.
-     * @param engine  attached engine; may be null (the no-prefetch
+     * @param engine  attached engine; may be null (the prefetch-free
      *                baseline). Not owned; must outlive the lane.
      * @param warmup_records  leading records that train this lane
      *                without being measured (lanes may differ).

@@ -118,7 +118,7 @@ struct ExperimentDriver::LaneSpec
                          : engineSpecDigest(engine, options, probe_id);
     }
 
-    /** The no-prefetch baseline lane. */
+    /** The prefetch-free baseline lane. */
     static LaneSpec
     baseline(bool scientific)
     {

@@ -3,7 +3,7 @@
  * Parallel experiment driver: runs the (workload x lane) cells of a
  * sweep on a lane scheduler.
  *
- * A workload's lane list is the no-prefetch baseline, under timing
+ * A workload's lane list is the prefetch-free baseline, under timing
  * the stride reference, then one lane per engine column. The two
  * reference lanes normalize the engine lanes (coverage by the
  * baseline, Figure 9; speedup by stride, Figure 10), and are

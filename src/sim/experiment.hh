@@ -6,7 +6,7 @@
  *
  * Normalization follows Section 5.5: covered, uncovered and
  * overpredicted counts are expressed relative to the off-chip read
- * misses of the *no-prefetch* system, and speedups are relative to
+ * misses of the *prefetch-free* system, and speedups are relative to
  * the baseline system with only a stride prefetcher (Table 1).
  */
 
@@ -49,9 +49,9 @@ struct WorkloadResult
 {
     std::string workload;
     WorkloadClass workloadClass = WorkloadClass::kOltp;
-    std::uint64_t baselineMisses = 0; ///< no-prefetch read misses
+    std::uint64_t baselineMisses = 0; ///< prefetch-free read misses
     double baselineIpc = 0.0;         ///< stride-baseline IPC
-    double baselineCycles = 0.0;      ///< no-prefetch cycles (timing)
+    double baselineCycles = 0.0;      ///< prefetch-free cycles (timing)
     double strideCycles = 0.0;        ///< stride-baseline cycles
     std::vector<EngineResult> engines;
 
@@ -85,7 +85,7 @@ class ExperimentRunner
 
     /**
      * Run a list of engines over one workload. Always also runs the
-     * no-prefetch baseline (for miss normalization) and, when timing
+     * prefetch-free baseline (for miss normalization) and, when timing
      * is enabled, the stride baseline (for speedups).
      */
     WorkloadResult runWorkload(const Workload &workload,

@@ -79,7 +79,7 @@ struct SimStats
 };
 
 /**
- * Runs one engine (or none, for the no-prefetch baseline) over a
+ * Runs one engine (or none, for the prefetch-free baseline) over a
  * trace.
  */
 class PrefetchSimulator

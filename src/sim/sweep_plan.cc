@@ -179,30 +179,6 @@ parseEngine(const JsonValue &v, PlanEngine &engine,
 
 } // namespace
 
-const char *
-unitGranularityName(UnitGranularity granularity)
-{
-    switch (granularity) {
-    case UnitGranularity::kCell:
-        return "cell";
-    case UnitGranularity::kWorkload:
-    default:
-        return "workload";
-    }
-}
-
-bool
-parseUnitGranularity(const std::string &text, UnitGranularity &out)
-{
-    if (text == "workload")
-        out = UnitGranularity::kWorkload;
-    else if (text == "cell")
-        out = UnitGranularity::kCell;
-    else
-        return false;
-    return true;
-}
-
 std::string
 sweepPlanJson(const SweepPlan &plan)
 {
@@ -244,9 +220,6 @@ sweepPlanJson(const SweepPlan &plan)
     out += ",\n  \"seed\": " + u64Token(plan.seed);
     out += ",\n  \"timing\": ";
     out += boolToken(plan.timing);
-    out += ",\n  \"unit_granularity\": \"";
-    out += unitGranularityName(plan.unitGranularity);
-    out += "\"";
     out += ",\n  \"warmup_fraction\": " +
            jsonDouble(plan.warmupFraction);
     out += ",\n  \"warmup_records\": " + u64Token(plan.warmupRecords);
@@ -317,11 +290,6 @@ parseSweepPlanJson(const std::string &text, SweepPlan &plan,
         } else if (key == "timing") {
             if (!asBool(val, out.timing))
                 return parseFail(error, "bad timing");
-        } else if (key == "unit_granularity") {
-            if (val.kind != JsonValue::Kind::kString ||
-                !parseUnitGranularity(val.text,
-                                      out.unitGranularity))
-                return parseFail(error, "bad unit_granularity");
         } else if (key == "warmup_fraction") {
             if (!asDouble(val, out.warmupFraction))
                 return parseFail(error, "bad warmup_fraction");

@@ -13,7 +13,7 @@
  *
  * The one codec is canonical JSON (sweepPlanJson /
  * parseSweepPlanJson): key-sorted, mini_json conventions (`%.17g`
- * doubles, exact u64 integers), schema-tagged "stems-sweep-plan-v3".
+ * doubles, exact u64 integers), schema-tagged "stems-sweep-plan-v4".
  * Every field is always emitted (unset optional engine knobs as
  * `null`), so two plans are equal iff their JSON bytes are equal.
  * The parser is reject-never-misdecode: it refuses unknown fields,
@@ -44,9 +44,10 @@ namespace stems {
 
 /// Canonical JSON schema tag (also the digest domain prefix).
 /// v2 removed two execution-policy fields (`segments` among them),
-/// v3 removed `batch`; an older document is refused, never read with
-/// its retired keys ignored.
-inline constexpr const char *kSweepPlanSchema = "stems-sweep-plan-v3";
+/// v3 removed `batch`, v4 removed the distributed work-unit
+/// granularity (a unit is always one workload); an older document is
+/// refused, never read with its retired keys ignored.
+inline constexpr const char *kSweepPlanSchema = "stems-sweep-plan-v4";
 
 /**
  * One engine column of a plan: a registered engine name, the label
@@ -59,27 +60,6 @@ struct PlanEngine
     std::string label;
     EngineOptions options;
 };
-
-/**
- * Work-unit granularity for the distributed sweep service: how the
- * coordinator (net/coord.hh) decomposes this plan into units, and
- * the kind each unit carries on the wire. Pure scheduling policy —
- * results are bitwise identical for any setting — but part of the
- * plan (and thus the digest) so every worker agrees on the unit
- * numbering the wire messages reference.
- */
-enum class UnitGranularity : std::uint8_t
-{
-    kWorkload = 0, ///< one unit = one workload row (the default)
-    kCell = 1,     ///< one unit = one (workload, engine column) cell
-};
-
-/** Canonical lower-case name ("workload" | "cell"). */
-const char *unitGranularityName(UnitGranularity granularity);
-
-/** Parse a canonical granularity name; false on anything else. */
-bool parseUnitGranularity(const std::string &text,
-                          UnitGranularity &out);
 
 /** A complete, serializable sweep description. */
 struct SweepPlan
@@ -111,8 +91,6 @@ struct SweepPlan
     std::uint64_t checkpointEvery = 0;
     /// Progress-heartbeat interval in seconds (0 = off).
     double heartbeatSeconds = 0.0;
-    /// Distributed work-unit decomposition (net/units.hh).
-    UnitGranularity unitGranularity = UnitGranularity::kWorkload;
 };
 
 /**

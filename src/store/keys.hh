@@ -58,7 +58,7 @@ std::uint64_t engineSpecDigest(const std::string &name,
 
 /**
  * Checkpoint identity of one simulation lane: `engine` empty is the
- * engineless no-prefetch baseline lane; any other name (the stride
+ * engineless prefetch-free baseline lane; any other name (the stride
  * reference lane is plain "stride") is that engine under `options`
  * with the workload's `scientific` flag folded in. Labels and probe
  * ids never join it: a probe reads state after the run and cannot

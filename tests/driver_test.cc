@@ -168,7 +168,7 @@ TEST(Driver, AnonymousProbeJoinsBatchWithoutPoisoningCache)
 
 TEST(Driver, BaselinesCachedAcrossCalls)
 {
-    // The no-prefetch and stride lanes are cells like any other: the
+    // The prefetch-free and stride lanes are cells like any other: the
     // attached store serves them to a later run() call, which then
     // simulates only its new engine lane.
     std::string dir = tempStoreDir();
@@ -176,7 +176,7 @@ TEST(Driver, BaselinesCachedAcrossCalls)
     driver.setStore(std::make_shared<TraceStore>(dir));
     auto first =
         driver.run({"dss-qry17"}, engineSpecs({"sms"}));
-    EXPECT_EQ(driver.cellRuns(), 3u); // no-prefetch + stride + sms
+    EXPECT_EQ(driver.cellRuns(), 3u); // prefetch-free + stride + sms
 
     auto second =
         driver.run({"dss-qry17"}, engineSpecs({"sms", "stems"}));
@@ -197,7 +197,7 @@ TEST(Driver, BaselinesCachedAcrossCalls)
 TEST(Driver, FunctionalRunSkipsStrideBaseline)
 {
     // Without timing there is no speedup normalization, so only the
-    // no-prefetch baseline cell is scheduled.
+    // prefetch-free baseline cell is scheduled.
     ExperimentConfig functional = smallConfig(false);
     ExperimentDriver driver(functional, 2);
     auto plain = driver.run({"dss-qry17"}, engineSpecs({"sms"}));

@@ -1,14 +1,13 @@
 /**
  * @file
- * Fault-injection battery for the distributed work units
- * (net/units.hh): decomposition properties (every cell covered
- * exactly once at either granularity), and the end-to-end contract
- * that a coordinator plus workers — through worker churn, mid-frame
+ * Fault-injection battery for the distributed sweep service: a
+ * coordinator plus workers — through worker churn, mid-frame
  * disconnects, duplicate completions, stalled units, reconnects and
- * a worker lost mid-cell — always produces results bitwise
- * identical to a single-process sweep. Faults may cost wall-clock
- * (requeues, re-execution); they must never cost correctness, and a
- * requeued cell resumes from the checkpoints its lost runner
+ * a worker lost mid-workload — always produces results bitwise
+ * identical to a single-process sweep, and a cold sweep does each
+ * piece of work once. Faults may cost wall-clock (requeues,
+ * re-execution); they must never cost correctness, and a requeued
+ * workload resumes each lane from the checkpoints its lost runner
  * committed.
  */
 
@@ -18,14 +17,12 @@
 #include <unistd.h>
 
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <thread>
 
 #include "net/coord.hh"
 #include "net/protocol.hh"
 #include "net/socket.hh"
-#include "net/units.hh"
 #include "net/worker.hh"
 #include "obs/metrics.hh"
 #include "sim/driver.hh"
@@ -52,8 +49,7 @@ class NetFaultTest : public test::TempDirTest
 {
   protected:
     SweepPlan
-    planFor(UnitGranularity granularity,
-            std::vector<std::string> workloads) const
+    planFor(std::vector<std::string> workloads) const
     {
         SweepPlan plan;
         plan.workloads = std::move(workloads);
@@ -62,7 +58,6 @@ class NetFaultTest : public test::TempDirTest
         plan.records = 20'000;
         plan.jobs = 2;
         plan.checkpointEvery = 5'000;
-        plan.unitGranularity = granularity;
         return plan;
     }
 
@@ -80,6 +75,8 @@ class NetFaultTest : public test::TempDirTest
         std::size_t unitCount = 0;
         std::uint64_t completed = 0;
         std::uint64_t requeued = 0;
+        /// The registry once every worker is done, before the merge.
+        MetricsSnapshot served;
     };
 
     /** One distributed sweep over the store in subdirectory `tag`
@@ -126,119 +123,114 @@ class NetFaultTest : public test::TempDirTest
         out.completed = coord.unitsCompleted();
         out.requeued = coord.unitsRequeued();
         EXPECT_EQ(out.completed, out.unitCount);
+        out.served = MetricsRegistry::instance().snapshot();
 
         ExperimentDriver merge;
         merge.setStore(store);
         out.results = merge.run(plan);
         return out;
     }
-
-    /** The {clean 1-worker, abandon 2-worker, drop-reconnect
-     *  2-worker, mixed 4-worker} fault matrix at one granularity:
-     *  every scenario must reproduce the single-process sweep
-     *  bitwise. */
-    void
-    runFaultMatrix(UnitGranularity granularity)
-    {
-        const SweepPlan plan =
-            planFor(granularity, {"oltp-db2", "web-apache"});
-        const auto reference = referenceRun(plan);
-
-        // Short re-connect window: a worker whose sweep finished
-        // without it (coordinator no longer listening) should
-        // conclude so quickly, not pad the test run.
-        WorkerOptions steady;
-        steady.connectTimeoutSeconds = 2.0;
-        WorkerOptions quitter = steady;
-        quitter.abandonAfterUnits = 1;
-        WorkerOptions dropper = steady;
-        dropper.dropAfterUnits = 1;
-
-        {
-            SCOPED_TRACE("clean one worker");
-            auto got = runScenario(plan, "clean", {steady});
-            EXPECT_EQ(got.requeued, 0u);
-            test::expectSameResults(got.results, reference);
-        }
-        {
-            SCOPED_TRACE("abandoning worker, two workers");
-            auto got =
-                runScenario(plan, "abandon", {quitter, steady});
-            test::expectSameResults(got.results, reference);
-        }
-        {
-            SCOPED_TRACE("dropping/reconnecting worker, two workers");
-            auto got =
-                runScenario(plan, "reconnect", {dropper, steady});
-            test::expectSameResults(got.results, reference);
-        }
-        {
-            SCOPED_TRACE("mixed faults, four workers");
-            auto got = runScenario(
-                plan, "mixed",
-                {quitter, dropper, steady, steady});
-            test::expectSameResults(got.results, reference);
-        }
-    }
 };
 
-// ---- decomposition properties ------------------------------------
-
-TEST_F(NetFaultTest, WorkloadAndCellDecompositionCoverExactlyOnce)
-{
-    const SweepPlan base =
-        planFor(UnitGranularity::kWorkload,
-                {"oltp-db2", "web-apache", "em3d"});
-
-    auto whole = decomposeSweepPlan(base);
-    ASSERT_EQ(whole.size(), base.workloads.size());
-    for (std::size_t i = 0; i < whole.size(); ++i) {
-        EXPECT_EQ(whole[i].kind, UnitGranularity::kWorkload);
-        EXPECT_EQ(whole[i].workload, base.workloads[i]);
-    }
-
-    SweepPlan cell_plan = base;
-    cell_plan.unitGranularity = UnitGranularity::kCell;
-    auto cells = decomposeSweepPlan(cell_plan);
-    // One unit per (workload, column), columns = baseline + each
-    // engine, each pair exactly once.
-    std::map<std::pair<std::string, std::int32_t>, int> seen;
-    for (const WorkUnit &u : cells) {
-        EXPECT_EQ(u.kind, UnitGranularity::kCell);
-        seen[{u.workload, u.column}]++;
-    }
-    EXPECT_EQ(cells.size(),
-              base.workloads.size() * (1 + base.engines.size()));
-    for (const std::string &w : base.workloads)
-        for (std::int32_t c = -1;
-             c < static_cast<std::int32_t>(base.engines.size());
-             ++c)
-            EXPECT_EQ((seen[{w, c}]), 1)
-                << w << " column " << c;
-}
-
-// ---- fault matrix, one granularity per test ----------------------
+// ---- fault matrix ------------------------------------------------
 
 TEST_F(NetFaultTest, FaultMatrixWholeWorkloadUnits)
 {
-    runFaultMatrix(UnitGranularity::kWorkload);
+    // {clean 1-worker, abandon 2-worker, drop-reconnect 2-worker,
+    // mixed 4-worker}: every scenario must reproduce the
+    // single-process sweep bitwise.
+    const SweepPlan plan = planFor({"oltp-db2", "web-apache"});
+    const auto reference = referenceRun(plan);
+
+    // Short re-connect window: a worker whose sweep finished
+    // without it (coordinator no longer listening) should conclude
+    // so quickly, not pad the test run.
+    WorkerOptions steady;
+    steady.connectTimeoutSeconds = 2.0;
+    WorkerOptions quitter = steady;
+    quitter.abandonAfterUnits = 1;
+    WorkerOptions dropper = steady;
+    dropper.dropAfterUnits = 1;
+
+    {
+        SCOPED_TRACE("clean one worker");
+        auto got = runScenario(plan, "clean", {steady});
+        EXPECT_EQ(got.requeued, 0u);
+        test::expectSameResults(got.results, reference);
+    }
+    {
+        SCOPED_TRACE("abandoning worker, two workers");
+        auto got = runScenario(plan, "abandon", {quitter, steady});
+        test::expectSameResults(got.results, reference);
+    }
+    {
+        SCOPED_TRACE("dropping/reconnecting worker, two workers");
+        auto got = runScenario(plan, "reconnect", {dropper, steady});
+        test::expectSameResults(got.results, reference);
+    }
+    {
+        SCOPED_TRACE("mixed faults, four workers");
+        auto got = runScenario(plan, "mixed",
+                               {quitter, dropper, steady, steady});
+        test::expectSameResults(got.results, reference);
+    }
 }
 
-TEST_F(NetFaultTest, FaultMatrixCellUnits)
+TEST_F(NetFaultTest, ColdSweepDoesEachPieceOfWorkOnce)
 {
-    runFaultMatrix(UnitGranularity::kCell);
+    // Two steady workers over a cold store: each unit is a whole
+    // workload, so each trace is generated once and each of the
+    // 2 x 3 lanes (baseline, tms, stems) is simulated once, over
+    // the whole trace — no worker repeats another's work. The merge
+    // then finds everything in the store.
+    const SweepPlan plan = planFor({"oltp-db2", "web-apache"});
+    const auto reference = referenceRun(plan);
+    WorkerOptions steady;
+    steady.connectTimeoutSeconds = 2.0;
+
+    const MetricsSnapshot before =
+        MetricsRegistry::instance().snapshot();
+    auto got = runScenario(plan, "cold", {steady, steady});
+    const MetricsSnapshot after =
+        MetricsRegistry::instance().snapshot();
+    test::expectSameResults(got.results, reference);
+    EXPECT_EQ(got.requeued, 0u);
+
+    std::uint64_t records = 0;
+    TraceStore store(dir_ + "/cold");
+    for (const std::string &workload : plan.workloads) {
+        Trace trace;
+        ASSERT_TRUE(store.loadTrace(
+            TraceKey{workload, plan.records, plan.seed}, trace));
+        records += trace.size();
+    }
+    const std::uint64_t lanes = 1 + plan.engines.size();
+
+    EXPECT_EQ(counterDelta(before, got.served,
+                           "driver.trace.generated"),
+              plan.workloads.size());
+    EXPECT_EQ(counterDelta(before, got.served,
+                           "driver.cell.simulated"),
+              plan.workloads.size() * lanes);
+    EXPECT_EQ(counterDelta(before, got.served, "batch.record_steps"),
+              lanes * records);
+    for (const char *name :
+         {"driver.trace.generated", "driver.cell.simulated",
+          "batch.record_steps"})
+        EXPECT_EQ(counterDelta(got.served, after, name), 0u)
+            << "the merge added " << name;
 }
 
 // ---- targeted fault scenarios ------------------------------------
 
 TEST_F(NetFaultTest, DroppedUnitIsRequeuedAndTheWorkerReconnects)
 {
-    // One worker, three cell units: it completes the first, drops
-    // its connection when the second arrives, reconnects under its
-    // session and finishes the sweep — including the unit the
+    // One worker, three workload units: it completes the first,
+    // drops its connection when the second arrives, reconnects under
+    // its session and finishes the sweep — including the unit the
     // coordinator requeued when the connection went.
     const SweepPlan plan =
-        planFor(UnitGranularity::kCell, {"oltp-db2"});
+        planFor({"oltp-db2", "web-apache", "dss-qry2"});
     WorkerOptions dropper;
     dropper.dropAfterUnits = 1;
     auto got = runScenario(plan, "drop", {dropper});
@@ -249,16 +241,15 @@ TEST_F(NetFaultTest, DroppedUnitIsRequeuedAndTheWorkerReconnects)
     test::expectSameResults(got.results, referenceRun(plan));
 }
 
-TEST_F(NetFaultTest, CellUnitFinishesADeadWorkersPartialCell)
+TEST_F(NetFaultTest, WorkloadUnitFinishesADeadWorkersPartialCells)
 {
-    // The store a worker killed mid-cell leaves behind: the trace
-    // and each lane's checkpoints up to the last boundary it
+    // The store a worker killed mid-workload leaves behind: the
+    // trace and each lane's checkpoints up to the last boundary it
     // crossed (10'000), but no results. A steady worker serving the
-    // cell units must resume every lane there — skipping exactly the
-    // committed prefix and stepping exactly the rest — and still
+    // workload unit must resume every lane there — skipping exactly
+    // the committed prefix and stepping exactly the rest — and still
     // reproduce a storeless sweep bitwise.
-    const SweepPlan plan =
-        planFor(UnitGranularity::kCell, {"oltp-db2"});
+    const SweepPlan plan = planFor({"oltp-db2"});
     const auto reference = referenceRun(plan);
     constexpr std::uint64_t kCommitted = 10'000;
 
@@ -298,7 +289,7 @@ TEST_F(NetFaultTest, CellUnitFinishesADeadWorkersPartialCell)
     const MetricsSnapshot after =
         MetricsRegistry::instance().snapshot();
 
-    EXPECT_EQ(got.unitCount, lanes);
+    EXPECT_EQ(got.unitCount, 1u);
     EXPECT_EQ(counterDelta(before, after,
                            "ckpt.resume.skipped_records"),
               lanes * kCommitted);
@@ -312,8 +303,7 @@ TEST_F(NetFaultTest, MidFrameDisconnectAndGarbageAreTolerated)
     // A peer that dies halfway through a frame, and one that speaks
     // a different protocol entirely: both must be shed without
     // disturbing the sweep the real worker completes.
-    const SweepPlan plan =
-        planFor(UnitGranularity::kCell, {"oltp-db2"});
+    const SweepPlan plan = planFor({"oltp-db2", "web-apache"});
     const auto reference = referenceRun(plan);
 
     const std::string store_dir = dir_ + "/midframe";
@@ -363,8 +353,7 @@ TEST_F(NetFaultTest, MidFrameDisconnectAndGarbageAreTolerated)
 
 TEST_F(NetFaultTest, DuplicateUnitDoneIsIdempotent)
 {
-    const SweepPlan plan =
-        planFor(UnitGranularity::kCell, {"oltp-db2", "em3d"});
+    const SweepPlan plan = planFor({"oltp-db2", "em3d"});
     const auto reference = referenceRun(plan);
 
     WorkerOptions chatty;
@@ -387,8 +376,7 @@ TEST_F(NetFaultTest, WatchdogRequeuesUnitHeldByStalledWorker)
     // A worker that accepts a unit and then hangs forever: the
     // slow-worker watchdog must reclaim the unit so the steady
     // worker can finish the sweep.
-    const SweepPlan plan =
-        planFor(UnitGranularity::kCell, {"oltp-db2"});
+    const SweepPlan plan = planFor({"oltp-db2", "web-apache"});
     const auto reference = referenceRun(plan);
 
     const std::string store_dir = dir_ + "/watchdog";

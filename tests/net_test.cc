@@ -193,10 +193,6 @@ sampleUnit()
 {
     UnitMsg unit;
     unit.unitIndex = 3;
-    unit.workload = "oltp-db2";
-    unit.kind = UnitGranularity::kCell;
-    unit.column = 1;
-    unit.prefetchWorkload = "web-apache";
     return unit;
 }
 
@@ -228,17 +224,6 @@ TEST(Protocol, PayloadsRoundTrip)
     UnitMsg unit2;
     ASSERT_TRUE(decodeUnit(encodeUnit(unit), unit2));
     EXPECT_EQ(unit2.unitIndex, 3u);
-    EXPECT_EQ(unit2.workload, "oltp-db2");
-    EXPECT_EQ(unit2.kind, UnitGranularity::kCell);
-    EXPECT_EQ(unit2.column, 1);
-    EXPECT_EQ(unit2.prefetchWorkload, "web-apache");
-
-    // The baseline column (-1) survives the biased encoding.
-    UnitMsg baseline = sampleUnit();
-    baseline.column = -1;
-    UnitMsg baseline2;
-    ASSERT_TRUE(decodeUnit(encodeUnit(baseline), baseline2));
-    EXPECT_EQ(baseline2.column, -1);
 
     UnitDoneMsg done{3};
     UnitDoneMsg done2;
@@ -612,7 +597,7 @@ TEST_F(NetSweepTest, ByeAfterReconnectEndsTheWorkerCleanly)
     // coordinator makes that interleaving deterministic.
     std::filesystem::create_directories(dir_);
     TraceStore seed(dir_); // materialize a usable store directory
-    const SweepPlan plan = smallPlan({"oltp-db2"});
+    const SweepPlan plan = smallPlan({"oltp-db2", "web-apache"});
     PlanMsg plan_msg;
     plan_msg.planDigest = sweepPlanDigest(plan);
     plan_msg.planJson = sweepPlanJson(plan);
@@ -644,7 +629,6 @@ TEST_F(NetSweepTest, ByeAfterReconnectEndsTheWorkerCleanly)
         first.sendFrame(kMsgPlan, encodePlanMsg(plan_msg));
         next(first); // PlanAck
         UnitMsg unit;
-        unit.workload = "oltp-db2";
         for (std::uint64_t i = 0; i < 2; ++i) {
             next(first); // RequestUnit
             unit.unitIndex = i;
@@ -684,6 +668,74 @@ TEST_F(NetSweepTest, ByeAfterReconnectEndsTheWorkerCleanly)
                   kMsgHello, kMsgPlanAck, kMsgRequestUnit,
                   kMsgUnitDone, kMsgRequestUnit, kMsgHello,
                   kMsgPlanAck, kMsgRequestUnit}));
+}
+
+TEST_F(NetSweepTest, WorkerRefusesAnOutOfRangeUnit)
+{
+    // A unit names a workload by its index in the plan. A scripted
+    // coordinator hands out the index one past the last workload:
+    // the worker must stop with an error before it generates or
+    // simulates anything.
+    std::filesystem::create_directories(dir_);
+    TraceStore seed(dir_); // materialize a usable store directory
+    const SweepPlan plan = smallPlan({"oltp-db2", "web-apache"});
+    PlanMsg plan_msg;
+    plan_msg.planDigest = sweepPlanDigest(plan);
+    plan_msg.planJson = sweepPlanJson(plan);
+    plan_msg.sessionId = 1;
+
+    TcpListener listener;
+    std::string error;
+    ASSERT_TRUE(listener.open(0, &error)) << error;
+    WorkerOptions worker;
+    worker.storeDir = dir_;
+    worker.port = listener.port();
+    worker.connectTimeoutSeconds = 5.0;
+    std::thread coord([&] {
+        const auto deadline = std::chrono::steady_clock::now() +
+                              std::chrono::seconds(30);
+        int fd = -1;
+        while (fd < 0 && std::chrono::steady_clock::now() < deadline)
+            fd = listener.accept();
+        if (fd < 0)
+            return;
+        FramedConn conn(fd);
+        Frame frame;
+        conn.recvFrame(frame); // Hello
+        conn.sendFrame(kMsgPlan, encodePlanMsg(plan_msg));
+        conn.recvFrame(frame); // PlanAck
+        conn.recvFrame(frame); // RequestUnit
+        UnitMsg unit;
+        unit.unitIndex = plan.workloads.size();
+        conn.sendFrame(kMsgUnit, encodeUnit(unit));
+        // The worker hangs up; wait for it so the unit is read. No
+        // one listens after that, so a worker that ran the unit
+        // instead cannot get another.
+        conn.recvFrame(frame);
+        listener.close();
+    });
+
+    const MetricsSnapshot before =
+        MetricsRegistry::instance().snapshot();
+    WorkerReport report;
+    std::string worker_error;
+    EXPECT_FALSE(runWorker(worker, &report, &worker_error));
+    coord.join();
+    const MetricsSnapshot after =
+        MetricsRegistry::instance().snapshot();
+
+    EXPECT_NE(worker_error.find("out of range"), std::string::npos)
+        << worker_error;
+    EXPECT_EQ(report.unitsCompleted, 0u);
+    auto counter = [](const MetricsSnapshot &s, const char *name) {
+        auto it = s.counters.find(name);
+        return it == s.counters.end() ? std::uint64_t(0)
+                                      : it->second;
+    };
+    EXPECT_EQ(counter(after, "driver.trace.generated"),
+              counter(before, "driver.trace.generated"));
+    EXPECT_EQ(counter(after, "driver.cell.simulated"),
+              counter(before, "driver.cell.simulated"));
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 #include <sstream>
 
 #include "analysis/report.hh"
+#include "test_util.hh"
 
 namespace stems {
 namespace {
@@ -27,10 +28,7 @@ class ReportTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = testing::TempDir() + "stems_report_test_" +
-               ::testing::UnitTest::GetInstance()
-                   ->current_test_info()
-                   ->name();
+        dir_ = test::uniqueTempPath("stems_report_test");
         std::filesystem::remove_all(dir_);
         std::filesystem::create_directories(dir_);
     }

@@ -331,7 +331,7 @@ TEST(BatchSim, LanesMatchStandaloneSimulators)
 
     BatchSimulator batch;
     std::vector<std::unique_ptr<Prefetcher>> lane_engines;
-    lane_engines.push_back(nullptr); // no-prefetch baseline lane
+    lane_engines.push_back(nullptr); // prefetch-free baseline lane
     batch.addLane(params, nullptr, warmup);
     for (const char *name : engines) {
         lane_engines.push_back(registry.make(name, system, {}));

@@ -210,7 +210,7 @@ TEST_F(TraceStoreTest, ListDescribesEntries)
 TEST_F(TraceStoreTest, UnusableDirectoryDegradesGracefully)
 {
     // A path under a regular file cannot be created.
-    std::string file = testing::TempDir() + "stems_store_blocker";
+    std::string file = test::uniqueTempPath("stems_store_blocker");
     std::ofstream(file) << "x";
     TraceStore store(file + "/store");
     EXPECT_FALSE(store.usable());
@@ -232,7 +232,7 @@ TEST_F(TraceStoreTest, WarmSweepDoesZeroGenerationsAndBaselines)
     ExperimentDriver cold(cfg, 2);
     cold.setStore(std::make_shared<TraceStore>(dir_));
     auto cold_results = cold.run(kWorkloads, engineSpecs(kEngines));
-    // Per workload: the no-prefetch and stride lanes, then one lane
+    // Per workload: the prefetch-free and stride lanes, then one lane
     // per engine.
     const std::size_t cells = kWorkloads.size() * (2 + kEngines.size());
     EXPECT_EQ(cold.traceGenerations(), kWorkloads.size());

@@ -47,7 +47,6 @@ fullPlan()
     plan.jobs = 3;
     plan.checkpointEvery = 5'000;
     plan.heartbeatSeconds = 1.5;
-    plan.unitGranularity = UnitGranularity::kCell;
     return plan;
 }
 
@@ -76,14 +75,14 @@ TEST(SweepPlanJson, DigestIsPinned)
     // Pinned across releases: a digest change means the canonical
     // JSON changed, which invalidates every wire/plan-file digest
     // comparison in flight. Bump deliberately or not at all (last
-    // re-pinned for schema v3).
+    // re-pinned for schema v4).
     SweepPlan plan;
     plan.workloads = {"oltp-db2"};
     plan.engines = {PlanEngine{"stems", "", {}}};
     plan.records = 100'000;
     const std::uint64_t digest = sweepPlanDigest(plan);
     EXPECT_EQ(digest, sweepPlanDigest(plan)) << "digest unstable";
-    EXPECT_EQ(digest, UINT64_C(0x00b54459f692f054));
+    EXPECT_EQ(digest, UINT64_C(0x300850b983ae15c7));
 }
 
 TEST(SweepPlanJson, RejectsUnknownFields)
@@ -180,43 +179,29 @@ TEST(SweepPlanJson, RefusesVersionOnePlans)
     error.clear();
     EXPECT_FALSE(parseSweepPlanJson(v2, out, &error));
     EXPECT_NE(error.find("schema"), std::string::npos) << error;
+
+    // And a schema-v3 document, which still carried the work-unit
+    // granularity (here naming the retired cell units).
+    const std::string v3 = R"({
+  "checkpoint_every": 0,
+  "engines": [],
+  "heartbeat_seconds": 0,
+  "jobs": 1,
+  "records": 2000,
+  "schema": "stems-sweep-plan-v3",
+  "seed": 42,
+  "timing": false,
+  "unit_granularity": "cell",
+  "warmup_fraction": 0.5,
+  "warmup_records": 0,
+  "workloads": [
+    "oltp-db2"
+  ]
 }
-
-TEST(SweepPlanJson, GranularityRoundTripsAndRejectsUnknownNames)
-{
-    SweepPlan plan;
-    for (UnitGranularity g :
-         {UnitGranularity::kWorkload, UnitGranularity::kCell}) {
-        plan.unitGranularity = g;
-        SweepPlan reparsed;
-        std::string error;
-        ASSERT_TRUE(parseSweepPlanJson(sweepPlanJson(plan),
-                                       reparsed, &error))
-            << error;
-        EXPECT_EQ(reparsed.unitGranularity, g);
-
-        UnitGranularity parsed;
-        ASSERT_TRUE(
-            parseUnitGranularity(unitGranularityName(g), parsed));
-        EXPECT_EQ(parsed, g);
-    }
-
-    // Unknown names, and the retired segment granularity, are
-    // refused as a bad unit_granularity.
-    for (const char *bad : {"per-epoch", "segment"}) {
-        std::string doctored = sweepPlanJson(plan);
-        const std::string name = "\"cell\"";
-        doctored.replace(doctored.find(name), name.size(),
-                         std::string("\"") + bad + "\"");
-        SweepPlan out;
-        std::string error;
-        EXPECT_FALSE(parseSweepPlanJson(doctored, out, &error)) << bad;
-        EXPECT_NE(error.find("unit_granularity"), std::string::npos)
-            << error;
-
-        UnitGranularity parsed;
-        EXPECT_FALSE(parseUnitGranularity(bad, parsed)) << bad;
-    }
+)";
+    error.clear();
+    EXPECT_FALSE(parseSweepPlanJson(v3, out, &error));
+    EXPECT_NE(error.find("schema"), std::string::npos) << error;
 }
 
 /** `base` with the first occurrence of `from` replaced by `to`. */

@@ -2,6 +2,8 @@
 
 #include <filesystem>
 
+#include <unistd.h>
+
 #include "common/rng.hh"
 
 namespace stems {
@@ -10,9 +12,11 @@ namespace test {
 std::string
 uniqueTestTag()
 {
-    std::string name = ::testing::UnitTest::GetInstance()
-                           ->current_test_info()
-                           ->name();
+    const ::testing::TestInfo *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = std::string(info->test_suite_name()) + "." +
+                       info->name() + "." +
+                       std::to_string(::getpid());
     for (char &c : name)
         if (c == '/')
             c = '_';

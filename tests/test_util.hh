@@ -26,11 +26,16 @@
 namespace stems {
 namespace test {
 
-/** Current test name, safe for use in a filename. */
+/** Current test's suite and name plus the process id, safe for use
+ *  in a filename: <suite>.<test>.<pid>. The bare test name repeats
+ *  across suites, and one test may run in two processes at once
+ *  (two build trees, or two copies of one binary), so neither alone
+ *  keeps paths apart. */
 std::string uniqueTestTag();
 
-/** TempDir()-rooted path unique to the running test:
- *  <TempDir>/<stem>_<test-name><suffix>. Nothing is created. */
+/** TempDir()-rooted path unique to the running test and process:
+ *  <TempDir>/<stem>_<uniqueTestTag()><suffix>. Nothing is
+ *  created. */
 std::string uniqueTempPath(const std::string &stem,
                            const std::string &suffix = "");
 

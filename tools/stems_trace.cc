@@ -40,22 +40,22 @@
  *   stems_trace serve [bench flags] [--plan FILE] [--timing]
  *               [--port P] [--serve-timeout S] [--unit-timeout S]
  *       Same plan, distributed: listen for `stems_trace worker`
- *       processes, hand out work units — whole workload rows or
- *       (workload, engine) cells per --unit-granularity — over the
- *       framed TCP protocol (src/net/), and after every unit has
+ *       processes, hand out work units — one per workload — over
+ *       the framed TCP protocol (src/net/), and after every unit has
  *       completed merge by running the plan locally over the shared
  *       (now warm) store. A lost worker's unit is requeued at once,
- *       and its next runner resumes from the newest checkpoint in
- *       the store; the slow-worker watchdog requeues any unit held
- *       in flight past --unit-timeout (default: the serve timeout).
- *       Requires a store; stdout is bitwise identical to
- *       `stems_trace sweep` of the same plan.
+ *       and its next runner resumes each lane from the newest
+ *       checkpoint in the store; the slow-worker watchdog requeues
+ *       any unit held in flight past --unit-timeout (default: the
+ *       serve timeout). Requires a store; stdout is bitwise
+ *       identical to `stems_trace sweep` of the same plan.
  *   stems_trace worker --store DIR [--port P] [--host H]
  *               [--connect-timeout S] [--reconnects N]
- *               [--no-prefetch] [--metrics-out FILE]
+ *               [--metrics-out FILE]
  *               [--abandon-after N] [--drop-after N] [--dup-done]
- *       Execute work units for a coordinator, simulating through
- *       the normal driver lane path into the shared store. The
+ *       Execute work units for a coordinator, simulating each
+ *       workload's lanes on the plan's --jobs threads through the
+ *       normal driver lane path into the shared store. The
  *       store directory must already exist. Fault hooks for tests
  *       and CI: --abandon-after vanishes without a goodbye after N
  *       units; --drop-after drops the connection once when the
@@ -121,7 +121,7 @@ usage()
         "[--timing] [--port P] [--serve-timeout S] "
         "[--unit-timeout S]\n"
         "  stems_trace worker --store DIR [--port P] [--host H] "
-        "[--connect-timeout S] [--reconnects N] [--no-prefetch] "
+        "[--connect-timeout S] [--reconnects N] "
         "[--metrics-out FILE] [--abandon-after N] "
         "[--drop-after N] [--dup-done]\n");
     return 1;
@@ -820,10 +820,9 @@ cmdServe(int argc, char **argv)
         std::fprintf(stderr, "serve: %s\n", error.c_str());
         return 1;
     }
-    std::fprintf(stderr, "[serve] listening on port %u, %zu %s "
-                         "unit(s)\n",
-                 coord.port(), coord.unitCount(),
-                 unitGranularityName(plan.unitGranularity));
+    std::fprintf(stderr, "[serve] listening on port %u, %zu "
+                         "workload unit(s)\n",
+                 coord.port(), coord.unitCount());
     if (!coord.serve(svc.serveTimeout, &error)) {
         std::fprintf(stderr, "serve: %s\n", error.c_str());
         return 1;
@@ -886,8 +885,6 @@ cmdWorker(int argc, char **argv)
             w.duplicateUnitDone = true;
         } else if (arg == "--reconnects") {
             ok = numberArg(arg, value(), w.maxReconnects) && ok;
-        } else if (arg == "--no-prefetch") {
-            w.prefetchTraces = false;
         } else if (arg == "--metrics-out") {
             metrics_out = value();
         } else {
