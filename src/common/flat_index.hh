@@ -20,13 +20,16 @@
  *
  * Slot order depends on insertion history, so saveState emits the
  * entries key-sorted: the same bytes as the key-sorted
- * std::unordered_map encoding this replaced.
+ * std::unordered_map encoding this replaced. It sorts with an LSD
+ * radix sort over only the key bits that vary; keys are unique, so
+ * the order is the comparison sort's. loadState accepts only that
+ * order: strictly ascending keys.
  */
 
 #ifndef STEMS_COMMON_FLAT_INDEX_HH
 #define STEMS_COMMON_FLAT_INDEX_HH
 
-#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -108,36 +111,35 @@ class FlatIndex
     void
     saveState(Writer &w) const
     {
-        std::vector<Slot> live;
-        live.reserve(size_);
-        for (const Slot &s : slots_)
-            if (s.key != kEmptyKey)
-                live.push_back(s);
-        std::sort(live.begin(), live.end(),
-                  [](const Slot &a, const Slot &b) { return a.key < b.key; });
-        w.u64(live.size());
-        for (const Slot &s : live) {
+        w.u64(size_);
+        for (const Slot &s : sortedSlots()) {
             w.u64(s.key);
             w.u64(s.value);
         }
     }
 
-    /** Restore state written by saveState. Fails the reader on
-     *  kEmptyKey, which no slot can hold as a key, and on any entry
-     *  `accept(key, value)` refuses (the owner's invariants). */
+    /** Restore state written by saveState. Fails the reader on a key
+     *  not above the one before it (saveState writes strictly
+     *  ascending keys, so a duplicate or reordered key is a corrupt
+     *  payload), on kEmptyKey, which no slot can hold as a key, and
+     *  on any entry `accept(key, value)` refuses (the owner's
+     *  invariants). */
     template <typename Reader, typename Accept>
     void
     loadState(Reader &r, Accept &&accept)
     {
         reset(slots_.size());
         const std::uint64_t n = r.u64();
+        std::uint64_t prev = 0;
         for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
             const std::uint64_t key = r.u64();
             const std::uint64_t value = r.u64();
-            if (!r.ok() || key == kEmptyKey || !accept(key, value)) {
+            if (!r.ok() || key == kEmptyKey || (i > 0 && key <= prev) ||
+                !accept(key, value)) {
                 r.fail();
                 return;
             }
+            prev = key;
             findOrInsert(key) = value;
         }
     }
@@ -158,6 +160,11 @@ class FlatIndex
     };
 
     static constexpr std::size_t kMinCapacity = 16;
+    /// Radix sort digit width: 2048 buckets keep a pass's cursors in
+    /// L1, and block-address keys (about 35 varying bits) take 4
+    /// passes.
+    static constexpr unsigned kDigitBits = 11;
+    static constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
     /// Load limit kLoadNum / kLoadDen.
     static constexpr std::size_t kLoadNum = 3;
     static constexpr std::size_t kLoadDen = 4;
@@ -183,6 +190,64 @@ class FlatIndex
         while (slots_[i].key != key && slots_[i].key != kEmptyKey)
             i = (i + 1) & mask;
         return i;
+    }
+
+    /**
+     * The live slots by ascending key: an LSD radix sort, one stable
+     * counting pass per kDigitBits-wide digit from the lowest key bit
+     * that varies to the highest (bits every key shares cannot
+     * reorder anything). The scratch is two arrays of size() slots,
+     * freed on return.
+     */
+    std::vector<Slot>
+    sortedSlots() const
+    {
+        // Compact the live slots without a branch on liveness, which
+        // is random across the table and would mispredict, and note
+        // which key bits vary.
+        std::vector<Slot> live(size_ + 1);
+        std::uint64_t ones = 0, zeros = 0;
+        std::size_t n = 0;
+        for (const Slot &s : slots_) {
+            const bool held = s.key != kEmptyKey;
+            const std::uint64_t mask = std::uint64_t{0} - held;
+            ones |= s.key & mask;
+            zeros |= ~s.key & mask;
+            live[n] = s;
+            n += held;
+        }
+        live.resize(n);
+        const std::uint64_t varying = ones & zeros;
+        if (varying == 0) // at most one key
+            return live;
+
+        const unsigned low = static_cast<unsigned>(__builtin_ctzll(varying));
+        const unsigned high =
+            64 - static_cast<unsigned>(__builtin_clzll(varying));
+        const unsigned passes = (high - low + kDigitBits - 1) / kDigitBits;
+        auto digit = [low](std::uint64_t key, unsigned pass) {
+            return static_cast<std::size_t>(
+                (key >> (low + pass * kDigitBits)) & (kBuckets - 1));
+        };
+        // Every pass's digit counts from one scan, turned into each
+        // bucket's first output index as its pass starts.
+        std::vector<std::array<std::size_t, kBuckets>> next(passes);
+        for (const Slot &s : live)
+            for (unsigned p = 0; p < passes; ++p)
+                ++next[p][digit(s.key, p)];
+        std::vector<Slot> out(n);
+        for (unsigned p = 0; p < passes; ++p) {
+            std::size_t sum = 0;
+            for (std::size_t &c : next[p]) {
+                const std::size_t count = c;
+                c = sum;
+                sum += count;
+            }
+            for (const Slot &s : live)
+                out[next[p][digit(s.key, p)]++] = s;
+            live.swap(out);
+        }
+        return live;
     }
 
     void

@@ -31,6 +31,16 @@ getScalar(const std::vector<std::uint8_t> &buf, std::size_t offset)
     return v;
 }
 
+/** Restore a framed blob's payload into `sim`; the framing was
+ *  verified. @return false on a payload-structure mismatch. */
+bool
+loadPayload(const std::vector<std::uint8_t> &blob, PrefetchSimulator &sim)
+{
+    StateReader r(blob.data() + kHeaderBytes, blob.size() - kHeaderBytes);
+    sim.loadState(r);
+    return r.atEnd();
+}
+
 /** The one header writer both encoders share. */
 void
 writeHeader(std::uint8_t *header, std::uint64_t record_index,
@@ -112,30 +122,36 @@ checkpointValid(const std::vector<std::uint8_t> &blob)
                  static_cast<std::size_t>(payload_len)) == crc;
 }
 
-bool
-checkpointRecordIndex(const std::vector<std::uint8_t> &blob,
-                      std::uint64_t &index_out)
+std::uint64_t
+VerifiedCheckpoint::recordIndex() const
+{
+    return getScalar<std::uint64_t>(blob_, kIndexOffset);
+}
+
+std::optional<VerifiedCheckpoint>
+verifyCheckpoint(std::vector<std::uint8_t> blob)
 {
     if (!checkpointValid(blob))
-        return false;
-    index_out = getScalar<std::uint64_t>(blob, kIndexOffset);
-    return true;
+        return std::nullopt;
+    return VerifiedCheckpoint(std::move(blob));
 }
 
 bool
 decodeCheckpoint(const std::vector<std::uint8_t> &blob,
                  PrefetchSimulator &sim, std::uint64_t *index_out)
 {
-    if (!checkpointValid(blob))
-        return false;
-    StateReader r(blob.data() + kHeaderBytes,
-                  blob.size() - kHeaderBytes);
-    sim.loadState(r);
-    if (!r.atEnd())
+    if (!checkpointValid(blob) || !loadPayload(blob, sim))
         return false;
     if (index_out)
         *index_out = getScalar<std::uint64_t>(blob, kIndexOffset);
     return true;
+}
+
+bool
+decodeCheckpoint(const VerifiedCheckpoint &checkpoint,
+                 PrefetchSimulator &sim)
+{
+    return loadPayload(checkpoint.bytes(), sim);
 }
 
 } // namespace stems

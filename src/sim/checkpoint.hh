@@ -46,6 +46,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/state_codec.hh"
@@ -120,11 +122,36 @@ CheckpointHeader streamCheckpoint(const PrefetchSimulator &sim,
 bool checkpointValid(const std::vector<std::uint8_t> &blob);
 
 /**
- * Peek a valid blob's record index. @return false when the framing
- * is invalid.
+ * A checkpoint blob whose framing (magic, version, length, CRC) was
+ * verified. Only verifyCheckpoint makes one, so decoding it skips
+ * the second CRC pass without weakening "verified before any
+ * simulator state changes": the TraceStore verifies each blob it
+ * loads, and the driver decodes that object.
  */
-bool checkpointRecordIndex(const std::vector<std::uint8_t> &blob,
-                           std::uint64_t &index_out);
+class VerifiedCheckpoint
+{
+  public:
+    /** The blob, header included. */
+    const std::vector<std::uint8_t> &bytes() const { return blob_; }
+
+    /** Records stepped before the save. */
+    std::uint64_t recordIndex() const;
+
+  private:
+    explicit VerifiedCheckpoint(std::vector<std::uint8_t> blob)
+        : blob_(std::move(blob))
+    {
+    }
+
+    friend std::optional<VerifiedCheckpoint>
+    verifyCheckpoint(std::vector<std::uint8_t> blob);
+
+    std::vector<std::uint8_t> blob_;
+};
+
+/** Take a blob whose framing is valid. @return nullopt when it is not. */
+std::optional<VerifiedCheckpoint>
+verifyCheckpoint(std::vector<std::uint8_t> blob);
 
 /**
  * Restore a checkpoint into a simulator constructed with the same
@@ -141,6 +168,11 @@ bool checkpointRecordIndex(const std::vector<std::uint8_t> &blob,
 bool decodeCheckpoint(const std::vector<std::uint8_t> &blob,
                       PrefetchSimulator &sim,
                       std::uint64_t *index_out = nullptr);
+
+/** decodeCheckpoint for a blob already verified: the payload
+ *  structure is checked, the CRC is not computed again. */
+bool decodeCheckpoint(const VerifiedCheckpoint &checkpoint,
+                      PrefetchSimulator &sim);
 
 } // namespace stems
 

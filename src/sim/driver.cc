@@ -86,11 +86,14 @@ struct ExperimentDriver::TraceContext
     /// ending at trace.size(); empty when checkpointing is off.
     std::vector<std::size_t> bounds;
 
-    /// Trace-prefix digests (trace/trace_io.hh). Every boundary is
-    /// hashed when the context opens; an off-schedule resume
-    /// candidate resumes from the nearest lower index hashed.
-    /// Thread-safe (lane threads write checkpoints concurrently).
+    /// Trace-prefix digests (trace/trace_io.hh). The context's one
+    /// hashing pass keeps every boundary's state and yields
+    /// `digest`; an off-schedule resume candidate resumes from the
+    /// nearest lower index hashed. Thread-safe (lane threads write
+    /// checkpoints concurrently).
     TracePrefixMemo prefixes{trace};
+    /// Content digest (traceDigest), when the context hashed.
+    std::uint64_t digest = 0;
 };
 
 /**
@@ -288,39 +291,6 @@ ExperimentDriver::applyPlan(const SweepPlan &plan)
     // Refresh the store-context digests for the new configuration.
     if (store_)
         setStore(store_);
-}
-
-Trace
-ExperimentDriver::materializeTrace(
-    const Workload &workload,
-    std::optional<std::uint64_t> *digest_out)
-{
-    if (store_) {
-        TraceKey key{workload.name(), config_.traceRecords,
-                     config_.seed};
-        Trace trace;
-        if (store_->loadTrace(key, trace)) {
-            // Hash the records actually loaded rather than trusting
-            // (and re-reading) the meta sidecar: results stay keyed
-            // to the true content even if a meta file is stale, at
-            // no extra I/O.
-            if (digest_out)
-                *digest_out = traceDigest(trace);
-            return trace;
-        }
-        trace = workload.generate(config_.seed,
-                                  config_.traceRecords);
-        traceGenerations_.fetch_add(1);
-        driverMetrics().traceGenerated.add();
-        if (auto info = store_->putTrace(key, trace)) {
-            if (digest_out)
-                *digest_out = info->digest;
-        }
-        return trace;
-    }
-    traceGenerations_.fetch_add(1);
-    driverMetrics().traceGenerated.add();
-    return workload.generate(config_.seed, config_.traceRecords);
 }
 
 void
@@ -611,18 +581,35 @@ ExperimentDriver::run(const std::vector<std::string> &workloads,
     return runCells(ptrs, engines, /*cacheable=*/true);
 }
 
-void
-ExperimentDriver::openTraceContext(TraceContext &ctx, Trace trace,
-                                   bool checkpointing) const
+bool
+ExperimentDriver::openTraceContext(TraceContext &ctx,
+                                   const Workload &workload,
+                                   bool use_store, bool checkpointing,
+                                   bool hash)
 {
-    ctx.trace = std::move(trace);
+    const TraceKey key{workload.name(), config_.traceRecords,
+                       config_.seed};
+    bool stored = use_store && store_->loadTrace(key, ctx.trace);
+    if (!stored) {
+        ctx.trace = workload.generate(config_.seed, config_.traceRecords);
+        traceGenerations_.fetch_add(1);
+        driverMetrics().traceGenerated.add();
+    }
     ctx.warmup = effectiveWarmupRecords(config_, ctx.trace.size());
-    if (!checkpointing)
-        return;
     // The shared boundary schedule (sim/checkpoint.hh): absolute
     // indices, so a run extended to more records finds these.
-    ctx.bounds = checkpointBounds(ctx.trace.size(), checkpointEvery_);
-    ctx.prefixes.digests(ctx.bounds);
+    if (checkpointing)
+        ctx.bounds = checkpointBounds(ctx.trace.size(), checkpointEvery_);
+    // One pass yields the content digest and every boundary's prefix
+    // state. A loaded trace is hashed rather than trusting (and
+    // re-reading) its meta sidecar: results stay keyed to the true
+    // content even if a meta file is stale.
+    const bool put = use_store && !stored;
+    if (checkpointing || hash || put)
+        ctx.digest = ctx.prefixes.hashTrace(ctx.bounds);
+    if (put)
+        stored = store_->putTrace(key, ctx.trace, ctx.digest).has_value();
+    return stored;
 }
 
 /**
@@ -679,14 +666,12 @@ ExperimentDriver::openLanes(TraceContext &ctx,
         for (std::size_t c = candidates.size(); c-- > 0;) {
             const std::uint64_t state = checkpointStateDigest(
                 prefixes[c], candidates[c], ctx.warmup);
-            auto blob = store_->loadCheckpoint(
+            // The store verified the blob's framing, CRC and index.
+            auto checkpoint = store_->loadCheckpoint(
                 lane.ckptSpec, ckptConfigDigest_, candidates[c], state);
-            if (!blob)
+            if (!checkpoint)
                 continue;
-            std::uint64_t decoded = 0;
-            if (decodeCheckpoint(*blob, pass.sim.simulator(k),
-                                 &decoded) &&
-                decoded == candidates[c]) {
+            if (decodeCheckpoint(*checkpoint, pass.sim.simulator(k))) {
                 resume = candidates[c];
                 break;
             }
@@ -772,22 +757,13 @@ ExperimentDriver::openShard(WorkloadShard &shard, bool checkpointing)
         ScopedSpan materialize("trace.materialize", "driver");
         if (materialize.active())
             materialize.arg("workload", shard.workload->name());
-        Trace trace;
-        if (shard.storeEligible) {
-            std::optional<std::uint64_t> digest;
-            trace = materializeTrace(*shard.workload, &digest);
-            if (digest) {
-                shard.traceDigest = *digest;
-                shard.digestValid = true;
-            }
-        } else {
-            trace = shard.workload->generate(config_.seed,
-                                             config_.traceRecords);
-            traceGenerations_.fetch_add(1);
-            driverMetrics().traceGenerated.add();
+        if (openTraceContext(shard.ctx, *shard.workload,
+                             shard.storeEligible, checkpointing,
+                             /*hash=*/shard.storeEligible)) {
+            shard.traceDigest = shard.ctx.digest;
+            shard.digestValid = true;
         }
-        shard.traceSize = trace.size();
-        openTraceContext(shard.ctx, std::move(trace), checkpointing);
+        shard.traceSize = shard.ctx.trace.size();
     }
     shard.pass = openLanes(shard.ctx, lanes);
     shard.slots.resize(lanes.size());
@@ -997,8 +973,10 @@ ExperimentDriver::forEachTrace(
     }
     dispatch(owned.size(), [&](std::size_t k) {
         const Workload &w = *owned[k];
-        Trace trace = materializeTrace(w, nullptr);
-        fn(indices[k], w, trace);
+        TraceContext ctx;
+        openTraceContext(ctx, w, store_ != nullptr,
+                         /*checkpointing=*/false, /*hash=*/false);
+        fn(indices[k], w, ctx.trace);
     });
 }
 

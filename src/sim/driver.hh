@@ -274,17 +274,18 @@ class ExperimentDriver
     void dispatch(std::size_t num_tasks,
                   const std::function<void(std::size_t)> &task);
 
-    /** Load-or-generate one registry workload's trace, maintaining
-     *  the generation counter and the store. `digest_out` (optional)
-     *  receives the content digest when the store provided one. */
-    Trace materializeTrace(const Workload &workload,
-                           std::optional<std::uint64_t> *digest_out);
-
-    /** Adopt a materialized trace into `ctx`: its warmup and, when
-     *  `checkpointing`, its boundary schedule with the prefix
-     *  digest at every boundary. */
-    void openTraceContext(TraceContext &ctx, Trace trace,
-                          bool checkpointing) const;
+    /**
+     * THE trace path: load a registry workload's trace from the store
+     * (`use_store`) or generate it, adopt it into `ctx` (its warmup
+     * and, when `checkpointing`, its boundary schedule) and hash it
+     * in one pass (TracePrefixMemo::hashTrace) when checkpointing,
+     * when `hash` (a store-served trace's digest keys its stored
+     * results), or to put a generated trace into the store.
+     *
+     * @return whether the store holds the trace, under ctx.digest.
+     */
+    bool openTraceContext(TraceContext &ctx, const Workload &workload,
+                          bool use_store, bool checkpointing, bool hash);
 
     /** THE resume-and-checkpoint routine: build `lanes` over ctx's
      *  trace, each resumed and armed for its checkpoints (see

@@ -331,11 +331,19 @@ PrefetchSimulator::loadState(StateReader &r)
     if (svb_)
         svb_->loadState(r);
     timing_.loadState(r);
+    // saveState writes the ready list by strictly ascending address;
+    // a duplicate or reordered address is a corrupt payload.
     std::uint64_t ready = r.u64();
     l2PrefetchReady_.clear();
+    Addr prev = 0;
     for (std::uint64_t i = 0; i < ready && r.ok(); ++i) {
         Addr a = r.u64();
         double t = r.f64();
+        if (i > 0 && a <= prev) {
+            r.fail();
+            return;
+        }
+        prev = a;
         l2PrefetchReady_[a] = t;
     }
     missSeq_ = r.u64();

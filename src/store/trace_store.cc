@@ -591,6 +591,13 @@ TraceStore::dropTraceEntry(const TraceKey &key)
 std::optional<TraceEntryInfo>
 TraceStore::putTrace(const TraceKey &key, const Trace &trace)
 {
+    return putTrace(key, trace, traceDigest(trace));
+}
+
+std::optional<TraceEntryInfo>
+TraceStore::putTrace(const TraceKey &key, const Trace &trace,
+                     std::uint64_t digest)
+{
     ScopedSpan span("store.trace.put", "store");
     if (span.active())
         span.arg("workload", key.workload);
@@ -599,7 +606,7 @@ TraceStore::putTrace(const TraceKey &key, const Trace &trace)
     std::vector<std::uint8_t> bytes = encodeTraceV2(trace);
     TraceEntryInfo info;
     info.key = key;
-    info.digest = traceDigest(trace);
+    info.digest = digest;
     info.records = trace.size();
     info.bytes = bytes.size();
 
@@ -774,7 +781,7 @@ TraceStore::putCheckpoint(std::uint64_t spec_digest,
                                           config_digest, state_digest));
 }
 
-std::optional<std::vector<std::uint8_t>>
+std::optional<VerifiedCheckpoint>
 TraceStore::loadCheckpoint(std::uint64_t spec_digest,
                            std::uint64_t config_digest,
                            std::uint64_t record_index,
@@ -797,9 +804,8 @@ TraceStore::loadCheckpoint(std::uint64_t spec_digest,
         storeMetrics().ckptMiss.add();
         return std::nullopt;
     }
-    std::uint64_t index = 0;
-    if (!checkpointRecordIndex(*blob, index) ||
-        index != record_index) {
+    auto checkpoint = verifyCheckpoint(std::move(*blob));
+    if (!checkpoint || checkpoint->recordIndex() != record_index) {
         // Corrupt/truncated/mis-keyed: drop the pair so the caller's
         // cold run rewrites it.
         ++checkpointMisses_;
@@ -814,7 +820,7 @@ TraceStore::loadCheckpoint(std::uint64_t spec_digest,
     ++checkpointHits_;
     storeMetrics().ckptHit.add();
     touch(path);
-    return blob;
+    return checkpoint;
 }
 
 void

@@ -64,7 +64,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/prefetch_sim.hh"
+#include "sim/checkpoint.hh"
 #include "trace/trace.hh"
 #include "trace/trace_source.hh"
 
@@ -215,6 +215,14 @@ class TraceStore
     std::optional<TraceEntryInfo> putTrace(const TraceKey &key,
                                            const Trace &trace);
 
+    /**
+     * putTrace for a caller that already hashed the trace: `digest`
+     * must be traceDigest(trace). Writes the same bytes.
+     */
+    std::optional<TraceEntryInfo> putTrace(const TraceKey &key,
+                                           const Trace &trace,
+                                           std::uint64_t digest);
+
     // ---- cell results ----
 
     /**
@@ -284,10 +292,11 @@ class TraceStore
     /**
      * Load a stored checkpoint blob with one sized read. The blob
      * framing (magic, version, length, CRC) and its record index are
-     * verified here; a corrupt or mis-keyed entry is deleted and
-     * counted as a miss so the caller falls back to a cold start.
+     * verified here, so the result decodes without a second CRC
+     * pass; a corrupt or mis-keyed entry is deleted and counted as a
+     * miss so the caller falls back to a cold start.
      */
-    std::optional<std::vector<std::uint8_t>>
+    std::optional<VerifiedCheckpoint>
     loadCheckpoint(std::uint64_t spec_digest,
                    std::uint64_t config_digest,
                    std::uint64_t record_index,

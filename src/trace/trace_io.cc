@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "common/crc32.hh"
+#include "obs/metrics.hh"
 #include "trace/trace_codec.hh"
 
 namespace stems {
@@ -244,22 +245,38 @@ fnvMix(std::uint64_t state, const void *data, std::size_t len)
     return state;
 }
 
-/** Fold records [from, to) into the running prefix-hash state, with
- *  the same canonical field serialization as traceDigest. */
+/** Fold one record into a hash state: the canonical field
+ *  serialization every trace digest shares. */
+std::uint64_t
+foldRecord(std::uint64_t state, const MemRecord &r)
+{
+    state = fnvMix(state, &r.vaddr, sizeof(r.vaddr));
+    state = fnvMix(state, &r.pc, sizeof(r.pc));
+    state = fnvMix(state, &r.cpuOps, sizeof(r.cpuOps));
+    state = fnvMix(state, &r.depDist, sizeof(r.depDist));
+    const auto kind = static_cast<std::uint8_t>(r.kind);
+    return fnvMix(state, &kind, sizeof(kind));
+}
+
+/** `trace.hashed_records`: records folded into any trace digest; a
+ *  pass that feeds each record to two states counts it once. */
+Counter &
+hashedRecords()
+{
+    static Counter &counter =
+        MetricsRegistry::instance().counter("trace.hashed_records");
+    return counter;
+}
+
+/** Fold records [from, to) into a running hash state. */
 std::uint64_t
 advancePrefixState(const Trace &trace, std::uint64_t state,
                    std::size_t from, std::size_t to)
 {
     to = std::min(to, trace.size());
-    for (std::size_t i = from; i < to; ++i) {
-        const MemRecord &r = trace[i];
-        state = fnvMix(state, &r.vaddr, sizeof(r.vaddr));
-        state = fnvMix(state, &r.pc, sizeof(r.pc));
-        state = fnvMix(state, &r.cpuOps, sizeof(r.cpuOps));
-        state = fnvMix(state, &r.depDist, sizeof(r.depDist));
-        const auto kind = static_cast<std::uint8_t>(r.kind);
-        state = fnvMix(state, &kind, sizeof(kind));
-    }
+    for (std::size_t i = from; i < to; ++i)
+        state = foldRecord(state, trace[i]);
+    hashedRecords().add(to > from ? to - from : 0);
     return state;
 }
 
@@ -271,6 +288,15 @@ finishPrefixDigest(std::uint64_t state, std::size_t index)
     return fnvMix(state, &count, sizeof(count));
 }
 
+/** The content digest's state before any record: the record count
+ *  folded in first. */
+std::uint64_t
+contentDigestStart(const Trace &trace)
+{
+    const std::uint64_t count = trace.size();
+    return fnvMix(kFnvOffsetBasis, &count, sizeof(count));
+}
+
 } // namespace
 
 std::uint64_t
@@ -278,10 +304,8 @@ traceDigest(const Trace &trace)
 {
     // 64-bit FNV-1a over a canonical little-endian field serialization,
     // the record count first.
-    const std::uint64_t count = trace.size();
-    return advancePrefixState(
-        trace, fnvMix(kFnvOffsetBasis, &count, sizeof(count)), 0,
-        trace.size());
+    return advancePrefixState(trace, contentDigestStart(trace), 0,
+                              trace.size());
 }
 
 std::vector<std::uint64_t>
@@ -307,6 +331,31 @@ tracePrefixDigests(const Trace &trace,
 TracePrefixMemo::TracePrefixMemo(const Trace &trace)
     : trace_(trace), states_{{0, kFnvOffsetBasis}}
 {
+}
+
+std::uint64_t
+TracePrefixMemo::hashTrace(const std::vector<std::size_t> &bounds)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    // FNV-1a is a byte-serial multiply chain, so one pass cannot be
+    // split; but the content and prefix chains are independent, and
+    // fed in one loop they overlap in the core, so the content
+    // digest costs almost nothing beside the prefix states.
+    std::uint64_t content = contentDigestStart(trace_);
+    std::uint64_t prefix = kFnvOffsetBasis;
+    std::size_t record = 0;
+    auto advance = [&](std::size_t to) {
+        for (; record < to; ++record) {
+            content = foldRecord(content, trace_[record]);
+            prefix = foldRecord(prefix, trace_[record]);
+        }
+        states_.emplace(record, prefix);
+    };
+    for (std::size_t bound : bounds)
+        advance(std::min(bound, trace_.size()));
+    advance(trace_.size());
+    hashedRecords().add(trace_.size());
+    return content;
 }
 
 std::vector<std::uint64_t>

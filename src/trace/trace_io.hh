@@ -89,9 +89,10 @@ tracePrefixDigests(const Trace &trace,
 /**
  * Memo of one trace's prefix digests that resumes hashing: it keeps
  * the running hash state at every index it has hashed, and starts
- * each new index from the nearest lower one. Asking for the indices
- * of one boundary schedule and then for an index just past one of
- * them hashes each record once. Every value equals
+ * each new index from the nearest lower one. hashTrace() is the one
+ * pass that also yields the content digest; asking for the indices of
+ * one boundary schedule there, and afterwards for an index just past
+ * one of them, hashes each record once. Every value equals
  * tracePrefixDigests(trace, {index})[0]. Thread-safe.
  */
 class TracePrefixMemo
@@ -102,6 +103,16 @@ class TracePrefixMemo
 
     TracePrefixMemo(const TracePrefixMemo &) = delete;
     TracePrefixMemo &operator=(const TracePrefixMemo &) = delete;
+
+    /**
+     * Hash every record once, feeding each to the content state and
+     * the prefix state in one loop, and keep the prefix state at
+     * each of `bounds` (ascending, each <= trace.size()) and at the
+     * trace end for digests().
+     *
+     * @return the content digest, traceDigest(trace).
+     */
+    std::uint64_t hashTrace(const std::vector<std::size_t> &bounds);
 
     /** Prefix digests at `indices`, in any order; one per index. */
     std::vector<std::uint64_t>

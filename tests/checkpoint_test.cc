@@ -33,6 +33,7 @@
 #include <sstream>
 
 #include "common/rng.hh"
+#include "obs/metrics.hh"
 #include "prefetch/engine_registry.hh"
 #include "sim/checkpoint.hh"
 #include "sim/driver.hh"
@@ -139,9 +140,10 @@ TEST(Checkpoint, SnapshotResumeMatchesContinuousForEveryEngine)
             std::vector<std::uint8_t> blob =
                 encodeCheckpoint(prefix, split);
 
+            const auto verified = verifyCheckpoint(blob);
+            ASSERT_TRUE(verified.has_value());
+            EXPECT_EQ(verified->recordIndex(), split);
             std::uint64_t index = 0;
-            ASSERT_TRUE(checkpointRecordIndex(blob, index));
-            EXPECT_EQ(index, split);
 
             auto resumed_engine = makeEngine(name);
             PrefetchSimulator resumed(params,
@@ -580,6 +582,49 @@ TEST_F(SegmentedDriverTest, CorruptCheckpointFallsBackToColdRun)
     auto b = second.run(plan, {probed});
     EXPECT_EQ(second.resumedRuns(), 0u); // every blob rejected
     expectSameResults(a, b);
+}
+
+TEST_F(SegmentedDriverTest, EachTraceIsHashedOncePerSweep)
+{
+    // One pass over a trace yields its content digest (the key of its
+    // stored results and of its store put) and every boundary's
+    // prefix digest, whether the sweep generated the trace or loaded
+    // it from the store.
+    Counter &hashed =
+        MetricsRegistry::instance().counter("trace.hashed_records");
+    ExperimentConfig cfg = smallConfig(false, 20000);
+    // em3d's trace (far past 20000 records) opens first on one
+    // thread, so dss-qry17's lanes later see only em3d checkpoints
+    // past their own trace end: no off-schedule resume candidate
+    // adds a hashed tail.
+    const std::vector<std::string> workloads = {"em3d", "dss-qry17"};
+    SweepPlan plan = test::configPlan(cfg, workloads, 1);
+    plan.checkpointEvery = 50000;
+    auto store = std::make_shared<TraceStore>(dir_);
+
+    ExperimentDriver cold;
+    cold.setStore(store);
+    std::uint64_t before = hashed.value();
+    cold.run(plan, engineSpecs({"sms"}));
+    EXPECT_EQ(cold.traceGenerations(), 2u);
+    EXPECT_GT(cold.checkpointsWritten(), 0u);
+    std::uint64_t records = 0;
+    for (const std::string &w : workloads) {
+        auto info = store->findTrace({w, cfg.traceRecords, cfg.seed});
+        ASSERT_TRUE(info.has_value()) << w;
+        records += info->records;
+    }
+    EXPECT_EQ(hashed.value() - before, records);
+
+    // A new engine column over the stored traces: loaded, not
+    // generated, and hashed once more.
+    ExperimentDriver warm;
+    warm.setStore(store);
+    before = hashed.value();
+    warm.run(plan, engineSpecs({"sms", "tms"}));
+    EXPECT_EQ(warm.traceGenerations(), 0u);
+    EXPECT_EQ(warm.cellRuns(), 2u);
+    EXPECT_EQ(hashed.value() - before, records);
 }
 
 TEST_F(SegmentedDriverTest, CheckpointsNeedAStore)

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -30,6 +31,7 @@
 #include "mem/cache.hh"
 #include "mem/svb.hh"
 #include "prefetch/tms.hh"
+#include "sim/prefetch_sim.hh"
 #include "reference_cache.hh"
 #include "reference_lru_table.hh"
 #include "reference_pst.hh"
@@ -613,16 +615,51 @@ TEST(HotpathSvb, MatchesReference32Slots)
     svbEquivalenceRun(2, 32, 200000);
 }
 
+/**
+ * The historical encoding of an index holding `oracle`: the count,
+ * then the pairs by key, ordered by std::sort. saveState's radix
+ * sort must produce these bytes, and loadState must restore them.
+ */
+void
+expectSortedBytes(const FlatIndex &index,
+                  const std::unordered_map<std::uint64_t, std::uint64_t> &oracle)
+{
+    ASSERT_EQ(index.size(), oracle.size());
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted(
+        oracle.begin(), oracle.end());
+    std::sort(sorted.begin(), sorted.end());
+    StateWriter want;
+    want.u64(sorted.size());
+    for (const auto &kv : sorted) {
+        want.u64(kv.first);
+        want.u64(kv.second);
+    }
+    ASSERT_EQ(stateBytes(index), want.bytes());
+
+    FlatIndex restored(8);
+    StateReader r(want.bytes().data(), want.bytes().size());
+    restored.loadState(r);
+    ASSERT_TRUE(r.atEnd());
+    ASSERT_EQ(stateBytes(restored), want.bytes());
+}
+
 TEST(HotpathFlatIndex, MatchesUnorderedMapAndItsSortedBytes)
 {
+    constexpr std::uint64_t kTopBit = std::uint64_t{1} << 63;
     for (std::uint64_t seed = 0; seed < 4; ++seed) {
         std::mt19937_64 rng(seed);
         FlatIndex index(8); // tiny: the run crosses many growths
         std::unordered_map<std::uint64_t, std::uint64_t> oracle;
         for (std::uint64_t i = 0; i < 100000; ++i) {
-            // Mostly block addresses (the RMOB/TMS keys), some words.
-            const std::uint64_t key =
-                rng() % 4 ? (rng() % 30000) << kBlockShift : rng() >> 1;
+            // Mostly block addresses (the RMOB/TMS keys), some words,
+            // some with bit 63 set, and the smallest keys.
+            const std::uint64_t pick = rng() % 8;
+            std::uint64_t key = pick < 5    ? (rng() % 30000) << kBlockShift
+                                : pick == 5 ? rng() >> 1
+                                : pick == 6 ? rng() | kTopBit
+                                            : rng() % 4;
+            if (key == FlatIndex::kEmptyKey)
+                key ^= 1;
             if (rng() % 3 == 0) {
                 const std::uint64_t *got = index.find(key);
                 auto want = oracle.find(key);
@@ -637,25 +674,34 @@ TEST(HotpathFlatIndex, MatchesUnorderedMapAndItsSortedBytes)
                 oracle[key] = i;
             }
         }
-        ASSERT_EQ(index.size(), oracle.size());
+        expectSortedBytes(index, oracle);
+    }
 
-        // The historical encoding: count, then key-sorted pairs.
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted(
-            oracle.begin(), oracle.end());
-        std::sort(sorted.begin(), sorted.end());
-        StateWriter want;
-        want.u64(sorted.size());
-        for (const auto &kv : sorted) {
-            want.u64(kv.first);
-            want.u64(kv.second);
+    // Key sets at the edges of the radix sort: none, one, key 0, only
+    // bit 63 varying, only bit 0 varying, and both at once.
+    const std::uint64_t block = std::uint64_t{0x1234} << kBlockShift;
+    const std::vector<std::vector<std::uint64_t>> edges = {
+        {},
+        {block},
+        {0},
+        {0, block},
+        {block, block | kTopBit},
+        {kTopBit, 0},
+        {block, block | 1},
+        {0, 1},
+        {block | kTopBit, block | kTopBit | 1, block, block | 1},
+        {FlatIndex::kEmptyKey - 1, 0, kTopBit},
+    };
+    for (const std::vector<std::uint64_t> &keys : edges) {
+        FlatIndex index(4);
+        std::unordered_map<std::uint64_t, std::uint64_t> oracle;
+        std::uint64_t value = 7;
+        for (std::uint64_t key : keys) {
+            index.findOrInsert(key) = value;
+            oracle[key] = value++;
         }
-        ASSERT_EQ(stateBytes(index), want.bytes());
-
-        FlatIndex restored(8);
-        StateReader r(want.bytes().data(), want.bytes().size());
-        restored.loadState(r);
-        ASSERT_TRUE(r.atEnd());
-        ASSERT_EQ(stateBytes(restored), want.bytes());
+        SCOPED_TRACE(::testing::Message() << keys.size() << " keys");
+        expectSortedBytes(index, oracle);
     }
 }
 
@@ -1074,21 +1120,74 @@ TEST(HotpathReject, ReconstructorBucketOutsideWindow)
     EXPECT_FALSE(reload(recon, payload(0, 0)).has_value());
 }
 
-TEST(HotpathReject, FlatIndexEmptyKey)
+TEST(HotpathReject, PrefetchSimulatorReadyListDuplicateOrUnsorted)
 {
-    auto payload = [](std::uint64_t key) {
+    // A timed simulator keeps the ready time of each prefetch-filled L2
+    // block, and saveState writes them by strictly ascending address.
+    // Splice a two-entry list into a fresh timed simulator's state in
+    // place of its empty one: the splice point is the offset, nearest
+    // the end, where the sorted list round-trips byte for byte.
+    SimParams params;
+    params.enableTiming = true;
+    const std::vector<std::uint8_t> empty =
+        stateBytes(PrefetchSimulator(params, nullptr));
+    auto splice = [&](std::size_t at, const std::vector<Addr> &addrs) {
         StateWriter w;
-        w.u64(1);
-        w.u64(key);
-        w.u64(7);
+        for (std::size_t i = 0; i < at; ++i)
+            w.u8(empty[i]);
+        w.u64(addrs.size());
+        double ready = 100.0;
+        for (Addr a : addrs) {
+            w.u64(a);
+            w.f64(ready++);
+        }
+        for (std::size_t i = at + 8; i < empty.size(); ++i)
+            w.u8(empty[i]);
+        return w;
+    };
+    std::optional<std::size_t> at;
+    for (std::size_t back = 8; !at && back <= std::min<std::size_t>(
+                                          512, empty.size());
+         ++back) {
+        const std::size_t i = empty.size() - back;
+        std::uint64_t count = 0;
+        std::memcpy(&count, empty.data() + i, sizeof(count));
+        if (count != 0)
+            continue;
+        PrefetchSimulator sim(params, nullptr);
+        const StateWriter sorted = splice(i, {0x40, 0x80});
+        auto again = reload(sim, sorted);
+        if (again && *again == sorted.bytes())
+            at = i;
+    }
+    ASSERT_TRUE(at.has_value());
+    PrefetchSimulator sim(params, nullptr);
+    EXPECT_FALSE(reload(sim, splice(*at, {0x40, 0x40})).has_value());
+    EXPECT_FALSE(reload(sim, splice(*at, {0x80, 0x40})).has_value());
+}
+
+TEST(HotpathReject, FlatIndexEmptyDuplicateOrUnsortedKey)
+{
+    auto payload = [](std::vector<std::uint64_t> keys) {
+        StateWriter w;
+        w.u64(keys.size());
+        for (std::uint64_t key : keys) {
+            w.u64(key);
+            w.u64(7);
+        }
         return w;
     };
     FlatIndex index(4);
-    const StateWriter good = payload(0x40);
+    const StateWriter good = payload({0x40, 0x80});
     auto again = reload(index, good);
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(*again, good.bytes());
-    EXPECT_FALSE(reload(index, payload(FlatIndex::kEmptyKey)).has_value());
+    EXPECT_FALSE(reload(index, payload({FlatIndex::kEmptyKey})).has_value());
+    // saveState writes strictly ascending keys: a duplicate would load
+    // as one entry and a reordered pair would re-encode sorted, both
+    // different bytes.
+    EXPECT_FALSE(reload(index, payload({0x40, 0x40})).has_value());
+    EXPECT_FALSE(reload(index, payload({0x80, 0x40})).has_value());
 }
 
 } // namespace

@@ -13,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "sim/checkpoint.hh"
@@ -72,6 +74,37 @@ TEST_F(TraceStoreTest, PutFindLoadRoundTrip)
     EXPECT_FALSE(store.findTrace({"unit-test", 501, 42}).has_value());
     EXPECT_FALSE(store.loadTrace({"other", 500, 42}, loaded));
     EXPECT_GT(store.traceMisses(), 0u);
+}
+
+TEST_F(TraceStoreTest, PutTraceGivenItsDigestWritesTheSameBytes)
+{
+    // The driver hashes a trace once and hands putTrace the content
+    // digest; the entry must be the one putTrace(key, trace) writes.
+    namespace fs = std::filesystem;
+    const Trace t = sampleTrace();
+    const TraceKey key{"unit-test", 500, 42};
+    const fs::path hashing = fs::path(dir_) / "hashing";
+    const fs::path given = fs::path(dir_) / "given";
+    auto a = TraceStore(hashing.string()).putTrace(key, t);
+    auto b = TraceStore(given.string()).putTrace(key, t, traceDigest(t));
+    ASSERT_TRUE(a.has_value());
+    ASSERT_TRUE(b.has_value());
+    EXPECT_EQ(a->digest, b->digest);
+
+    auto bytes = [](const fs::path &path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    std::vector<std::string> compared;
+    for (const auto &de : fs::recursive_directory_iterator(hashing)) {
+        if (!de.is_regular_file())
+            continue;
+        const fs::path rel = fs::relative(de.path(), hashing);
+        EXPECT_EQ(bytes(de.path()), bytes(given / rel)) << rel;
+        compared.push_back(rel.extension().string());
+    }
+    std::sort(compared.begin(), compared.end());
+    EXPECT_EQ(compared, (std::vector<std::string>{".meta", ".trc"}));
 }
 
 TEST_F(TraceStoreTest, CrossProcessReuse)
@@ -682,7 +715,7 @@ TEST_F(TraceStoreTest, CheckpointRoundTripAndIndexListing)
 
     auto loaded = store.loadCheckpoint(0xA, 0xB, 100, 0xC);
     ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(*loaded, blob); // byte-for-byte
+    EXPECT_EQ(loaded->bytes(), blob); // byte-for-byte
 
     // Indices enumerate ascending across state digests.
     EXPECT_EQ(store.listCheckpointIndices(0xA, 0xB),
@@ -806,11 +839,11 @@ TEST_F(TraceStoreTest, ConcurrentCheckpointWritesAllLand)
         std::uint64_t index = 100 * (t + 1);
         auto loaded = store.loadCheckpoint(spec, cfg, index, t);
         ASSERT_TRUE(loaded.has_value()) << "thread " << t;
-        EXPECT_EQ(*loaded, sampleCheckpointBlob(index));
+        EXPECT_EQ(loaded->bytes(), sampleCheckpointBlob(index));
     }
     auto shared = store.loadCheckpoint(spec, cfg, 500, 0xABC);
     ASSERT_TRUE(shared.has_value());
-    EXPECT_EQ(*shared, shared_blob);
+    EXPECT_EQ(shared->bytes(), shared_blob);
 
     // The key listing sees all of them, sorted, no duplicates.
     auto keys = store.listCheckpoints(spec, cfg);
@@ -894,7 +927,7 @@ TEST_F(TraceStoreTest, StoresInOneProcessNeverShareATempFile)
     TraceStore store(dir_);
     auto loaded = store.loadCheckpoint(1, 2, 700, 3);
     ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(*loaded, blob);
+    EXPECT_EQ(loaded->bytes(), blob);
     for (const auto &de :
          std::filesystem::recursive_directory_iterator(dir_))
         EXPECT_EQ(de.path().filename().string().find(".tmp."),

@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "common/rng.hh"
+#include "obs/metrics.hh"
 #include "sim/checkpoint.hh"
 #include "test_util.hh"
 #include "trace/text_trace.hh"
@@ -691,6 +692,44 @@ TEST_F(TraceIoTest, PrefixMemoResumesToTheOneShotDigest)
         for (std::size_t i = 0; i < indices.size(); ++i)
             ASSERT_EQ(again[i], tracePrefixDigests(t, {indices[i]})[0])
                 << "trial " << trial << " index " << indices[i];
+    }
+}
+
+TEST_F(TraceIoTest, OnePassHashYieldsContentAndPrefixDigests)
+{
+    // hashTrace feeds each record to the content state and the prefix
+    // state in one loop. Its content digest must be traceDigest's, its
+    // boundary digests tracePrefixDigests', and the states it kept
+    // must serve indices asked afterwards, each record hashed once.
+    Counter &hashed =
+        MetricsRegistry::instance().counter("trace.hashed_records");
+    Rng rng(0x0b5e);
+    for (std::size_t size : {0, 1, 600}) {
+        SCOPED_TRACE("records " + std::to_string(size));
+        const Trace t = randomTrace(rng, size);
+        std::vector<std::size_t> bounds = {0};
+        for (std::size_t b : checkpointBounds(t.size(), 128))
+            bounds.push_back(b); // ends at the trace end
+
+        TracePrefixMemo memo(t);
+        const std::uint64_t before = hashed.value();
+        const std::uint64_t content = memo.hashTrace(bounds);
+        const std::vector<std::uint64_t> got = memo.digests(bounds);
+        // One pass, and the boundaries are served from kept states.
+        EXPECT_EQ(hashed.value() - before, t.size());
+        EXPECT_EQ(content, traceDigest(t));
+        ASSERT_EQ(got.size(), bounds.size());
+        for (std::size_t i = 0; i < bounds.size(); ++i)
+            EXPECT_EQ(got[i], tracePrefixDigests(t, {bounds[i]})[0])
+                << "bound " << bounds[i];
+
+        for (int k = 0; k < 8; ++k) {
+            const std::size_t index =
+                rng.below(static_cast<std::uint32_t>(t.size() + 1));
+            EXPECT_EQ(memo.digests({index})[0],
+                      tracePrefixDigests(t, {index})[0])
+                << "index " << index;
+        }
     }
 }
 
