@@ -653,19 +653,26 @@ ExperimentDriver::openLanes(TraceContext &ctx,
 
         // Resume: candidate indices come from the store's directory
         // (they may include other workloads' or record-schedules'
-        // checkpoints); each is verified against this trace by its
-        // prefix digest, newest first.
+        // checkpoints). Newest first, each index's state digest is
+        // computed from this trace's prefix, and only a stored key
+        // carrying it is loaded.
+        const std::vector<StoredCheckpointKey> stored =
+            store_->listCheckpoints(lane.ckptSpec, ckptConfigDigest_);
         std::vector<std::size_t> candidates;
-        for (std::uint64_t c : store_->listCheckpointIndices(
-                 lane.ckptSpec, ckptConfigDigest_))
-            if (c > 0 && c <= ctx.trace.size())
-                candidates.push_back(static_cast<std::size_t>(c));
+        for (const StoredCheckpointKey &key : stored)
+            if (key.index > 0 && key.index <= ctx.trace.size() &&
+                (candidates.empty() || candidates.back() != key.index))
+                candidates.push_back(static_cast<std::size_t>(key.index));
         const std::vector<std::uint64_t> prefixes =
             ctx.prefixes.digests(candidates);
         std::size_t resume = 0;
         for (std::size_t c = candidates.size(); c-- > 0;) {
             const std::uint64_t state = checkpointStateDigest(
                 prefixes[c], candidates[c], ctx.warmup);
+            if (!std::binary_search(
+                    stored.begin(), stored.end(),
+                    StoredCheckpointKey{candidates[c], state}))
+                continue;
             // The store verified the blob's framing, CRC and index.
             auto checkpoint = store_->loadCheckpoint(
                 lane.ckptSpec, ckptConfigDigest_, candidates[c], state);

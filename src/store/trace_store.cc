@@ -16,10 +16,10 @@
 #include <tuple>
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/crc32.hh"
+#include "common/file_io.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_span.hh"
 #include "sim/checkpoint.hh"
@@ -334,36 +334,6 @@ commitEntry(TempFile &payload, const fs::path &meta_path,
     return true;
 }
 
-/**
- * Read a whole file with one sized read. @return nullopt when the
- * file cannot be opened; a read error returns the bytes read so far,
- * which the caller's integrity check rejects.
- */
-std::optional<std::vector<std::uint8_t>>
-readFile(const std::string &path)
-{
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        return std::nullopt;
-    struct stat st{};
-    std::vector<std::uint8_t> bytes;
-    if (::fstat(fd, &st) == 0 && st.st_size > 0)
-        bytes.resize(static_cast<std::size_t>(st.st_size));
-    std::size_t got = 0;
-    while (got < bytes.size()) {
-        const ssize_t n =
-            ::read(fd, bytes.data() + got, bytes.size() - got);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            break;
-        got += static_cast<std::size_t>(n);
-    }
-    ::close(fd);
-    bytes.resize(got);
-    return bytes;
-}
-
 /** A checkpoint's .meta sidecar text. */
 std::string
 checkpointMetaText(const StoredCheckpointMeta &meta,
@@ -536,20 +506,14 @@ TraceStore::findTrace(const TraceKey &key)
     return info;
 }
 
-std::unique_ptr<TraceSource>
-TraceStore::openTrace(const TraceKey &key)
+bool
+TraceStore::loadTrace(const TraceKey &key, Trace &out)
 {
     ScopedSpan span("store.trace.get", "store");
     if (span.active())
         span.arg("workload", key.workload);
-    if (!usable_) {
-        ++traceMisses_;
-        storeMetrics().traceMiss.add();
-        return nullptr;
-    }
-    std::string path = tracePath(key, /*meta=*/false);
-    auto src = MmapTraceSource::open(path);
-    if (!src) {
+    const std::string path = tracePath(key, /*meta=*/false);
+    if (!usable_ || !readTraceFile(path, out)) {
         ++traceMisses_;
         storeMetrics().traceMiss.add();
         if (findTrace(key)) {
@@ -557,26 +521,11 @@ TraceStore::openTrace(const TraceKey &key)
             // drop it so the caller's regeneration can replace it.
             dropTraceEntry(key);
         }
-        return nullptr;
+        return false;
     }
     ++traceHits_;
     storeMetrics().traceHit.add();
     touch(path);
-    return src;
-}
-
-bool
-TraceStore::loadTrace(const TraceKey &key, Trace &out)
-{
-    auto src = openTrace(key);
-    if (!src)
-        return false;
-    src->readAll(out);
-    if (out.size() != src->size()) {
-        // Payload decoded short despite the CRC: treat as corrupt.
-        dropTraceEntry(key);
-        return false;
-    }
     return true;
 }
 
@@ -840,38 +789,6 @@ TraceStore::dropCheckpoint(std::uint64_t spec_digest,
                ec);
 }
 
-std::vector<std::uint64_t>
-TraceStore::listCheckpointIndices(std::uint64_t spec_digest,
-                                  std::uint64_t config_digest)
-{
-    std::vector<std::uint64_t> indices;
-    if (!usable_)
-        return indices;
-    std::string prefix =
-        hex16(spec_digest) + "-" + hex16(config_digest) + "-";
-    std::error_code ec;
-    for (const auto &de : fs::directory_iterator(
-             fs::path(dir_) / kCheckpointSubdir, ec)) {
-        if (de.path().extension() != ".ckpt")
-            continue;
-        std::string stem = de.path().stem().string();
-        if (stem.compare(0, prefix.size(), prefix) != 0)
-            continue;
-        if (stem.size() < prefix.size() + 16)
-            continue;
-        char *end = nullptr;
-        std::uint64_t index = std::strtoull(
-            stem.c_str() + prefix.size(), &end, 16);
-        if (end != stem.c_str() + prefix.size() + 16)
-            continue;
-        indices.push_back(index);
-    }
-    std::sort(indices.begin(), indices.end());
-    indices.erase(std::unique(indices.begin(), indices.end()),
-                  indices.end());
-    return indices;
-}
-
 std::vector<StoredCheckpointKey>
 TraceStore::listCheckpoints(std::uint64_t spec_digest,
                             std::uint64_t config_digest)
@@ -905,20 +822,8 @@ TraceStore::listCheckpoints(std::uint64_t spec_digest,
             continue;
         keys.push_back(StoredCheckpointKey{index, state});
     }
-    std::sort(keys.begin(), keys.end(),
-              [](const StoredCheckpointKey &a,
-                 const StoredCheckpointKey &b) {
-                  return a.index != b.index ? a.index < b.index
-                                            : a.stateDigest <
-                                                  b.stateDigest;
-              });
-    keys.erase(std::unique(keys.begin(), keys.end(),
-                           [](const StoredCheckpointKey &a,
-                              const StoredCheckpointKey &b) {
-                               return a.index == b.index &&
-                                      a.stateDigest == b.stateDigest;
-                           }),
-               keys.end());
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
     return keys;
 }
 

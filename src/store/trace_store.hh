@@ -8,7 +8,9 @@
  *
  * Layout under the store root:
  *
- *   traces/<key-hash>.trc    v2-encoded trace (trace/trace_codec.hh)
+ *   traces/<key-hash>.trc    v2-encoded trace (trace/trace_codec.hh),
+ *                            loaded with readTraceFile: one sized
+ *                            read, one CRC pass, one decode
  *   traces/<key-hash>.meta   text metadata: the key fields, the
  *                            record count, and the content digest
  *   results/<trace-digest>-<spec-digest>-<config-digest>.res
@@ -58,15 +60,14 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/checkpoint.hh"
 #include "trace/trace.hh"
-#include "trace/trace_source.hh"
 
 namespace stems {
 
@@ -143,6 +144,20 @@ struct StoredCheckpointKey
 {
     std::uint64_t index = 0;       ///< records stepped before save
     std::uint64_t stateDigest = 0; ///< prefix+warmup digest at save
+
+    /** listCheckpoints() order: by index, then state digest. */
+    friend bool
+    operator<(const StoredCheckpointKey &a, const StoredCheckpointKey &b)
+    {
+        return std::tie(a.index, a.stateDigest) <
+               std::tie(b.index, b.stateDigest);
+    }
+
+    friend bool
+    operator==(const StoredCheckpointKey &a, const StoredCheckpointKey &b)
+    {
+        return a.index == b.index && a.stateDigest == b.stateDigest;
+    }
 };
 
 /** One row of a store listing (`stems_trace cache ls`). */
@@ -195,17 +210,11 @@ class TraceStore
     std::optional<TraceEntryInfo> findTrace(const TraceKey &key);
 
     /**
-     * Load a stored trace into memory. Decodes through the mmap
-     * replay source. @return false on miss or a corrupt entry (a
-     * corrupt entry is deleted so it can be regenerated).
+     * Load a stored trace into memory through readTraceFile
+     * (trace/trace_io.hh). @return false on miss or a corrupt entry
+     * (a corrupt entry is deleted so it can be regenerated).
      */
     bool loadTrace(const TraceKey &key, Trace &out);
-
-    /**
-     * Open a stored trace for zero-copy streaming replay without
-     * materializing the record vector. @return null on miss/corrupt.
-     */
-    std::unique_ptr<TraceSource> openTrace(const TraceKey &key);
 
     /**
      * Persist a trace under a key. Atomic; overwrites any existing
@@ -303,23 +312,12 @@ class TraceStore
                    std::uint64_t state_digest);
 
     /**
-     * Record indices with stored checkpoints for a (spec, config)
-     * pair, ascending and de-duplicated across state digests. The
-     * caller filters by recomputing each candidate's state digest
-     * against its own trace (a foreign workload's entry simply
-     * misses on load).
-     */
-    std::vector<std::uint64_t>
-    listCheckpointIndices(std::uint64_t spec_digest,
-                          std::uint64_t config_digest);
-
-    /**
      * Every stored (record index, state digest) checkpoint key for a
-     * (spec, config) pair, sorted by (index, stateDigest). Unlike
-     * listCheckpointIndices this exposes the state digests, letting
-     * a caller tell a trusted on-key checkpoint from a stale or
-     * foreign-run one without loading any blob. Malformed filenames are skipped; blob
-     * integrity is still only checked by loadCheckpoint.
+     * (spec, config) pair, sorted by (index, stateDigest). The state
+     * digests let a caller tell a checkpoint of its own trace prefix
+     * from another trace's or warmup's without loading any blob.
+     * Malformed filenames are skipped; blob integrity is still only
+     * checked by loadCheckpoint.
      */
     std::vector<StoredCheckpointKey>
     listCheckpoints(std::uint64_t spec_digest,

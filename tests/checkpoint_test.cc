@@ -627,6 +627,36 @@ TEST_F(SegmentedDriverTest, EachTraceIsHashedOncePerSweep)
     EXPECT_EQ(hashed.value() - before, records);
 }
 
+TEST_F(SegmentedDriverTest, OtherTracesCheckpointsAreNeverLoaded)
+{
+    // A checkpoint key names the lane and config, not the trace, so
+    // a lane lists the checkpoints of every workload that ran it. On
+    // one thread oltp-db2 runs first and checkpoints its trace end,
+    // which lies off em3d's schedule; em3d's baseline lane then lists
+    // that key, hashes its own prefix at the index, finds no stored
+    // key with its state digest, and loads nothing.
+    Counter &misses =
+        MetricsRegistry::instance().counter("store.ckpt.miss");
+    ExperimentConfig cfg = smallConfig(false, 20000);
+    const std::vector<std::string> workloads = {"oltp-db2", "em3d"};
+    SweepPlan plan = test::configPlan(cfg, workloads, 1);
+    plan.checkpointEvery = 50000;
+    auto store = std::make_shared<TraceStore>(dir_);
+
+    ExperimentDriver driver;
+    driver.setStore(store);
+    const std::uint64_t before = misses.value();
+    auto results = driver.run(plan, engineSpecs({"sms"}));
+    EXPECT_GT(driver.checkpointsWritten(), 0u);
+    EXPECT_EQ(driver.resumedRuns(), 0u);
+    EXPECT_EQ(store->checkpointMisses(), 0u);
+    EXPECT_EQ(misses.value() - before, 0u);
+
+    ExperimentDriver reference(cfg, 1);
+    expectSameResults(reference.run(workloads, engineSpecs({"sms"})),
+                      results);
+}
+
 TEST_F(SegmentedDriverTest, CheckpointsNeedAStore)
 {
     // Without a store, a checkpoint interval is inert: the run

@@ -15,17 +15,22 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <thread>
+#include <utility>
 
+#include "common/crc32.hh"
 #include "sim/checkpoint.hh"
 #include "sim/driver.hh"
 #include "sim/experiment.hh"
 #include "store/trace_store.hh"
 #include "test_util.hh"
 #include "trace/text_trace.hh"
+#include "trace/trace_codec.hh"
 #include "trace/trace_io.hh"
 #include "workloads/registry.hh"
 #include "workloads/trace_workload.hh"
@@ -129,43 +134,71 @@ TEST_F(TraceStoreTest, CrossProcessReuse)
     expectSameTrace(t, loaded);
 }
 
-TEST_F(TraceStoreTest, OpenTraceStreamsViaMmap)
-{
-    TraceStore store(dir_);
-    Trace t = sampleTrace();
-    TraceKey key{"mmap", 500, 1};
-    ASSERT_TRUE(store.putTrace(key, t).has_value());
-    auto src = store.openTrace(key);
-    ASSERT_NE(src, nullptr);
-    EXPECT_EQ(src->size(), t.size());
-    Trace replayed;
-    src->readAll(replayed);
-    expectSameTrace(t, replayed);
-}
-
 TEST_F(TraceStoreTest, CorruptEntryIsDroppedNotServed)
 {
-    TraceStore store(dir_);
-    Trace t = sampleTrace();
-    TraceKey key{"corrupt", 500, 1};
-    ASSERT_TRUE(store.putTrace(key, t).has_value());
+    // Three damaged entries: a flipped payload byte (the CRC catches
+    // it), a header count lowered by one, and two bytes of a whole
+    // extra record after the last one, with the payload length and
+    // CRC rewritten to match. The header is not under the CRC, so
+    // only decoding exactly `count` records over exactly the payload
+    // refuses the last two.
+    using Bytes = std::vector<std::uint8_t>;
+    auto put_u64 = [](Bytes &b, std::size_t at, std::uint64_t v) {
+        std::memcpy(b.data() + at, &v, sizeof(v));
+    };
+    const std::vector<std::pair<const char *, std::function<void(Bytes &)>>>
+        damages = {
+            {"flipped payload byte", [](Bytes &b) { b[40] = 0x7f; }},
+            {"count lowered by one",
+             [&](Bytes &b) {
+                 std::uint64_t count = 0;
+                 std::memcpy(&count, b.data() + codec::kV2CountOffset,
+                             sizeof(count));
+                 put_u64(b, codec::kV2CountOffset, count - 1);
+             }},
+            {"extra record after the last",
+             [&](Bytes &b) {
+                 // Tag "same PC", address delta 0: a whole record.
+                 b.push_back(codec::kTagSamePc);
+                 b.push_back(0x00);
+                 const std::size_t payload =
+                     b.size() - codec::kV2HeaderBytes;
+                 put_u64(b, codec::kV2PayloadLenOffset, payload);
+                 const std::uint32_t crc =
+                     crc32(b.data() + codec::kV2HeaderBytes, payload);
+                 std::memcpy(b.data() + codec::kV2CrcOffset, &crc,
+                             sizeof(crc));
+             }},
+        };
+    const Trace t = sampleTrace();
+    for (const auto &[name, damage] : damages) {
+        SCOPED_TRACE(name);
+        TraceStore store(dir_);
+        const TraceKey key{"corrupt", 500, 1};
+        ASSERT_TRUE(store.putTrace(key, t).has_value());
+        for (const auto &de :
+             std::filesystem::recursive_directory_iterator(dir_)) {
+            if (de.path().extension() != ".trc")
+                continue;
+            Bytes bytes;
+            {
+                std::ifstream in(de.path(), std::ios::binary);
+                bytes.assign(std::istreambuf_iterator<char>(in), {});
+            }
+            damage(bytes);
+            std::ofstream out(de.path(),
+                              std::ios::binary | std::ios::trunc);
+            out.write(reinterpret_cast<const char *>(bytes.data()),
+                      static_cast<std::streamsize>(bytes.size()));
+        }
 
-    // Flip a payload byte of the stored .trc file.
-    for (const auto &de : std::filesystem::recursive_directory_iterator(
-             dir_)) {
-        if (de.path().extension() != ".trc")
-            continue;
-        std::fstream f(de.path(),
-                       std::ios::in | std::ios::out |
-                           std::ios::binary);
-        f.seekp(40);
-        f.put('\x7f');
+        Trace loaded;
+        EXPECT_FALSE(store.loadTrace(key, loaded));
+        EXPECT_EQ(store.traceHits(), 0u);
+        EXPECT_EQ(store.traceMisses(), 1u);
+        // The corrupt entry was dropped entirely.
+        EXPECT_FALSE(store.findTrace(key).has_value());
     }
-
-    Trace loaded;
-    EXPECT_FALSE(store.loadTrace(key, loaded));
-    // The corrupt entry was dropped entirely.
-    EXPECT_FALSE(store.findTrace(key).has_value());
 }
 
 TEST_F(TraceStoreTest, EvictionRemovesOldestFirstUnderBudget)
@@ -717,11 +750,11 @@ TEST_F(TraceStoreTest, CheckpointRoundTripAndIndexListing)
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(loaded->bytes(), blob); // byte-for-byte
 
-    // Indices enumerate ascending across state digests.
-    EXPECT_EQ(store.listCheckpointIndices(0xA, 0xB),
-              (std::vector<std::uint64_t>{50, 100}));
-    EXPECT_TRUE(store.listCheckpointIndices(0xA, 0xE).empty());
-    EXPECT_TRUE(store.listCheckpointIndices(0xE, 0xB).empty());
+    // Keys enumerate by ascending index, each with its state digest.
+    EXPECT_EQ(store.listCheckpoints(0xA, 0xB),
+              (std::vector<StoredCheckpointKey>{{50, 0xD}, {100, 0xC}}));
+    EXPECT_TRUE(store.listCheckpoints(0xA, 0xE).empty());
+    EXPECT_TRUE(store.listCheckpoints(0xE, 0xB).empty());
 
     // Any other key misses.
     EXPECT_FALSE(store.loadCheckpoint(0xA, 0xB, 100, 0xD)
@@ -761,8 +794,8 @@ TEST_F(TraceStoreTest, CorruptCheckpointEntryIsDroppedNotServed)
         f.put('\x7f');
     }
     EXPECT_FALSE(store.loadCheckpoint(1, 2, 100, 3).has_value());
-    // Both files of the pair are gone, so the index listing is too.
-    EXPECT_TRUE(store.listCheckpointIndices(1, 2).empty());
+    // Both files of the pair are gone, so the key listing is too.
+    EXPECT_TRUE(store.listCheckpoints(1, 2).empty());
 }
 
 TEST_F(TraceStoreTest, CheckpointsShareTheEvictionBudget)
@@ -792,7 +825,7 @@ TEST_F(TraceStoreTest, CheckpointsShareTheEvictionBudget)
     }
     EXPECT_GT(store.evictWithin(total - 1), 0u);
     EXPECT_FALSE(store.loadCheckpoint(7, 8, 100, 9).has_value());
-    EXPECT_TRUE(store.listCheckpointIndices(7, 8).empty());
+    EXPECT_TRUE(store.listCheckpoints(7, 8).empty());
     bool meta_left = false;
     for (const auto &de : std::filesystem::directory_iterator(
              dir_ + "/checkpoints"))
