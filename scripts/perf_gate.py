@@ -11,8 +11,10 @@ workload in HEAD_TREE/BENCHMARK.json the gate runs each tree's own
 
 in PAIRS alternating pairs (base first in even pairs, HEAD first in
 odd ones), so slow drift of the host hits both sides alike. It prints
-every run's end-to-end metrics, then per metric both medians and each
-side's quartile spread, and exits 1 when
+every run's end-to-end metrics, then per metric both medians, each
+side's quartile spread and in how many pairs HEAD beat its paired base
+run (a gain is claimed only when it wins at least 9 pairs in 10; the
+count decides nothing here), and exits 1 when
 
   - a run exits non-zero or prints no result line,
   - a run reports `correct: false` (a result cell differs from its
@@ -89,11 +91,26 @@ def worse_fraction(better, base, head):
     return change if better == "lower" else -change
 
 
+def pair_wins(name, better, base_runs, head_runs):
+    """(wins, pairs): in how many pairs HEAD's run beat its paired base
+    run on metric `name`, ties counting for neither side, out of the
+    pairs where both runs reported it. The runs are in pair order."""
+    wins = pairs = 0
+    for base, head in zip(base_runs, head_runs):
+        if name not in base["metrics"] or name not in head["metrics"]:
+            continue
+        b, h = base["metrics"][name], head["metrics"][name]
+        pairs += 1
+        wins += h < b if better == "lower" else h > b
+    return wins, pairs
+
+
 def decide(end_to_end, workload, base_runs, head_runs):
     """Judge one workload's runs against the end-to-end metric specs.
 
     Returns (rows, failures): one row per metric with both medians,
-    spreads and the verdict, and one message per reason to fail."""
+    spreads, HEAD's pair wins and the verdict, and one message per
+    reason to fail. base_runs[i] and head_runs[i] are pair i."""
     failures = []
     for side, runs in (("base", base_runs), ("HEAD", head_runs)):
         for i, run in enumerate(runs):
@@ -131,10 +148,12 @@ def decide(end_to_end, workload, base_runs, head_runs):
             verdict = "ok, unresolved (spread > bound)"
         else:
             verdict = "ok"
+        wins, pairs = pair_wins(name, better, base_runs, head_runs)
         rows.append({"metric": name, "better": better, "bound": bound,
                      "base": base_med, "base_spread": base_spread,
                      "head": head_med, "head_spread": head_spread,
-                     "worse": worse, "verdict": verdict})
+                     "worse": worse, "wins": wins, "pairs": pairs,
+                     "verdict": verdict})
     return rows, failures
 
 
@@ -152,15 +171,16 @@ def print_run(pair, side, run, names):
 
 
 def print_rows(rows):
-    print("  %-20s %-6s %6s %12s %7s %12s %7s %8s  %s" % (
+    print("  %-20s %-6s %6s %12s %7s %12s %7s %8s %9s  %s" % (
         "metric", "better", "bound", "base median", "spread",
-        "HEAD median", "spread", "worse", "verdict"))
+        "HEAD median", "spread", "worse", "HEAD wins", "verdict"))
     for r in rows:
         print("  %-20s %-6s %5.0f%% %12.4g %6.1f%% %12.4g %6.1f%% %+7.1f%%"
-              "  %s" % (r["metric"], r["better"], 100 * r["bound"],
-                        r["base"], 100 * r["base_spread"], r["head"],
-                        100 * r["head_spread"], 100 * r["worse"],
-                        r["verdict"]))
+              " %9s  %s" % (r["metric"], r["better"], 100 * r["bound"],
+                            r["base"], 100 * r["base_spread"], r["head"],
+                            100 * r["head_spread"], 100 * r["worse"],
+                            "%d/%d" % (r["wins"], r["pairs"]),
+                            r["verdict"]))
 
 
 def main():

@@ -104,6 +104,33 @@ class DecideTest(unittest.TestCase):
         self.assertEqual(failures, [])
         self.assertIn("unresolved", verdicts(rows)["wall_s"])
 
+    def test_pair_wins_count_pairs_head_beat(self):
+        # wall_s: HEAD faster in pairs 0, 2 and 4, slower in 1, tied
+        # in 3. lane_records_per_s: higher in every pair but the tie.
+        head = runs([9.0, 10.5, 9.7, 10.1, 9.8],
+                    [101.0, 99.0, 103.0, 99.0, 102.0])
+        rows, failures = perf_gate.decide(SPECS, "w", BASE, head)
+        self.assertEqual(failures, [])
+        wins = {r["metric"]: (r["wins"], r["pairs"]) for r in rows}
+        self.assertEqual(wins, {"wall_s": (3, 5),
+                                "lane_records_per_s": (4, 5)})
+
+    def test_pair_wins_skip_pairs_missing_the_metric(self):
+        base = runs([10.0] * 4, [100.0] * 4)
+        base[1] = {"error": "exited 2", "correct": False, "metrics": {}}
+        head = runs([9.0] * 4, [110.0] * 4)
+        self.assertEqual(
+            perf_gate.pair_wins("wall_s", "lower", base, head), (3, 3))
+
+    def test_pair_wins_do_not_change_the_verdict(self):
+        # HEAD loses every pair by 1%: no win, still inside the bound.
+        head = runs([10.1, 10.302, 9.898, 10.201, 9.999],
+                    [99.0, 97.02, 100.98, 98.01, 99.99])
+        rows, failures = perf_gate.decide(SPECS, "w", BASE, head)
+        self.assertEqual(failures, [])
+        self.assertEqual([(r["wins"], r["verdict"]) for r in rows],
+                         [(0, "ok"), (0, "ok")])
+
     def test_medians_and_quartile_spread(self):
         med, spread = perf_gate.median_and_spread([1.0, 2.0, 3.0, 4.0, 5.0])
         self.assertEqual(med, 3.0)

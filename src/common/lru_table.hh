@@ -20,12 +20,12 @@
  * or the first-index LRU way in one pass.
  *
  * A fully associative table (one set, such as the 64-entry SMS and
- * STeMS AGTs) also keeps a key -> slot index: open addressing with
- * linear probing over twice as many cells as slots, holding exactly
- * the valid slots. Lookups probe it instead of scanning every key;
- * insertion, eviction and erase keep it current, loadState rebuilds
- * it, and it is never serialized. Set-associative tables scan their
- * set's key lane, one line for typical associativities.
+ * STeMS AGTs) also keeps a SlotIndex (common/slot_index.hh, shared
+ * with the streamed value buffer) holding exactly the valid slots.
+ * Lookups probe it instead of scanning every key; insertion, eviction
+ * and erase keep it current, loadState rebuilds it, and it is never
+ * serialized. Set-associative tables scan their set's key lane, one
+ * line for typical associativities.
  *
  * Replacement semantics are identical to the historical
  * array-of-structs implementation (kept as the property-test oracle
@@ -42,6 +42,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "common/slot_index.hh"
 
 namespace stems {
 
@@ -71,14 +73,8 @@ class LruTable
         keys_.assign(slots, 0);
         lru_.assign(slots, 0);
         values_.resize(slots);
-        if (sets_ == 1) {
-            std::size_t cells = 2;
-            while (cells < 2 * slots)
-                cells *= 2;
-            slotIndex_.assign(cells, kFreeCell);
-            indexShift_ =
-                64 - static_cast<unsigned>(__builtin_ctzll(cells));
-        }
+        if (sets_ == 1)
+            slotIndex_ = SlotIndex(slots);
     }
 
     /**
@@ -232,7 +228,7 @@ class LruTable
         std::fill(keys_.begin(), keys_.end(), 0);
         std::fill(lru_.begin(), lru_.end(), 0);
         std::fill(values_.begin(), values_.end(), V());
-        std::fill(slotIndex_.begin(), slotIndex_.end(), kFreeCell);
+        slotIndex_.clear();
         for (std::size_t i = 0; i < lru_.size(); ++i) {
             if (r.boolean()) {
                 const std::uint64_t key = r.u64();
@@ -256,7 +252,7 @@ class LruTable
     }
 
   private:
-    static constexpr std::size_t kNone = ~std::size_t{0};
+    static constexpr std::size_t kNone = SlotIndex::kNone;
 
     std::size_t setIndex(std::uint64_t key) const
     {
@@ -269,16 +265,8 @@ class LruTable
     std::size_t
     findIndex(std::uint64_t key) const
     {
-        if (!slotIndex_.empty()) {
-            const std::size_t mask = slotIndex_.size() - 1;
-            for (std::size_t c = home(key);; c = (c + 1) & mask) {
-                const std::uint32_t slot = slotIndex_[c];
-                if (slot == kFreeCell)
-                    return kNone;
-                if (keys_[slot] == key)
-                    return slot;
-            }
-        }
+        if (!slotIndex_.empty())
+            return slotIndex_.find(key, keys_.data());
         std::size_t base = setIndex(key) * ways_;
         for (std::size_t w = 0; w < ways_; ++w) {
             std::size_t i = base + w;
@@ -312,25 +300,12 @@ class LruTable
 
     void touch(std::size_t i) { lru_[i] = ++clock_; }
 
-    /** The slot-index cell a probe for `key` starts at. */
-    std::size_t
-    home(std::uint64_t key) const
-    {
-        return static_cast<std::size_t>(
-            (key * 0x9e3779b97f4a7c15ULL) >> indexShift_);
-    }
-
     /** Enter valid slot i, whose key is absent, in the slot index. */
     void
     index(std::size_t i)
     {
-        if (slotIndex_.empty())
-            return;
-        const std::size_t mask = slotIndex_.size() - 1;
-        std::size_t c = home(keys_[i]);
-        while (slotIndex_[c] != kFreeCell)
-            c = (c + 1) & mask;
-        slotIndex_[c] = static_cast<std::uint32_t>(i);
+        if (!slotIndex_.empty())
+            slotIndex_.insert(i, keys_.data());
     }
 
     /** Remove valid slot i (key still in keys_[i]) from the slot
@@ -338,27 +313,9 @@ class LruTable
     void
     unindex(std::size_t i)
     {
-        if (slotIndex_.empty())
-            return;
-        const std::size_t mask = slotIndex_.size() - 1;
-        std::size_t hole = home(keys_[i]);
-        while (slotIndex_[hole] != i)
-            hole = (hole + 1) & mask;
-        // Backward-shift deletion, so no tombstones: a later cell of
-        // the probe run moves into the hole when its probe passes the
-        // hole (its home is no nearer to it than the hole is).
-        for (std::size_t c = (hole + 1) & mask;
-             slotIndex_[c] != kFreeCell; c = (c + 1) & mask) {
-            const std::size_t from = home(keys_[slotIndex_[c]]);
-            if (((c - from) & mask) >= ((c - hole) & mask)) {
-                slotIndex_[hole] = slotIndex_[c];
-                hole = c;
-            }
-        }
-        slotIndex_[hole] = kFreeCell;
+        if (!slotIndex_.empty())
+            slotIndex_.erase(i, keys_.data());
     }
-
-    static constexpr std::uint32_t kFreeCell = ~std::uint32_t{0};
 
     std::size_t ways_;
     std::size_t sets_ = 0;
@@ -370,10 +327,8 @@ class LruTable
     std::vector<std::uint64_t> lru_;
     std::vector<V> values_;
     /// Fully associative tables only (empty otherwise): the valid
-    /// slots, by key hash (see the file comment). kFreeCell marks an
-    /// empty cell.
-    std::vector<std::uint32_t> slotIndex_;
-    unsigned indexShift_ = 0;
+    /// slots, by key (see the file comment).
+    SlotIndex slotIndex_;
 };
 
 } // namespace stems

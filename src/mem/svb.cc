@@ -1,49 +1,96 @@
 #include "mem/svb.hh"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/log.hh"
 #include "common/state_codec.hh"
 
 namespace stems {
 
-StreamedValueBuffer::StreamedValueBuffer(std::size_t capacity)
-    : keys_(capacity, kEmptyKey), stamps_(capacity, 0), entries_(capacity)
+namespace {
+
+void
+setBit(std::vector<std::uint64_t> &mask, std::size_t i)
 {
-    if (capacity == 0)
-        fatal("SVB capacity must be > 0");
+    mask[i / 64] |= std::uint64_t{1} << (i % 64);
 }
 
-std::size_t
-StreamedValueBuffer::find(Addr a) const
+void
+clearBit(std::vector<std::uint64_t> &mask, std::size_t i)
 {
-    // One branch-free pass; backwards, so the lowest matching slot
-    // wins (the historical first-match scan).
-    const Addr key = blockAlign(a);
-    std::size_t slot = keys_.size();
-    for (std::size_t i = keys_.size(); i-- > 0;)
-        slot = keys_[i] == key ? i : slot;
-    return slot;
+    mask[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+}
+
+} // namespace
+
+StreamedValueBuffer::StreamedValueBuffer(std::size_t capacity)
+{
+    // Slot numbers and the recency-list sentinel (slot `capacity`)
+    // are 32-bit.
+    if (capacity == 0 ||
+        capacity >= std::numeric_limits<std::uint32_t>::max())
+        fatal("SVB capacity must be in [1, 2^32 - 2]");
+    keys_.resize(capacity);
+    stamps_.resize(capacity);
+    entries_.resize(capacity);
+    index_ = SlotIndex(capacity);
+    freeMask_.resize((capacity + 63) / 64);
+    links_.resize(capacity + 1);
+    clear();
+}
+
+void
+StreamedValueBuffer::clear()
+{
+    clock_ = 0;
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    index_.clear();
+    std::fill(freeMask_.begin(), freeMask_.end(), ~std::uint64_t{0});
+    if (capacity() % 64 != 0)
+        freeMask_.back() = (std::uint64_t{1} << (capacity() % 64)) - 1;
+    const auto sentinel = static_cast<std::uint32_t>(capacity());
+    links_[sentinel] = {sentinel, sentinel};
 }
 
 std::size_t
 StreamedValueBuffer::victim() const
 {
-    // Free slots carry stamp 0 and live ones stamp >= 1, so one
-    // strict-< scan finds the first free slot, else the first LRU one.
-    std::size_t slot = 0;
-    std::uint64_t oldest = stamps_[0];
-    for (std::size_t i = 1; i < stamps_.size(); ++i) {
-        bool older = stamps_[i] < oldest;
-        slot = older ? i : slot;
-        oldest = older ? stamps_[i] : oldest;
+    for (std::size_t w = 0; w < freeMask_.size(); ++w) {
+        if (freeMask_[w] != 0)
+            return w * 64 + static_cast<std::size_t>(
+                                __builtin_ctzll(freeMask_[w]));
     }
-    return slot;
+    // Full: live stamps are distinct, so the list head is the
+    // lowest-stamp slot.
+    return links_[capacity()].next;
+}
+
+void
+StreamedValueBuffer::link(std::size_t slot)
+{
+    const auto sentinel = static_cast<std::uint32_t>(capacity());
+    const std::uint32_t mru = links_[sentinel].prev;
+    links_[slot] = {mru, sentinel};
+    links_[mru].next = static_cast<std::uint32_t>(slot);
+    links_[sentinel].prev = static_cast<std::uint32_t>(slot);
+}
+
+void
+StreamedValueBuffer::unlink(std::size_t slot)
+{
+    const Link l = links_[slot];
+    links_[l.prev].next = l.next;
+    links_[l.next].prev = l.prev;
 }
 
 StreamedValueBuffer::Entry
 StreamedValueBuffer::take(std::size_t slot)
 {
-    keys_[slot] = kEmptyKey;
+    index_.erase(slot, keys_.data());
+    unlink(slot);
     stamps_[slot] = 0;
+    setBit(freeMask_, slot);
     return entries_[slot];
 }
 
@@ -51,11 +98,13 @@ std::optional<StreamedValueBuffer::Entry>
 StreamedValueBuffer::insert(const Entry &e)
 {
     std::size_t slot = find(e.addr);
-    if (slot == keys_.size())
+    if (slot == SlotIndex::kNone)
         return insertAbsent(e);
     entries_[slot] = e;
     entries_[slot].addr = keys_[slot];
     stamps_[slot] = ++clock_;
+    unlink(slot);
+    link(slot);
     return std::nullopt;
 }
 
@@ -64,12 +113,19 @@ StreamedValueBuffer::insertAbsent(const Entry &e)
 {
     std::size_t slot = victim();
     std::optional<Entry> displaced;
-    if (stamps_[slot] != 0)
+    if (stamps_[slot] != 0) {
         displaced = entries_[slot];
+        index_.erase(slot, keys_.data());
+        unlink(slot);
+    } else {
+        clearBit(freeMask_, slot);
+    }
     keys_[slot] = blockAlign(e.addr);
     entries_[slot] = e;
     entries_[slot].addr = keys_[slot];
     stamps_[slot] = ++clock_;
+    index_.insert(slot, keys_.data());
+    link(slot);
     return displaced;
 }
 
@@ -77,7 +133,7 @@ std::optional<StreamedValueBuffer::Entry>
 StreamedValueBuffer::consume(Addr a)
 {
     std::size_t slot = find(a);
-    if (slot == keys_.size())
+    if (slot == SlotIndex::kNone)
         return std::nullopt;
     return take(slot);
 }
@@ -85,7 +141,7 @@ StreamedValueBuffer::consume(Addr a)
 bool
 StreamedValueBuffer::contains(Addr a) const
 {
-    return find(a) != keys_.size();
+    return find(a) != SlotIndex::kNone;
 }
 
 std::optional<StreamedValueBuffer::Entry>
@@ -97,19 +153,27 @@ StreamedValueBuffer::invalidate(Addr a)
 std::optional<StreamedValueBuffer::Entry>
 StreamedValueBuffer::consumeAny()
 {
-    for (std::size_t i = 0; i < stamps_.size(); ++i)
-        if (stamps_[i] != 0)
-            return take(i);
+    // The lowest clear bit is the lowest live slot; the clear bits
+    // past capacity() come after every slot of the last word.
+    for (std::size_t w = 0; w < freeMask_.size(); ++w) {
+        if (~freeMask_[w] == 0)
+            continue;
+        std::size_t slot = w * 64 + static_cast<std::size_t>(
+                                        __builtin_ctzll(~freeMask_[w]));
+        if (slot >= capacity())
+            break;
+        return take(slot);
+    }
     return std::nullopt;
 }
 
 std::size_t
 StreamedValueBuffer::occupancy() const
 {
-    std::size_t n = 0;
-    for (std::uint64_t s : stamps_)
-        n += s != 0;
-    return n;
+    std::size_t free = 0;
+    for (std::uint64_t word : freeMask_)
+        free += static_cast<std::size_t>(__builtin_popcountll(word));
+    return capacity() - free;
 }
 
 std::size_t
@@ -147,32 +211,57 @@ void
 StreamedValueBuffer::loadState(StateReader &r)
 {
     r.tag(kSvbTag);
-    if (r.u64() != keys_.size()) {
+    const std::uint64_t saved_capacity = r.u64();
+    const std::uint64_t clock = r.u64();
+    clear();
+    if (saved_capacity != capacity()) {
         r.fail();
         return;
     }
-    clock_ = r.u64();
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-        keys_[i] = kEmptyKey;
-        stamps_[i] = 0;
-        entries_[i] = Entry{};
+    clock_ = clock;
+    for (std::size_t i = 0; i < capacity() && r.ok(); ++i) {
         if (!r.boolean())
             continue;
-        std::uint64_t stamp = r.u64();
+        const std::uint64_t stamp = r.u64();
         Entry e;
         e.addr = r.u64();
         e.streamId = static_cast<int>(r.i64());
         e.readyTime = r.u64();
-        // A live slot with stamp 0 or the sentinel address would
-        // decode as free: reject rather than re-encode differently.
-        if (!r.ok() || stamp == 0 || e.addr == kEmptyKey) {
+        // Stamp 0 marks a free slot, and a stamp above the clock
+        // would be handed out again. A block live in two slots would
+        // be found in only one of them. A run stores block-aligned
+        // addresses only. Reject all of these rather than load state
+        // that re-encodes or behaves differently.
+        if (stamp == 0 || stamp > clock_ || e.addr != blockAlign(e.addr) ||
+            find(e.addr) != SlotIndex::kNone) {
             r.fail();
-            return;
+            break;
         }
         keys_[i] = e.addr;
         stamps_[i] = stamp;
         entries_[i] = e;
+        index_.insert(i, keys_.data());
+        clearBit(freeMask_, i);
     }
+    // The recency list is the live slots in stamp order. Saved stamps
+    // are distinct; two equal ones would leave the LRU slot undefined.
+    std::vector<std::uint32_t> live;
+    for (std::size_t i = 0; i < capacity(); ++i)
+        if (stamps_[i] != 0)
+            live.push_back(static_cast<std::uint32_t>(i));
+    std::sort(live.begin(), live.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                  return stamps_[a] < stamps_[b];
+              });
+    for (std::size_t k = 1; k < live.size() && r.ok(); ++k)
+        if (stamps_[live[k - 1]] == stamps_[live[k]])
+            r.fail();
+    if (!r.ok()) {
+        clear();
+        return;
+    }
+    for (std::uint32_t slot : live)
+        link(slot);
 }
 
 } // namespace stems

@@ -9,15 +9,21 @@
  * an overprediction. The paper uses 64 entries for TMS/STeMS and a
  * 32-entry buffer for the baseline stride prefetcher.
  *
- * Layout: three parallel slot lanes. The key lane holds each slot's
- * block address, or the all-ones sentinel (never block-aligned) when
- * the slot is free, so a lookup is one branch-free pass over a
- * contiguous array — 512 B for 64 slots. The stamp lane holds LRU
- * stamps, 0 for a free slot, so the victim scan is one strict-<
- * running minimum that picks the first free slot, else the
- * first-index LRU slot. Entries are read only on a hit. Behaviour and
- * serialized state are those of the historical array-of-structs
- * buffer (tests/reference_svb.hh).
+ * Layout: three parallel slot lanes, the state that is serialized.
+ * The key lane holds each live slot's block address, the stamp lane
+ * its LRU stamp (0 for a free slot), the entry lane its entry. Three
+ * derived structures make every operation constant-time; they are
+ * never serialized, and loadState rebuilds them from the lanes:
+ *  - a SlotIndex (common/slot_index.hh, shared with LruTable) from
+ *    block address to live slot, for lookups;
+ *  - a free-slot bitmask, whose lowest set bit is the first free
+ *    slot (the victim while one exists) and whose lowest clear bit is
+ *    the first live slot (consumeAny()'s choice);
+ *  - a recency list over the live slots in stamp order, whose head is
+ *    the LRU slot (the victim in a full buffer).
+ * Behaviour and serialized state are those of the historical
+ * array-of-structs buffer (tests/reference_svb.hh): first free slot,
+ * else the lowest stamp; the lowest live slot drains first.
  */
 
 #ifndef STEMS_MEM_SVB_HH
@@ -27,6 +33,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/slot_index.hh"
 #include "common/types.hh"
 
 namespace stems {
@@ -63,7 +70,7 @@ class StreamedValueBuffer
 
     /**
      * insert() of a block the caller has just found absent (contains()
-     * returned false and nothing changed since): skips the key scan.
+     * returned false and nothing changed since): skips the lookup.
      *
      * @return the evicted (never-consumed) entry, if any.
      */
@@ -104,27 +111,55 @@ class StreamedValueBuffer
     /** Serialize the full buffer state (checkpointing). */
     void saveState(StateWriter &w) const;
 
-    /** Restore state saved from an equal-capacity buffer; fails the
-     *  reader on a capacity mismatch and on a live slot the lanes
-     *  cannot hold (stamp 0 or the sentinel address). */
+    /** Restore state saved from an equal-capacity buffer. Fails the
+     *  reader, leaving the buffer empty, on a capacity mismatch and on
+     *  state no run saves: a live slot with stamp 0, a stamp above the
+     *  clock or an address not block-aligned, and two live slots with
+     *  one block or one stamp. */
     void loadState(StateReader &r);
 
   private:
-    static constexpr Addr kEmptyKey = ~Addr{0};
+    /** Recency-list links of a slot; slot capacity() is the list's
+     *  sentinel (next: the LRU slot, prev: the MRU slot). */
+    struct Link
+    {
+        std::uint32_t prev = 0;
+        std::uint32_t next = 0;
+    };
 
-    /** Slot holding the block of `a`; capacity() when absent. */
-    std::size_t find(Addr a) const;
+    /** Slot holding the block of `a`; SlotIndex::kNone when absent. */
+    std::size_t
+    find(Addr a) const
+    {
+        return index_.find(blockAlign(a), keys_.data());
+    }
 
-    /** First free slot, else the first-index LRU slot. */
+    /** First free slot, else the LRU slot. */
     std::size_t victim() const;
 
-    /** Free a slot. @return its entry. */
+    /** Free a live slot. @return its entry. */
     Entry take(std::size_t slot);
+
+    /** Append a live slot to the recency list as the MRU slot. */
+    void link(std::size_t slot);
+
+    /** Remove a live slot from the recency list. */
+    void unlink(std::size_t slot);
+
+    /** Free every slot and reset the clock: the state as
+     *  constructed. */
+    void clear();
 
     std::uint64_t clock_ = 0;
     std::vector<Addr> keys_;
     std::vector<std::uint64_t> stamps_;
     std::vector<Entry> entries_;
+    // Derived from the lanes; see the file comment.
+    SlotIndex index_;
+    /// Bit s % 64 of word s / 64 is set when slot s is free; the bits
+    /// past capacity() stay clear.
+    std::vector<std::uint64_t> freeMask_;
+    std::vector<Link> links_;
 };
 
 } // namespace stems

@@ -42,6 +42,10 @@ TraceSummary summarize(const Trace &trace);
 class TraceBuilder
 {
   public:
+    /** Reserve room for `records` records, so that a generator that
+     *  stays within it never regrows its trace. */
+    void reserve(std::size_t records) { trace_.reserve(records); }
+
     /** Append a load. @param dep_on_prev_read chain to the last read. */
     void
     read(Addr a, Pc pc, std::uint32_t cpu_ops = 0,

@@ -59,6 +59,7 @@ CommercialWorkload::generate(std::uint64_t seed,
     // --- Dynamic generation ----------------------------------------
 
     TraceBuilder b;
+    b.reserve(generatorReserve(target_records));
     std::vector<Addr> recent_blocks; // invalidation candidates
     std::size_t recent_pos = 0;
     constexpr std::size_t kRecentCap = 256;

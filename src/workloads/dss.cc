@@ -56,6 +56,7 @@ DssWorkload::generate(std::uint64_t seed,
                               Addr{1} << 42);
 
     TraceBuilder b;
+    b.reserve(generatorReserve(target_records));
     auto cpu_ops = [&]() { return run.range(p.cpuOpsMin, p.cpuOpsMax); };
 
     // Recently scanned pages (page base + layout variant), the pool

@@ -58,6 +58,7 @@ Em3dWorkload::generate(std::uint64_t seed,
     }
 
     TraceBuilder b;
+    b.reserve(generatorReserve(target_records));
     auto cpu_ops = [&]() { return run.range(p.cpuOpsMin, p.cpuOpsMax); };
 
     while (b.size() < target_records) {
@@ -103,6 +104,7 @@ OceanWorkload::generate(std::uint64_t seed,
     }
 
     TraceBuilder b;
+    b.reserve(generatorReserve(target_records));
     auto cpu_ops = [&]() { return run.range(p.cpuOpsMin, p.cpuOpsMax); };
 
     while (b.size() < target_records) {
@@ -151,6 +153,7 @@ SparseWorkload::generate(std::uint64_t seed,
     const Addr x_base = Addr{1} << 47;
 
     TraceBuilder b;
+    b.reserve(generatorReserve(target_records));
     auto cpu_ops = [&]() { return run.range(p.cpuOpsMin, p.cpuOpsMax); };
 
     while (b.size() < target_records) {

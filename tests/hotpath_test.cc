@@ -538,6 +538,13 @@ sameEntry(const std::optional<A> &a, const std::optional<B> &b)
                   a->readyTime == b->readyTime);
 }
 
+/**
+ * Drive the SVB and the frozen reference with one seeded op mix and
+ * require the same results at every step. Every 4096 ops the buffer
+ * is saved and the run continues on a freshly loaded copy, so the
+ * index, free mask and recency list that loadState rebuilds are
+ * checked against the reference too.
+ */
 void
 svbEquivalenceRun(std::uint64_t seed, std::size_t capacity,
                   std::size_t ops)
@@ -547,6 +554,15 @@ svbEquivalenceRun(std::uint64_t seed, std::size_t capacity,
     ReferenceStreamedValueBuffer oracle(capacity);
     const std::uint64_t span = 3 * capacity;
     for (std::size_t i = 0; i < ops; ++i) {
+        if (i % 4096 == 4095) {
+            const std::vector<std::uint8_t> saved = stateBytes(svb);
+            ASSERT_EQ(saved, stateBytes(oracle)) << "op " << i;
+            StreamedValueBuffer loaded(capacity);
+            StateReader r(saved.data(), saved.size());
+            loaded.loadState(r);
+            ASSERT_TRUE(r.atEnd()) << "op " << i;
+            svb = std::move(loaded);
+        }
         const Addr a =
             0x100000 + (rng() % span) * kBlockBytes + rng() % kBlockBytes;
         const int stream = static_cast<int>(rng() % 6) - 1;
@@ -613,6 +629,23 @@ TEST(HotpathSvb, MatchesReference64Slots)
 TEST(HotpathSvb, MatchesReference32Slots)
 {
     svbEquivalenceRun(2, 32, 200000);
+}
+
+TEST(HotpathSvb, MatchesReference1Slot)
+{
+    svbEquivalenceRun(3, 1, 50000);
+}
+
+TEST(HotpathSvb, MatchesReference33Slots)
+{
+    // Not a power of two; the free mask's one word is partly used.
+    svbEquivalenceRun(4, 33, 200000);
+}
+
+TEST(HotpathSvb, MatchesReference100Slots)
+{
+    // A free mask of two words, the second partly used.
+    svbEquivalenceRun(5, 100, 200000);
 }
 
 /**
@@ -1093,6 +1126,85 @@ TEST(HotpathReject, SvbSlotTheLanesCannotHold)
     EXPECT_EQ(*again, good.bytes());
     EXPECT_FALSE(reload(svb, payload(0x40, 0)).has_value());
     EXPECT_FALSE(reload(svb, payload(~Addr{0}, 3)).has_value());
+}
+
+/** A two-slot SVB state with both slots live. */
+StateWriter
+svbTwoLiveSlots(std::uint64_t clock, std::uint64_t stamp0, Addr addr0,
+                std::uint64_t stamp1, Addr addr1)
+{
+    StateWriter w;
+    w.tag(stateTag('S', 'V', 'B', '1'));
+    w.u64(2);
+    w.u64(clock);
+    for (auto [stamp, addr] : {std::pair{stamp0, addr0},
+                               std::pair{stamp1, addr1}}) {
+        w.boolean(true);
+        w.u64(stamp);
+        w.u64(addr);
+        w.i64(1);
+        w.u64(0);
+    }
+    return w;
+}
+
+/** After a failed load the buffer is as constructed, and its lookups,
+ *  victims and drain order are the reference's. */
+void
+expectEmptyAndConsistent(StreamedValueBuffer &svb)
+{
+    StreamedValueBuffer fresh(2);
+    EXPECT_EQ(stateBytes(svb), stateBytes(fresh));
+    ReferenceStreamedValueBuffer oracle(2);
+    for (Addr a : {Addr{0x40}, Addr{0x80}, Addr{0x40}, Addr{0xc0}}) {
+        EXPECT_TRUE(
+            sameEntry(svb.insert({a, 1, 0}), oracle.insert({a, 1, 0})));
+        for (Addr b : {Addr{0x40}, Addr{0x80}, Addr{0xc0}})
+            EXPECT_EQ(svb.contains(b), oracle.contains(b));
+    }
+    EXPECT_EQ(svb.occupancy(), 2u);
+    for (int i = 0; i < 3; ++i)
+        EXPECT_TRUE(sameEntry(svb.consumeAny(), oracle.consumeAny()));
+}
+
+TEST(HotpathReject, SvbBlockLiveInTwoSlots)
+{
+    StreamedValueBuffer svb(2);
+    const StateWriter good = svbTwoLiveSlots(5, 3, 0x40, 4, 0x80);
+    auto again = reload(svb, good);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(*again, good.bytes());
+    // The index holds a block once; the scan found the lower slot.
+    EXPECT_FALSE(
+        reload(svb, svbTwoLiveSlots(5, 3, 0x40, 4, 0x40)).has_value());
+    expectEmptyAndConsistent(svb);
+}
+
+TEST(HotpathReject, SvbTwoLiveSlotsShareAStamp)
+{
+    StreamedValueBuffer svb(2);
+    const StateWriter good = svbTwoLiveSlots(5, 4, 0x40, 3, 0x80);
+    auto again = reload(svb, good);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(*again, good.bytes());
+    // The recency list needs one order; the scan broke the tie by
+    // slot.
+    EXPECT_FALSE(
+        reload(svb, svbTwoLiveSlots(5, 3, 0x40, 3, 0x80)).has_value());
+    expectEmptyAndConsistent(svb);
+}
+
+TEST(HotpathReject, SvbLiveStampAboveTheClock)
+{
+    StreamedValueBuffer svb(2);
+    const StateWriter good = svbTwoLiveSlots(4, 3, 0x40, 4, 0x80);
+    auto again = reload(svb, good);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(*again, good.bytes());
+    // The next insert would stamp 5 a second time.
+    EXPECT_FALSE(
+        reload(svb, svbTwoLiveSlots(4, 3, 0x40, 5, 0x80)).has_value());
+    expectEmptyAndConsistent(svb);
 }
 
 TEST(HotpathReject, ReconstructorBucketOutsideWindow)

@@ -178,6 +178,18 @@ TEST_P(WorkloadSuiteTest, StructuralSanity)
     EXPECT_GT(s.distinctRegions, 50u);
 }
 
+TEST_P(WorkloadSuiteTest, ReservesOnceAtBenchmarkLengths)
+{
+    // The benchmark's lengths (a sweep and its extension): the trace
+    // fits the one reservation, so its capacity is exactly that.
+    auto w = makeWorkload(GetParam());
+    ASSERT_NE(w, nullptr);
+    for (std::size_t n : {std::size_t{1'000'000}, std::size_t{1'250'000}}) {
+        EXPECT_EQ(w->generate(42, n).capacity(), generatorReserve(n))
+            << n;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, WorkloadSuiteTest,
     ::testing::Values("web-apache", "web-zeus", "oltp-db2",
