@@ -92,8 +92,9 @@ main(int argc, char **argv)
             spec.probeId = "displacement-stats-v1";
             specs.push_back(std::move(spec));
         }
-        for (const WorkloadResult &r :
-             driver.run({"oltp-db2"}, specs)) {
+        SweepPlan window_plan = plan;
+        window_plan.workloads = {"oltp-db2"};
+        for (const WorkloadResult &r : driver.run(window_plan, specs)) {
             for (const EngineResult &e : r.engines) {
                 double placed = e.extra.at("placed");
                 double dropped = e.extra.at("dropped");

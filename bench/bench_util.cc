@@ -19,8 +19,6 @@
 
 namespace stems {
 
-namespace {
-
 std::vector<std::string>
 splitList(const std::string &arg)
 {
@@ -32,6 +30,8 @@ splitList(const std::string &arg)
             items.push_back(item);
     return items;
 }
+
+namespace {
 
 std::string
 joinNames(const std::vector<std::string> &names)

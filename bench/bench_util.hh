@@ -113,6 +113,9 @@ SweepPlan benchPlan(const BenchOptions &options, bool enable_timing,
                     std::vector<std::string> workloads,
                     const std::vector<std::string> &engine_names);
 
+/** The non-empty items of a comma-separated list, in order. */
+std::vector<std::string> splitList(const std::string &arg);
+
 /** The workloads to sweep: the selection, or the whole registry. */
 std::vector<std::string>
 benchWorkloads(const BenchOptions &options);
@@ -152,9 +155,9 @@ void requireNoJson(const BenchOptions &options, const char *reason);
 /**
  * Attach the persistent TraceStore selected by --store/STEMS_STORE
  * to a driver (no-op when the options carry no store directory;
- * exits with an error when the directory is unusable). Execution
- * policy is NOT applied here any more — it travels in the SweepPlan
- * (benchPlan) and lands via ExperimentDriver::run(plan)/applyPlan.
+ * exits with an error when the directory is unusable). Everything
+ * else travels in the SweepPlan (benchPlan) that each driver call
+ * takes.
  */
 void configureBenchDriver(ExperimentDriver &driver,
                           const BenchOptions &options);

@@ -35,13 +35,12 @@ main(int argc, char **argv)
                                      std::vector<std::string>{});
     ExperimentDriver driver;
     configureBenchDriver(driver, opts);
-    driver.applyPlan(plan);
 
     // One analysis per workload, sharded over the pool; each worker
     // writes only its own slot.
     std::vector<JointCoverage> results(workloads.size());
     driver.forEachTrace(
-        workloads,
+        plan,
         [&](std::size_t index, const Workload &, const Trace &t) {
             JointCoverageAnalyzer a;
             a.run(t, t.size() / 2);

@@ -70,12 +70,11 @@ main(int argc, char **argv)
                                      std::vector<std::string>{});
     ExperimentDriver driver;
     configureBenchDriver(driver, opts);
-    driver.applyPlan(plan);
 
     std::vector<Sequitur::Classification> all(workloads.size());
     std::vector<Sequitur::Classification> trig(workloads.size());
     driver.forEachTrace(
-        workloads,
+        plan,
         [&](std::size_t index, const Workload &, const Trace &t) {
             MissSequences seqs = extractMissSequences(t);
             all[index] =

@@ -47,11 +47,10 @@ main(int argc, char **argv)
                                      std::vector<std::string>{});
     ExperimentDriver driver;
     configureBenchDriver(driver, opts);
-    driver.applyPlan(plan);
 
     std::vector<CorrelationAnalyzer> analyzers(workloads.size());
     driver.forEachTrace(
-        workloads,
+        plan,
         [&](std::size_t index, const Workload &, const Trace &t) {
             analyzers[index].run(t);
         });

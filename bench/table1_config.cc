@@ -54,10 +54,9 @@ main(int argc, char **argv)
                                      std::vector<std::string>{});
     ExperimentDriver driver;
     configureBenchDriver(driver, opts);
-    driver.applyPlan(plan);
     std::vector<TraceSummary> summaries(workloads.size());
     driver.forEachTrace(
-        workloads,
+        plan,
         [&](std::size_t index, const Workload &, const Trace &t) {
             summaries[index] = summarize(t);
         });

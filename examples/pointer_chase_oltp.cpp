@@ -93,9 +93,8 @@ main(int argc, char **argv)
                                      {workload.name()}, engines);
     ExperimentDriver driver;
     configureBenchDriver(driver, opts);
-    driver.applyPlan(plan);
     WorkloadResult r =
-        driver.runWorkload(workload, engineSpecs(engines));
+        driver.runWorkload(plan, workload, engineSpecs(engines));
     maybeWriteJson(opts, {r});
 
     std::printf("%-8s %10s %10s %12s\n", "engine", "covered",

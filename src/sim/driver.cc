@@ -28,12 +28,9 @@ namespace stems {
 
 namespace {
 
-/**
- * Process-wide registry mirrors of the driver diagnostics. The
- * per-driver counters stay authoritative for the accessor API
- * (tests assert them per instance); these aggregate across drivers
- * and feed metrics snapshots / run manifests.
- */
+/** The driver's diagnostics, in the process-wide registry: metrics
+ *  snapshots, run manifests and the benches' `[store]` line read
+ *  them, and tests read their deltas. */
 struct DriverMetrics
 {
     Counter &traceGenerated;
@@ -67,6 +64,18 @@ driverMetrics()
 {
     static DriverMetrics metrics;
     return metrics;
+}
+
+/** The registered workloads `names` selects, each with its position
+ *  in `names`; unknown names are skipped. */
+std::vector<std::pair<std::size_t, std::unique_ptr<Workload>>>
+registryWorkloads(const std::vector<std::string> &names)
+{
+    std::vector<std::pair<std::size_t, std::unique_ptr<Workload>>> out;
+    for (std::size_t i = 0; i < names.size(); ++i)
+        if (auto w = WorkloadRegistry::instance().make(names[i]))
+            out.emplace_back(i, std::move(w));
+    return out;
 }
 
 } // namespace
@@ -259,38 +268,19 @@ ExperimentDriver::resolveJobs(unsigned jobs)
                : std::max(1u, std::thread::hardware_concurrency());
 }
 
-ExperimentDriver::ExperimentDriver(ExperimentConfig config,
-                                   unsigned jobs)
-    : config_(std::move(config)), jobs_(resolveJobs(jobs))
-{
-}
-
 void
-ExperimentDriver::setStore(std::shared_ptr<TraceStore> store)
+ExperimentDriver::usePlan(const SweepPlan &plan)
 {
-    store_ = std::move(store);
-    if (store_) {
-        // The store's key vocabulary lives in store/keys.hh; the
-        // driver only caches the config-context digests here.
-        resultConfigDigest_ = stems::resultConfigDigest(config_);
-        ckptConfigDigest_ = checkpointConfigDigest(config_);
-    }
-}
-
-void
-ExperimentDriver::applyPlan(const SweepPlan &plan)
-{
-    ExperimentConfig next = planExperimentConfig(plan);
-    next.system = config_.system;
-    config_ = next;
+    config_ = planExperimentConfig(plan);
     jobs_ = resolveJobs(plan.jobs);
     checkpointEvery_ =
         static_cast<std::size_t>(plan.checkpointEvery);
     heartbeatSeconds_ =
         plan.heartbeatSeconds < 0 ? 0.0 : plan.heartbeatSeconds;
-    // Refresh the store-context digests for the new configuration.
-    if (store_)
-        setStore(store_);
+    // The store's key vocabulary lives in store/keys.hh; the driver
+    // only caches the config-context digests here.
+    resultConfigDigest_ = stems::resultConfigDigest(config_);
+    ckptConfigDigest_ = checkpointConfigDigest(config_);
 }
 
 void
@@ -492,7 +482,6 @@ ExperimentDriver::runCells(
         throw;
     }
     stop_heartbeat();
-    cellRuns_ += cold_cells;
     driverMetrics().cellSimulated.add(cold_cells);
 
     // ---- merge in fixed (workload, engine) order, persisting every
@@ -565,22 +554,6 @@ ExperimentDriver::runCells(
     return results;
 }
 
-std::vector<WorkloadResult>
-ExperimentDriver::run(const std::vector<std::string> &workloads,
-                      const std::vector<EngineSpec> &engines)
-{
-    std::vector<std::unique_ptr<Workload>> owned;
-    std::vector<const Workload *> ptrs;
-    for (const std::string &name : workloads) {
-        auto w = WorkloadRegistry::instance().make(name);
-        if (!w)
-            continue;
-        ptrs.push_back(w.get());
-        owned.push_back(std::move(w));
-    }
-    return runCells(ptrs, engines, /*cacheable=*/true);
-}
-
 bool
 ExperimentDriver::openTraceContext(TraceContext &ctx,
                                    const Workload &workload,
@@ -592,7 +565,6 @@ ExperimentDriver::openTraceContext(TraceContext &ctx,
     bool stored = use_store && store_->loadTrace(key, ctx.trace);
     if (!stored) {
         ctx.trace = workload.generate(config_.seed, config_.traceRecords);
-        traceGenerations_.fetch_add(1);
         driverMetrics().traceGenerated.add();
     }
     ctx.warmup = effectiveWarmupRecords(config_, ctx.trace.size());
@@ -698,8 +670,6 @@ ExperimentDriver::openLanes(TraceContext &ctx,
                             static_cast<std::uint64_t>(resume));
         }
         if (resume > 0) {
-            resumedRuns_.fetch_add(1);
-            resumedRecordsSkipped_.fetch_add(resume);
             driverMetrics().cellResumed.add();
             driverMetrics().ckptSkippedRecords.add(resume);
         }
@@ -718,7 +688,7 @@ ExperimentDriver::openLanes(TraceContext &ctx,
                                          PrefetchSimulator &lane_sim) {
             // Runs on whichever thread advances the lane, beside
             // other lanes: only the thread-safe store, prefix memo
-            // and atomics below.
+            // and registry counter below.
             ScopedSpan write_span("ckpt.write", "ckpt");
             if (write_span.active()) {
                 write_span.arg("lane",
@@ -736,7 +706,6 @@ ExperimentDriver::openLanes(TraceContext &ctx,
                 checkpointStateDigest(ctx.prefixes.digests({index})[0],
                                       index, ctx.warmup),
                 lane_sim, meta);
-            checkpointsWritten_.fetch_add(1);
             driverMetrics().ckptWritten.add();
         });
     }
@@ -943,21 +912,21 @@ std::vector<WorkloadResult>
 ExperimentDriver::run(const SweepPlan &plan,
                       const std::vector<EngineSpec> &engines)
 {
-    applyPlan(plan);
-    return run(plan.workloads, engines);
-}
-
-std::vector<WorkloadResult>
-ExperimentDriver::runSuite(const std::vector<EngineSpec> &engines)
-{
-    return run(WorkloadRegistry::instance().names(), engines);
+    usePlan(plan);
+    const auto owned = registryWorkloads(plan.workloads);
+    std::vector<const Workload *> workloads;
+    for (const auto &entry : owned)
+        workloads.push_back(entry.second.get());
+    return runCells(workloads, engines, /*cacheable=*/true);
 }
 
 WorkloadResult
 ExperimentDriver::runWorkload(
-    const Workload &workload, const std::vector<EngineSpec> &engines,
+    const SweepPlan &plan, const Workload &workload,
+    const std::vector<EngineSpec> &engines,
     std::optional<std::uint64_t> trace_digest)
 {
+    usePlan(plan);
     auto results = runCells({&workload}, engines,
                             /*cacheable=*/false, trace_digest);
     return std::move(results.at(0));
@@ -965,25 +934,18 @@ ExperimentDriver::runWorkload(
 
 void
 ExperimentDriver::forEachTrace(
-    const std::vector<std::string> &workloads,
+    const SweepPlan &plan,
     const std::function<void(std::size_t, const Workload &,
                              const Trace &)> &fn)
 {
-    std::vector<std::unique_ptr<Workload>> owned;
-    std::vector<std::size_t> indices;
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        auto w = WorkloadRegistry::instance().make(workloads[i]);
-        if (!w)
-            continue;
-        owned.push_back(std::move(w));
-        indices.push_back(i);
-    }
+    usePlan(plan);
+    const auto owned = registryWorkloads(plan.workloads);
     dispatch(owned.size(), [&](std::size_t k) {
-        const Workload &w = *owned[k];
+        const Workload &w = *owned[k].second;
         TraceContext ctx;
         openTraceContext(ctx, w, store_ != nullptr,
                          /*checkpointing=*/false, /*hash=*/false);
-        fn(indices[k], w, ctx.trace);
+        fn(owned[k].first, w, ctx.trace);
     });
 }
 

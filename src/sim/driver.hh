@@ -3,6 +3,12 @@
  * Parallel experiment driver: runs the (workload x lane) cells of a
  * sweep on a lane scheduler.
  *
+ * Every call takes the SweepPlan it runs: workloads, trace knobs
+ * (records, seed, warmup, timing) and execution policy (jobs,
+ * checkpoint interval, heartbeat) all come from the plan, on the
+ * paper's Table 1 system, so no call inherits another's settings.
+ * The driver keeps only the attached store between calls.
+ *
  * A workload's lane list is the prefetch-free baseline, under timing
  * the stride reference, then one lane per engine column. The two
  * reference lanes normalize the engine lanes (coverage by the
@@ -24,15 +30,18 @@
  *    result is keyed by trace content digest + lane spec digest +
  *    config digest), and fills it afterwards — so a fully warm-store
  *    re-run of a sweep performs zero workload generations and zero
- *    cell simulations (traceGenerations() / cellRuns() diagnostics
- *    pin this), with bitwise-identical results.
+ *    cell simulations, with bitwise-identical results.
+ *
+ * Diagnostics go only to the process-wide metrics registry
+ * (driver.trace.generated, driver.cell.simulated, driver.cell.resumed,
+ * ckpt.resume.skipped_records, ckpt.written).
  *
  * Determinism: every cell (one PrefetchSimulator over one trace) is
  * independent and seeded only by the trace, and results are merged in
- * the fixed (workload order, engine order) the caller supplied — so a
+ * the fixed (workload order, engine order) the plan supplied — so a
  * sweep is bitwise identical for any thread count, and identical to a
- * serial ExperimentRunner reference run (sim/driver_test.cc pins
- * both properties).
+ * serial ExperimentRunner reference run (driver_test.cc pins both
+ * properties).
  */
 
 #ifndef STEMS_SIM_DRIVER_HH
@@ -107,31 +116,19 @@ engineSpecs(const std::vector<std::string> &names);
 std::vector<EngineSpec> planEngineSpecs(const SweepPlan &plan);
 
 /**
- * The parallel sweep driver. Nothing carries across run() calls but
- * the attached store: a call re-simulates whatever earlier calls (of
- * any process) did not persist.
+ * The parallel sweep driver. Nothing carries across calls but the
+ * attached store: a call re-simulates whatever earlier calls (of any
+ * process) did not persist.
  */
 class ExperimentDriver
 {
   public:
     /**
-     * @param config  experiment knobs (system, trace length, seed).
-     * @param jobs    worker threads; 0 means hardware concurrency.
-     */
-    explicit ExperimentDriver(ExperimentConfig config,
-                              unsigned jobs = 0);
-
-    /** A driver awaiting a plan: Table 1 system, default knobs.
-     *  Attach a store (setStore) and call run(plan). */
-    ExperimentDriver() : ExperimentDriver(ExperimentConfig{}) {}
-
-    /**
      * THE entry point: execute a declarative SweepPlan — workloads x
      * engines under the plan's trace, warmup and execution-policy
      * knobs — and return results merged in the plan's (workload,
-     * engine) order. Equivalent to applyPlan(plan) followed by
-     * run(plan.workloads, planEngineSpecs(plan)); bitwise identical
-     * for any jobs/checkpoint policy.
+     * engine) order; bitwise identical for any jobs/checkpoint
+     * policy. Unknown workload or engine names get no row/column.
      */
     std::vector<WorkloadResult> run(const SweepPlan &plan);
 
@@ -146,31 +143,13 @@ class ExperimentDriver
     run(const SweepPlan &plan,
         const std::vector<EngineSpec> &engines);
 
-    /**
-     * Adopt a plan's configuration without running: trace knobs
-     * (records/seed/warmup/timing), jobs, and the whole execution
-     * policy, refreshed store digests included. Used by run(plan)
-     * and by harnesses that pair a plan with forEachTrace or
-     * runWorkload.
-     */
-    void applyPlan(const SweepPlan &plan);
-
-    /** Sweep (workloads x engines) by registered workload name.
-     *  Unknown workload names are skipped (no result row). */
-    std::vector<WorkloadResult>
-    run(const std::vector<std::string> &workloads,
-        const std::vector<EngineSpec> &engines);
-
-    /** Sweep every registered workload (figure order). */
-    std::vector<WorkloadResult>
-    runSuite(const std::vector<EngineSpec> &engines);
-
     /** Run one externally-owned workload (e.g. a custom subclass not
-     *  in the registry); its lanes still run in parallel. The
-     *  store's name-keyed trace replay is bypassed: an external
-     *  instance's behaviour is not determined by its name, so
-     *  name-keyed caching could cross-contaminate
-     *  differently-parameterized instances.
+     *  in the registry) under the plan's records, seed, warmup,
+     *  timing and policy; the plan's workload list is not read. Its
+     *  lanes still run in parallel. The store's name-keyed trace
+     *  replay is bypassed: an external instance's behaviour is not
+     *  determined by its name, so name-keyed caching could
+     *  cross-contaminate differently-parameterized instances.
      *
      *  When the caller *can* vouch for the trace's identity — a
      *  FixedTraceWorkload replaying a captured trace — pass its
@@ -178,28 +157,23 @@ class ExperimentDriver
      *  cache every lane's result under it, exactly as for
      *  store-replayed registry traces. */
     WorkloadResult
-    runWorkload(const Workload &workload,
+    runWorkload(const SweepPlan &plan, const Workload &workload,
                 const std::vector<EngineSpec> &engines,
                 std::optional<std::uint64_t> trace_digest =
                     std::nullopt);
 
     /**
-     * Parallel map over workload traces (analysis benches): each
-     * registered workload's trace is generated in the pool and handed
-     * to `fn` with its position in `workloads`. `fn` runs on worker
-     * threads, once per workload; writes must stay within the slot
-     * `index` addresses.
+     * Parallel map over workload traces (analysis benches): each of
+     * the plan's registered workloads has its trace loaded from the
+     * store or generated (plan records and seed) on up to plan.jobs
+     * threads, and handed to `fn` with its position in
+     * plan.workloads. `fn` runs on worker threads, once per
+     * workload; writes must stay within the slot `index` addresses.
      */
     void forEachTrace(
-        const std::vector<std::string> &workloads,
+        const SweepPlan &plan,
         const std::function<void(std::size_t index, const Workload &,
                                  const Trace &)> &fn);
-
-    /** The configuration in use. */
-    const ExperimentConfig &config() const { return config_; }
-
-    /** Resolved worker-thread count. */
-    unsigned jobs() const { return jobs_; }
 
     /** The jobs-resolution rule: 0 means hardware concurrency. */
     static unsigned resolveJobs(unsigned jobs);
@@ -210,46 +184,15 @@ class ExperimentDriver
      * disk when present and persist what they compute. Pass null to
      * detach.
      */
-    void setStore(std::shared_ptr<TraceStore> store);
+    void setStore(std::shared_ptr<TraceStore> store)
+    {
+        store_ = std::move(store);
+    }
 
     /** The attached store (null when none). */
     const std::shared_ptr<TraceStore> &store() const
     {
         return store_;
-    }
-
-    /** Cell simulations actually executed — baseline, stride and
-     *  engine lanes alike — as opposed to served from the store's
-     *  result cache (store diagnostics; a fully warm sweep re-run
-     *  reports 0). */
-    std::uint64_t cellRuns() const { return cellRuns_; }
-
-    /** Workload traces actually generated, as opposed to replayed
-     *  from the store (store diagnostics). */
-    std::uint64_t traceGenerations() const
-    {
-        return traceGenerations_.load();
-    }
-
-    /** Cell simulations that resumed from a stored checkpoint
-     *  instead of starting at record 0 (checkpointed execution). */
-    std::uint64_t resumedRuns() const { return resumedRuns_.load(); }
-
-    /** Record-steps skipped by checkpoint resumes, summed over all
-     *  resumed cells: a fully warm-prefix re-run re-simulates only
-     *  the suffix, so this equals (resume index x resumed cells) and
-     *  the redundant re-simulated prefix is 0 records. */
-    std::uint64_t
-    resumedRecordsSkipped() const
-    {
-        return resumedRecordsSkipped_.load();
-    }
-
-    /** Checkpoints persisted to the store this driver's runs wrote. */
-    std::uint64_t
-    checkpointsWritten() const
-    {
-        return checkpointsWritten_.load();
     }
 
   private:
@@ -270,6 +213,12 @@ class ExperimentDriver
              const std::vector<EngineSpec> &engines, bool cacheable,
              std::optional<std::uint64_t> external_digest =
                  std::nullopt);
+
+    /** Set every per-call knob from `plan`: the Table 1 config
+     *  (planExperimentConfig), jobs, checkpoint interval, heartbeat
+     *  and the two store-context digests. Each public call starts
+     *  here, so no call inherits an earlier call's settings. */
+    void usePlan(const SweepPlan &plan);
 
     void dispatch(std::size_t num_tasks,
                   const std::function<void(std::size_t)> &task);
@@ -310,10 +259,13 @@ class ExperimentDriver
                        std::size_t cold_lanes, bool checkpointing,
                        std::atomic<std::size_t> &cells_done);
 
-    ExperimentConfig config_;
-    unsigned jobs_;
-
     std::shared_ptr<TraceStore> store_;
+
+    // Per-call state, set by usePlan() from the call's plan.
+    ExperimentConfig config_;
+    unsigned jobs_ = 1;
+    std::size_t checkpointEvery_ = 0;
+    double heartbeatSeconds_ = 0.0;
     /// Digest keying stored lane results: system, warmup, timing
     /// mode and the result-format version (functional and timed
     /// runs are distinct entries).
@@ -324,14 +276,6 @@ class ExperimentDriver
     /// boundary lies beyond the checkpoint index, so pre-warmup
     /// checkpoints are shareable across different warmup settings.
     std::uint64_t ckptConfigDigest_ = 0;
-    std::uint64_t cellRuns_ = 0;
-    // Execution policy, adopted from the plan by applyPlan().
-    std::size_t checkpointEvery_ = 0;
-    double heartbeatSeconds_ = 0.0;
-    std::atomic<std::uint64_t> traceGenerations_{0};
-    std::atomic<std::uint64_t> resumedRuns_{0};
-    std::atomic<std::uint64_t> resumedRecordsSkipped_{0};
-    std::atomic<std::uint64_t> checkpointsWritten_{0};
 };
 
 } // namespace stems

@@ -2,7 +2,6 @@
 
 #include "common/stats.hh"
 #include "prefetch/engine_registry.hh"
-#include "workloads/registry.hh"
 
 namespace stems {
 
@@ -89,15 +88,6 @@ ExperimentRunner::runWorkload(const Workload &workload,
         result.engines.push_back(std::move(er));
     }
     return result;
-}
-
-std::vector<WorkloadResult>
-ExperimentRunner::runSuite(const std::vector<std::string> &engines)
-{
-    std::vector<WorkloadResult> results;
-    for (const auto &w : makeAllWorkloads())
-        results.push_back(runWorkload(*w, engines));
-    return results;
 }
 
 } // namespace stems

@@ -91,10 +91,6 @@ class ExperimentRunner
     WorkloadResult runWorkload(const Workload &workload,
                                const std::vector<std::string> &engines);
 
-    /** Run engines over the whole paper suite. */
-    std::vector<WorkloadResult>
-    runSuite(const std::vector<std::string> &engines);
-
     /** The configuration in use. */
     const ExperimentConfig &config() const { return config_; }
 

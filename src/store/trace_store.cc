@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <tuple>
 
@@ -20,6 +21,7 @@
 
 #include "common/crc32.hh"
 #include "common/file_io.hh"
+#include "common/parse_number.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_span.hh"
 #include "sim/checkpoint.hh"
@@ -31,13 +33,8 @@ namespace stems {
 
 namespace {
 
-/**
- * Process-wide mirrors of the per-instance hit/miss counters.
- * Per-instance counters stay authoritative for each store's own
- * diagnostics (tests assert them per instance); the registry copies
- * aggregate across every store in the process and feed the metrics
- * snapshot / run manifest.
- */
+/** The store's hit/miss diagnostics, in the process-wide registry
+ *  (metrics snapshots, run manifests, the benches' `[store]` line). */
 struct StoreMetrics
 {
     Counter &traceHit, &traceMiss;
@@ -353,6 +350,81 @@ checkpointMetaText(const StoredCheckpointMeta &meta,
     return ms.str();
 }
 
+/**
+ * THE `.meta` sidecar reader, for every entry kind: `key=value`
+ * lines, each key once. A line without '=' or a repeated key refuses
+ * the whole file, so an appended or hand-edited sidecar is never read
+ * with its last value winning; the typed getters refuse a value that
+ * does not parse whole.
+ */
+class Sidecar
+{
+  public:
+    /** @return false when the file is missing or malformed. */
+    bool
+    read(const fs::path &path)
+    {
+        std::ifstream in(path);
+        if (!in)
+            return false;
+        std::string line;
+        while (std::getline(in, line)) {
+            const auto eq = line.find('=');
+            if (eq == std::string::npos ||
+                !fields_.emplace(line.substr(0, eq), line.substr(eq + 1))
+                     .second)
+                return false;
+        }
+        return true;
+    }
+
+    bool
+    text(const char *key, std::string &out) const
+    {
+        auto it = fields_.find(key);
+        if (it == fields_.end())
+            return false;
+        out = it->second;
+        return true;
+    }
+
+    /** A decimal field in [0, max] (parseUnsigned). */
+    bool
+    decimal(const char *key, std::uint64_t &out,
+            std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+        const
+    {
+        auto it = fields_.find(key);
+        return it != fields_.end() &&
+               parseUnsigned(it->second.c_str(), out, max);
+    }
+
+    /** A digest field: exactly the 16 hex digits hex16 writes. */
+    bool
+    digest(const char *key, std::uint64_t &out) const
+    {
+        auto it = fields_.find(key);
+        if (it == fields_.end() || it->second.size() != 16 ||
+            it->second.find_first_not_of("0123456789abcdef") !=
+                std::string::npos)
+            return false;
+        out = std::strtoull(it->second.c_str(), nullptr, 16);
+        return true;
+    }
+
+    /** A non-negative metric (parseNonNegative). */
+    bool
+    real(const char *key, double &out) const
+    {
+        auto it = fields_.find(key);
+        return it != fields_.end() &&
+               parseNonNegative(it->second.c_str(), out);
+    }
+
+  private:
+    std::map<std::string, std::string> fields_;
+};
+
 std::int64_t
 secondsSince(fs::file_time_type t)
 {
@@ -453,38 +525,12 @@ TraceStore::touch(const std::string &path)
 bool
 TraceStore::readMeta(const std::string &path, TraceEntryInfo &info)
 {
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    bool have_workload = false, have_records = false,
-         have_seed = false, have_count = false, have_digest = false;
-    std::string line;
-    while (std::getline(in, line)) {
-        auto eq = line.find('=');
-        if (eq == std::string::npos)
-            continue;
-        std::string k = line.substr(0, eq);
-        std::string v = line.substr(eq + 1);
-        char *end = nullptr;
-        if (k == "workload") {
-            info.key.workload = v;
-            have_workload = true;
-        } else if (k == "records") {
-            info.key.records = std::strtoull(v.c_str(), &end, 10);
-            have_records = end && *end == '\0';
-        } else if (k == "seed") {
-            info.key.seed = std::strtoull(v.c_str(), &end, 10);
-            have_seed = end && *end == '\0';
-        } else if (k == "count") {
-            info.records = std::strtoull(v.c_str(), &end, 10);
-            have_count = end && *end == '\0';
-        } else if (k == "digest") {
-            info.digest = std::strtoull(v.c_str(), &end, 16);
-            have_digest = end && *end == '\0';
-        }
-    }
-    return have_workload && have_records && have_seed && have_count &&
-           have_digest;
+    Sidecar meta;
+    return meta.read(path) && meta.text("workload", info.key.workload) &&
+           meta.decimal("records", info.key.records) &&
+           meta.decimal("seed", info.key.seed) &&
+           meta.decimal("count", info.records) &&
+           meta.digest("digest", info.digest);
 }
 
 std::optional<TraceEntryInfo>
@@ -514,7 +560,6 @@ TraceStore::loadTrace(const TraceKey &key, Trace &out)
         span.arg("workload", key.workload);
     const std::string path = tracePath(key, /*meta=*/false);
     if (!usable_ || !readTraceFile(path, out)) {
-        ++traceMisses_;
         storeMetrics().traceMiss.add();
         if (findTrace(key)) {
             // Entry exists but its payload is unreadable/corrupt:
@@ -523,7 +568,6 @@ TraceStore::loadTrace(const TraceKey &key, Trace &out)
         }
         return false;
     }
-    ++traceHits_;
     storeMetrics().traceHit.add();
     touch(path);
     return true;
@@ -583,7 +627,6 @@ TraceStore::loadResult(std::uint64_t trace_digest,
 {
     ScopedSpan span("store.result.get", "store");
     if (!usable_) {
-        ++resultMisses_;
         storeMetrics().resultMiss.add();
         return std::nullopt;
     }
@@ -591,7 +634,6 @@ TraceStore::loadResult(std::uint64_t trace_digest,
                                   config_digest, /*meta=*/false);
     const auto bytes = readFile(path);
     if (!bytes) {
-        ++resultMisses_;
         storeMetrics().resultMiss.add();
         return std::nullopt;
     }
@@ -599,7 +641,6 @@ TraceStore::loadResult(std::uint64_t trace_digest,
     if (!decodeResult(*bytes, result)) {
         // Corrupt/truncated entry: drop both files so the caller's
         // re-simulation replaces the pair.
-        ++resultMisses_;
         storeMetrics().resultMiss.add();
         std::error_code ec;
         fs::remove(path, ec);
@@ -608,7 +649,6 @@ TraceStore::loadResult(std::uint64_t trace_digest,
                    ec);
         return std::nullopt;
     }
-    ++resultHits_;
     storeMetrics().resultHit.add();
     touch(path);
     return result;
@@ -740,7 +780,6 @@ TraceStore::loadCheckpoint(std::uint64_t spec_digest,
     if (span.active())
         span.arg("index", record_index);
     if (!usable_) {
-        ++checkpointMisses_;
         storeMetrics().ckptMiss.add();
         return std::nullopt;
     }
@@ -749,7 +788,6 @@ TraceStore::loadCheckpoint(std::uint64_t spec_digest,
                                       /*meta=*/false);
     auto blob = readFile(path);
     if (!blob) {
-        ++checkpointMisses_;
         storeMetrics().ckptMiss.add();
         return std::nullopt;
     }
@@ -757,7 +795,6 @@ TraceStore::loadCheckpoint(std::uint64_t spec_digest,
     if (!checkpoint || checkpoint->recordIndex() != record_index) {
         // Corrupt/truncated/mis-keyed: drop the pair so the caller's
         // cold run rewrites it.
-        ++checkpointMisses_;
         storeMetrics().ckptMiss.add();
         std::error_code ec;
         fs::remove(path, ec);
@@ -766,7 +803,6 @@ TraceStore::loadCheckpoint(std::uint64_t spec_digest,
                    ec);
         return std::nullopt;
     }
-    ++checkpointHits_;
     storeMetrics().ckptHit.add();
     touch(path);
     return checkpoint;
@@ -847,50 +883,27 @@ TraceStore::listResults()
              fs::path(dir_) / kResultSubdir, ec)) {
         if (de.path().extension() != ".meta")
             continue;
-        std::ifstream in(de.path());
-        if (!in)
-            continue;
+        Sidecar meta;
         StoredResultInfo info;
-        std::string line;
-        while (std::getline(in, line)) {
-            auto eq = line.find('=');
-            if (eq == std::string::npos)
-                continue;
-            std::string k = line.substr(0, eq);
-            std::string v = line.substr(eq + 1);
-            if (k == "workload")
-                info.meta.workload = v;
-            else if (k == "engine")
-                info.meta.engine = v;
-            else if (k == "records")
-                info.meta.records =
-                    std::strtoull(v.c_str(), nullptr, 10);
-            else if (k == "seed")
-                info.meta.seed =
-                    std::strtoull(v.c_str(), nullptr, 10);
-            else if (k == "coverage")
-                info.meta.coverage = std::strtod(v.c_str(), nullptr);
-            else if (k == "accuracy")
-                info.meta.accuracy = std::strtod(v.c_str(), nullptr);
-            else if (k == "speedup")
-                info.meta.speedup = std::strtod(v.c_str(), nullptr);
-            else if (k == "timing")
-                info.meta.timing = v == "1";
-            else if (k == "savedAtUnix")
-                info.savedAtUnix =
-                    std::strtoll(v.c_str(), nullptr, 10);
-            else if (k == "trace")
-                info.traceDigest =
-                    std::strtoull(v.c_str(), nullptr, 16);
-            else if (k == "spec")
-                info.specDigest =
-                    std::strtoull(v.c_str(), nullptr, 16);
-            else if (k == "config")
-                info.configDigest =
-                    std::strtoull(v.c_str(), nullptr, 16);
-        }
-        if (info.meta.workload.empty() || info.meta.engine.empty())
+        std::uint64_t timing = 0, saved = 0;
+        if (!meta.read(de.path()) ||
+            !meta.text("workload", info.meta.workload) ||
+            !meta.text("engine", info.meta.engine) ||
+            !meta.decimal("records", info.meta.records) ||
+            !meta.decimal("seed", info.meta.seed) ||
+            !meta.real("coverage", info.meta.coverage) ||
+            !meta.real("accuracy", info.meta.accuracy) ||
+            !meta.real("speedup", info.meta.speedup) ||
+            !meta.decimal("timing", timing) || timing > 1 ||
+            !meta.decimal("savedAtUnix", saved,
+                          std::numeric_limits<std::int64_t>::max()) ||
+            !meta.digest("trace", info.traceDigest) ||
+            !meta.digest("spec", info.specDigest) ||
+            !meta.digest("config", info.configDigest) ||
+            info.meta.workload.empty() || info.meta.engine.empty())
             continue; // malformed sidecar
+        info.meta.timing = timing == 1;
+        info.savedAtUnix = static_cast<std::int64_t>(saved);
         fs::path res = de.path();
         res.replace_extension(".res");
         std::error_code fec;
@@ -967,30 +980,19 @@ TraceStore::list()
              fs::path(dir_) / kCheckpointSubdir, ec)) {
         if (de.path().extension() != ".ckpt")
             continue;
-        std::string workload, engine, index;
-        fs::path meta = de.path();
-        meta.replace_extension(".meta");
-        std::ifstream in(meta);
-        std::string line;
-        while (in && std::getline(in, line)) {
-            auto eq = line.find('=');
-            if (eq == std::string::npos)
-                continue;
-            std::string k = line.substr(0, eq);
-            std::string v = line.substr(eq + 1);
-            if (k == "workload")
-                workload = v;
-            else if (k == "engine")
-                engine = v;
-            else if (k == "index")
-                index = v;
-        }
+        Sidecar meta;
+        std::string workload, engine;
+        std::uint64_t index = 0;
+        const bool named =
+            meta.read(fs::path(de.path()).replace_extension(".meta")) &&
+            meta.text("workload", workload) &&
+            meta.text("engine", engine) && meta.decimal("index", index);
         std::error_code fec;
         StoreEntry e;
         e.kind = StoreEntry::Kind::kCheckpoint;
         e.file = fs::relative(de.path(), dir_, fec).string();
         std::ostringstream desc;
-        if (!workload.empty()) {
+        if (named) {
             desc << workload << " x " << engine << " @" << index
                  << " records";
         } else {

@@ -57,7 +57,6 @@
 #ifndef STEMS_STORE_TRACE_STORE_HH
 #define STEMS_STORE_TRACE_STORE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -176,7 +175,9 @@ struct StoreEntry
     std::int64_t ageSeconds = 0; ///< since last touch
 };
 
-/** The persistent trace, result and checkpoint cache. Thread-safe. */
+/** The persistent trace, result and checkpoint cache. Thread-safe.
+ *  Hits and misses are counted in the process-wide metrics registry
+ *  (store.{trace,result,ckpt}.{hit,miss}). */
 class TraceStore
 {
   public:
@@ -359,19 +360,6 @@ class TraceStore
      */
     std::uint64_t enforceBudget();
 
-    // ---- diagnostics ----
-
-    std::uint64_t traceHits() const { return traceHits_; }
-    std::uint64_t traceMisses() const { return traceMisses_; }
-    std::uint64_t resultHits() const { return resultHits_; }
-    std::uint64_t resultMisses() const { return resultMisses_; }
-    std::uint64_t checkpointHits() const { return checkpointHits_; }
-    std::uint64_t
-    checkpointMisses() const
-    {
-        return checkpointMisses_;
-    }
-
   private:
     std::string tracePath(const TraceKey &key, bool meta) const;
     std::string resultPath(std::uint64_t trace_digest,
@@ -383,7 +371,8 @@ class TraceStore
                                std::uint64_t record_index,
                                std::uint64_t state_digest,
                                bool meta) const;
-    /** Parse a .meta file. @return false when missing/malformed. */
+    /** Parse a trace .meta file. @return false when missing or
+     *  malformed. */
     bool readMeta(const std::string &path, TraceEntryInfo &info);
     void touch(const std::string &path);
     void dropTraceEntry(const TraceKey &key);
@@ -397,13 +386,6 @@ class TraceStore
     /// Serializes entry commits (renames + sidecars) and eviction
     /// scans; payloads are written to their temp files outside it.
     std::mutex writeMutex_;
-
-    std::atomic<std::uint64_t> traceHits_{0};
-    std::atomic<std::uint64_t> traceMisses_{0};
-    std::atomic<std::uint64_t> resultHits_{0};
-    std::atomic<std::uint64_t> resultMisses_{0};
-    std::atomic<std::uint64_t> checkpointHits_{0};
-    std::atomic<std::uint64_t> checkpointMisses_{0};
 };
 
 /**

@@ -15,8 +15,9 @@
  * trusted match) is bitwise identical to a continuous run at
  * jobs 1 and 8 for every registered engine;
  * re-running a sweep with more records over a warm store
- * re-simulates only the new suffix (resumedRuns()/
- * resumedRecordsSkipped() diagnostics); and checkpoints from a
+ * re-simulates only the new suffix (the driver.cell.resumed and
+ * ckpt.resume.skipped_records registry counters); and checkpoints
+ * from a
  * different seed or an older engine state version are never
  * restored.
  */
@@ -33,7 +34,6 @@
 #include <sstream>
 
 #include "common/rng.hh"
-#include "obs/metrics.hh"
 #include "prefetch/engine_registry.hh"
 #include "sim/checkpoint.hh"
 #include "sim/driver.hh"
@@ -446,8 +446,9 @@ TEST_F(SegmentedDriverTest,
         engines.emplace_back(name);
     ExperimentConfig cfg = smallConfig(true, 30000);
 
-    ExperimentDriver reference(cfg, 4);
-    auto expected = reference.run({"dss-qry17"}, engines);
+    ExperimentDriver reference;
+    auto expected =
+        reference.run(test::configPlan(cfg, {"dss-qry17"}, 4), engines);
 
     for (unsigned jobs : {1u, 8u}) {
         SCOPED_TRACE("jobs " + std::to_string(jobs));
@@ -457,13 +458,14 @@ TEST_F(SegmentedDriverTest,
         SweepPlan plan = test::configPlan(cfg, {"dss-qry17"}, jobs);
         // Three interior boundaries over the 30022-record trace.
         plan.checkpointEvery = 8000;
+        const test::RegistryDelta counts;
         ExperimentDriver segmented;
         segmented.setStore(std::make_shared<TraceStore>(dir));
         auto results = segmented.run(plan, engines);
-        EXPECT_GT(segmented.checkpointsWritten(), 0u);
+        EXPECT_GT(counts("ckpt.written"), 0u);
         // Every lane starts in the one pass, before any checkpoint
         // exists: nothing resumes in a cold sweep.
-        EXPECT_EQ(segmented.resumedRuns(), 0u);
+        EXPECT_EQ(counts("driver.cell.resumed"), 0u);
         expectSameResults(expected, results);
         std::filesystem::remove_all(dir);
     }
@@ -484,24 +486,26 @@ TEST_F(SegmentedDriverTest, SecondSegmentedRunResumesFromCheckpoints)
         er.extra["probe"] = 1.0;
     };
 
+    test::RegistryDelta counts;
     ExperimentDriver first;
     first.setStore(std::make_shared<TraceStore>(dir_));
     auto a = first.run(plan, {probed});
-    EXPECT_GT(first.checkpointsWritten(), 0u);
-    EXPECT_EQ(first.resumedRuns(), 0u);
+    EXPECT_GT(counts("ckpt.written"), 0u);
+    EXPECT_EQ(counts("driver.cell.resumed"), 0u);
 
+    counts = test::RegistryDelta();
     ExperimentDriver second;
     second.setStore(std::make_shared<TraceStore>(dir_));
     auto b = second.run(plan, {probed});
-    // The probed cell re-executed (cellRuns counts it) but
-    // resumed at the end-of-trace checkpoint: zero records
+    // The probed cell re-executed (driver.cell.simulated counts it)
+    // but resumed at the end-of-trace checkpoint: zero records
     // re-stepped. The baseline cell stayed warm via the result
     // cache, so exactly one cell resumed.
-    EXPECT_EQ(second.cellRuns(), 1u);
-    EXPECT_EQ(second.resumedRuns(), 1u);
+    EXPECT_EQ(counts("driver.cell.simulated"), 1u);
+    EXPECT_EQ(counts("driver.cell.resumed"), 1u);
     auto trace_size =
         makeWorkload("dss-qry17")->generate(cfg.seed, 20000).size();
-    EXPECT_EQ(second.resumedRecordsSkipped(), trace_size);
+    EXPECT_EQ(counts("ckpt.resume.skipped_records"), trace_size);
     expectSameResults(a, b);
 }
 
@@ -519,10 +523,11 @@ TEST_F(SegmentedDriverTest, ExtendedRecordsSimulateOnlyTheSuffix)
         test::configPlan(short_cfg, {"dss-qry17"}, 2);
     short_plan.checkpointEvery = 6000;
 
+    test::RegistryDelta counts;
     ExperimentDriver first;
     first.setStore(std::make_shared<TraceStore>(dir_));
     first.run(short_plan, engineSpecs(engines));
-    EXPECT_GT(first.checkpointsWritten(), 0u);
+    EXPECT_GT(counts("ckpt.written"), 0u);
     std::size_t short_size =
         makeWorkload("dss-qry17")->generate(short_cfg.seed, 20000)
             .size();
@@ -531,6 +536,7 @@ TEST_F(SegmentedDriverTest, ExtendedRecordsSimulateOnlyTheSuffix)
     long_cfg.warmupRecords = 8000;
     SweepPlan long_plan = test::configPlan(long_cfg, {"dss-qry17"}, 2);
     long_plan.checkpointEvery = 6000;
+    counts = test::RegistryDelta();
     ExperimentDriver extended;
     extended.setStore(std::make_shared<TraceStore>(dir_));
     auto results = extended.run(long_plan, engineSpecs(engines));
@@ -538,16 +544,16 @@ TEST_F(SegmentedDriverTest, ExtendedRecordsSimulateOnlyTheSuffix)
     // Every cell (baseline + both engines) resumed exactly at the
     // short run's end-of-trace checkpoint: the warm prefix cost 0
     // redundant record-steps.
-    EXPECT_EQ(extended.resumedRuns(), 1u + engines.size());
-    EXPECT_EQ(extended.resumedRecordsSkipped(),
+    EXPECT_EQ(counts("driver.cell.resumed"), 1u + engines.size());
+    EXPECT_EQ(counts("ckpt.resume.skipped_records"),
               (1u + engines.size()) * short_size);
-    EXPECT_EQ(extended.traceGenerations(), 1u); // new length: cold
+    // New length: cold.
+    EXPECT_EQ(counts("driver.trace.generated"), 1u);
 
     // And the extended results are bitwise identical to a storeless
     // continuous run of the long configuration.
-    ExperimentDriver reference(long_cfg, 2);
-    auto expected =
-        reference.run({"dss-qry17"}, engineSpecs(engines));
+    ExperimentDriver reference;
+    auto expected = reference.run(long_plan, engineSpecs(engines));
     expectSameResults(expected, results);
 }
 
@@ -577,10 +583,12 @@ TEST_F(SegmentedDriverTest, CorruptCheckpointFallsBackToColdRun)
         f.put('\x7f');
     }
 
+    const test::RegistryDelta counts;
     ExperimentDriver second;
     second.setStore(std::make_shared<TraceStore>(dir_));
     auto b = second.run(plan, {probed});
-    EXPECT_EQ(second.resumedRuns(), 0u); // every blob rejected
+    // Every blob rejected.
+    EXPECT_EQ(counts("driver.cell.resumed"), 0u);
     expectSameResults(a, b);
 }
 
@@ -590,8 +598,6 @@ TEST_F(SegmentedDriverTest, EachTraceIsHashedOncePerSweep)
     // stored results and of its store put) and every boundary's
     // prefix digest, whether the sweep generated the trace or loaded
     // it from the store.
-    Counter &hashed =
-        MetricsRegistry::instance().counter("trace.hashed_records");
     ExperimentConfig cfg = smallConfig(false, 20000);
     // em3d's trace (far past 20000 records) opens first on one
     // thread, so dss-qry17's lanes later see only em3d checkpoints
@@ -602,29 +608,29 @@ TEST_F(SegmentedDriverTest, EachTraceIsHashedOncePerSweep)
     plan.checkpointEvery = 50000;
     auto store = std::make_shared<TraceStore>(dir_);
 
+    test::RegistryDelta counts;
     ExperimentDriver cold;
     cold.setStore(store);
-    std::uint64_t before = hashed.value();
     cold.run(plan, engineSpecs({"sms"}));
-    EXPECT_EQ(cold.traceGenerations(), 2u);
-    EXPECT_GT(cold.checkpointsWritten(), 0u);
+    EXPECT_EQ(counts("driver.trace.generated"), 2u);
+    EXPECT_GT(counts("ckpt.written"), 0u);
     std::uint64_t records = 0;
     for (const std::string &w : workloads) {
         auto info = store->findTrace({w, cfg.traceRecords, cfg.seed});
         ASSERT_TRUE(info.has_value()) << w;
         records += info->records;
     }
-    EXPECT_EQ(hashed.value() - before, records);
+    EXPECT_EQ(counts("trace.hashed_records"), records);
 
     // A new engine column over the stored traces: loaded, not
     // generated, and hashed once more.
+    counts = test::RegistryDelta();
     ExperimentDriver warm;
     warm.setStore(store);
-    before = hashed.value();
     warm.run(plan, engineSpecs({"sms", "tms"}));
-    EXPECT_EQ(warm.traceGenerations(), 0u);
-    EXPECT_EQ(warm.cellRuns(), 2u);
-    EXPECT_EQ(hashed.value() - before, records);
+    EXPECT_EQ(counts("driver.trace.generated"), 0u);
+    EXPECT_EQ(counts("driver.cell.simulated"), 2u);
+    EXPECT_EQ(counts("trace.hashed_records"), records);
 }
 
 TEST_F(SegmentedDriverTest, OtherTracesCheckpointsAreNeverLoaded)
@@ -635,25 +641,22 @@ TEST_F(SegmentedDriverTest, OtherTracesCheckpointsAreNeverLoaded)
     // which lies off em3d's schedule; em3d's baseline lane then lists
     // that key, hashes its own prefix at the index, finds no stored
     // key with its state digest, and loads nothing.
-    Counter &misses =
-        MetricsRegistry::instance().counter("store.ckpt.miss");
     ExperimentConfig cfg = smallConfig(false, 20000);
     const std::vector<std::string> workloads = {"oltp-db2", "em3d"};
     SweepPlan plan = test::configPlan(cfg, workloads, 1);
     plan.checkpointEvery = 50000;
-    auto store = std::make_shared<TraceStore>(dir_);
 
+    const test::RegistryDelta counts;
     ExperimentDriver driver;
-    driver.setStore(store);
-    const std::uint64_t before = misses.value();
+    driver.setStore(std::make_shared<TraceStore>(dir_));
     auto results = driver.run(plan, engineSpecs({"sms"}));
-    EXPECT_GT(driver.checkpointsWritten(), 0u);
-    EXPECT_EQ(driver.resumedRuns(), 0u);
-    EXPECT_EQ(store->checkpointMisses(), 0u);
-    EXPECT_EQ(misses.value() - before, 0u);
+    EXPECT_GT(counts("ckpt.written"), 0u);
+    EXPECT_EQ(counts("driver.cell.resumed"), 0u);
+    EXPECT_EQ(counts("store.ckpt.miss"), 0u);
 
-    ExperimentDriver reference(cfg, 1);
-    expectSameResults(reference.run(workloads, engineSpecs({"sms"})),
+    ExperimentDriver reference;
+    expectSameResults(reference.run(test::configPlan(cfg, workloads, 1),
+                                    engineSpecs({"sms"})),
                       results);
 }
 
@@ -662,17 +665,18 @@ TEST_F(SegmentedDriverTest, CheckpointsNeedAStore)
     // Without a store, a checkpoint interval is inert: the run
     // stays continuous and bitwise identical.
     std::vector<EngineSpec> engines = engineSpecs({"sms"});
-    ExperimentConfig cfg = smallConfig(false, 20000);
-    ExperimentDriver plain(cfg, 2);
-    auto expected = plain.run({"dss-qry17"}, engines);
+    SweepPlan plan =
+        test::configPlan(smallConfig(false, 20000), {"dss-qry17"}, 2);
+    ExperimentDriver plain;
+    auto expected = plain.run(plan, engines);
 
-    SweepPlan plan = test::configPlan(cfg, {"dss-qry17"}, 2);
     // Three interior boundaries over the 20006-record trace.
     plan.checkpointEvery = 6000;
+    const test::RegistryDelta counts;
     ExperimentDriver segmented;
     auto results = segmented.run(plan, engines);
-    EXPECT_EQ(segmented.checkpointsWritten(), 0u);
-    EXPECT_EQ(segmented.resumedRuns(), 0u);
+    EXPECT_EQ(counts("ckpt.written"), 0u);
+    EXPECT_EQ(counts("driver.cell.resumed"), 0u);
     expectSameResults(expected, results);
 }
 
@@ -692,22 +696,25 @@ TEST_F(SegmentedDriverTest, CrossSeedCheckpointsAreNeverRestored)
 
     SweepPlan seed_plan = test::configPlan(store_cfg, {"dss-qry17"}, 2);
     seed_plan.checkpointEvery = 6000;
+    test::RegistryDelta counts;
     ExperimentDriver seeder;
     seeder.setStore(std::make_shared<TraceStore>(dir_));
     seeder.run(seed_plan, engines);
-    EXPECT_GT(seeder.checkpointsWritten(), 0u);
+    EXPECT_GT(counts("ckpt.written"), 0u);
 
     SweepPlan run_plan = test::configPlan(run_cfg, {"dss-qry17"}, 2);
     run_plan.checkpointEvery = 6000;
+    counts = test::RegistryDelta();
     ExperimentDriver resumer;
     resumer.setStore(std::make_shared<TraceStore>(dir_));
     auto results = resumer.run(run_plan, engines);
-    EXPECT_EQ(resumer.resumedRuns(), 0u);
-    EXPECT_GT(resumer.checkpointsWritten(), 0u);
+    EXPECT_EQ(counts("driver.cell.resumed"), 0u);
+    EXPECT_GT(counts("ckpt.written"), 0u);
 
-    ExperimentDriver reference(run_cfg, 2);
-    expectSameResults(reference.run({"dss-qry17"}, engines),
-                      results);
+    ExperimentDriver reference;
+    expectSameResults(
+        reference.run(test::configPlan(run_cfg, {"dss-qry17"}, 2), engines),
+        results);
 }
 
 /** RAII guard: bump an engine's state version for one test and
@@ -745,10 +752,11 @@ TEST_F(SegmentedDriverTest,
     SweepPlan short_plan = test::configPlan(cfg, {"dss-qry17"}, 2);
     short_plan.checkpointEvery = 6000;
 
+    test::RegistryDelta counts;
     ExperimentDriver seeder;
     seeder.setStore(std::make_shared<TraceStore>(dir_));
     seeder.run(short_plan, engines);
-    EXPECT_GT(seeder.checkpointsWritten(), 0u);
+    EXPECT_GT(counts("ckpt.written"), 0u);
 
     ScopedStateVersion bump(
         "stems",
@@ -758,6 +766,7 @@ TEST_F(SegmentedDriverTest,
     long_cfg.warmupRecords = 8000;
     SweepPlan long_plan = test::configPlan(long_cfg, {"dss-qry17"}, 2);
     long_plan.checkpointEvery = 6000;
+    counts = test::RegistryDelta();
     ExperimentDriver extended;
     extended.setStore(std::make_shared<TraceStore>(dir_));
     auto results = extended.run(long_plan, engines);
@@ -765,15 +774,14 @@ TEST_F(SegmentedDriverTest,
     // state version in its spec) still resumes from the short run's
     // end-of-trace checkpoint, while the stems lane finds nothing
     // under its bumped digest and runs cold.
-    EXPECT_EQ(extended.resumedRuns(), 1u);
-    EXPECT_EQ(extended.resumedRecordsSkipped(),
+    EXPECT_EQ(counts("driver.cell.resumed"), 1u);
+    EXPECT_EQ(counts("ckpt.resume.skipped_records"),
               makeWorkload("dss-qry17")
                   ->generate(cfg.seed, 20000)
                   .size());
 
-    ExperimentDriver reference(long_cfg, 2);
-    expectSameResults(reference.run({"dss-qry17"}, engines),
-                      results);
+    ExperimentDriver reference;
+    expectSameResults(reference.run(long_plan, engines), results);
 }
 
 } // namespace

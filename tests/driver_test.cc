@@ -5,9 +5,11 @@
  * ExperimentRunner reference, mixed warm/cold passes over a
  * persistent store (anonymous-probe cells included), the baseline
  * and stride lanes cached like any other cell, engine overrides,
- * probes, the forEachTrace analysis path, and the lane scheduler:
- * lanes that continue on other threads after any chunk, the
- * live-trace bound, and a throwing probe.
+ * probes, the forEachTrace analysis path, calls that each run only
+ * their own plan, and the lane scheduler: lanes that continue on
+ * other threads after any chunk, the live-trace bound, and a
+ * throwing probe. Cell and cache counts are registry deltas
+ * (test::RegistryDelta), the driver's only diagnostics.
  */
 
 #include <gtest/gtest.h>
@@ -28,13 +30,16 @@
 #include "sim/experiment.hh"
 #include "store/trace_store.hh"
 #include "test_util.hh"
+#include "trace/trace_io.hh"
 #include "workloads/registry.hh"
 
 namespace stems {
 namespace {
 
+using test::configPlan;
 using test::expectSameResults;
 using test::expectSameStats;
+using test::RegistryDelta;
 using test::smallConfig;
 
 const std::vector<std::string> kWorkloads = {"web-apache",
@@ -43,12 +48,11 @@ const std::vector<std::string> kEngines = {"tms", "sms", "stems"};
 
 TEST(Driver, DeterministicAcrossThreadCounts)
 {
-    ExperimentDriver serial(smallConfig(true), 1);
-    ExperimentDriver parallel(smallConfig(true), 8);
-    EXPECT_EQ(serial.jobs(), 1u);
-    EXPECT_EQ(parallel.jobs(), 8u);
-    auto a = serial.run(kWorkloads, engineSpecs(kEngines));
-    auto b = parallel.run(kWorkloads, engineSpecs(kEngines));
+    ExperimentDriver driver;
+    auto a = driver.run(configPlan(smallConfig(true), kWorkloads, 1),
+                        engineSpecs(kEngines));
+    auto b = driver.run(configPlan(smallConfig(true), kWorkloads, 8),
+                        engineSpecs(kEngines));
     expectSameResults(a, b);
 }
 
@@ -63,8 +67,9 @@ TEST(Driver, MatchesSerialRunnerReference)
         reference.push_back(runner.runWorkload(*w, kEngines));
     }
 
-    ExperimentDriver driver(cfg, 4);
-    auto results = driver.run(kWorkloads, engineSpecs(kEngines));
+    ExperimentDriver driver;
+    auto results = driver.run(configPlan(cfg, kWorkloads, 4),
+                              engineSpecs(kEngines));
     expectSameResults(reference, results);
 }
 
@@ -84,29 +89,31 @@ TEST(Driver, BatchMergesWarmCellsAndBatchesColdOnes)
     // cold cells; warm neighbors merge from the cache, and the
     // combined result is bitwise identical to a storeless sweep.
     std::string dir = tempStoreDir();
-    ExperimentConfig cfg = smallConfig(false);
+    const SweepPlan plan = configPlan(smallConfig(false), {"dss-qry17"}, 4);
     {
         auto store = std::make_shared<TraceStore>(dir);
         ASSERT_TRUE(store->usable());
-        ExperimentDriver cold(cfg, 4);
+        const RegistryDelta cold_counts;
+        ExperimentDriver cold;
         cold.setStore(store);
-        cold.run({"dss-qry17"}, engineSpecs({"tms", "sms"}));
-        EXPECT_EQ(cold.cellRuns(), 3u); // baseline + tms + sms
+        cold.run(plan, engineSpecs({"tms", "sms"}));
+        // baseline + tms + sms
+        EXPECT_EQ(cold_counts("driver.cell.simulated"), 3u);
     }
     auto store = std::make_shared<TraceStore>(dir);
     ASSERT_TRUE(store->usable());
-    ExperimentDriver mixed(cfg, 4);
+    const RegistryDelta mixed_counts;
+    ExperimentDriver mixed;
     mixed.setStore(store);
-    auto results =
-        mixed.run({"dss-qry17"}, engineSpecs({"tms", "sms", "stems"}));
+    auto results = mixed.run(plan, engineSpecs({"tms", "sms", "stems"}));
     // Only the stems cell was cold; the baseline and the other two
     // engine cells came from the store.
-    EXPECT_EQ(mixed.cellRuns(), 1u);
-    EXPECT_EQ(mixed.store()->resultHits(), 3u);
+    EXPECT_EQ(mixed_counts("driver.cell.simulated"), 1u);
+    EXPECT_EQ(mixed_counts("store.result.hit"), 3u);
 
-    ExperimentDriver reference(cfg, 4);
-    auto expected = reference.run({"dss-qry17"},
-                                  engineSpecs({"tms", "sms", "stems"}));
+    ExperimentDriver reference;
+    auto expected =
+        reference.run(plan, engineSpecs({"tms", "sms", "stems"}));
     expectSameResults(expected, results);
     std::filesystem::remove_all(dir);
 }
@@ -118,14 +125,16 @@ TEST(Driver, AnonymousProbeJoinsBatchWithoutPoisoningCache)
     // result for the same engine exists, must not overwrite that
     // cached entry, and warm neighbors must stay warm.
     std::string dir = tempStoreDir();
-    ExperimentConfig cfg = smallConfig(false);
+    const SweepPlan plan = configPlan(smallConfig(false), {"dss-qry17"}, 2);
     {
         auto store = std::make_shared<TraceStore>(dir);
         ASSERT_TRUE(store->usable());
-        ExperimentDriver warm(cfg, 2);
+        const RegistryDelta warm_counts;
+        ExperimentDriver warm;
         warm.setStore(store);
-        warm.run({"dss-qry17"}, engineSpecs({"stems", "sms"}));
-        EXPECT_EQ(warm.cellRuns(), 3u); // baseline + stems + sms
+        warm.run(plan, engineSpecs({"stems", "sms"}));
+        // baseline + stems + sms
+        EXPECT_EQ(warm_counts("driver.cell.simulated"), 3u);
     }
 
     EngineSpec probed("stems");
@@ -136,11 +145,12 @@ TEST(Driver, AnonymousProbeJoinsBatchWithoutPoisoningCache)
     {
         auto store = std::make_shared<TraceStore>(dir);
         ASSERT_TRUE(store->usable());
-        ExperimentDriver driver(cfg, 2);
+        const RegistryDelta counts;
+        ExperimentDriver driver;
         driver.setStore(store);
-        auto results = driver.run({"dss-qry17"},
-                                  {probed, EngineSpec("sms")});
-        EXPECT_EQ(driver.cellRuns(), 1u); // probed cell only
+        auto results = driver.run(plan, {probed, EngineSpec("sms")});
+        // The probed cell only.
+        EXPECT_EQ(counts("driver.cell.simulated"), 1u);
         ASSERT_EQ(results.size(), 1u);
         const EngineResult *stems = results[0].find("stems");
         ASSERT_NE(stems, nullptr);
@@ -152,16 +162,16 @@ TEST(Driver, AnonymousProbeJoinsBatchWithoutPoisoningCache)
     // bitwise identical to a storeless reference.
     auto store = std::make_shared<TraceStore>(dir);
     ASSERT_TRUE(store->usable());
-    ExperimentDriver replay(cfg, 2);
+    const RegistryDelta replay_counts;
+    ExperimentDriver replay;
     replay.setStore(store);
-    auto cached = replay.run({"dss-qry17"}, engineSpecs({"stems"}));
-    EXPECT_EQ(replay.cellRuns(), 0u);
+    auto cached = replay.run(plan, engineSpecs({"stems"}));
+    EXPECT_EQ(replay_counts("driver.cell.simulated"), 0u);
     ASSERT_EQ(cached.size(), 1u);
     EXPECT_TRUE(cached[0].find("stems")->extra.empty());
 
-    ExperimentDriver reference(cfg, 2);
-    auto expected =
-        reference.run({"dss-qry17"}, engineSpecs({"stems"}));
+    ExperimentDriver reference;
+    auto expected = reference.run(plan, engineSpecs({"stems"}));
     expectSameResults(expected, cached);
     std::filesystem::remove_all(dir);
 }
@@ -172,15 +182,16 @@ TEST(Driver, BaselinesCachedAcrossCalls)
     // attached store serves them to a later run() call, which then
     // simulates only its new engine lane.
     std::string dir = tempStoreDir();
-    ExperimentDriver driver(smallConfig(true), 4);
+    const SweepPlan plan = configPlan(smallConfig(true), {"dss-qry17"}, 4);
+    const RegistryDelta counts;
+    ExperimentDriver driver;
     driver.setStore(std::make_shared<TraceStore>(dir));
-    auto first =
-        driver.run({"dss-qry17"}, engineSpecs({"sms"}));
-    EXPECT_EQ(driver.cellRuns(), 3u); // prefetch-free + stride + sms
+    auto first = driver.run(plan, engineSpecs({"sms"}));
+    // prefetch-free + stride + sms
+    EXPECT_EQ(counts("driver.cell.simulated"), 3u);
 
-    auto second =
-        driver.run({"dss-qry17"}, engineSpecs({"sms", "stems"}));
-    EXPECT_EQ(driver.cellRuns(), 4u); // + stems
+    auto second = driver.run(plan, engineSpecs({"sms", "stems"}));
+    EXPECT_EQ(counts("driver.cell.simulated"), 4u); // + stems
     EXPECT_EQ(first.at(0).baselineMisses,
               second.at(0).baselineMisses);
     EXPECT_EQ(first.at(0).strideCycles, second.at(0).strideCycles);
@@ -189,8 +200,8 @@ TEST(Driver, BaselinesCachedAcrossCalls)
 
     // Without a store nothing carries across calls.
     driver.setStore(nullptr);
-    driver.run({"dss-qry17"}, engineSpecs({"sms"}));
-    EXPECT_EQ(driver.cellRuns(), 7u);
+    driver.run(plan, engineSpecs({"sms"}));
+    EXPECT_EQ(counts("driver.cell.simulated"), 7u);
     std::filesystem::remove_all(dir);
 }
 
@@ -198,18 +209,23 @@ TEST(Driver, FunctionalRunSkipsStrideBaseline)
 {
     // Without timing there is no speedup normalization, so only the
     // prefetch-free baseline cell is scheduled.
-    ExperimentConfig functional = smallConfig(false);
-    ExperimentDriver driver(functional, 2);
-    auto plain = driver.run({"dss-qry17"}, engineSpecs({"sms"}));
+    const RegistryDelta counts;
+    ExperimentDriver driver;
+    auto plain =
+        driver.run(configPlan(smallConfig(false), {"dss-qry17"}, 2),
+                   engineSpecs({"sms"}));
     EXPECT_EQ(plain.at(0).find("sms")->speedup, 0.0);
-    EXPECT_EQ(driver.cellRuns(), 2u); // baseline + sms, no stride
+    // baseline + sms, no stride
+    EXPECT_EQ(counts("driver.cell.simulated"), 2u);
 }
 
 TEST(Driver, UnknownNamesAreSkipped)
 {
-    ExperimentDriver driver(smallConfig(false), 2);
-    auto results = driver.run({"dss-qry17", "no-such-workload"},
-                              engineSpecs({"sms", "no-such-engine"}));
+    ExperimentDriver driver;
+    auto results = driver.run(
+        configPlan(smallConfig(false), {"dss-qry17", "no-such-workload"},
+                   2),
+        engineSpecs({"sms", "no-such-engine"}));
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].workload, "dss-qry17");
     ASSERT_EQ(results[0].engines.size(), 1u);
@@ -225,8 +241,9 @@ TEST(Driver, SpecLabelsAndOverridesProduceDistinctCells)
     deep.lookahead = 24;
     std::vector<EngineSpec> specs = {{"stems", "la2", shallow},
                                      {"stems", "la24", deep}};
-    ExperimentDriver driver(smallConfig(false), 4);
-    auto results = driver.run({"em3d"}, specs);
+    ExperimentDriver driver;
+    auto results =
+        driver.run(configPlan(smallConfig(false), {"em3d"}, 4), specs);
     ASSERT_EQ(results.size(), 1u);
     const EngineResult *la2 = results[0].find("la2");
     const EngineResult *la24 = results[0].find("la24");
@@ -244,8 +261,9 @@ TEST(Driver, ProbeCollectsExtraMetrics)
         er.extra["bufferCapacity"] =
             static_cast<double>(engine.bufferCapacity());
     };
-    ExperimentDriver driver(smallConfig(false), 2);
-    auto results = driver.run({"dss-qry17"}, {spec});
+    ExperimentDriver driver;
+    auto results =
+        driver.run(configPlan(smallConfig(false), {"dss-qry17"}, 2), {spec});
     ASSERT_EQ(results.size(), 1u);
     const EngineResult *e = results[0].find("stems");
     ASSERT_NE(e, nullptr);
@@ -283,41 +301,99 @@ TEST(Driver, RunWorkloadAcceptsExternalWorkload)
     };
 
     LocalWorkload w;
-    ExperimentDriver driver(smallConfig(false), 4);
+    // The plan's workload list is not read: runWorkload runs `w`.
+    const SweepPlan plan = configPlan(smallConfig(false), {}, 4);
+    const RegistryDelta counts;
+    ExperimentDriver driver;
     WorkloadResult r =
-        driver.runWorkload(w, engineSpecs({"sms", "stems"}));
+        driver.runWorkload(plan, w, engineSpecs({"sms", "stems"}));
     EXPECT_EQ(r.workload, "local");
     EXPECT_GT(r.baselineMisses, 0u);
     ASSERT_EQ(r.engines.size(), 2u);
     EXPECT_GT(r.find("sms")->coverage, 0.0);
-    EXPECT_EQ(driver.cellRuns(), 3u); // baseline + sms + stems
+    // baseline + sms + stems
+    EXPECT_EQ(counts("driver.cell.simulated"), 3u);
 
     // Nothing carries across calls without a store: a second call
     // simulates its baseline lane again.
-    driver.runWorkload(w, engineSpecs({"sms"}));
-    EXPECT_EQ(driver.cellRuns(), 5u);
+    driver.runWorkload(plan, w, engineSpecs({"sms"}));
+    EXPECT_EQ(counts("driver.cell.simulated"), 5u);
 }
 
 TEST(Driver, ForEachTraceVisitsEveryWorkloadOnce)
 {
-    ExperimentConfig cfg = smallConfig(false);
-    cfg.traceRecords = 20000;
-    ExperimentDriver driver(cfg, 4);
-    std::vector<std::string> names(kWorkloads.size());
-    std::vector<std::size_t> sizes(kWorkloads.size());
-    std::atomic<int> calls{0};
-    driver.forEachTrace(
-        kWorkloads,
-        [&](std::size_t index, const Workload &w, const Trace &t) {
-            names[index] = w.name();
-            sizes[index] = t.size();
-            ++calls;
-        });
-    EXPECT_EQ(calls.load(), 3);
-    for (std::size_t i = 0; i < kWorkloads.size(); ++i) {
-        EXPECT_EQ(names[i], kWorkloads[i]);
-        EXPECT_GE(sizes[i], 20000u);
+    // Each call visits its own plan's workloads, in plan order, with
+    // the traces that plan's records and seed generate: a second call
+    // on the same driver inherits nothing from the first.
+    ExperimentDriver driver;
+    std::vector<std::uint64_t> first_digests;
+    for (const auto &[records, seed] :
+         {std::pair<std::size_t, std::uint64_t>{20000, 42},
+          std::pair<std::size_t, std::uint64_t>{12000, 7}}) {
+        SCOPED_TRACE("records " + std::to_string(records));
+        ExperimentConfig cfg = smallConfig(false, records);
+        cfg.seed = seed;
+        const SweepPlan plan = configPlan(cfg, kWorkloads, 4);
+        std::vector<std::string> names(kWorkloads.size());
+        std::vector<std::size_t> sizes(kWorkloads.size());
+        std::vector<std::uint64_t> digests(kWorkloads.size());
+        std::atomic<int> calls{0};
+        driver.forEachTrace(
+            plan,
+            [&](std::size_t index, const Workload &w, const Trace &t) {
+                names[index] = w.name();
+                sizes[index] = t.size();
+                digests[index] = traceDigest(t);
+                ++calls;
+            });
+        EXPECT_EQ(calls.load(), 3);
+        for (std::size_t i = 0; i < kWorkloads.size(); ++i) {
+            EXPECT_EQ(names[i], kWorkloads[i]);
+            const Trace expected =
+                makeWorkload(kWorkloads[i])
+                    ->generate(plan.seed, plan.records);
+            EXPECT_EQ(sizes[i], expected.size()) << kWorkloads[i];
+            EXPECT_EQ(digests[i], traceDigest(expected))
+                << kWorkloads[i];
+            if (!first_digests.empty()) {
+                EXPECT_NE(digests[i], first_digests[i])
+                    << kWorkloads[i];
+            }
+        }
+        first_digests = digests;
     }
+}
+
+TEST(Driver, EachCallRunsOnlyItsOwnPlan)
+{
+    // One driver runs a timed 30k-record plan, then a functional
+    // 20k-record plan, then the timed plan again over its store: each
+    // result is a fresh driver's for the same plan, and the third
+    // call is served from the cells the first stored under the timed
+    // result key.
+    const std::string dir = tempStoreDir();
+    const auto engines = engineSpecs({"sms", "stems"});
+    const SweepPlan timed =
+        configPlan(smallConfig(true, 30000), {"dss-qry17", "oltp-db2"}, 2);
+    const SweepPlan functional =
+        configPlan(smallConfig(false, 20000), {"web-apache"}, 1);
+
+    ExperimentDriver shared;
+    shared.setStore(std::make_shared<TraceStore>(dir));
+    const auto timed_results = shared.run(timed, engines);
+    const auto functional_results = shared.run(functional, engines);
+    const RegistryDelta counts;
+    const auto timed_again = shared.run(timed, engines);
+    EXPECT_EQ(counts("driver.cell.simulated"), 0u);
+
+    ExperimentDriver fresh_timed;
+    const auto expected_timed = fresh_timed.run(timed, engines);
+    ExperimentDriver fresh_functional;
+    expectSameResults(fresh_functional.run(functional, engines),
+                      functional_results);
+    expectSameResults(expected_timed, timed_results);
+    expectSameResults(expected_timed, timed_again);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Driver, ScientificLookaheadAppliedPerWorkloadClass)
@@ -330,8 +406,9 @@ TEST(Driver, ScientificLookaheadAppliedPerWorkloadClass)
     auto w = makeWorkload("em3d");
     auto reference = runner.runWorkload(*w, {"tms"});
 
-    ExperimentDriver driver(cfg, 2);
-    auto results = driver.run({"em3d"}, engineSpecs({"tms"}));
+    ExperimentDriver driver;
+    auto results =
+        driver.run(configPlan(cfg, {"em3d"}, 2), engineSpecs({"tms"}));
     ASSERT_EQ(results.size(), 1u);
     expectSameStats(reference.find("tms")->stats,
                     results[0].find("tms")->stats);
@@ -402,27 +479,29 @@ TEST(Driver, LanesCrossChunksOnEveryThreadCount)
     const std::size_t every = 70001;
     const std::size_t lanes = workloads.size() * (2 + engines.size());
 
-    ExperimentDriver storeless(cfg, 4);
-    const auto expected = storeless.run(workloads, engines);
+    ExperimentDriver storeless;
+    const auto expected =
+        storeless.run(configPlan(cfg, workloads, 4), engines);
 
     std::map<std::string, std::string> serial_ckpts;
     for (unsigned jobs : {1u, 2u, 3u, 8u}) {
         SCOPED_TRACE("jobs " + std::to_string(jobs));
         const std::string dir =
             tempStoreDir() + "_jobs" + std::to_string(jobs);
-        SweepPlan plan = test::configPlan(cfg, workloads, jobs);
+        SweepPlan plan = configPlan(cfg, workloads, jobs);
         plan.checkpointEvery = every;
 
         SpanCollector collector;
         collector.attach();
+        const RegistryDelta counts;
         ExperimentDriver driver;
         driver.setStore(std::make_shared<TraceStore>(dir));
         const auto results = driver.run(plan, engines);
         collector.detach();
 
         expectSameResults(expected, results);
-        EXPECT_EQ(driver.cellRuns(), lanes);
-        EXPECT_EQ(driver.checkpointsWritten(), 3 * lanes);
+        EXPECT_EQ(counts("driver.cell.simulated"), lanes);
+        EXPECT_EQ(counts("ckpt.written"), 3 * lanes);
         const auto ckpts = checkpointFiles(dir);
         EXPECT_EQ(ckpts.size(), 3 * lanes);
         if (jobs == 1) {
@@ -448,9 +527,9 @@ TEST(Driver, ThrowingProbeRethrowsAfterEveryThreadJoined)
     const std::vector<std::string> workloads = {"dss-qry17",
                                                 "web-apache", "em3d"};
     const ExperimentConfig cfg = smallConfig(false, 20000);
-    ExperimentDriver reference(cfg, 1);
-    const auto expected =
-        reference.run(workloads, engineSpecs({"sms", "stems"}));
+    ExperimentDriver reference;
+    const auto expected = reference.run(configPlan(cfg, workloads, 1),
+                                        engineSpecs({"sms", "stems"}));
 
     for (unsigned jobs : {1u, 4u}) {
         for (int throw_at : {1, 3}) {
@@ -462,9 +541,10 @@ TEST(Driver, ThrowingProbeRethrowsAfterEveryThreadJoined)
                 if (++calls == throw_at)
                     throw std::runtime_error("probe failed");
             };
-            ExperimentDriver driver(cfg, jobs);
+            const SweepPlan plan = configPlan(cfg, workloads, jobs);
+            ExperimentDriver driver;
             try {
-                driver.run(workloads, {EngineSpec("sms"), probed});
+                driver.run(plan, {EngineSpec("sms"), probed});
                 ADD_FAILURE() << "run() did not rethrow";
             } catch (const std::runtime_error &e) {
                 EXPECT_STREQ(e.what(), "probe failed");
@@ -477,7 +557,7 @@ TEST(Driver, ThrowingProbeRethrowsAfterEveryThreadJoined)
             }
 
             const auto again =
-                driver.run(workloads, engineSpecs({"sms", "stems"}));
+                driver.run(plan, engineSpecs({"sms", "stems"}));
             expectSameResults(expected, again);
         }
     }

@@ -33,18 +33,6 @@
 namespace stems {
 namespace {
 
-std::uint64_t
-counterDelta(const MetricsSnapshot &before,
-             const MetricsSnapshot &after, const char *name)
-{
-    auto get = [&](const MetricsSnapshot &s) {
-        auto it = s.counters.find(name);
-        return it == s.counters.end() ? std::uint64_t(0)
-                                      : it->second;
-    };
-    return get(after) - get(before);
-}
-
 class NetFaultTest : public test::TempDirTest
 {
   protected:
@@ -188,11 +176,9 @@ TEST_F(NetFaultTest, ColdSweepDoesEachPieceOfWorkOnce)
     WorkerOptions steady;
     steady.connectTimeoutSeconds = 2.0;
 
-    const MetricsSnapshot before =
-        MetricsRegistry::instance().snapshot();
+    const test::RegistryDelta since_start;
     auto got = runScenario(plan, "cold", {steady, steady});
-    const MetricsSnapshot after =
-        MetricsRegistry::instance().snapshot();
+    const test::RegistryDelta since_served(got.served);
     test::expectSameResults(got.results, reference);
     EXPECT_EQ(got.requeued, 0u);
 
@@ -206,19 +192,16 @@ TEST_F(NetFaultTest, ColdSweepDoesEachPieceOfWorkOnce)
     }
     const std::uint64_t lanes = 1 + plan.engines.size();
 
-    EXPECT_EQ(counterDelta(before, got.served,
-                           "driver.trace.generated"),
+    EXPECT_EQ(since_start("driver.trace.generated", got.served),
               plan.workloads.size());
-    EXPECT_EQ(counterDelta(before, got.served,
-                           "driver.cell.simulated"),
+    EXPECT_EQ(since_start("driver.cell.simulated", got.served),
               plan.workloads.size() * lanes);
-    EXPECT_EQ(counterDelta(before, got.served, "batch.record_steps"),
+    EXPECT_EQ(since_start("batch.record_steps", got.served),
               lanes * records);
     for (const char *name :
          {"driver.trace.generated", "driver.cell.simulated",
           "batch.record_steps"})
-        EXPECT_EQ(counterDelta(got.served, after, name), 0u)
-            << "the merge added " << name;
+        EXPECT_EQ(since_served(name), 0u) << "the merge added " << name;
 }
 
 // ---- targeted fault scenarios ------------------------------------
@@ -283,17 +266,12 @@ TEST_F(NetFaultTest, WorkloadUnitFinishesADeadWorkersPartialCells)
     ASSERT_GT(trace_size, kCommitted);
     const std::uint64_t lanes = 1 + plan.engines.size();
 
-    const MetricsSnapshot before =
-        MetricsRegistry::instance().snapshot();
+    const test::RegistryDelta delta;
     auto got = runScenario(plan, "dead-worker", {WorkerOptions{}});
-    const MetricsSnapshot after =
-        MetricsRegistry::instance().snapshot();
 
     EXPECT_EQ(got.unitCount, 1u);
-    EXPECT_EQ(counterDelta(before, after,
-                           "ckpt.resume.skipped_records"),
-              lanes * kCommitted);
-    EXPECT_EQ(counterDelta(before, after, "batch.record_steps"),
+    EXPECT_EQ(delta("ckpt.resume.skipped_records"), lanes * kCommitted);
+    EXPECT_EQ(delta("batch.record_steps"),
               lanes * (trace_size - kCommitted));
     test::expectSameResults(got.results, reference);
 }
@@ -387,8 +365,7 @@ TEST_F(NetFaultTest, WatchdogRequeuesUnitHeldByStalledWorker)
     std::string error;
     ASSERT_TRUE(coord.listen(0, &error)) << error;
 
-    const MetricsSnapshot before =
-        MetricsRegistry::instance().snapshot();
+    const test::RegistryDelta delta;
 
     std::thread staller([&] {
         int fd = connectWithRetry("127.0.0.1", coord.port(), 5.0);
@@ -434,10 +411,7 @@ TEST_F(NetFaultTest, WatchdogRequeuesUnitHeldByStalledWorker)
     EXPECT_EQ(coord.unitsCompleted(), coord.unitCount());
     EXPECT_GE(coord.unitsRequeued(), 1u);
 
-    const MetricsSnapshot after =
-        MetricsRegistry::instance().snapshot();
-    EXPECT_GE(counterDelta(before, after, "coord.units.watchdog"),
-              1u);
+    EXPECT_GE(delta("coord.units.watchdog"), 1u);
 
     ExperimentDriver merge;
     merge.setStore(store);

@@ -22,7 +22,6 @@
 #include "net/protocol.hh"
 #include "net/socket.hh"
 #include "net/worker.hh"
-#include "obs/metrics.hh"
 #include "sim/driver.hh"
 #include "store/keys.hh"
 #include "store/trace_store.hh"
@@ -432,21 +431,10 @@ TEST_F(NetSweepTest, TwoWorkersMatchSingleProcessBitwise)
     // A later client over the warm store must simulate nothing:
     // zero trace generations, zero cell sims (counter deltas in the
     // process-wide registry).
-    const MetricsSnapshot before =
-        MetricsRegistry::instance().snapshot();
+    const test::RegistryDelta delta;
     ExperimentDriver warm;
     warm.setStore(std::make_shared<TraceStore>(dir_));
     test::expectSameResults(warm.run(plan), distributed);
-    const MetricsSnapshot after =
-        MetricsRegistry::instance().snapshot();
-    auto delta = [&](const char *name) {
-        auto get = [&](const MetricsSnapshot &s) {
-            auto it = s.counters.find(name);
-            return it == s.counters.end() ? std::uint64_t(0)
-                                          : it->second;
-        };
-        return get(after) - get(before);
-    };
     EXPECT_EQ(delta("driver.trace.generated"), 0u);
     EXPECT_EQ(delta("driver.cell.simulated"), 0u);
 }
@@ -715,27 +703,17 @@ TEST_F(NetSweepTest, WorkerRefusesAnOutOfRangeUnit)
         listener.close();
     });
 
-    const MetricsSnapshot before =
-        MetricsRegistry::instance().snapshot();
+    const test::RegistryDelta delta;
     WorkerReport report;
     std::string worker_error;
     EXPECT_FALSE(runWorker(worker, &report, &worker_error));
     coord.join();
-    const MetricsSnapshot after =
-        MetricsRegistry::instance().snapshot();
 
     EXPECT_NE(worker_error.find("out of range"), std::string::npos)
         << worker_error;
     EXPECT_EQ(report.unitsCompleted, 0u);
-    auto counter = [](const MetricsSnapshot &s, const char *name) {
-        auto it = s.counters.find(name);
-        return it == s.counters.end() ? std::uint64_t(0)
-                                      : it->second;
-    };
-    EXPECT_EQ(counter(after, "driver.trace.generated"),
-              counter(before, "driver.trace.generated"));
-    EXPECT_EQ(counter(after, "driver.cell.simulated"),
-              counter(before, "driver.cell.simulated"));
+    EXPECT_EQ(delta("driver.trace.generated"), 0u);
+    EXPECT_EQ(delta("driver.cell.simulated"), 0u);
 }
 
 } // namespace

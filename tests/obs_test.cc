@@ -317,8 +317,10 @@ TEST(ObsIdentity, ResultsBitwiseIdenticalUnderObservation)
     const std::vector<std::string> workloads{"oltp-db2", "sparse"};
     const auto engines = engineSpecs({"stems", "sms"});
 
-    ExperimentDriver plain(smallConfig(true, 30000), 2);
-    const auto expected = plain.run(workloads, engines);
+    SweepPlan plan =
+        test::configPlan(smallConfig(true, 30000), workloads, 2);
+    ExperimentDriver plain;
+    const auto expected = plain.run(plan, engines);
 
     // Same sweep with a span collector attached, the registry hot
     // and the heartbeat ticking: observability must not perturb a
@@ -328,8 +330,6 @@ TEST(ObsIdentity, ResultsBitwiseIdenticalUnderObservation)
     setLogThreshold(LogLevel::kWarn);
     SpanCollector collector;
     collector.attach();
-    SweepPlan plan =
-        test::configPlan(smallConfig(true, 30000), workloads, 2);
     plan.heartbeatSeconds = 0.05;
     ExperimentDriver observed;
     const auto actual = observed.run(plan, engines);

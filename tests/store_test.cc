@@ -38,8 +38,10 @@
 namespace stems {
 namespace {
 
+using test::configPlan;
 using test::expectSameResults;
 using test::expectSameTrace;
+using test::RegistryDelta;
 using test::sampleTrace;
 using test::smallConfig;
 
@@ -53,6 +55,7 @@ class TraceStoreTest : public test::TempDirTest
 
 TEST_F(TraceStoreTest, PutFindLoadRoundTrip)
 {
+    const RegistryDelta counts;
     TraceStore store(dir_);
     ASSERT_TRUE(store.usable());
     Trace t = sampleTrace();
@@ -72,13 +75,13 @@ TEST_F(TraceStoreTest, PutFindLoadRoundTrip)
     Trace loaded;
     ASSERT_TRUE(store.loadTrace(key, loaded));
     expectSameTrace(t, loaded);
-    EXPECT_EQ(store.traceHits(), 1u);
+    EXPECT_EQ(counts("store.trace.hit"), 1u);
 
     // Different records/seed are different entries.
     EXPECT_FALSE(store.findTrace({"unit-test", 500, 43}).has_value());
     EXPECT_FALSE(store.findTrace({"unit-test", 501, 42}).has_value());
     EXPECT_FALSE(store.loadTrace({"other", 500, 42}, loaded));
-    EXPECT_GT(store.traceMisses(), 0u);
+    EXPECT_GT(counts("store.trace.miss"), 0u);
 }
 
 TEST_F(TraceStoreTest, PutTraceGivenItsDigestWritesTheSameBytes)
@@ -192,10 +195,11 @@ TEST_F(TraceStoreTest, CorruptEntryIsDroppedNotServed)
                       static_cast<std::streamsize>(bytes.size()));
         }
 
+        const RegistryDelta counts;
         Trace loaded;
         EXPECT_FALSE(store.loadTrace(key, loaded));
-        EXPECT_EQ(store.traceHits(), 0u);
-        EXPECT_EQ(store.traceMisses(), 1u);
+        EXPECT_EQ(counts("store.trace.hit"), 0u);
+        EXPECT_EQ(counts("store.trace.miss"), 1u);
         // The corrupt entry was dropped entirely.
         EXPECT_FALSE(store.findTrace(key).has_value());
     }
@@ -295,26 +299,30 @@ TEST_F(TraceStoreTest, WarmSweepDoesZeroGenerationsAndBaselines)
     ExperimentConfig cfg = smallConfig(true);
 
     // Cold run: fresh store, everything computed and persisted.
-    ExperimentDriver cold(cfg, 2);
+    const RegistryDelta cold_counts;
+    ExperimentDriver cold;
     cold.setStore(std::make_shared<TraceStore>(dir_));
-    auto cold_results = cold.run(kWorkloads, engineSpecs(kEngines));
+    auto cold_results =
+        cold.run(configPlan(cfg, kWorkloads, 2), engineSpecs(kEngines));
     // Per workload: the prefetch-free and stride lanes, then one lane
     // per engine.
     const std::size_t cells = kWorkloads.size() * (2 + kEngines.size());
-    EXPECT_EQ(cold.traceGenerations(), kWorkloads.size());
-    EXPECT_EQ(cold.cellRuns(), cells);
+    EXPECT_EQ(cold_counts("driver.trace.generated"), kWorkloads.size());
+    EXPECT_EQ(cold_counts("driver.cell.simulated"), cells);
 
     // Warm run: fresh driver AND fresh store instance over the same
     // directory, as a separate process would see it. Every cell is
     // served from the result cache, so nothing at all is simulated —
     // not even the traces are decoded.
-    ExperimentDriver warm(cfg, 4);
+    const RegistryDelta warm_counts;
+    ExperimentDriver warm;
     warm.setStore(std::make_shared<TraceStore>(dir_));
-    auto warm_results = warm.run(kWorkloads, engineSpecs(kEngines));
-    EXPECT_EQ(warm.traceGenerations(), 0u);
-    EXPECT_EQ(warm.cellRuns(), 0u);
-    EXPECT_EQ(warm.store()->resultHits(), cells);
-    EXPECT_EQ(warm.store()->traceHits(), 0u);
+    auto warm_results =
+        warm.run(configPlan(cfg, kWorkloads, 4), engineSpecs(kEngines));
+    EXPECT_EQ(warm_counts("driver.trace.generated"), 0u);
+    EXPECT_EQ(warm_counts("driver.cell.simulated"), 0u);
+    EXPECT_EQ(warm_counts("store.result.hit"), cells);
+    EXPECT_EQ(warm_counts("store.trace.hit"), 0u);
 
     // Bitwise-identical merged results: warm vs cold...
     expectSameResults(cold_results, warm_results);
@@ -334,70 +342,78 @@ TEST_F(TraceStoreTest, FunctionalAndTimedEntriesNeverServeEachOther)
 {
     // A functional run persists cells without cycle data; a later
     // timing run must recompute rather than trust them.
-    ExperimentDriver functional(smallConfig(false), 2);
-    functional.setStore(std::make_shared<TraceStore>(dir_));
-    functional.run({"dss-qry17"}, engineSpecs({"sms"}));
-    EXPECT_EQ(functional.cellRuns(), 2u); // baseline + sms
+    const SweepPlan functional =
+        configPlan(smallConfig(false), {"dss-qry17"}, 2);
+    const SweepPlan timed = configPlan(smallConfig(true), {"dss-qry17"}, 2);
+    const auto sms = engineSpecs({"sms"});
+    auto store = std::make_shared<TraceStore>(dir_);
+    ExperimentDriver driver;
+    driver.setStore(store);
 
-    ExperimentDriver timed(smallConfig(true), 2);
-    timed.setStore(std::make_shared<TraceStore>(dir_));
-    timed.run({"dss-qry17"}, engineSpecs({"sms"}));
-    EXPECT_EQ(timed.traceGenerations(), 0u); // trace still reused
-    // Results are keyed by the timing mode, so the baseline, stride
-    // and sms lanes all re-simulate.
-    EXPECT_EQ(timed.cellRuns(), 3u);
+    RegistryDelta counts;
+    driver.run(functional, sms);
+    // baseline + sms
+    EXPECT_EQ(counts("driver.cell.simulated"), 2u);
 
-    ExperimentDriver warm(smallConfig(true), 2);
-    warm.setStore(std::make_shared<TraceStore>(dir_));
-    warm.run({"dss-qry17"}, engineSpecs({"sms"}));
-    EXPECT_EQ(warm.cellRuns(), 0u);
+    counts = RegistryDelta();
+    driver.run(timed, sms);
+    // The trace is still reused...
+    EXPECT_EQ(counts("driver.trace.generated"), 0u);
+    // ...but results are keyed by the timing mode, so the baseline,
+    // stride and sms lanes all re-simulate.
+    EXPECT_EQ(counts("driver.cell.simulated"), 3u);
+
+    counts = RegistryDelta();
+    driver.run(timed, sms);
+    EXPECT_EQ(counts("driver.cell.simulated"), 0u);
 
     // The other direction: the timed cells must not serve a
     // functional run either (their baseline carries cycles a
     // functional run reports as 0).
-    ExperimentDriver replay(smallConfig(false), 2);
-    replay.setStore(std::make_shared<TraceStore>(dir_));
-    auto replayed = replay.run({"dss-qry17"}, engineSpecs({"sms"}));
-    ExperimentDriver reference(smallConfig(false), 2);
-    expectSameResults(
-        reference.run({"dss-qry17"}, engineSpecs({"sms"})), replayed);
+    auto replayed = driver.run(functional, sms);
+    ExperimentDriver reference;
+    expectSameResults(reference.run(functional, sms), replayed);
 }
 
 TEST_F(TraceStoreTest, DifferentSeedMissesTheStore)
 {
     ExperimentConfig cfg = smallConfig(false);
-    ExperimentDriver a(cfg, 2);
+    ExperimentDriver a;
     a.setStore(std::make_shared<TraceStore>(dir_));
-    a.run({"dss-qry17"}, engineSpecs({"sms"}));
+    a.run(configPlan(cfg, {"dss-qry17"}, 2), engineSpecs({"sms"}));
 
     cfg.seed = 43;
-    ExperimentDriver b(cfg, 2);
+    const RegistryDelta counts;
+    ExperimentDriver b;
     b.setStore(std::make_shared<TraceStore>(dir_));
-    b.run({"dss-qry17"}, engineSpecs({"sms"}));
-    EXPECT_EQ(b.traceGenerations(), 1u);
-    EXPECT_EQ(b.cellRuns(), 2u);
+    b.run(configPlan(cfg, {"dss-qry17"}, 2), engineSpecs({"sms"}));
+    EXPECT_EQ(counts("driver.trace.generated"), 1u);
+    EXPECT_EQ(counts("driver.cell.simulated"), 2u);
 }
 
 TEST_F(TraceStoreTest, ForEachTraceReplaysFromStore)
 {
-    ExperimentConfig cfg = smallConfig(false);
-    cfg.traceRecords = 20000;
+    const SweepPlan plan =
+        configPlan(smallConfig(false, 20000), kWorkloads, 2);
 
-    ExperimentDriver cold(cfg, 2);
+    const RegistryDelta cold_counts;
+    ExperimentDriver cold;
     cold.setStore(std::make_shared<TraceStore>(dir_));
     std::vector<std::size_t> cold_sizes(kWorkloads.size());
-    cold.forEachTrace(kWorkloads,
+    cold.forEachTrace(plan,
                       [&](std::size_t i, const Workload &,
                           const Trace &t) { cold_sizes[i] = t.size(); });
-    EXPECT_EQ(cold.traceGenerations(), kWorkloads.size());
+    EXPECT_EQ(cold_counts("driver.trace.generated"), kWorkloads.size());
 
-    ExperimentDriver warm(cfg, 2);
+    const RegistryDelta warm_counts;
+    ExperimentDriver warm;
     warm.setStore(std::make_shared<TraceStore>(dir_));
     std::vector<std::size_t> warm_sizes(kWorkloads.size());
-    warm.forEachTrace(kWorkloads,
+    warm.forEachTrace(plan,
                       [&](std::size_t i, const Workload &,
                           const Trace &t) { warm_sizes[i] = t.size(); });
-    EXPECT_EQ(warm.traceGenerations(), 0u);
+    EXPECT_EQ(warm_counts("driver.trace.generated"), 0u);
+    EXPECT_EQ(warm_counts("store.trace.hit"), kWorkloads.size());
     EXPECT_EQ(warm_sizes, cold_sizes);
 }
 
@@ -410,26 +426,30 @@ TEST_F(TraceStoreTest, ExternalTraceDigestKeysStoredBaselines)
     Trace t = sampleTrace();
     std::uint64_t digest = traceDigest(t);
     FixedTraceWorkload w("captured", Trace(t));
+    const SweepPlan plan = configPlan(smallConfig(false), {}, 2);
 
-    ExperimentDriver first(smallConfig(false), 2);
+    RegistryDelta counts;
+    ExperimentDriver first;
     first.setStore(std::make_shared<TraceStore>(dir_));
-    auto a = first.runWorkload(w, engineSpecs({"sms"}), digest);
-    EXPECT_EQ(first.cellRuns(), 2u);
+    auto a = first.runWorkload(plan, w, engineSpecs({"sms"}), digest);
+    EXPECT_EQ(counts("driver.cell.simulated"), 2u);
 
     // Fresh driver + store instance (a new process): every cell,
     // the baseline included, hits.
-    ExperimentDriver second(smallConfig(false), 2);
+    counts = RegistryDelta();
+    ExperimentDriver second;
     second.setStore(std::make_shared<TraceStore>(dir_));
-    auto b = second.runWorkload(w, engineSpecs({"sms"}), digest);
-    EXPECT_EQ(second.cellRuns(), 0u);
+    auto b = second.runWorkload(plan, w, engineSpecs({"sms"}), digest);
+    EXPECT_EQ(counts("driver.cell.simulated"), 0u);
     EXPECT_EQ(a.baselineMisses, b.baselineMisses);
     EXPECT_EQ(a.find("sms")->coverage, b.find("sms")->coverage);
 
     // Without a digest the store is (correctly) not consulted.
-    ExperimentDriver third(smallConfig(false), 2);
+    counts = RegistryDelta();
+    ExperimentDriver third;
     third.setStore(std::make_shared<TraceStore>(dir_));
-    third.runWorkload(w, engineSpecs({"sms"}));
-    EXPECT_EQ(third.cellRuns(), 2u);
+    third.runWorkload(plan, w, engineSpecs({"sms"}));
+    EXPECT_EQ(counts("driver.cell.simulated"), 2u);
 }
 
 TEST_F(TraceStoreTest, ImportedTraceRunsThroughDriverWithAllEngines)
@@ -460,9 +480,11 @@ TEST_F(TraceStoreTest, ImportedTraceRunsThroughDriverWithAllEngines)
     // Drive every registered engine over it.
     FixedTraceWorkload workload("external:capture",
                                 std::move(replayed));
-    ExperimentDriver driver(ExperimentConfig{}, 2);
+    SweepPlan plan;
+    plan.jobs = 2;
+    ExperimentDriver driver;
     WorkloadResult r = driver.runWorkload(
-        workload,
+        plan, workload,
         engineSpecs({"stride", "tms", "sms", "stems", "tms+sms"}));
     ASSERT_EQ(r.engines.size(), 5u);
     EXPECT_GT(r.baselineMisses, 0u);
@@ -479,6 +501,7 @@ TEST_F(TraceStoreTest, ImportedTraceRunsThroughDriverWithAllEngines)
 
 TEST_F(TraceStoreTest, EngineResultRoundTripIsBitExact)
 {
+    const RegistryDelta counts;
     TraceStore store(dir_);
     StoredEngineResult r;
     r.stats.records = 123456;
@@ -520,8 +543,8 @@ TEST_F(TraceStoreTest, EngineResultRoundTripIsBitExact)
     EXPECT_FALSE(store.loadResult(0xA, 0xB, 0xD).has_value());
     EXPECT_FALSE(store.loadResult(0xA, 0xD, 0xC).has_value());
     EXPECT_FALSE(store.loadResult(0xD, 0xB, 0xC).has_value());
-    EXPECT_EQ(store.resultHits(), 1u);
-    EXPECT_EQ(store.resultMisses(), 3u);
+    EXPECT_EQ(counts("store.result.hit"), 1u);
+    EXPECT_EQ(counts("store.result.miss"), 3u);
 
     // The sidecar is enumerable.
     auto infos = store.listResults();
@@ -536,11 +559,13 @@ TEST_F(TraceStoreTest, EngineResultRoundTripIsBitExact)
 
 TEST_F(TraceStoreTest, CorruptResultEntryFallsBackToSimulation)
 {
-    ExperimentConfig cfg = smallConfig(false);
-    ExperimentDriver cold(cfg, 2);
+    const SweepPlan plan = configPlan(smallConfig(false), {"dss-qry17"}, 2);
+    const auto sms = engineSpecs({"sms"});
+    RegistryDelta counts;
+    ExperimentDriver cold;
     cold.setStore(std::make_shared<TraceStore>(dir_));
-    auto cold_results = cold.run({"dss-qry17"}, engineSpecs({"sms"}));
-    EXPECT_EQ(cold.cellRuns(), 2u);
+    auto cold_results = cold.run(plan, sms);
+    EXPECT_EQ(counts("driver.cell.simulated"), 2u);
 
     // Flip a byte in the middle of every stored .res payload.
     for (const auto &de :
@@ -553,27 +578,30 @@ TEST_F(TraceStoreTest, CorruptResultEntryFallsBackToSimulation)
         f.put('\x7f');
     }
 
-    ExperimentDriver warm(cfg, 2);
+    counts = RegistryDelta();
+    ExperimentDriver warm;
     warm.setStore(std::make_shared<TraceStore>(dir_));
-    auto warm_results = warm.run({"dss-qry17"}, engineSpecs({"sms"}));
-    EXPECT_EQ(warm.cellRuns(), 2u); // cache rejected, re-simulated
-    EXPECT_EQ(warm.store()->resultHits(), 0u);
+    auto warm_results = warm.run(plan, sms);
+    // Cache rejected, re-simulated.
+    EXPECT_EQ(counts("driver.cell.simulated"), 2u);
+    EXPECT_EQ(counts("store.result.hit"), 0u);
     expectSameResults(cold_results, warm_results);
 
     // The re-simulation re-persisted a good entry.
-    ExperimentDriver third(cfg, 2);
+    counts = RegistryDelta();
+    ExperimentDriver third;
     third.setStore(std::make_shared<TraceStore>(dir_));
-    expectSameResults(cold_results,
-                      third.run({"dss-qry17"}, engineSpecs({"sms"})));
-    EXPECT_EQ(third.cellRuns(), 0u);
+    expectSameResults(cold_results, third.run(plan, sms));
+    EXPECT_EQ(counts("driver.cell.simulated"), 0u);
 }
 
 TEST_F(TraceStoreTest, TruncatedResultEntryFallsBackToSimulation)
 {
-    ExperimentConfig cfg = smallConfig(false);
-    ExperimentDriver cold(cfg, 2);
+    const SweepPlan plan = configPlan(smallConfig(false), {"dss-qry17"}, 2);
+    const auto sms = engineSpecs({"sms"});
+    ExperimentDriver cold;
     cold.setStore(std::make_shared<TraceStore>(dir_));
-    auto cold_results = cold.run({"dss-qry17"}, engineSpecs({"sms"}));
+    auto cold_results = cold.run(plan, sms);
 
     for (const auto &de :
          std::filesystem::recursive_directory_iterator(dir_)) {
@@ -582,11 +610,69 @@ TEST_F(TraceStoreTest, TruncatedResultEntryFallsBackToSimulation)
         std::filesystem::resize_file(de.path(), 10);
     }
 
-    ExperimentDriver warm(cfg, 2);
+    const RegistryDelta counts;
+    ExperimentDriver warm;
     warm.setStore(std::make_shared<TraceStore>(dir_));
-    auto warm_results = warm.run({"dss-qry17"}, engineSpecs({"sms"}));
-    EXPECT_EQ(warm.cellRuns(), 2u);
+    auto warm_results = warm.run(plan, sms);
+    EXPECT_EQ(counts("driver.cell.simulated"), 2u);
     expectSameResults(cold_results, warm_results);
+}
+
+TEST_F(TraceStoreTest, MalformedSidecarsAreRefusedNotMisread)
+{
+    // Sidecars are read strictly: a repeated key, or a value that
+    // does not parse whole, refuses the entry instead of reading the
+    // last value or a parsed prefix. A refused trace sidecar makes
+    // findTrace miss (its digest keys the results the driver serves
+    // at schedule time); a refused result sidecar is not listed.
+    namespace fs = std::filesystem;
+    auto sidecar = [](const fs::path &dir) {
+        for (const auto &de : fs::directory_iterator(dir))
+            if (de.path().extension() == ".meta")
+                return de.path();
+        return fs::path();
+    };
+    int run = 0;
+    auto next_dir = [&] { return dir_ + "/" + std::to_string(run++); };
+
+    const TraceKey key{"unit-test", 500, 42};
+    for (const char *appended :
+         {"count=7\n", "digest=0000000000000007\n"}) {
+        SCOPED_TRACE(appended);
+        const std::string dir = next_dir();
+        TraceStore store(dir);
+        ASSERT_TRUE(store.putTrace(key, sampleTrace()).has_value());
+        ASSERT_TRUE(store.findTrace(key).has_value());
+        std::ofstream(sidecar(fs::path(dir) / "traces"), std::ios::app)
+            << appended;
+        EXPECT_FALSE(store.findTrace(key).has_value());
+    }
+
+    const std::pair<std::string, std::string> edits[] = {
+        {"records=1000\n", "records=1000abc\n"},
+        {"coverage=0.5\n", "coverage=zz\n"},
+        {"seed=42\n", "seed=42\nseed=7\n"},
+    };
+    for (const auto &[from, to] : edits) {
+        SCOPED_TRACE(to);
+        const std::string dir = next_dir();
+        TraceStore store(dir);
+        ASSERT_TRUE(store.putResult(0xA, 0xB, 0xC, StoredEngineResult{},
+                                    {"wl", "eng", 1000, 42, 0.5, 0.9,
+                                     1.25, true}));
+        ASSERT_EQ(store.listResults().size(), 1u);
+        const fs::path meta = sidecar(fs::path(dir) / "results");
+        std::string text;
+        {
+            std::ifstream in(meta);
+            text.assign(std::istreambuf_iterator<char>(in), {});
+        }
+        const std::size_t at = text.find(from);
+        ASSERT_NE(at, std::string::npos);
+        text.replace(at, from.size(), to);
+        std::ofstream(meta, std::ios::trunc) << text;
+        EXPECT_TRUE(store.listResults().empty());
+    }
 }
 
 TEST_F(TraceStoreTest, EvictionSharesBudgetAcrossAllEntryKinds)
@@ -647,26 +733,29 @@ TEST_F(TraceStoreTest, ExternalTraceHitsResultCacheByDigest)
     Trace t = sampleTrace();
     std::uint64_t digest = traceDigest(t);
     FixedTraceWorkload w("captured", Trace(t));
+    const SweepPlan plan = configPlan(smallConfig(false), {}, 2);
+    const auto engines = engineSpecs({"sms", "stems"});
 
-    ExperimentDriver first(smallConfig(false), 2);
+    RegistryDelta counts;
+    ExperimentDriver first;
     first.setStore(std::make_shared<TraceStore>(dir_));
-    auto a =
-        first.runWorkload(w, engineSpecs({"sms", "stems"}), digest);
-    EXPECT_EQ(first.cellRuns(), 3u);
+    auto a = first.runWorkload(plan, w, engines, digest);
+    EXPECT_EQ(counts("driver.cell.simulated"), 3u);
 
-    ExperimentDriver second(smallConfig(false), 2);
+    counts = RegistryDelta();
+    ExperimentDriver second;
     second.setStore(std::make_shared<TraceStore>(dir_));
-    auto b =
-        second.runWorkload(w, engineSpecs({"sms", "stems"}), digest);
-    EXPECT_EQ(second.cellRuns(), 0u);
-    EXPECT_EQ(second.store()->resultHits(), 3u);
+    auto b = second.runWorkload(plan, w, engines, digest);
+    EXPECT_EQ(counts("driver.cell.simulated"), 0u);
+    EXPECT_EQ(counts("store.result.hit"), 3u);
     expectSameResults({a}, {b});
 
     // Without a digest nothing is cached or served.
-    ExperimentDriver third(smallConfig(false), 2);
+    counts = RegistryDelta();
+    ExperimentDriver third;
     third.setStore(std::make_shared<TraceStore>(dir_));
-    third.runWorkload(w, engineSpecs({"sms", "stems"}));
-    EXPECT_EQ(third.cellRuns(), 3u);
+    third.runWorkload(plan, w, engines);
+    EXPECT_EQ(counts("driver.cell.simulated"), 3u);
 }
 
 TEST_F(TraceStoreTest, AnonymousProbeBypassesResultCache)
@@ -679,15 +768,21 @@ TEST_F(TraceStoreTest, AnonymousProbeBypassesResultCache)
         er.extra["marker"] = 1.0;
     };
 
-    ExperimentDriver cold(cfg, 2);
-    cold.setStore(std::make_shared<TraceStore>(dir_));
-    cold.run({"dss-qry17"}, {spec});
-    EXPECT_EQ(cold.cellRuns(), 2u); // baseline + stems
+    const SweepPlan plan = configPlan(cfg, {"dss-qry17"}, 2);
 
-    ExperimentDriver warm(cfg, 2);
+    RegistryDelta counts;
+    ExperimentDriver cold;
+    cold.setStore(std::make_shared<TraceStore>(dir_));
+    cold.run(plan, {spec});
+    // baseline + stems
+    EXPECT_EQ(counts("driver.cell.simulated"), 2u);
+
+    counts = RegistryDelta();
+    ExperimentDriver warm;
     warm.setStore(std::make_shared<TraceStore>(dir_));
-    auto results = warm.run({"dss-qry17"}, {spec});
-    EXPECT_EQ(warm.cellRuns(), 1u); // not served from the cache
+    auto results = warm.run(plan, {spec});
+    // Not served from the cache.
+    EXPECT_EQ(counts("driver.cell.simulated"), 1u);
     EXPECT_EQ(results.at(0).engines.at(0).extra.at("marker"), 1.0);
 }
 
@@ -701,15 +796,19 @@ TEST_F(TraceStoreTest, NamedProbeRoundTripsExtrasThroughCache)
     };
     spec.probeId = "marker-probe-v1";
 
-    ExperimentDriver cold(cfg, 2);
-    cold.setStore(std::make_shared<TraceStore>(dir_));
-    auto cold_results = cold.run({"dss-qry17"}, {spec});
-    EXPECT_EQ(cold.cellRuns(), 2u);
+    const SweepPlan plan = configPlan(cfg, {"dss-qry17"}, 2);
 
-    ExperimentDriver warm(cfg, 2);
+    RegistryDelta counts;
+    ExperimentDriver cold;
+    cold.setStore(std::make_shared<TraceStore>(dir_));
+    auto cold_results = cold.run(plan, {spec});
+    EXPECT_EQ(counts("driver.cell.simulated"), 2u);
+
+    counts = RegistryDelta();
+    ExperimentDriver warm;
     warm.setStore(std::make_shared<TraceStore>(dir_));
-    auto warm_results = warm.run({"dss-qry17"}, {spec});
-    EXPECT_EQ(warm.cellRuns(), 0u);
+    auto warm_results = warm.run(plan, {spec});
+    EXPECT_EQ(counts("driver.cell.simulated"), 0u);
     const auto &extra = warm_results.at(0).engines.at(0).extra;
     EXPECT_EQ(extra.at("marker"), 2.5);
     EXPECT_EQ(extra.at("other"), -0.125);
@@ -717,10 +816,11 @@ TEST_F(TraceStoreTest, NamedProbeRoundTripsExtrasThroughCache)
 
     // A different probe identity is a different cache key.
     spec.probeId = "marker-probe-v2";
-    ExperimentDriver bumped(cfg, 2);
+    counts = RegistryDelta();
+    ExperimentDriver bumped;
     bumped.setStore(std::make_shared<TraceStore>(dir_));
-    bumped.run({"dss-qry17"}, {spec});
-    EXPECT_EQ(bumped.cellRuns(), 1u);
+    bumped.run(plan, {spec});
+    EXPECT_EQ(counts("driver.cell.simulated"), 1u);
 }
 
 // ---- checkpoint entries ----
@@ -738,6 +838,7 @@ sampleCheckpointBlob(std::uint64_t index)
 
 TEST_F(TraceStoreTest, CheckpointRoundTripAndIndexListing)
 {
+    const RegistryDelta counts;
     TraceStore store(dir_);
     auto blob = sampleCheckpointBlob(100);
     StoredCheckpointMeta meta{"wl", "stems", 100, 40};
@@ -761,8 +862,8 @@ TEST_F(TraceStoreTest, CheckpointRoundTripAndIndexListing)
                      .has_value());
     EXPECT_FALSE(store.loadCheckpoint(0xA, 0xB, 99, 0xC)
                      .has_value());
-    EXPECT_EQ(store.checkpointHits(), 1u);
-    EXPECT_EQ(store.checkpointMisses(), 2u);
+    EXPECT_EQ(counts("store.ckpt.hit"), 1u);
+    EXPECT_EQ(counts("store.ckpt.miss"), 2u);
 
     // The listing carries the new entry kind with its identity.
     bool have_ckpt = false;
@@ -1046,30 +1147,32 @@ TEST_F(TraceStoreTest, ListCheckpointsOnMixedStore)
 
 TEST_F(TraceStoreTest, DifferentEngineOptionsAreDifferentResults)
 {
-    ExperimentConfig cfg = smallConfig(false);
+    const SweepPlan plan = configPlan(smallConfig(false), {"dss-qry17"}, 2);
     EngineOptions small_rmob;
     small_rmob.bufferEntries = 256;
 
-    ExperimentDriver cold(cfg, 2);
+    RegistryDelta counts;
+    ExperimentDriver cold;
     cold.setStore(std::make_shared<TraceStore>(dir_));
-    cold.run({"dss-qry17"}, {EngineSpec("stems")});
-    EXPECT_EQ(cold.cellRuns(), 2u);
+    cold.run(plan, {EngineSpec("stems")});
+    EXPECT_EQ(counts("driver.cell.simulated"), 2u);
 
     // Same engine name, different overrides: must not be served
     // from the default-options entry.
-    ExperimentDriver swept(cfg, 2);
+    counts = RegistryDelta();
+    ExperimentDriver swept;
     swept.setStore(std::make_shared<TraceStore>(dir_));
-    swept.run({"dss-qry17"},
-              {EngineSpec("stems", "stems-small", small_rmob)});
-    EXPECT_EQ(swept.cellRuns(), 1u);
+    swept.run(plan, {EngineSpec("stems", "stems-small", small_rmob)});
+    EXPECT_EQ(counts("driver.cell.simulated"), 1u);
 
     // While a *label-only* change shares the entry (labels are
     // cosmetic; the simulation is identical).
-    ExperimentDriver relabeled(cfg, 2);
+    counts = RegistryDelta();
+    ExperimentDriver relabeled;
     relabeled.setStore(std::make_shared<TraceStore>(dir_));
-    auto results = relabeled.run(
-        {"dss-qry17"}, {EngineSpec("stems", "stems-renamed")});
-    EXPECT_EQ(relabeled.cellRuns(), 0u);
+    auto results =
+        relabeled.run(plan, {EngineSpec("stems", "stems-renamed")});
+    EXPECT_EQ(counts("driver.cell.simulated"), 0u);
     EXPECT_EQ(results.at(0).engines.at(0).engine, "stems-renamed");
 }
 

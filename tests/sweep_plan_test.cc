@@ -6,8 +6,8 @@
  * document included), malformed numbers, out-of-range values and
  * duplicate keys are rejected, seeded mutants of a full plan are
  * rejected or decode to a canonical plan, the plan digest is pinned,
- * and ExperimentDriver::run(plan) reproduces run(workloads, engines)
- * bitwise.
+ * and ExperimentDriver::run(plan) reproduces the serial
+ * ExperimentRunner under planExperimentConfig(plan) bitwise.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +17,11 @@
 
 #include "common/rng.hh"
 #include "sim/driver.hh"
+#include "sim/experiment.hh"
 #include "sim/sweep_plan.hh"
 #include "store/keys.hh"
 #include "test_util.hh"
+#include "workloads/registry.hh"
 
 namespace stems {
 namespace {
@@ -371,12 +373,13 @@ TEST(SweepPlanJson, MutantsAreRejectedOrCanonical)
     EXPECT_LT(accepted, total);
 }
 
-TEST(SweepPlanDriver, RunPlanMatchesWorkloadEngineRun)
+TEST(SweepPlanDriver, RunPlanMatchesSerialRunnerUnderPlanConfig)
 {
-    // run(plan) is run(workloads, engines) under the plan's config:
-    // a plain driver built from the same config reproduces it.
+    // run(plan) is the plan's workloads x engines under
+    // planExperimentConfig(plan): the serial reference runner built
+    // from that config reproduces it.
     SweepPlan plan;
-    plan.workloads = {"oltp-db2"};
+    plan.workloads = {"oltp-db2", "dss-qry17"};
     plan.engines = {PlanEngine{"tms", "", {}},
                     PlanEngine{"stems", "", {}}};
     plan.records = 20'000;
@@ -386,11 +389,13 @@ TEST(SweepPlanDriver, RunPlanMatchesWorkloadEngineRun)
     ExperimentDriver planned;
     const auto via_plan = planned.run(plan);
 
-    ExperimentDriver direct(planExperimentConfig(plan), 2);
-    const auto via_names =
-        direct.run({"oltp-db2"}, engineSpecs({"tms", "stems"}));
+    ExperimentRunner runner(planExperimentConfig(plan));
+    std::vector<WorkloadResult> reference;
+    for (const std::string &name : plan.workloads)
+        reference.push_back(
+            runner.runWorkload(*makeWorkload(name), {"tms", "stems"}));
 
-    test::expectSameResults(via_plan, via_names);
+    test::expectSameResults(reference, via_plan);
 }
 
 TEST(SweepPlanDriver, PlanEngineSpecsCarryOptionsAndLabels)

@@ -1,6 +1,7 @@
 #include "test_util.hh"
 
 #include <filesystem>
+#include <utility>
 
 #include <unistd.h>
 
@@ -80,6 +81,32 @@ configPlan(const ExperimentConfig &config,
     plan.timing = config.enableTiming;
     plan.jobs = jobs;
     return plan;
+}
+
+RegistryDelta::RegistryDelta()
+    : RegistryDelta(MetricsRegistry::instance().snapshot())
+{
+}
+
+RegistryDelta::RegistryDelta(MetricsSnapshot base) : base_(std::move(base))
+{
+}
+
+std::uint64_t
+RegistryDelta::operator()(const std::string &counter) const
+{
+    return (*this)(counter, MetricsRegistry::instance().snapshot());
+}
+
+std::uint64_t
+RegistryDelta::operator()(const std::string &counter,
+                          const MetricsSnapshot &at) const
+{
+    auto value = [&](const MetricsSnapshot &s) {
+        auto it = s.counters.find(counter);
+        return it == s.counters.end() ? std::uint64_t{0} : it->second;
+    };
+    return value(at) - value(base_);
 }
 
 void

@@ -2,9 +2,9 @@
  * @file
  * Shared test utilities: unique temp paths (ctest runs test binaries
  * concurrently, so fixed paths collide), a temp-directory fixture,
- * small canned traces/configs, a checkpoint-size engine, and the
- * bitwise result/stats/trace comparators the determinism contracts
- * are pinned with. Extracted
+ * small canned traces/configs, registry counter deltas, a
+ * checkpoint-size engine, and the bitwise result/stats/trace
+ * comparators the determinism contracts are pinned with. Extracted
  * from the store/driver/trace suites so every suite asserts
  * equality the same way.
  */
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "prefetch/prefetcher.hh"
 #include "sim/config.hh"
 #include "sim/experiment.hh"
@@ -64,10 +65,35 @@ ExperimentConfig smallConfig(bool timing,
 /** The SweepPlan form of `config` over `workloads` on `jobs`
  *  threads: the config's trace, warmup and timing knobs with the
  *  default execution policy, which tests then adjust
- *  (checkpointEvery, ...) before run(plan, specs) or applyPlan. */
+ *  (checkpointEvery, ...) before handing it to a driver call. */
 SweepPlan configPlan(const ExperimentConfig &config,
                      std::vector<std::string> workloads,
                      unsigned jobs);
+
+/**
+ * Counter growth in the process-wide metrics registry since a base
+ * snapshot. The driver and the store report their diagnostics only
+ * there (driver.cell.simulated, store.result.hit, ...); a test runs
+ * its drivers one at a time, so a delta taken around a call counts
+ * that call alone.
+ */
+class RegistryDelta
+{
+  public:
+    /** Base: the registry now. */
+    RegistryDelta();
+    /** Base: an earlier snapshot. */
+    explicit RegistryDelta(MetricsSnapshot base);
+
+    /** `counter`'s growth from the base to now. */
+    std::uint64_t operator()(const std::string &counter) const;
+    /** `counter`'s growth from the base to the snapshot `at`. */
+    std::uint64_t operator()(const std::string &counter,
+                             const MetricsSnapshot &at) const;
+
+  private:
+    MetricsSnapshot base_;
+};
 
 /** Record-for-record equality (every MemRecord field). */
 void expectSameTrace(const Trace &a, const Trace &b);

@@ -77,6 +77,7 @@
 #include "analysis/correlation.hh"
 #include "analysis/coverage.hh"
 #include "bench/bench_util.hh"
+#include "common/file_io.hh"
 #include "common/parse_number.hh"
 #include "net/coord.hh"
 #include "net/worker.hh"
@@ -211,25 +212,6 @@ struct ArgScanner
         }
     }
 };
-
-std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> items;
-    std::string cur;
-    for (char c : arg) {
-        if (c == ',') {
-            if (!cur.empty())
-                items.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        items.push_back(cur);
-    return items;
-}
 
 std::string
 baseName(const std::string &path)
@@ -391,8 +373,8 @@ cmdRun(int argc, char **argv)
     FixedTraceWorkload workload(baseName(args.positional[0]),
                                 std::move(t));
     // Describe the run as a plan (the trace itself is fixed, so
-    // records documents its size and seed is immaterial) and let
-    // applyPlan carry both the config and the execution policy.
+    // records documents its size and seed is immaterial): it carries
+    // both the config and the execution policy.
     SweepPlan plan;
     plan.workloads = {workload.name()};
     for (const std::string &e : engines)
@@ -402,7 +384,6 @@ cmdRun(int argc, char **argv)
     plan.timing = args.timing;
     plan.jobs = args.jobs;
     ExperimentDriver driver;
-    driver.applyPlan(plan);
     if (!args.storeDir.empty()) {
         auto store = std::make_shared<TraceStore>(args.storeDir);
         if (store->usable()) {
@@ -425,7 +406,7 @@ cmdRun(int argc, char **argv)
     const std::uint64_t run_start = collector.nowNs();
 
     WorkloadResult r =
-        driver.runWorkload(workload, engineSpecs(engines), digest);
+        driver.runWorkload(plan, workload, engineSpecs(engines), digest);
 
     const std::uint64_t run_ns = collector.nowNs() - run_start;
     collector.detach();
@@ -669,22 +650,6 @@ struct ServiceArgs
     }
 };
 
-bool
-readWholeFile(const std::string &path, std::string &out)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    char buf[4096];
-    std::size_t n;
-    out.clear();
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    bool ok = std::ferror(f) == 0;
-    std::fclose(f);
-    return ok;
-}
-
 /** The plan for sweep/serve: --plan FILE wins; otherwise built from
  *  the bench flags via the one CLI->plan mapping (benchPlan). */
 bool
@@ -692,13 +657,15 @@ buildServicePlan(const BenchOptions &opts, const ServiceArgs &svc,
                  SweepPlan &plan)
 {
     if (!svc.planPath.empty()) {
-        std::string text, parse_error;
-        if (!readWholeFile(svc.planPath, text)) {
+        const auto bytes = readFile(svc.planPath);
+        if (!bytes) {
             std::fprintf(stderr, "cannot read plan '%s'\n",
                          svc.planPath.c_str());
             return false;
         }
-        if (!parseSweepPlanJson(text, plan, &parse_error)) {
+        std::string parse_error;
+        if (!parseSweepPlanJson(std::string(bytes->begin(), bytes->end()),
+                                plan, &parse_error)) {
             std::fprintf(stderr, "bad plan '%s': %s\n",
                          svc.planPath.c_str(),
                          parse_error.c_str());
